@@ -204,6 +204,52 @@ class TestMorphoLayers:
                       channel_axis=1).data
             npt.assert_allclose(got, ref, atol=1e-14)
 
+    # window value -> winning (j, i) cell under the clamp init; the comments
+    # name the ties each value builds
+    ROUTES = {
+        1: {0.0: (0, 0),    # inner tie max(x, 0): lowest i
+            6.0: (0, 0),    # outer tie 6 = min(6, 6): lowest j
+            -2.0: (0, 1), 8.0: (1, 0), 3.0: (0, 0)},
+        2: {0.0: (0, 0),    # inner tie max(x, 0): lowest j
+            6.0: (0, 0),    # outer tie 6 = min(6, 6): lowest i
+            -2.0: (1, 0), 8.0: (0, 1), 3.0: (0, 0)},
+    }
+
+    def test_tie_routing(self):
+        # constant 2x2 windows tie every offset, so each window routes to
+        # its first offset: the top-left source
+        pool = PoolSpec((2, 2), (2, 2))
+        values = np.array([[0.0, 6.0, -2.0, 8.0], [3.0, 0.0, 6.0, -2.0]])
+        x0 = np.kron(values.reshape(1, 2, 2, 2), np.ones((2, 2)))
+        g = np.arange(1.0, 9.0).reshape(1, 2, 2, 2)
+        for variant, fwd, (m, n) in [(1, act.morpho_act1_forward, (2, 3)),
+                                     (2, act.morpho_act2_forward, (2, 2))]:
+            lp = MorphoLayerParams.init(variant, m, n, pool, channels=2)
+            beta, alpha = lp.activation.beta, lp.activation.alpha
+            x = Tensor(x0, requires_grad=True)
+            out = fwd(x, lp.activation, lp.structuring, pool, channel_axis=1)
+            ad.mul(out, Tensor(g)).sum().backward()
+
+            want_x = np.zeros_like(x0)
+            want_b = np.zeros_like(beta.data)
+            want_a = np.zeros_like(alpha.data)
+            want_w = [np.zeros(4) for _ in lp.structuring]
+            for (c, p, q), v in np.ndenumerate(values.reshape(2, 2, 2)):
+                j, i = self.ROUTES[variant][v]
+                gv = g[0, c, p, q]
+                slope = beta.data[c, j, i]
+                want_x[0, c, 2 * p, 2 * q] += gv * slope
+                want_b[c, j, i] += gv * v
+                want_a[c, j, i] += gv
+                branch, dw = (j, gv) if variant == 1 else (i, gv * slope)
+                want_w[branch][0] += dw
+            npt.assert_array_equal(x.grad, want_x)
+            npt.assert_array_equal(beta.grad, want_b)
+            npt.assert_array_equal(alpha.grad, want_a)
+            for sf, want in zip(lp.structuring, want_w):
+                got = np.zeros(4) if sf.weights.grad is None else sf.weights.grad
+                npt.assert_array_equal(got, want)
+
     def test_layer_params_init(self):
         pool = PoolSpec((2, 2), (2, 2))
         lp1 = MorphoLayerParams.init(1, 3, 2, pool)

@@ -15,10 +15,25 @@ every parameter (slopes, intercepts, structuring weights) to reverse mode.
 Parameter layout: ``beta[..., j, i]`` where ``j`` indexes the outer min and
 ``i`` the inner max.  A leading channel axis is allowed; it must line up
 with a channel axis of the input (``channel_axis``).
+
+Each layer form is one graph node.  Its forward pass computes the values
+with in-place ``np.maximum``/``np.minimum`` on blocks of the input's first
+axis small enough to stay in cache.  Every output cell has exactly one
+subgradient winner, and under grad (only then) the forward pass records it
+compactly: the outer branch (which is also the structuring function), the
+window offset and the inner index, each in the smallest signed integer
+dtype that holds its count.  The backward pass turns the record into flat
+source and parameter indices once and scatters with ``bincount`` at output
+resolution.  Tie rules, as for ``pl_activation`` and the pools: the inner
+max keeps the lowest index, the window keeps its first offset in row-major
+order, and the outer min keeps the lowest branch.  A cell whose window
+lies wholly outside the input holds -inf and takes no gradient.
 """
 
 from __future__ import annotations
 
+import functools
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,12 +114,78 @@ class MorphoActivationParams:
                    Tensor(a, requires_grad=learnable))
 
 
-def _bshape(x_ndim: int, channels: int | None, channel_axis: int | None):
-    # broadcast shape placing the channel extent on channel_axis
-    shape = [1] * x_ndim
-    if channels is not None:
-        shape[channel_axis] = channels
+def _bshape(x: Array, params: MorphoActivationParams,
+            channel_axis: int | None) -> tuple[int, ...]:
+    """Broadcast shape placing per-channel parameters on ``channel_axis``
+    of x (all ones for shared [m, n] parameters)."""
+    shape = [1] * x.ndim
+    if params.beta.data.ndim == 3:
+        if channel_axis is None:
+            raise ValueError("channel_axis required for per-channel parameters")
+        channel_axis %= x.ndim
+        if x.shape[channel_axis] != params.beta.data.shape[0]:
+            raise ValueError("channel extent mismatch")
+        shape[channel_axis] = params.beta.data.shape[0]
     return tuple(shape)
+
+
+def _pieces(mat: Array, bsh) -> list[list[Array]]:
+    """``mat[..., j, i]`` reshaped to ``bsh``, as a nested [j][i] list."""
+    return [[mat[..., j, i].reshape(bsh) for i in range(mat.shape[-1])]
+            for j in range(mat.shape[-2])]
+
+
+def _affine_max(x: Array, slopes, intercepts,
+                arg_dtype=None) -> tuple[Array, Array | None]:
+    """Elementwise max over k of ``slopes[k] * x + intercepts[k]``.
+
+    With ``arg_dtype`` it also returns the first maximising k (ties keep
+    the lower k); otherwise the index is None.
+    """
+    val = np.multiply(slopes[0], x)
+    val += intercepts[0]
+    arg = None if arg_dtype is None else np.zeros(val.shape, arg_dtype)
+    cand = np.empty_like(val) if len(slopes) > 1 else None
+    for k in range(1, len(slopes)):
+        np.multiply(slopes[k], x, out=cand)
+        cand += intercepts[k]
+        if arg is not None:
+            mo._record(cand > val, [(arg, k)])
+        np.maximum(val, cand, out=val)
+    return val, arg
+
+
+def _outer_min(branches, dtypes=None) -> tuple[Array, list[Array] | None]:
+    """Elementwise min over the values of ``branches``, each a tuple
+    ``(value, *extras)``.
+
+    With ``dtypes`` it also returns each element's winner record: the index
+    of the winning branch (strict ``<``, so ties keep the lower index) and
+    that branch's extras, in ``dtypes``; otherwise the record is None.
+    """
+    out = record = None
+    for k, (val, *extras) in enumerate(branches):
+        if out is None:
+            out = val
+            if dtypes:
+                record = [np.zeros(val.shape, dtypes[0])] + [
+                    e.astype(dt) for e, dt in zip(extras, dtypes[1:])]
+        else:
+            if dtypes:
+                mo._record(val < out, zip(record, (k, *extras)))
+            np.minimum(out, val, out=out)
+    return out, record
+
+
+def _cells(rows: Array, cols: Array, params: MorphoActivationParams,
+           bsh) -> Array:
+    """Flat (channel, j, i) parameter index of each element's winner."""
+    m, n = params.m_terms, params.n_terms
+    cell = rows.astype(np.int64) * n + cols
+    if params.beta.data.ndim == 3:
+        channels = params.beta.data.shape[0]
+        cell += np.arange(channels).reshape(bsh) * (m * n)
+    return cell
 
 
 def pl_activation(x, params: MorphoActivationParams,
@@ -113,56 +194,27 @@ def pl_activation(x, params: MorphoActivationParams,
 
     With 3-d parameters [c, m, n] each channel along ``channel_axis`` of x
     uses its own matrix.  Ties route to the lowest (j, i) in row-major
-    order.  Fused: forward keeps only int8 argument indices for backward.
+    order.  Fused: under grad, forward keeps only the winning (j, i) per
+    element, in the smallest integer dtypes that hold m and n.
     """
     x = mo._lift(x)
     beta, alpha = params.beta, params.alpha
-    per_channel = beta.data.ndim == 3
-    if per_channel and channel_axis is None:
-        raise ValueError("channel_axis required for per-channel parameters")
-    m, n = beta.data.shape[-2], beta.data.shape[-1]
-    channels = beta.data.shape[0] if per_channel else None
-    if per_channel:
-        channel_axis = channel_axis % x.data.ndim
-        if x.data.shape[channel_axis] != channels:
-            raise ValueError("channel extent mismatch")
-    bsh = _bshape(x.data.ndim, channels, channel_axis)
+    bsh = _bshape(x.data, params, channel_axis)
+    b, a = _pieces(beta.data, bsh), _pieces(alpha.data, bsh)
+    track = ad.is_grad_enabled()
+    i_dtype = mo._index_dtype(params.n_terms) if track else None
+    out, record = _outer_min(
+        (_affine_max(x.data, b[j], a[j], i_dtype)
+         for j in range(params.m_terms)),
+        (mo._index_dtype(params.m_terms), i_dtype) if track else None)
+    if not track:
+        return Tensor(out)
 
-    def pick(mat: Array, j: int, i: int) -> Array:
-        col = mat[..., j, i]  # scalar or [c]
-        return col.reshape(bsh)
-
-    xd = x.data
-    out = None
-    best_j = None
-    best_i = None
-    for j in range(m):
-        row_val = None
-        row_i = None
-        for i in range(n):
-            cand = pick(beta.data, j, i) * xd + pick(alpha.data, j, i)
-            if row_val is None:
-                row_val, row_i = cand, np.zeros(cand.shape, dtype=np.int8)
-            else:
-                better = cand > row_val  # strict: ties keep the lower i
-                row_val = np.where(better, cand, row_val)
-                row_i = np.where(better, np.int8(i), row_i)
-        if out is None:
-            out, best_j, best_i = row_val, np.zeros(row_val.shape, np.int8), row_i
-        else:
-            lower = row_val < out  # strict: ties keep the lower j
-            out = np.where(lower, row_val, out)
-            best_j = np.where(lower, np.int8(j), best_j)
-            best_i = np.where(lower, row_i, best_i)
-
-    # flat (channel, j, i) cell index per element, for bincount scatters
-    cell = best_j.astype(np.int64) * n + best_i
-    if per_channel:
-        c_index = np.arange(channels).reshape(bsh)
-        cell = cell + c_index * (m * n)
-    n_cells = (channels or 1) * m * n
+    cell = _cells(*record, params, bsh)
+    n_cells = beta.data.size
     param_shape = beta.data.shape
     beta_flat = beta.data.reshape(-1)
+    xd = x.data
 
     def back_x(g: Array) -> Array:
         return g * beta_flat[cell]
@@ -179,29 +231,129 @@ def pl_activation(x, params: MorphoActivationParams,
                               (alpha, back_alpha)])
 
 
-def general_pool(f, structuring: list[StructuringFunction],
-                 pool: PoolSpec) -> Tensor:
-    """Min across a bank of weighted dilation-pools: the pooling form of the
-    max-min activation, one dilation per min branch."""
-    if not structuring:
-        raise ValueError("need at least one structuring function")
-    out = mo.dilate_pool(f, structuring[0], pool)
-    for sf in structuring[1:]:
-        out = ad.minimum(out, mo.dilate_pool(f, sf, pool))
-    return out
+# -- the two layer forms ---------------------------------------------------
 
 
-def _row_params(params: MorphoActivationParams, j: int) -> MorphoActivationParams:
-    axis = params.beta.data.ndim - 2
-    return MorphoActivationParams(ad.narrow(params.beta, axis, j, 1),
-                                  ad.narrow(params.alpha, axis, j, 1))
+def _layer_bshape(x: Array, params: MorphoActivationParams, pool: PoolSpec,
+                  channel_axis: int | None) -> tuple[int, ...]:
+    """``_bshape`` for a layer form, whose channel axis must not be pooled."""
+    bsh = _bshape(x, params, channel_axis)
+    if max(bsh[x.ndim - pool.rank:]) > 1:
+        raise ValueError("channel_axis must not be a pooled axis")
+    return bsh
 
 
-def _col_params_T(params: MorphoActivationParams, i: int) -> MorphoActivationParams:
-    axis = params.beta.data.ndim - 1
-    return MorphoActivationParams(
-        ad.swap_last2(ad.narrow(params.beta, axis, i, 1)),
-        ad.swap_last2(ad.narrow(params.alpha, axis, i, 1)))
+def _bank_starts(structuring: list[StructuringFunction]) -> Array:
+    """Position of each structuring function's first offset when the
+    bank's offsets are listed in bank order."""
+    return np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
+
+
+def _sources(x_shape, pool: PoolSpec, structuring: list[StructuringFunction],
+             bank_index: Array) -> Array:
+    """Flat index into x of each output cell's winning source ``K*p - y``,
+    where ``bank_index`` picks y among the bank's offsets.
+
+    Cells whose window lies outside x (offset -1) get a meaningless index.
+    """
+    lead = len(x_shape) - pool.rank
+    strides = np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1]
+    steps = list(strides[:lead]) + [s * k for s, k in
+                                    zip(strides[lead:], pool.stride)]
+    # flat index of each window's anchor K*p, summed from per-axis grids
+    src = functools.reduce(np.add, [
+        (np.arange(size, dtype=np.int64) * step).reshape(
+            (size,) + (1,) * (bank_index.ndim - ax - 1))
+        for ax, (size, step) in enumerate(zip(bank_index.shape, steps))])
+    shifts = np.array([np.dot(y, strides[lead:]) for sf in structuring
+                       for y in sf.offsets], dtype=np.int64)
+    return src - shifts[bank_index]
+
+
+def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
+                structuring: list[StructuringFunction], pool: PoolSpec,
+                bsh, rows: Array, cols: Array, offs: Array,
+                pool_first: bool) -> Tensor:
+    """One graph node for a layer form, from its winner record: per output
+    cell the row j and column i of the winning affine piece and the window
+    offset of the winning branch (the row for variant 1, the column for
+    variant 2, ``pool_first``).  Every rule works at output resolution.
+    """
+    beta = params.beta
+    beta_flat = beta.data.reshape(-1)
+    weights = [sf.weights.data for sf in structuring]
+    xd = x.data
+    starts = _bank_starts(structuring)
+    n_bank = sum(len(sf.offsets) for sf in structuring)
+
+    @functools.cache
+    def routes() -> types.SimpleNamespace:
+        # cells whose window lies outside x hold -inf and take no gradient
+        keep = np.flatnonzero(offs >= 0) if (offs < 0).any() else slice(None)
+        bank = starts[cols if pool_first else rows] + offs
+        src = _sources(xd.shape, pool, structuring, bank).ravel()[keep]
+        cell = _cells(rows, cols, params, bsh).ravel()[keep]
+        bank = bank.ravel()[keep]
+        # d out / d beta is the winning piece's input: x at the source, or
+        # for variant 2 the pooled value x + w there
+        factor = xd.ravel()[src]
+        if pool_first:
+            factor += np.concatenate(weights)[bank]
+        return types.SimpleNamespace(keep=keep, src=src, cell=cell, bank=bank,
+                                     slope=beta_flat[cell], factor=factor)
+
+    def live(g: Array) -> Array:
+        return g.ravel()[routes().keep]
+
+    def back_x(g: Array) -> Array:
+        r = routes()
+        return np.bincount(r.src, weights=live(g) * r.slope,
+                           minlength=xd.size).reshape(xd.shape)
+
+    def back_beta(g: Array) -> Array:
+        r = routes()
+        return np.bincount(r.cell, weights=live(g) * r.factor,
+                           minlength=beta.data.size).reshape(beta.data.shape)
+
+    def back_alpha(g: Array) -> Array:
+        return np.bincount(routes().cell, weights=live(g),
+                           minlength=beta.data.size).reshape(beta.data.shape)
+
+    def back_weights(start: int, stop: int):
+        def rule(g: Array) -> Array:
+            r = routes()
+            gw = live(g) * r.slope if pool_first else live(g)
+            return np.bincount(r.bank, weights=gw,
+                               minlength=n_bank)[start:stop]
+        return rule
+
+    parents = [(x, back_x), (beta, back_beta), (params.alpha, back_alpha)]
+    parents += [(sf.weights, back_weights(start, start + len(sf.offsets)))
+                for start, sf in zip(starts, structuring)]
+    return ad.make_node(out, parents)
+
+
+# a block's working set (its input, two full-size scratch arrays and the
+# pooled outputs) then stays in a core's L2 cache across the chain of
+# elementwise passes, instead of streaming each pass through memory
+_BLOCK_BYTES = 1 << 20
+
+
+def _blockwise(x: Array, bsh, pool: PoolSpec, forward) -> list[Array]:
+    """Run ``forward`` on consecutive slices of x's first axis, each about
+    ``_BLOCK_BYTES``, and join the arrays it returns along that axis.  One slice when the
+    first axis is pooled, carries the parameter channels or is empty."""
+    if x.ndim == pool.rank or bsh[0] > 1 or len(x) == 0:
+        return list(forward(x))
+    step = max(1, _BLOCK_BYTES // max(x[0].nbytes, 1))
+    joined = None
+    for s in range(0, len(x), step):
+        parts = forward(x[s:s + step])
+        if joined is None:
+            joined = [np.empty((len(x),) + p.shape[1:], p.dtype) for p in parts]
+        for whole, part in zip(joined, parts):
+            whole[s:s + step] = part
+    return joined
 
 
 def morpho_act1_forward(x, params: MorphoActivationParams,
@@ -216,12 +368,43 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.m_terms:
         raise ValueError("need one structuring function per max row")
-    out = None
-    for j, sf in enumerate(structuring):
-        inner = pl_activation(x, _row_params(params, j), channel_axis)
-        pooled = mo.dilate_pool(inner, sf, pool)
-        out = pooled if out is None else ad.minimum(out, pooled)
-    return out
+    x = mo._lift(x)
+    out_ext = pool.out_extent(x.data.shape[-pool.rank:])
+    bsh = _layer_bshape(x.data, params, pool, channel_axis)
+    b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
+    track = ad.is_grad_enabled()
+    j_dtype = mo._index_dtype(len(structuring))
+    i_dtype = mo._index_dtype(params.n_terms)
+    o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
+
+    def forward(xb: Array):
+        def branches():
+            for j, sf in enumerate(structuring):
+                inner, _ = _affine_max(xb, b[j], a[j])
+                yield mo._sup_max(inner, sf.offsets, sf.weights.data,
+                                  pool.stride, out_ext, track)
+
+        out, record = _outer_min(branches(),
+                                 (j_dtype, o_dtype) if track else None)
+        if not track:
+            return (out,)
+        rows, offs = record
+        # the inner index matters only at each cell's winning source, so it
+        # is recomputed there from x rather than tracked at full resolution
+        src = _sources(xb.shape, pool, structuring,
+                       _bank_starts(structuring)[rows] + offs)
+        xs = np.take(xb, src, mode="clip")
+        cols = np.zeros(out.shape, i_dtype)
+        for j in range(params.m_terms):
+            _, arg = _affine_max(xs, b[j], a[j], i_dtype)
+            mo._record(rows == j, [(cols, arg)])
+        return out, rows, cols, offs
+
+    if not track:
+        return Tensor(_blockwise(x.data, bsh, pool, forward)[0])
+    out, rows, cols, offs = _blockwise(x.data, bsh, pool, forward)
+    return _layer_node(out, x, params, structuring, pool, bsh, rows, cols,
+                       offs, pool_first=False)
 
 
 def morpho_act2_forward(x, params: MorphoActivationParams,
@@ -237,12 +420,33 @@ def morpho_act2_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.n_terms:
         raise ValueError("need one structuring function per outer column")
-    out = None
-    for i, sf in enumerate(structuring):
-        pooled = mo.dilate_pool(x, sf, pool)
-        branch = pl_activation(pooled, _col_params_T(params, i), channel_axis)
-        out = branch if out is None else ad.minimum(out, branch)
-    return out
+    x = mo._lift(x)
+    out_ext = pool.out_extent(x.data.shape[-pool.rank:])
+    bsh = _layer_bshape(x.data, params, pool, channel_axis)
+    b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
+    track = ad.is_grad_enabled()
+    j_dtype = mo._index_dtype(params.m_terms) if track else None
+    i_dtype = mo._index_dtype(len(structuring))
+    o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
+
+    def forward(xb: Array):
+        def branches():
+            for i, sf in enumerate(structuring):
+                pooled, off = mo._sup_max(xb, sf.offsets, sf.weights.data,
+                                          pool.stride, out_ext, track)
+                val, arg = _affine_max(pooled, [bj[i] for bj in b],
+                                       [aj[i] for aj in a], j_dtype)
+                yield val, off, arg
+
+        out, record = _outer_min(
+            branches(), (i_dtype, o_dtype, j_dtype) if track else None)
+        return (out, *record) if track else (out,)
+
+    if not track:
+        return Tensor(_blockwise(x.data, bsh, pool, forward)[0])
+    out, cols, offs, rows = _blockwise(x.data, bsh, pool, forward)
+    return _layer_node(out, x, params, structuring, pool, bsh, rows, cols,
+                       offs, pool_first=True)
 
 
 @dataclass

@@ -280,28 +280,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return make_node(a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; backward scatters into zeros."""
-    a = _lift(a)
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    shape = a.data.shape
-
-    def back(g: Array) -> Array:
-        out = np.zeros(shape)
-        out[idx] = g
-        return out
-
-    return make_node(a.data[idx], [(a, back)])
-
-
-def swap_last2(a: Tensor) -> Tensor:
-    a = _lift(a)
-    return make_node(np.swapaxes(a.data, -1, -2),
-                     [(a, lambda g: np.swapaxes(g, -1, -2))])
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2:

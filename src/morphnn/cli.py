@@ -27,7 +27,7 @@ import numpy as np
 from . import representation as rep
 from .activations import MorphoActivationParams, activation_curve
 from .autodiff import make_rng
-from .data import Dataset, IdxFormatError, load_dataset, subset
+from .data import Dataset, load_dataset, subset
 from .gradcheck import run_gradcheck
 from .train import (DivergenceError, ModelSpec, TrainConfig, VARIANTS,
                     build_model, load_model, run_table1_protocol, save_model,
@@ -432,10 +432,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, IdxFormatError) as e:
+    except (FileNotFoundError, ValueError) as e:  # IdxFormatError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

@@ -139,38 +139,70 @@ def _offset_slices(y, stride, n_in, n_out):
     return tuple(outs), tuple(srcs)
 
 
-def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
-              out_extent) -> Tensor:
-    """Shared strided sup-convolution kernel.
+def _index_dtype(count: int) -> np.dtype:
+    """Smallest signed integer dtype holding every index -1 .. count - 1."""
+    return np.min_scalar_type(-max(count, 1))
 
-    Tracks the attaining offset index per output position (first attainer on
-    ties); the backward rules replay the slices and scatter through it.
+
+def _record(better: Array, records) -> None:
+    """Where ``better`` holds, overwrite each integer record with its value
+    (an array or a scalar), in place.
+
+    Integer arithmetic rather than a masked copy, which branches per
+    element and runs several times slower; a wrapped difference still
+    lands on the value, since the arithmetic is modular.
+    """
+    for dst, value in records:
+        dst += (value - dst) * better
+
+
+def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
+             track: bool) -> tuple[Array, Array | None]:
+    """Strided sup-convolution of a plain array:
+    ``out(x) = max_y f(K*x - y) + w(y)`` over the trailing axes.
+
+    With ``track`` it also returns the first attaining offset index per
+    output position (ties keep the earliest offset); without it, None.
     """
     rank = len(offsets[0])
-    if f.data.ndim < rank:
+    if fdat.ndim < rank:
         raise ValueError("input rank below offset rank")
-    n_in = f.data.shape[-rank:]
-    lead = f.data.shape[:-rank]
-    out = np.full(lead + tuple(out_extent), -np.inf)
-    idx = np.full(out.shape, -1, dtype=np.int16)
-    wdat = None if weights is None else weights.data
-    fdat = f.data
+    n_in = fdat.shape[-rank:]
+    out = np.full(fdat.shape[:-rank] + tuple(out_extent), -np.inf)
+    idx = np.full(out.shape, -1, _index_dtype(len(offsets))) if track else None
+    shifted = None  # reused buffer for f + w(y)
     for o, y in enumerate(offsets):
         sl = _offset_slices(y, stride, n_in, out_extent)
         if sl is None:
             continue
         out_sl, src_sl = sl
         cand = fdat[(..., *src_sl)]
-        if wdat is not None and wdat[o] != 0.0:
-            cand = cand + wdat[o]
         region = out[(..., *out_sl)]
-        better = cand > region
-        np.copyto(region, cand, where=better)
-        idx[(..., *out_sl)][better] = o
+        if wdat is not None and wdat[o] != 0.0:
+            if shifted is None:
+                shifted = np.empty(out.shape)
+            cand = np.add(cand, wdat[o], out=shifted[(..., *out_sl)])
+        if track:  # strict: ties keep the earlier offset
+            _record(cand > region, [(idx[(..., *out_sl)], o)])
+        np.maximum(region, cand, out=region)
     # positions whose window lies entirely outside the input keep the
     # lattice bottom -inf and receive no gradient (idx stays -1); pool
     # windows can never produce them (out_extent guarantees overlap)
+    return out, idx
 
+
+def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
+              out_extent) -> Tensor:
+    """Strided sup-convolution op over ``_sup_max``; the backward rules
+    replay the slices and scatter through the attaining offset index."""
+    fdat = f.data
+    wdat = None if weights is None else weights.data
+    out, idx = _sup_max(fdat, offsets, wdat, stride, out_extent,
+                        ad.is_grad_enabled())
+    if idx is None:
+        return Tensor(out)
+    rank = len(offsets[0])
+    n_in = fdat.shape[-rank:]
     f_shape = fdat.shape
 
     def back_f(g: Array) -> Array:

@@ -79,6 +79,21 @@ class TestPlActivation:
         act.pl_activation(x, params).sum().backward()
         npt.assert_array_equal(x.grad, np.array([1.0]))
 
+    def test_winner_index_past_int8(self):
+        # winner (j, i) = (129, 199): both indices outgrow int8
+        alpha = np.full((130, 200), 10.0)
+        alpha[129] = 0.0
+        alpha[129, 199] = 1.0
+        params = MorphoActivationParams(Tensor(np.zeros((130, 200))),
+                                        Tensor(alpha, requires_grad=True))
+        x = Tensor(np.zeros(3), requires_grad=True)
+        out = act.pl_activation(x, params)
+        npt.assert_array_equal(out.data, np.ones(3))
+        out.sum().backward()
+        want = np.zeros((130, 200))
+        want[129, 199] = 3.0
+        npt.assert_array_equal(params.alpha.grad, want)
+
     def test_gradients_vs_fd(self):
         # clamp parameters, samples held away from the kinks at 0 and 6
         params = MorphoActivationParams.clamp(2, 3)
@@ -108,27 +123,6 @@ class TestPlActivation:
             at_beta, Tensor(params.beta.data)), atol=1e-7)
         npt.assert_allclose(at.grad, ad.finite_difference_grad(
             at_alpha, Tensor(params.alpha.data)), atol=1e-7)
-
-
-class TestGeneralPool:
-    def test_single_flat_window_is_max_pool(self):
-        rng = ad.make_rng(43)
-        f = rng.normal(size=(2, 8, 8))
-        pool = PoolSpec((2, 2), (2, 2))
-        bank = [StructuringFunction.pool_window((2, 2))]
-        npt.assert_array_equal(act.general_pool(Tensor(f), bank, pool).data,
-                               mo.max_pool(Tensor(f), pool).data)
-
-    def test_min_across_bank(self):
-        rng = ad.make_rng(44)
-        f = rng.normal(size=(9,))
-        pool = PoolSpec((3,), (2,))
-        bank = [StructuringFunction.pool_window((3,)),
-                StructuringFunction([(0,), (-1,), (-2,)],
-                                    weights=[0.5, -0.5, 0.0])]
-        got = act.general_pool(Tensor(f), bank, pool).data
-        parts = [mo.dilate_pool(Tensor(f), sf, pool).data for sf in bank]
-        npt.assert_array_equal(got, np.minimum(*parts))
 
 
 class TestMorphoLayers:
@@ -182,6 +176,17 @@ class TestMorphoLayers:
                 want = oracle_morpho1(x[b, ch], beta[ch], alpha[ch], sfs,
                                       (2, 2), (3, 3))
                 npt.assert_allclose(got[b, ch], want, atol=1e-12)
+
+    def test_empty_batch(self):
+        pool = PoolSpec((2, 2), (2, 2))
+        for variant, fwd in [(1, act.morpho_act1_forward),
+                             (2, act.morpho_act2_forward)]:
+            lp = MorphoLayerParams.init(variant, 2, 2, pool, channels=3)
+            x = Tensor(np.zeros((0, 3, 6, 6)), requires_grad=True)
+            out = fwd(x, lp.activation, lp.structuring, pool, channel_axis=1)
+            assert out.data.shape == (0, 3, 3, 3)
+            out.sum().backward()
+            assert x.grad.shape == x.data.shape
 
     def test_bank_length_validated(self):
         pool = PoolSpec((2, 2), (2, 2))
@@ -249,6 +254,34 @@ class TestMorphoLayers:
             for sf, want in zip(lp.structuring, want_w):
                 got = np.zeros(4) if sf.weights.grad is None else sf.weights.grad
                 npt.assert_array_equal(got, want)
+
+    def test_window_outside_input_takes_no_gradient(self):
+        # the second branch's offset (-2, -2) reads x at 2p + 2, outside x
+        # for every output cell but the first: those cells are -inf
+        rng = ad.make_rng(49)
+        pool = PoolSpec((2, 2), (2, 2))
+        x0 = rng.normal(size=(4, 4))
+        dead = np.ones((2, 2), bool)
+        dead[0, 0] = False
+        for fwd, oracle in [(act.morpho_act1_forward, oracle_morpho1),
+                            (act.morpho_act2_forward, oracle_morpho2)]:
+            params = MorphoActivationParams(
+                Tensor(rng.uniform(0.5, 1.5, size=(2, 2)), requires_grad=True),
+                Tensor(rng.normal(size=(2, 2)), requires_grad=True))
+            bank = [StructuringFunction.pool_window((2, 2), learnable=True),
+                    StructuringFunction([(-2, -2)], weights=[-9.0],
+                                        learnable=True)]
+            x = Tensor(x0, requires_grad=True)
+            out = fwd(x, params, bank, pool)
+            npt.assert_array_equal(out.data, oracle(
+                x0, params.beta.data, params.alpha.data, bank, (2, 2),
+                (2, 2)))
+            assert np.isneginf(out.data[dead]).all()
+            out.sum().backward()
+            # the one live cell routes its unit gradient to one alpha cell
+            npt.assert_array_equal(params.alpha.grad.sum(), 1.0)
+            for t in [x, params.beta] + [sf.weights for sf in bank]:
+                assert t.grad is None or np.isfinite(t.grad).all()
 
     def test_layer_params_init(self):
         pool = PoolSpec((2, 2), (2, 2))

@@ -148,14 +148,8 @@ class TestAgainstFiniteDifferences:
         rng = ad.make_rng(10)
         x = rng.normal(size=(2, 3, 4))
         t = Tensor(x, requires_grad=True)
-        ad.swap_last2(ad.narrow(t, 1, 1, 2)).sum().backward()
-        expect = np.zeros_like(x)
-        expect[:, 1:3, :] = 1.0
-        npt.assert_array_equal(t.grad, expect)
-
-        t2 = Tensor(x, requires_grad=True)
-        ad.reshape(t2, (6, 4)).mean().backward()
-        npt.assert_allclose(t2.grad, np.full_like(x, 1.0 / 24.0))
+        ad.reshape(t, (6, 4)).mean().backward()
+        npt.assert_allclose(t.grad, np.full_like(x, 1.0 / 24.0))
 
 
 class TestRng:

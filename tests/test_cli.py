@@ -161,6 +161,17 @@ def test_export_activation_init_curve(tmp_path, capsys):
     assert curve[2.0] == 2.0
 
 
+def test_export_activation_many_terms(tmp_path, capsys):
+    # more pieces than int8 indices can name
+    code = main(["export-activation", "--init", "--n-terms", "200",
+                 "--out", str(tmp_path / "e")])
+    assert code == 0
+    capsys.readouterr()
+    rows = list(csv.reader(open(tmp_path / "e" / "activation_init.csv")))
+    curve = {float(r[0]): float(r[1]) for r in rows[1:]}
+    assert (curve[10.0], curve[-3.0], curve[2.0]) == (6.0, 0.0, 2.0)
+
+
 def test_export_activation_from_model(data_dir, tmp_path, capsys):
     run = tmp_path / "m2"
     code = main(_train_args(data_dir, run,

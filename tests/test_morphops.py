@@ -191,6 +191,22 @@ class TestPools:
                                    pool.out_extent((9, 9)))
             npt.assert_allclose(got, want)
 
+    def test_offset_index_past_int16(self):
+        # 40,000 offsets: the winning offset index outgrows int16
+        rng = ad.make_rng(36)
+        f = rng.normal(size=(201, 200))
+        sf = StructuringFunction.pool_window((200, 200), learnable=True)
+        sf.weights.data[:] = rng.normal(size=40000) * 0.1
+        sf.weights.data[-1] = 10.0  # the last offset wins everywhere
+        pool = PoolSpec((200, 200), (1, 1))
+        out = mo.dilate_pool(Tensor(f), sf, pool)
+        want = oracle_sup_conv(f, sf.offsets, sf.weights.data, (1, 1), (2, 1))
+        npt.assert_array_equal(out.data, want)
+        out.sum().backward()
+        expect = np.zeros(40000)
+        expect[-1] = 2.0
+        npt.assert_array_equal(sf.weights.grad, expect)
+
 
 class TestTwoSlope:
     def test_relu_and_leaky_configs(self):

@@ -121,7 +121,8 @@ def _bshape(x: Array, params: MorphoActivationParams,
     shape = [1] * x.ndim
     if params.beta.data.ndim == 3:
         if channel_axis is None:
-            raise ValueError("channel_axis required for per-channel parameters")
+            raise ValueError(
+                "channel_axis required for per-channel parameters")
         channel_axis %= x.ndim
         if x.shape[channel_axis] != params.beta.data.shape[0]:
             raise ValueError("channel extent mismatch")
@@ -333,16 +334,18 @@ def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
     return ad.make_node(out, parents)
 
 
-# a block's working set (its input, two full-size scratch arrays and the
-# pooled outputs) then stays in a core's L2 cache across the chain of
-# elementwise passes, instead of streaming each pass through memory
+# input bytes per block: the block's working set (its input, two scratch
+# arrays of the same size and the pooled outputs) stays in a core's L2 cache
+# across the chain of elementwise passes instead of streaming each pass
+# through memory
 _BLOCK_BYTES = 1 << 20
 
 
 def _blockwise(x: Array, bsh, pool: PoolSpec, forward) -> list[Array]:
     """Run ``forward`` on consecutive slices of x's first axis, each about
-    ``_BLOCK_BYTES``, and join the arrays it returns along that axis.  One slice when the
-    first axis is pooled, carries the parameter channels or is empty."""
+    ``_BLOCK_BYTES``, and join the arrays it returns along that axis.  One
+    slice when the first axis is pooled, carries the parameter channels or
+    is empty."""
     if x.ndim == pool.rank or bsh[0] > 1 or len(x) == 0:
         return list(forward(x))
     step = max(1, _BLOCK_BYTES // max(x[0].nbytes, 1))
@@ -350,7 +353,8 @@ def _blockwise(x: Array, bsh, pool: PoolSpec, forward) -> list[Array]:
     for s in range(0, len(x), step):
         parts = forward(x[s:s + step])
         if joined is None:
-            joined = [np.empty((len(x),) + p.shape[1:], p.dtype) for p in parts]
+            joined = [np.empty((len(x),) + p.shape[1:], p.dtype)
+                      for p in parts]
         for whole, part in zip(joined, parts):
             whole[s:s + step] = part
     return joined

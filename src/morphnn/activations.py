@@ -93,6 +93,9 @@ class MorphoActivationParams:
             raise ValueError("beta and alpha must share a shape")
         if self.beta.data.ndim not in (2, 3):
             raise ValueError("expected [m, n] or [c, m, n] parameters")
+        if 0 in self.beta.data.shape[-2:]:
+            raise ValueError("need at least one term on each axis, got "
+                             f"[m, n] = {list(self.beta.data.shape[-2:])}")
 
     @property
     def m_terms(self) -> int:
@@ -104,14 +107,13 @@ class MorphoActivationParams:
 
     @classmethod
     def clamp(cls, m_terms: int, n_terms: int, outer: str = "rows",
-              channels: int | None = None,
-              learnable: bool = True) -> "MorphoActivationParams":
+              channels: int | None = None) -> "MorphoActivationParams":
         b, a = clamp_init(m_terms, n_terms, outer)
         if channels is not None:
             b = np.broadcast_to(b, (channels,) + b.shape).copy()
             a = np.broadcast_to(a, (channels,) + a.shape).copy()
-        return cls(Tensor(b, requires_grad=learnable),
-                   Tensor(a, requires_grad=learnable))
+        return cls(Tensor(b, requires_grad=True),
+                   Tensor(a, requires_grad=True))
 
 
 def _bshape(x: Array, params: MorphoActivationParams,
@@ -198,7 +200,7 @@ def pl_activation(x, params: MorphoActivationParams,
     order.  Fused: under grad, forward keeps only the winning (j, i) per
     element, in the smallest integer dtypes that hold m and n.
     """
-    x = mo._lift(x)
+    x = ad._lift(x)
     beta, alpha = params.beta, params.alpha
     bsh = _bshape(x.data, params, channel_axis)
     b, a = _pieces(beta.data, bsh), _pieces(alpha.data, bsh)
@@ -372,7 +374,7 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.m_terms:
         raise ValueError("need one structuring function per max row")
-    x = mo._lift(x)
+    x = ad._lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
     bsh = _layer_bshape(x.data, params, pool, channel_axis)
     b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
@@ -424,7 +426,7 @@ def morpho_act2_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.n_terms:
         raise ValueError("need one structuring function per outer column")
-    x = mo._lift(x)
+    x = ad._lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
     bsh = _layer_bshape(x.data, params, pool, channel_axis)
     b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
@@ -470,8 +472,7 @@ class MorphoLayerParams:
 
     @classmethod
     def init(cls, variant: int, m_terms: int, n_terms: int, pool: PoolSpec,
-             channels: int | None = None,
-             learnable_structuring: bool = True) -> "MorphoLayerParams":
+             channels: int | None = None) -> "MorphoLayerParams":
         """Clamp-initialized parameters with flat pool-window structuring.
 
         ``variant`` 1 gives m structuring functions (outer = rows), 2 gives
@@ -484,8 +485,7 @@ class MorphoLayerParams:
         else:
             raise ValueError("variant must be 1 or 2")
         act = MorphoActivationParams.clamp(m_terms, n_terms, outer, channels)
-        sfs = [StructuringFunction.pool_window(pool.extent,
-                                               learnable=learnable_structuring)
+        sfs = [StructuringFunction.pool_window(pool.extent, learnable=True)
                for _ in range(bank)]
         return cls(act, sfs)
 

@@ -46,11 +46,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _as_array(x) -> Array:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """Node of the reverse-mode graph.
 
@@ -64,7 +59,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple[tuple["Tensor", BackwardRule], ...] = ()):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = parents
         self.requires_grad = bool(requires_grad) or bool(parents)
@@ -82,9 +77,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -167,7 +159,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(_as_array(x))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def make_node(data: Array, parents: Iterable[tuple[Tensor, BackwardRule]]) -> Tensor:
@@ -304,20 +296,30 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
 # -- numerical check -------------------------------------------------------
 
 
+def probe_losses(loss: Callable[[], float], x: Array,
+                 h: float) -> tuple[Array, Array]:
+    """``loss()`` with each coordinate of ``x`` moved to x+h and to x-h.
+
+    ``x`` is probed in place, one coordinate at a time, and each coordinate
+    is restored after its probe; ``loss`` must read ``x`` when called.
+    Runs under ``no_grad``.  Returns the two losses as arrays shaped like x.
+    """
+    hi = np.empty(x.shape)
+    lo = np.empty(x.shape)
+    with no_grad():
+        for i in np.ndindex(x.shape):
+            saved = x[i]
+            x[i] = saved + h
+            hi[i] = loss()
+            x[i] = saved - h
+            lo[i] = loss()
+            x[i] = saved
+    return hi, lo
+
+
 def finite_difference_grad(fn: Callable[[Tensor], Tensor], x: Tensor,
                            h: float = 1e-5) -> Array:
     """Central-difference gradient of a scalar-valued ``fn`` at ``x``."""
-    base = x.data.copy()
-    out = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    with no_grad():
-        while not it.finished:
-            i = it.multi_index
-            probe = base.copy()
-            probe[i] = base[i] + h
-            hi = float(fn(Tensor(probe)).data)
-            probe[i] = base[i] - h
-            lo = float(fn(Tensor(probe)).data)
-            out[i] = (hi - lo) / (2.0 * h)
-            it.iternext()
-    return out
+    probe = x.data.copy()
+    hi, lo = probe_losses(lambda: float(fn(Tensor(probe)).data), probe, h)
+    return (hi - lo) / (2.0 * h)

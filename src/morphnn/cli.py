@@ -131,6 +131,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not args.step > 0:
+        raise ValueError(f"--step must be positive, got {args.step}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
     report = run_gradcheck(seed=args.seed, tolerance=args.tolerance,
                            h=args.step, sizes=sizes,
@@ -234,6 +236,10 @@ def cmd_basis(args) -> int:
 def cmd_export_activation(args) -> int:
     if args.init == (args.model is not None):
         raise ValueError("choose exactly one of --model PATH or --init")
+    if not args.step > 0:
+        raise ValueError(f"--step must be positive, got {args.step}")
+    if not args.hi >= args.lo:
+        raise ValueError(f"--hi {args.hi} is below --lo {args.lo}")
     n = int(round((args.hi - args.lo) / args.step)) + 1
     grid = args.lo + args.step * np.arange(n)
 

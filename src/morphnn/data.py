@@ -24,16 +24,6 @@ _DTYPES = {
 }
 
 
-@dataclass(frozen=True)
-class IdxHeader:
-    type_code: int
-    dims: tuple[int, ...]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return _DTYPES[self.type_code]
-
-
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -55,14 +45,14 @@ def load_idx(path) -> np.ndarray:
     if len(raw) < header_len:
         raise IdxFormatError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{rank}I", raw[4:header_len])
-    header = IdxHeader(type_code, tuple(int(d) for d in dims))
-    count = int(np.prod(header.dims)) if rank else 1
-    expected = header_len + count * header.dtype.itemsize
+    dtype = _DTYPES[type_code]
+    count = int(np.prod(dims)) if rank else 1
+    expected = header_len + count * dtype.itemsize
     if len(raw) != expected:
         raise IdxFormatError(f"{path}: payload is {len(raw) - header_len} "
                              f"bytes, expected {expected - header_len}")
-    data = np.frombuffer(raw, dtype=header.dtype, offset=header_len)
-    return data.reshape(header.dims)
+    data = np.frombuffer(raw, dtype=dtype, offset=header_len)
+    return data.reshape(dims)
 
 
 def write_idx(path, array: np.ndarray, compress: bool = False) -> None:
@@ -111,9 +101,8 @@ def load_dataset(images_path, labels_path, n_classes: int = 10) -> Dataset:
                    labels.astype(np.int64), n_classes)
 
 
-def subset(ds: Dataset, n: int, rng: np.random.Generator,
-           stratified: bool = True) -> Dataset:
-    """Random subset of ``n`` examples; stratified keeps class proportions
+def subset(ds: Dataset, n: int, rng: np.random.Generator) -> Dataset:
+    """Random stratified subset of ``n`` examples: class proportions are kept
     (largest-remainder rounding).  ``n == len(ds)`` returns the dataset
     unchanged, in order."""
     total = len(ds)
@@ -121,10 +110,6 @@ def subset(ds: Dataset, n: int, rng: np.random.Generator,
         raise ValueError(f"cannot take {n} of {total} examples")
     if n == total:
         return ds
-    if not stratified:
-        pick = rng.permutation(total)[:n]
-        return Dataset(ds.images[pick], ds.labels[pick], ds.n_classes)
-
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     exact = n * counts / total
     quota = np.floor(exact).astype(np.int64)

@@ -9,7 +9,8 @@ central differences agree to rounding error unless a kink sits within the
 probe step; coordinates where they disagree are screened out as untestable
 (the two-sided slope average is meaningless at a kink) and counted.  A case
 whose screened fraction stays too high after a few resamples fails rather
-than passing vacuously.
+than passing vacuously.  A nan or infinite gradient counts as an infinite
+error, so it fails too.
 """
 
 from __future__ import annotations
@@ -23,29 +24,26 @@ from . import autodiff as ad
 from . import morphops as mo
 from .activations import (MorphoActivationParams, morpho_act1_forward,
                           morpho_act2_forward, pl_activation)
-from .autodiff import Array, Tensor, make_rng
+from .autodiff import Tensor, make_rng
 from .morphops import PoolSpec, StructuringFunction
 
 Builder = Callable[[dict[str, Tensor]], Tensor]
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+_RESAMPLES = 3
 
 
 def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
-                rng: np.random.Generator, h: float, kink_tol: float,
-                max_resamples: int = 3) -> dict:
+                rng: np.random.Generator, h: float, kink_tol: float) -> dict:
     """Compare analytic and numeric gradients for one layer instance."""
     best = None
-    for _ in range(max_resamples):
+    for _ in range(_RESAMPLES):
         arrays = draw(rng)
         out_probe = builder({k: Tensor(v) for k, v in arrays.items()})
         proj = rng.normal(size=out_probe.data.shape)
 
-        def loss_np(vals: dict[str, Array]) -> float:
-            with ad.no_grad():
-                out = builder({k: Tensor(v) for k, v in vals.items()})
+        def loss_np() -> float:
+            out = builder({k: Tensor(v) for k, v in arrays.items()})
             return float((out.data * proj).sum())
 
         leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
@@ -62,34 +60,24 @@ def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
             analytic = leaves[name].grad
             if analytic is None:
                 analytic = np.zeros_like(arr)
-            leaf_err = 0.0
-            leaf_checked = 0
-            leaf_screened = 0
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                i = it.multi_index
-                saved = arr[i]
-                arr[i] = saved + h
-                hi = loss_np(arrays)
-                arr[i] = saved - h
-                lo = loss_np(arrays)
-                arr[i] = saved
-                central = (hi - lo) / (2 * h)
-                fwd = (hi - base) / h
-                bwd = (base - lo) / h
-                # piecewise-linear losses: the one-sided slopes differ only
-                # when a kink lies inside [x-h, x+h]
-                if abs(fwd - bwd) > kink_tol * max(1.0, abs(central)):
-                    leaf_screened += 1
-                else:
-                    leaf_checked += 1
-                    err = _rel_err(float(analytic[i]), central)
-                    if err > leaf_err:
-                        leaf_err = err
-                    if err > max_err:
-                        max_err = err
-                        worst = {"parameter": name, "index": list(i)}
-                it.iternext()
+            hi, lo = ad.probe_losses(loss_np, arr, h)
+            central = (hi - lo) / (2 * h)
+            # piecewise-linear losses: the one-sided slopes differ only
+            # when a kink lies inside [x-h, x+h]
+            kink = (np.abs((hi - base) / h - (base - lo) / h)
+                    > kink_tol * np.maximum(1.0, np.abs(central)))
+            # a nan or infinite gradient is an error, never a pass
+            with np.errstate(invalid="ignore"):
+                err = np.abs(analytic - central) / np.maximum(
+                    np.maximum(1.0, np.abs(analytic)), np.abs(central))
+            err = np.where(kink, -1.0, np.where(np.isfinite(err), err, np.inf))
+            leaf_err = float(err.max(initial=0.0))
+            if leaf_err > max_err:
+                max_err = leaf_err
+                first = np.unravel_index(np.argmax(err), arr.shape)
+                worst = {"parameter": name, "index": [int(c) for c in first]}
+            leaf_screened = int(kink.sum())
+            leaf_checked = arr.size - leaf_screened
             checked += leaf_checked
             screened += leaf_screened
             per_leaf[name] = {"max_rel_err": leaf_err,
@@ -182,39 +170,23 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                       "draw": draw_pl})
 
     for m, n in itertools.product(sizes, sizes):
-        def draw_m1(rng, m=m, n=n):
-            d = {"x": rng.normal(size=(1, 2, 5, 5)) * 2,
-                 "beta": rng.normal(size=(2, m, n)),
-                 "alpha": rng.normal(size=(2, m, n))}
-            for j in range(m):
-                d[f"w{j}"] = rng.normal(size=(4,)) * 0.3
-            return d
+        for form, fwd, bank in (("morpho1", morpho_act1_forward, m),
+                                ("morpho2", morpho_act2_forward, n)):
+            def draw_layer(rng, m=m, n=n, bank=bank):
+                d = {"x": rng.normal(size=(1, 2, 5, 5)) * 2,
+                     "beta": rng.normal(size=(2, m, n)),
+                     "alpha": rng.normal(size=(2, m, n))}
+                for j in range(bank):
+                    d[f"w{j}"] = rng.normal(size=(4,)) * 0.3
+                return d
 
-        def build_m1(lv, m=m):
-            bank = _sf_bank(lv, m)
-            return morpho_act1_forward(
-                lv["x"], MorphoActivationParams(lv["beta"], lv["alpha"]),
-                bank, _pool(), channel_axis=1)
+            def build_layer(lv, fwd=fwd, bank=bank):
+                return fwd(lv["x"],
+                           MorphoActivationParams(lv["beta"], lv["alpha"]),
+                           _sf_bank(lv, bank), _pool(), channel_axis=1)
 
-        cases.append({"name": f"morpho1_m{m}_n{n}", "build": build_m1,
-                      "draw": draw_m1})
-
-        def draw_m2(rng, m=m, n=n):
-            d = {"x": rng.normal(size=(1, 2, 5, 5)) * 2,
-                 "beta": rng.normal(size=(2, m, n)),
-                 "alpha": rng.normal(size=(2, m, n))}
-            for i in range(n):
-                d[f"w{i}"] = rng.normal(size=(4,)) * 0.3
-            return d
-
-        def build_m2(lv, n=n):
-            bank = _sf_bank(lv, n)
-            return morpho_act2_forward(
-                lv["x"], MorphoActivationParams(lv["beta"], lv["alpha"]),
-                bank, _pool(), channel_axis=1)
-
-        cases.append({"name": f"morpho2_m{m}_n{n}", "build": build_m2,
-                      "draw": draw_m2})
+            cases.append({"name": f"{form}_m{m}_n{n}", "build": build_layer,
+                          "draw": draw_layer})
 
     return cases
 

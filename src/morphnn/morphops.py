@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tensor
+from .autodiff import Array, Tensor, _lift
 
 
 def _as_offset_tuple(o) -> tuple[int, ...]:
@@ -121,9 +121,6 @@ class PoolSpec:
                 raise ValueError(f"pool window {r} exceeds input extent {n}")
             out.append((n - r) // k + 1)
         return tuple(out)
-
-    def window(self, learnable: bool = False) -> StructuringFunction:
-        return StructuringFunction.pool_window(self.extent, learnable)
 
 
 def _offset_slices(y, stride, n_in, n_out):
@@ -228,10 +225,6 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
 
         parents.append((weights, back_w))
     return ad.make_node(out, parents)
-
-
-def _lift(f) -> Tensor:
-    return f if isinstance(f, Tensor) else Tensor(np.asarray(f, dtype=np.float64))
 
 
 # -- stride-1 operators ----------------------------------------------------

@@ -14,7 +14,6 @@ import csv
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -25,10 +24,6 @@ from .activations import MorphoLayerParams, morpho_act1_forward, morpho_act2_for
 from .autodiff import Array, Tensor, make_rng
 from .data import Dataset, batches
 from .morphops import PoolSpec
-
-VARIANTS = ("relu-maxpool", "relu6-maxpool", "selfdual", "posneg",
-            "morpho1", "morpho2")
-
 
 class DivergenceError(RuntimeError):
     """Raised when the loss stops being finite; carries the epoch index."""
@@ -145,73 +140,63 @@ class DenseLayer:
         return [self.w, self.b]
 
 
-class ReluMaxPool:
-    def __init__(self, pool: PoolSpec):
+def _morpho_stage(forward):
+    return lambda x, pool, layer: forward(x, layer.activation,
+                                          layer.structuring, pool,
+                                          channel_axis=1)
+
+
+def _morpho_layer(variant: int):
+    # per-channel clamp-initialized max-min activation and a flat bank
+    return lambda spec, pool: MorphoLayerParams.init(
+        variant, spec.m_terms, spec.n_terms, pool, channels=spec.filters)
+
+
+def _no_params(spec, pool) -> tuple:
+    return ()
+
+
+def _posneg_slopes(spec, pool) -> tuple[Tensor, Tensor]:
+    # (beta_pos, beta_neg), both initialized to 1
+    return (Tensor(1.0, requires_grad=True), Tensor(1.0, requires_grad=True))
+
+
+# variant -> (forward(x, pool, layer), layer initializer(spec, pool), conv
+# bias); the morpho variants drop the bias, the activation intercepts absorb it
+STAGES = {
+    "relu-maxpool": (lambda x, pool, _: mo.max_pool(mo.relu(x), pool),
+                     _no_params, True),
+    "relu6-maxpool": (lambda x, pool, _: mo.max_pool(
+        ad.minimum(mo.relu(x), 6.0), pool), _no_params, True),
+    "selfdual": (lambda x, pool, _: mo.selfdual_pool(x, pool),
+                 _no_params, True),
+    "posneg": (lambda x, pool, slopes: mo.posneg_pool_param(x, pool, *slopes),
+               _posneg_slopes, True),
+    "morpho1": (_morpho_stage(morpho_act1_forward), _morpho_layer(1), False),
+    "morpho2": (_morpho_stage(morpho_act2_forward), _morpho_layer(2), False),
+}
+VARIANTS = tuple(STAGES)
+
+
+class Stage:
+    """Activation fused with stride pooling, looked up in ``STAGES``.
+
+    ``layer`` holds the stage's trainable state: a ``MorphoLayerParams`` for
+    the morpho variants, a tuple of tensors otherwise.
+    """
+
+    def __init__(self, spec: ModelSpec, pool: PoolSpec):
         self.pool = pool
+        self._forward, init, _ = STAGES[spec.variant]
+        self.layer = init(spec, pool)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return mo.max_pool(mo.relu(x), self.pool)
+        return self._forward(x, self.pool, self.layer)
 
     def params(self) -> list[Tensor]:
-        return []
-
-
-class Relu6MaxPool:
-    """Reference stage: clamp to [0, 6] then pool."""
-
-    def __init__(self, pool: PoolSpec):
-        self.pool = pool
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return mo.max_pool(ad.minimum(mo.relu(x), 6.0), self.pool)
-
-    def params(self) -> list[Tensor]:
-        return []
-
-
-class SelfDualPool:
-    def __init__(self, pool: PoolSpec):
-        self.pool = pool
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return mo.selfdual_pool(x, self.pool)
-
-    def params(self) -> list[Tensor]:
-        return []
-
-
-class PosNegPool:
-    """Parametric split pooling with two trainable slopes (init 1, 1)."""
-
-    def __init__(self, pool: PoolSpec):
-        self.pool = pool
-        self.beta_pos = Tensor(1.0, requires_grad=True)
-        self.beta_neg = Tensor(1.0, requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return mo.posneg_pool_param(x, self.pool, self.beta_pos, self.beta_neg)
-
-    def params(self) -> list[Tensor]:
-        return [self.beta_pos, self.beta_neg]
-
-
-class MorphoStage:
-    """Per-channel max-min activation fused with weighted pooling."""
-
-    def __init__(self, variant: int, channels: int, m_terms: int, n_terms: int,
-                 pool: PoolSpec):
-        self.variant = variant
-        self.pool = pool
-        self.layer = MorphoLayerParams.init(variant, m_terms, n_terms, pool,
-                                            channels=channels)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        fwd = morpho_act1_forward if self.variant == 1 else morpho_act2_forward
-        return fwd(x, self.layer.activation, self.layer.structuring, self.pool,
-                   channel_axis=1)
-
-    def params(self) -> list[Tensor]:
-        return self.layer.tensors()
+        if isinstance(self.layer, MorphoLayerParams):
+            return self.layer.tensors()
+        return list(self.layer)
 
 
 # -- model --------------------------------------------------------------------
@@ -238,47 +223,22 @@ class ModelSpec:
         if self.n_terms < 1 or self.m_terms < 1:
             raise ValueError("n_terms and m_terms must be >= 1")
 
-    @property
-    def uses_conv_bias(self) -> bool:
-        # the activation intercepts absorb the bias in the morpho variants
-        return self.variant not in ("morpho1", "morpho2")
-
-
-def _make_stage(spec: ModelSpec, pool: PoolSpec):
-    if spec.variant in ("relu-maxpool",):
-        return ReluMaxPool(pool)
-    if spec.variant == "relu6-maxpool":
-        return Relu6MaxPool(pool)
-    if spec.variant == "selfdual":
-        return SelfDualPool(pool)
-    if spec.variant == "posneg":
-        return PosNegPool(pool)
-    variant = 1 if spec.variant == "morpho1" else 2
-    return MorphoStage(variant, spec.filters, spec.m_terms, spec.n_terms, pool)
-
 
 class Model:
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
         pool = PoolSpec((spec.pool_extent,) * 2, (spec.pool_stride,) * 2)
         k, f = spec.kernel_size, spec.filters
-        bias = spec.uses_conv_bias
+        bias = STAGES[spec.variant][2]
         self.conv1 = Conv2dLayer(spec.in_channels, f, k, rng, bias)
-        self.stage1 = _make_stage(spec, pool)
+        self.stage1 = Stage(spec, pool)
         self.conv2 = Conv2dLayer(f, f, k, rng, bias)
-        self.stage2 = _make_stage(spec, pool)
+        self.stage2 = Stage(spec, pool)
         h, w = spec.image_size
-        h = self._stage_out(h, k, pool)
-        w = self._stage_out(w, k, pool)
-        h = self._stage_out(h, k, pool)
-        w = self._stage_out(w, k, pool)
+        for _ in range(2):  # valid conv, then pool
+            h, w = pool.out_extent((h - k + 1, w - k + 1))
         self.feature_dim = f * h * w
         self.dense = DenseLayer(self.feature_dim, spec.n_classes, rng)
-
-    @staticmethod
-    def _stage_out(n: int, k: int, pool: PoolSpec) -> int:
-        per_axis = PoolSpec((pool.extent[0],), (pool.stride[0],))
-        return per_axis.out_extent((n - k + 1,))[0]
 
     def features(self, x: Tensor) -> Tensor:
         h = self.stage1(self.conv1(x))
@@ -532,18 +492,3 @@ def run_table1_protocol(variant_specs: dict[str, ModelSpec], cfg: TrainConfig,
         row["delta_vs_baseline"] = row["mean_accuracy"] - base
     return {"baseline": baseline, "seeds": list(seeds), "variants": results}
 
-
-def export_last_layer_features(model: Model, ds: Dataset, path,
-                               batch_size: int = 512) -> None:
-    """Write the dense-layer inputs (penultimate features) plus the label as
-    CSV; deterministic formatting, so re-export is byte-identical."""
-    path = Path(path)
-    with ad.no_grad(), open(path, "w", newline="") as fh:
-        header = [f"f{i}" for i in range(model.feature_dim)] + ["label"]
-        fh.write(",".join(header) + "\n")
-        for images, labels in batches(ds, batch_size):
-            feats = model.features(Tensor(images[:, None, :, :])).data
-            for row, label in zip(feats, labels):
-                cells = [repr(float(v)) for v in row]
-                cells.append(str(int(label)))
-                fh.write(",".join(cells) + "\n")

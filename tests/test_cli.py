@@ -108,6 +108,14 @@ def test_gradcheck_cli_pass_and_fail(tmp_path, capsys):
     assert detail["layer"] == "selfdual_pool"
     assert detail["parameter"] is not None
 
+    # a zero term count or probe step is a usage error, not a crash or a
+    # failed check
+    for bad in (["--sizes", "0"], ["--step", "0"]):
+        out = tmp_path / "g3"
+        assert main(["gradcheck", "--out", str(out), *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 def test_basis_cli_median_cross5(tmp_path, capsys):
     code = main(["basis", "--op", "median", "--window", "cross5",
@@ -198,6 +206,15 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "no.npz" in err
+
+    # a non-positive step or an empty range would divide by zero or write
+    # an empty curve
+    for bad in (["--step", "0"], ["--step", "-1"], ["--lo", "5", "--hi", "-5"]):
+        out = tmp_path / "bad"
+        assert main(["export-activation", "--init", "--out", str(out),
+                     *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     # baseline models carry no activation parameters
     run = tmp_path / "base"

@@ -102,7 +102,7 @@ class TestSubset:
 
     def test_stratified_counts(self):
         ds = self._ds()
-        sub = md.subset(ds, 100, make_rng(1), stratified=True)
+        sub = md.subset(ds, 100, make_rng(1))
         assert len(sub) == 100
         got = np.bincount(sub.labels, minlength=10)
         exact = 100 * np.bincount(ds.labels, minlength=10) / len(ds)

@@ -4,6 +4,7 @@ gradients, and a clean pass over a reduced size grid."""
 import json
 
 import numpy as np
+import pytest
 
 from morphnn import gradcheck as gc
 from morphnn import autodiff as ad
@@ -50,6 +51,24 @@ def test_kink_at_probe_point_is_screened():
     assert row["screened"] == 1
     assert row["checked"] == 3
     assert row["max_rel_err"] <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_non_finite_gradient_fails(bad):
+    # nan > err is False, so a running max alone would score a nan gradient
+    # 0.0 and pass it; a non-finite gradient must count as an infinite error
+    def build(lv):
+        x = lv["x"]
+        return ad.make_node(x.data * 2.0, [(x, lambda g: g * 2.0 * bad)])
+
+    def draw(rng):
+        return {"x": rng.normal(size=(3,))}
+
+    row = gc._check_case(build, draw, make_rng(4), h=1e-5, kink_tol=1e-6)
+    assert row["max_rel_err"] == np.inf
+    assert row["worst_parameter"] == "x"
+    assert row["worst_index"] == [0]
+    assert row["parameters"]["x"]["max_rel_err"] == np.inf
 
 
 def test_report_round_trips_through_json():

@@ -23,17 +23,16 @@ subgradient winner, and under grad (only then) the forward pass records it
 compactly: the outer branch (which is also the structuring function), the
 window offset and the inner index, each in the smallest signed integer
 dtype that holds its count.  The backward pass turns the record into flat
-source and parameter indices once and scatters with ``bincount`` at output
-resolution.  Tie rules, as for ``pl_activation`` and the pools: the inner
-max keeps the lowest index, the window keeps its first offset in row-major
-order, and the outer min keeps the lowest branch.  A cell whose window
-lies wholly outside the input holds -inf and takes no gradient.
+source and parameter indices once and scatters through
+``morphops.routed_node``, as ``pl_activation`` and the pools do.  Tie
+rules, as for ``pl_activation`` and the pools: the inner max keeps the
+lowest index, the window keeps its first offset in row-major order, and
+the outer min keeps the lowest branch.  A cell whose window lies wholly
+outside the input holds -inf and takes no gradient.
 """
 
 from __future__ import annotations
 
-import functools
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,28 +209,15 @@ def pl_activation(x, params: MorphoActivationParams,
         (_affine_max(x.data, b[j], a[j], i_dtype)
          for j in range(params.m_terms)),
         (mo._index_dtype(params.m_terms), i_dtype) if track else None)
-    if not track:
-        return Tensor(out)
 
-    cell = _cells(*record, params, bsh)
-    n_cells = beta.data.size
-    param_shape = beta.data.shape
-    beta_flat = beta.data.reshape(-1)
-    xd = x.data
+    def routes():  # runs only under grad, where the record exists
+        cell = _cells(*record, params, bsh).ravel()
+        return slice(None), {"cell": cell, "input": x.data.ravel(),
+                             "slope": beta.data.reshape(-1)[cell]}
 
-    def back_x(g: Array) -> Array:
-        return g * beta_flat[cell]
-
-    def back_beta(g: Array) -> Array:
-        return np.bincount(cell.ravel(), weights=(g * xd).ravel(),
-                           minlength=n_cells).reshape(param_shape)
-
-    def back_alpha(g: Array) -> Array:
-        return np.bincount(cell.ravel(), weights=g.ravel(),
-                           minlength=n_cells).reshape(param_shape)
-
-    return ad.make_node(out, [(x, back_x), (beta, back_beta),
-                              (alpha, back_alpha)])
+    return mo.routed_node(out, routes, [(x, None, "slope"),
+                                        (beta, ("cell", 0), "input"),
+                                        (alpha, ("cell", 0), None)])
 
 
 # -- the two layer forms ---------------------------------------------------
@@ -246,31 +232,11 @@ def _layer_bshape(x: Array, params: MorphoActivationParams, pool: PoolSpec,
     return bsh
 
 
-def _bank_starts(structuring: list[StructuringFunction]) -> Array:
-    """Position of each structuring function's first offset when the
-    bank's offsets are listed in bank order."""
-    return np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
-
-
-def _sources(x_shape, pool: PoolSpec, structuring: list[StructuringFunction],
-             bank_index: Array) -> Array:
-    """Flat index into x of each output cell's winning source ``K*p - y``,
-    where ``bank_index`` picks y among the bank's offsets.
-
-    Cells whose window lies outside x (offset -1) get a meaningless index.
-    """
-    lead = len(x_shape) - pool.rank
-    strides = np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1]
-    steps = list(strides[:lead]) + [s * k for s, k in
-                                    zip(strides[lead:], pool.stride)]
-    # flat index of each window's anchor K*p, summed from per-axis grids
-    src = functools.reduce(np.add, [
-        (np.arange(size, dtype=np.int64) * step).reshape(
-            (size,) + (1,) * (bank_index.ndim - ax - 1))
-        for ax, (size, step) in enumerate(zip(bank_index.shape, steps))])
-    shifts = np.array([np.dot(y, strides[lead:]) for sf in structuring
-                       for y in sf.offsets], dtype=np.int64)
-    return src - shifts[bank_index]
+def _bank(structuring: list[StructuringFunction]) -> tuple[Array, list]:
+    """The bank's offsets listed in bank order, and the position of each
+    structuring function's first offset in that list."""
+    starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
+    return starts, [y for sf in structuring for y in sf.offsets]
 
 
 def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
@@ -280,60 +246,32 @@ def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
     """One graph node for a layer form, from its winner record: per output
     cell the row j and column i of the winning affine piece and the window
     offset of the winning branch (the row for variant 1, the column for
-    variant 2, ``pool_first``).  Every rule works at output resolution.
+    variant 2, ``pool_first``).
     """
-    beta = params.beta
-    beta_flat = beta.data.reshape(-1)
-    weights = [sf.weights.data for sf in structuring]
     xd = x.data
-    starts = _bank_starts(structuring)
-    n_bank = sum(len(sf.offsets) for sf in structuring)
+    starts, offsets = _bank(structuring)
 
-    @functools.cache
-    def routes() -> types.SimpleNamespace:
-        # cells whose window lies outside x hold -inf and take no gradient
-        keep = np.flatnonzero(offs >= 0) if (offs < 0).any() else slice(None)
+    def routes():
+        live = mo._live(offs)
         bank = starts[cols if pool_first else rows] + offs
-        src = _sources(xd.shape, pool, structuring, bank).ravel()[keep]
-        cell = _cells(rows, cols, params, bsh).ravel()[keep]
-        bank = bank.ravel()[keep]
+        src = mo._sources(xd.shape, pool.stride, offsets, bank).ravel()[live]
+        bank = bank.ravel()[live]
+        cell = _cells(rows, cols, params, bsh).ravel()[live]
         # d out / d beta is the winning piece's input: x at the source, or
         # for variant 2 the pooled value x + w there
-        factor = xd.ravel()[src]
+        piece_input = xd.ravel()[src]
         if pool_first:
-            factor += np.concatenate(weights)[bank]
-        return types.SimpleNamespace(keep=keep, src=src, cell=cell, bank=bank,
-                                     slope=beta_flat[cell], factor=factor)
+            piece_input += np.concatenate(
+                [sf.weights.data for sf in structuring])[bank]
+        return live, {"src": src, "cell": cell, "bank": bank,
+                      "input": piece_input,
+                      "slope": params.beta.data.reshape(-1)[cell]}
 
-    def live(g: Array) -> Array:
-        return g.ravel()[routes().keep]
-
-    def back_x(g: Array) -> Array:
-        r = routes()
-        return np.bincount(r.src, weights=live(g) * r.slope,
-                           minlength=xd.size).reshape(xd.shape)
-
-    def back_beta(g: Array) -> Array:
-        r = routes()
-        return np.bincount(r.cell, weights=live(g) * r.factor,
-                           minlength=beta.data.size).reshape(beta.data.shape)
-
-    def back_alpha(g: Array) -> Array:
-        return np.bincount(routes().cell, weights=live(g),
-                           minlength=beta.data.size).reshape(beta.data.shape)
-
-    def back_weights(start: int, stop: int):
-        def rule(g: Array) -> Array:
-            r = routes()
-            gw = live(g) * r.slope if pool_first else live(g)
-            return np.bincount(r.bank, weights=gw,
-                               minlength=n_bank)[start:stop]
-        return rule
-
-    parents = [(x, back_x), (beta, back_beta), (params.alpha, back_alpha)]
-    parents += [(sf.weights, back_weights(start, start + len(sf.offsets)))
-                for start, sf in zip(starts, structuring)]
-    return ad.make_node(out, parents)
+    edges = [(x, ("src", 0), "slope"), (params.beta, ("cell", 0), "input"),
+             (params.alpha, ("cell", 0), None)]
+    edges += [(sf.weights, ("bank", start), "slope" if pool_first else None)
+              for start, sf in zip(starts, structuring)]
+    return mo.routed_node(out, routes, edges)
 
 
 # input bytes per block: the block's working set (its input, two scratch
@@ -382,6 +320,7 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
     j_dtype = mo._index_dtype(len(structuring))
     i_dtype = mo._index_dtype(params.n_terms)
     o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
+    starts, offsets = _bank(structuring)
 
     def forward(xb: Array):
         def branches():
@@ -397,8 +336,7 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
         rows, offs = record
         # the inner index matters only at each cell's winning source, so it
         # is recomputed there from x rather than tracked at full resolution
-        src = _sources(xb.shape, pool, structuring,
-                       _bank_starts(structuring)[rows] + offs)
+        src = mo._sources(xb.shape, pool.stride, offsets, starts[rows] + offs)
         xs = np.take(xb, src, mode="clip")
         cols = np.zeros(out.shape, i_dtype)
         for j in range(params.m_terms):

@@ -13,11 +13,14 @@ Conventions shared by every op here:
   +inf in the inf); a position whose window lies entirely outside evaluates
   to the lattice bottom -inf and carries zero gradient;
 * on ties the subgradient routes to the lowest offset index, which for pool
-  windows is the first position in row-major window order.
+  windows is the first position in row-major window order;
+* each output cell copies one winner, so every backward here is one
+  ``routed_node``, which sends the cell's gradient to that winner alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -188,43 +191,80 @@ def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
     return out, idx
 
 
+def _live(index: Array):
+    """Flat output cells that take gradient: every cell but those whose
+    winner ``index`` is -1 (a window wholly outside the input)."""
+    return np.flatnonzero(index >= 0) if (index < 0).any() else slice(None)
+
+
+def _sources(x_shape, stride, offsets, index: Array) -> Array:
+    """Flat index into an array of ``x_shape`` of each output cell's
+    winning source ``K*p - y``, where ``index`` (shaped like the output)
+    picks y among ``offsets``.  A cell whose index is -1 gets a meaningless
+    source."""
+    lead = len(x_shape) - len(stride)
+    strides = np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1]
+    steps = list(strides[:lead]) + [s * k for s, k in
+                                    zip(strides[lead:], stride)]
+    # flat index of each window's anchor K*p, summed from per-axis grids
+    anchor = sum((np.arange(size, dtype=np.int64) * step).reshape(
+        (size,) + (1,) * (index.ndim - ax - 1))
+        for ax, (size, step) in enumerate(zip(index.shape, steps)))
+    shifts = np.array([np.dot(y, strides[lead:]) for y in offsets],
+                      dtype=np.int64)
+    return anchor - shifts[index]
+
+
+def routed_node(out: Array, routes, edges) -> Tensor:
+    """Graph node for an op whose every output cell copies one winning
+    candidate (a source, an affine piece, a window offset).
+
+    ``routes()`` runs once, at the first backward rule, and returns the
+    live output cells (``_live``) and a dict of arrays with one entry per
+    live cell.  Each edge ``(parent, index, factor)`` takes ``g`` at the
+    live cells, times ``arrays[factor]`` unless ``factor`` is None.  With
+    ``index = (key, start)`` it scatters that with one ``np.bincount`` over
+    ``arrays[key]``, the parent holding positions ``start`` onwards; with
+    None the parent lines up cell for cell with the output, every cell is
+    live, and the product is returned reshaped.
+    """
+    routes = functools.cache(routes)
+
+    def rule(parent: Tensor, index, factor):
+        def back(g: Array) -> Array:
+            live, arrays = routes()
+            gl = g.ravel()[live]
+            if factor is not None:
+                gl = gl * arrays[factor]
+            if index is None:
+                return gl.reshape(parent.data.shape)
+            key, start = index
+            stop = start + parent.data.size
+            return np.bincount(arrays[key], weights=gl, minlength=stop)[
+                start:stop].reshape(parent.data.shape)
+        return back
+
+    return ad.make_node(out, [(p, rule(p, index, factor))
+                              for p, index, factor in edges])
+
+
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
               out_extent) -> Tensor:
-    """Strided sup-convolution op over ``_sup_max``; the backward rules
-    replay the slices and scatter through the attaining offset index."""
-    fdat = f.data
-    wdat = None if weights is None else weights.data
-    out, idx = _sup_max(fdat, offsets, wdat, stride, out_extent,
-                        ad.is_grad_enabled())
-    if idx is None:
-        return Tensor(out)
-    rank = len(offsets[0])
-    n_in = fdat.shape[-rank:]
-    f_shape = fdat.shape
+    """Strided sup-convolution op over ``_sup_max``, routing each cell's
+    gradient to its first attaining offset."""
+    out, idx = _sup_max(f.data, offsets,
+                        None if weights is None else weights.data, stride,
+                        out_extent, ad.is_grad_enabled())
 
-    def back_f(g: Array) -> Array:
-        df = np.zeros(f_shape)
-        for o, y in enumerate(offsets):
-            sl = _offset_slices(y, stride, n_in, out_extent)
-            if sl is None:
-                continue
-            out_sl, src_sl = sl
-            sel = idx[(..., *out_sl)] == o
-            if sel.any():
-                df[(..., *src_sl)] += g[(..., *out_sl)] * sel
-        return df
+    def routes():
+        live = _live(idx)
+        src = _sources(f.data.shape, stride, offsets, idx).ravel()[live]
+        return live, {"src": src, "offset": idx.ravel()[live]}
 
-    parents = [(f, back_f)]
+    edges = [(f, ("src", 0), None)]
     if weights is not None:
-
-        def back_w(g: Array) -> Array:
-            flat_idx = idx.ravel().astype(np.int64)
-            hit = flat_idx >= 0
-            return np.bincount(flat_idx[hit], weights=g.ravel()[hit],
-                               minlength=len(offsets))
-
-        parents.append((weights, back_w))
-    return ad.make_node(out, parents)
+        edges.append((weights, ("offset", 0), None))
+    return routed_node(out, routes, edges)
 
 
 # -- stride-1 operators ----------------------------------------------------
@@ -244,7 +284,11 @@ def erode(f, g: StructuringFunction) -> Tensor:
 
 
 def relu(f) -> Tensor:
-    return ad.maximum(_lift(f), 0.0)
+    """max(f, 0); the gradient passes where f >= 0, at 0 too."""
+    f = _lift(f)
+    return routed_node(np.maximum(f.data, 0.0),
+                       lambda: (slice(None), {"slope": (f.data >= 0).ravel()}),
+                       [(f, None, "slope")])
 
 
 # -- pooling ----------------------------------------------------------------

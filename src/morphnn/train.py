@@ -418,6 +418,8 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 loss_sum += float(loss.data) * n
                 correct += int((logits.data.argmax(axis=1) == labels).sum())
                 seen += n
+                # free this step's graph before the next forward builds one
+                del logits, loss
             test_acc = evaluate(model, test_ds, cfg.eval_batch_size)
             row = {
                 "epoch": epoch,

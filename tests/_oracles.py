@@ -20,6 +20,29 @@ def oracle_sup_conv(f, offsets, w, stride, out_extent):
     return out
 
 
+def oracle_sup_conv_grads(f, offsets, w, stride, g):
+    """Gradients of ``sum(g * sup_conv(f, w))`` for f and w.
+
+    f may carry leading axes before the offsets' rank.  Each output cell
+    sends its g to the source and the weight of its first attaining
+    offset; a cell whose window lies wholly outside f sends nothing.
+    """
+    rank = len(offsets[0])
+    df, dw = np.zeros(f.shape), np.zeros(len(offsets))
+    for cell in np.ndindex(*g.shape):
+        lead, x = cell[:g.ndim - rank], cell[g.ndim - rank:]
+        best, winner = -np.inf, None
+        for o, y in enumerate(offsets):
+            src = tuple(k * xi - yi for xi, k, yi in zip(x, stride, y))
+            inside = all(0 <= s < n for s, n in zip(src, f.shape[-rank:]))
+            if inside and (winner is None or f[lead + src] + w[o] > best):
+                best, winner = f[lead + src] + w[o], (o, lead + src)
+        if winner is not None:
+            df[winner[1]] += g[cell]
+            dw[winner[0]] += g[cell]
+    return df, dw
+
+
 def oracle_pl(x, beta, alpha):
     """Elementwise min_j max_i beta[j,i] * x + alpha[j,i]; beta is [m, n]."""
     m, n = beta.shape

@@ -29,6 +29,11 @@ def data_dir(tmp_path_factory):
     return root
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def _train_args(data_dir, out, extra=()):
     return ["train", "--data-dir", str(data_dir), "--out", str(out),
             "--filters", "4", "--epochs", "2", "--batch-size", "64",
@@ -160,7 +165,7 @@ def test_export_activation_init_curve(tmp_path, capsys):
                  "--n-terms", "2", "--out", str(out)])
     assert code == 0
     capsys.readouterr()
-    rows = list(csv.reader(open(out / "activation_init.csv")))
+    rows = _csv_rows(out / "activation_init.csv")
     assert rows[0] == ["x", "c0"]
     assert len(rows) == 2002
     curve = {float(r[0]): float(r[1]) for r in rows[1:]}
@@ -175,7 +180,7 @@ def test_export_activation_many_terms(tmp_path, capsys):
                  "--out", str(tmp_path / "e")])
     assert code == 0
     capsys.readouterr()
-    rows = list(csv.reader(open(tmp_path / "e" / "activation_init.csv")))
+    rows = _csv_rows(tmp_path / "e" / "activation_init.csv")
     curve = {float(r[0]): float(r[1]) for r in rows[1:]}
     assert (curve[10.0], curve[-3.0], curve[2.0]) == (6.0, 0.0, 2.0)
 
@@ -238,7 +243,7 @@ def test_table1_cli(data_dir, tmp_path, capsys):
     assert rep["baseline"] == "relu-maxpool"
     assert rep["variants"]["relu-maxpool"]["delta_vs_baseline"] == 0.0
     assert len(rep["variants"]["morpho2"]["accuracies"]) == 2
-    rows = list(csv.reader(open(out / "table1.csv")))
+    rows = _csv_rows(out / "table1.csv")
     assert rows[0] == ["variant", "seed0", "seed1", "mean_accuracy",
                        "delta_vs_baseline"]
     assert len(rows) == 3

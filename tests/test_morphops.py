@@ -4,23 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _oracles import oracle_sup_conv, oracle_sup_conv_grads
+
 from morphnn import autodiff as ad
 from morphnn import morphops as mo
 from morphnn.autodiff import Tensor
 from morphnn.morphops import PoolSpec, StructuringFunction
-
-
-def oracle_sup_conv(f, offsets, w, stride, out_extent):
-    """out(x) = max_y f(K*x - y) + w(y), OOB skipped. Nested loops."""
-    out = np.empty(out_extent)
-    for x in np.ndindex(*out_extent):
-        best = -np.inf
-        for o, y in enumerate(offsets):
-            src = tuple(k * xi - yi for xi, k, yi in zip(x, stride, y))
-            if all(0 <= s < n for s, n in zip(src, f.shape)):
-                best = max(best, f[src] + w[o])
-        out[x] = best
-    return out
 
 
 def oracle_erode(f, offsets, w):
@@ -206,6 +195,44 @@ class TestPools:
         expect = np.zeros(40000)
         expect[-1] = 2.0
         npt.assert_array_equal(sf.weights.grad, expect)
+
+
+class TestExactRouting:
+    """Overlapping windows with exact ties: integer-valued inputs, weights
+    and upstream gradients, so every gradient sum is exact."""
+
+    def _check(self, op, f, sf, stride, rng):
+        ft = Tensor(f, requires_grad=True)
+        out = op(ft)
+        g = rng.integers(-4, 5, size=out.shape).astype(np.float64)
+        ad.make_node(np.zeros(()), [(out, lambda _: g)]).backward()
+        df, dw = oracle_sup_conv_grads(f, sf.offsets, sf.weights.data,
+                                       stride, g)
+        npt.assert_array_equal(ft.grad, df)
+        npt.assert_array_equal(sf.weights.grad, dw)
+        return out.data
+
+    def test_dilate_pool_3x3_stride_2(self):
+        rng = ad.make_rng(37)
+        pool = PoolSpec((3, 3), (2, 2))
+        window = StructuringFunction.pool_window(pool.extent)
+        sf = StructuringFunction(window.offsets,
+                                 weights=rng.integers(-1, 2, size=9),
+                                 learnable=True)
+        f = rng.integers(-2, 3, size=(2, 9, 9)).astype(np.float64)
+        self._check(lambda t: mo.dilate_pool(t, sf, pool), f, sf, (2, 2),
+                    rng)
+
+    def test_dilate_with_windows_outside_input(self):
+        # every offset has y0 >= 3, so rows 0..2 read nothing: -inf there
+        rng = ad.make_rng(38)
+        sf = StructuringFunction([(3, 0), (4, 1), (3, -1), (5, 0), (4, -2)],
+                                 weights=rng.integers(-1, 2, size=5),
+                                 learnable=True)
+        f = rng.integers(-2, 3, size=(2, 8, 7)).astype(np.float64)
+        out = self._check(lambda t: mo.dilate(t, sf), f, sf, (1, 1), rng)
+        assert np.isneginf(out[:, :3]).all()
+        assert np.isfinite(out[:, 3:]).all()
 
 
 class TestTwoSlope:

@@ -1,6 +1,7 @@
 """Training harness: ops vs oracles, model wiring, optimization, protocols."""
 
 import json
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -224,6 +225,29 @@ class TestTrainLoop:
         metrics = tr.train(model, ds, ds, cfg)
         assert len(metrics.epochs) == 2  # epoch 0 is best, epoch 1 stalls
         assert metrics.best_epoch == 0
+
+    def test_previous_graph_freed_before_next_forward(self, monkeypatch):
+        # a step's logits, and the graph behind them, must be gone when the
+        # next training forward starts building its own
+        ds = synth_ds(seed=85, n=96)
+        model = build_model(small_spec("morpho1"), make_rng(0))
+        logits_refs, alive = [], []
+        cross_entropy, forward = tr.cross_entropy, model.forward
+
+        def tracking_cross_entropy(logits, labels):
+            logits_refs.append(weakref.ref(logits.data))
+            return cross_entropy(logits, labels)
+
+        def counting_forward(x, train=False, rng=None):
+            if train:
+                alive.append(sum(r() is not None for r in logits_refs))
+            return forward(x, train=train, rng=rng)
+
+        monkeypatch.setattr(tr, "cross_entropy", tracking_cross_entropy)
+        monkeypatch.setattr(model, "forward", counting_forward)
+        tr.train(model, ds, ds, TrainConfig(batch_size=32, max_epochs=1,
+                                            seed=0))
+        assert alive == [0, 0, 0]
 
     def test_divergence_raises_with_epoch(self):
         # overflowing weights drive the logits to +/-inf and the loss to nan

@@ -85,10 +85,9 @@ def _train_config(args) -> TrainConfig:
 
 def _emit(doc: dict, out_dir: Path, name: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(doc, indent=2))
+    text = json.dumps(doc, indent=2)
+    (out_dir / name).write_text(text + "\n")
+    print(text)
 
 
 # -- train ---------------------------------------------------------------

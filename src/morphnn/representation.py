@@ -62,6 +62,31 @@ def mask_to_points(mask: int, window: Sequence[Point]) -> frozenset[Point]:
     return frozenset(p for i, p in enumerate(window) if mask >> i & 1)
 
 
+def _closure(masks: Sequence[int], size: int) -> np.ndarray:
+    """Upward closure, O(|W| 2^|W|) for ``size`` = 2^|W|: a bool table over
+    the masks ``0 .. size - 1``, True where one of ``masks`` is a subset."""
+    if min(masks, default=0) < 0 or max(masks, default=0) >= size:
+        raise ValueError(f"masks must lie in [0, {size})")
+    table = np.zeros(size, dtype=bool)
+    table[np.asarray(masks, dtype=np.intp)] = True
+    for b in range(size.bit_length() - 1):
+        pairs = table.reshape(-1, 2, 1 << b)  # [:, 1] sets bit b of [:, 0]
+        pairs[:, 1] |= pairs[:, 0]
+    return table
+
+
+def _minimal(masks: Sequence[int], size: int) -> list[int]:
+    """The distinct masks that contain no other one, ascending: no mask one
+    bit smaller lies in their upward closure."""
+    below = _closure(masks, size)
+    masks = np.array(sorted(set(masks)), dtype=np.intp)
+    contains = np.zeros(masks.size, dtype=bool)
+    for b in range(size.bit_length() - 1):
+        bit = (masks >> b) & 1
+        contains |= (bit == 1) & below[masks ^ (bit << b)]
+    return masks[~contains].tolist()
+
+
 # -- tabulated set operators -------------------------------------------------
 
 
@@ -83,11 +108,9 @@ class OperatorTable:
         w = len(self.window)
         if self.table.shape != (2 ** w,) or self.table.dtype != np.bool_:
             raise ValueError("table must be bool with one entry per subset")
-        masks = np.arange(2 ** w)
-        for b in range(w):
-            grown = self.table[masks | (1 << b)]
-            if np.any(self.table & ~grown):
-                raise ValueError(f"operator {self.name!r} is not increasing")
+        if not np.array_equal(_closure(np.flatnonzero(self.table), 2 ** w),
+                              self.table):
+            raise ValueError(f"operator {self.name!r} is not increasing")
 
     @classmethod
     def from_rule(cls, window: Sequence[Point],
@@ -110,14 +133,14 @@ class OperatorTable:
 def erosion_table(window: Sequence[Point], se: Iterable[Point]) -> OperatorTable:
     se = frozenset(tuple(p) for p in se)
     _require_inside(se, window, "erosion")
-    return OperatorTable.from_rule(window, lambda x: se <= x, "erosion")
+    return _closure_table(window, [se], "erosion")
 
 
 def dilation_table(window: Sequence[Point], se: Iterable[Point]) -> OperatorTable:
     # origin in X dilate B  iff  X meets the reflection of B
     refl = frozenset((-p[0], -p[1]) for p in se)
     _require_inside(refl, window, "dilation")
-    return OperatorTable.from_rule(window, lambda x: bool(refl & x), "dilation")
+    return _closure_table(window, [[p] for p in refl], "dilation")
 
 
 def opening_table(window: Sequence[Point], se: Iterable[Point]) -> OperatorTable:
@@ -125,19 +148,28 @@ def opening_table(window: Sequence[Point], se: Iterable[Point]) -> OperatorTable
     translates = [frozenset((q[0] - b[0], q[1] - b[1]) for q in se) for b in se]
     for t in translates:
         _require_inside(t, window, "opening")
-    return OperatorTable.from_rule(
-        window, lambda x: any(t <= x for t in translates), "opening")
+    return _closure_table(window, translates, "opening")
 
 
 def median_table(window: Sequence[Point]) -> OperatorTable:
     if len(window) % 2 == 0:
         raise ValueError("median needs an odd window")
-    need = len(window) // 2 + 1
-    return OperatorTable.from_rule(window, lambda x: len(x) >= need, "median")
+    w = len(window)
+    ones = sum((np.arange(2 ** w) >> b) & 1 for b in range(w))
+    return OperatorTable(tuple(map(tuple, window)), ones > w // 2, "median")
 
 
 def identity_table(window: Sequence[Point]) -> OperatorTable:
-    return OperatorTable.from_rule(window, lambda x: (0, 0) in x, "identity")
+    origin = [[(0, 0)]] if (0, 0) in map(tuple, window) else []
+    return _closure_table(window, origin, "identity")
+
+
+def _closure_table(window: Sequence[Point], point_sets: Iterable[Iterable],
+                   name: str) -> OperatorTable:
+    """Origin kept iff some point set fits inside the configuration."""
+    window = tuple(tuple(p) for p in window)
+    masks = [points_to_mask(s, window) for s in point_sets]
+    return OperatorTable(window, _closure(masks, 2 ** len(window)), name)
 
 
 def _require_inside(points: Iterable[Point], window: Sequence[Point],
@@ -157,13 +189,10 @@ def kernel_enumerate(op: OperatorTable) -> list[int]:
 
 
 def basis_extract(kernel: Sequence[int]) -> list[int]:
-    """Minimal kernel elements under inclusion (an antichain)."""
-    ordered = sorted(kernel, key=lambda m: (bin(m).count("1"), m))
-    minimal: list[int] = []
-    for m in ordered:
-        if not any(b & m == b for b in minimal):
-            minimal.append(m)
-    return minimal
+    """Minimal kernel elements under inclusion (an antichain), ordered by
+    (popcount, mask).  The kernel need not be upward closed."""
+    size = 1 << int(max(kernel, default=0)).bit_length()
+    return sorted(_minimal(kernel, size), key=lambda m: bin(m).count("1"))
 
 
 @dataclass(frozen=True)
@@ -177,8 +206,8 @@ class BasisSet:
         return [mask_to_points(m, self.window) for m in self.masks]
 
     def is_antichain(self) -> bool:
-        return not any(a != b and a & b == a
-                       for a in self.masks for b in self.masks)
+        minimal = _minimal(self.masks, 2 ** len(self.window))
+        return len(minimal) == len(set(self.masks))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -191,9 +220,7 @@ def minimal_basis(op: OperatorTable) -> BasisSet:
 def dual_table(op: OperatorTable) -> OperatorTable:
     """Negation conjugate: complement the input within the window, then the
     output.  Involutive; swaps erosions with dilations."""
-    full = 2 ** len(op.window) - 1
-    masks = np.arange(full + 1)
-    table = ~op.table[full ^ masks]
+    table = ~op.table[::-1]  # full ^ mask == full - mask
     return OperatorTable(op.window, table, f"dual({op.name})")
 
 
@@ -201,22 +228,16 @@ def reconstruct_sup_erosions(op: OperatorTable,
                              basis: Sequence[int]) -> OperatorTable:
     """Union of erosions by the basis: origin kept iff some basis element
     fits inside the configuration."""
-    full = 2 ** len(op.window)
-    table = np.zeros(full, dtype=bool)
-    for mask in range(full):
-        table[mask] = any(b & mask == b for b in basis)
+    table = _closure(basis, 2 ** len(op.window))
     return OperatorTable(op.window, table, f"sup-erosions({op.name})")
 
 
 def reconstruct_inf_dilations(op: OperatorTable,
                               dual_basis: Sequence[int]) -> OperatorTable:
     """Intersection of dilations by reflected dual-basis elements: origin
-    kept iff the configuration meets every dual-basis element."""
-    full = 2 ** len(op.window)
-    table = np.zeros(full, dtype=bool)
-    for mask in range(full):
-        table[mask] = all(b & mask != 0 for b in dual_basis)
-    return OperatorTable(op.window, table, f"inf-dilations({op.name})")
+    kept iff no dual-basis element fits in the configuration's complement."""
+    misses = _closure(dual_basis, 2 ** len(op.window))[::-1]
+    return OperatorTable(op.window, ~misses, f"inf-dilations({op.name})")
 
 
 def truncated_bounds(op: OperatorTable, basis_subset: Sequence[int],

@@ -113,6 +113,63 @@ def make_random_pl(rng, dim=None):
     return PLFunction(slopes, intercepts, tuple(fams))
 
 
+def oracle_basis_extract(kernel):
+    """Minimal kernel elements by a greedy sweep in (popcount, mask) order."""
+    ordered = sorted(kernel, key=lambda m: (bin(m).count("1"), m))
+    minimal = []
+    for m in ordered:
+        if not any(b & m == b for b in minimal):
+            minimal.append(m)
+    return minimal
+
+
+def oracle_sup_erosions(basis, size):
+    """Table over ``size`` masks: True where some basis element fits."""
+    return np.array([any(b & mask == b for b in basis)
+                     for mask in range(size)], dtype=bool)
+
+
+def oracle_inf_dilations(dual_basis, size):
+    """Table over ``size`` masks: True where every element is met."""
+    return np.array([all(b & mask != 0 for b in dual_basis)
+                     for mask in range(size)], dtype=bool)
+
+
+def oracle_is_antichain(masks):
+    return not any(a != b and a & b == a for a in masks for b in masks)
+
+
+def oracle_tables(window, se):
+    """Each built-in operator table that applies, by its rule per subset.
+
+    Returns name -> OperatorTable, or name -> the ValueError message when
+    the structuring element does not fit in the window.
+    """
+    from morphnn.representation import OperatorTable
+
+    se = frozenset(tuple(p) for p in se)
+    refl = frozenset((-p[0], -p[1]) for p in se)
+    translates = [frozenset((q[0] - b[0], q[1] - b[1]) for q in se)
+                  for b in se]
+    inside = set(tuple(p) for p in window)
+    rules = {
+        "erosion": ([se], lambda x: se <= x),
+        "dilation": ([refl], lambda x: bool(refl & x)),
+        "opening": (translates, lambda x: any(t <= x for t in translates)),
+        "identity": ([], lambda x: (0, 0) in x),
+    }
+    if len(window) % 2:
+        need = len(window) // 2 + 1
+        rules["median"] = ([], lambda x: len(x) >= need)
+    out = {}
+    for name, (probes, rule) in rules.items():
+        missing = next((t - inside for t in probes if t - inside), None)
+        out[name] = (f"{name} probe points {sorted(missing)} fall outside "
+                     "the window" if missing else
+                     OperatorTable.from_rule(window, rule, name))
+    return out
+
+
 def synth_classification(rng, n=200, side=10, classes=10, noise=0.08):
     """Separable synthetic image set: one bright block per class + noise.
 

@@ -134,6 +134,17 @@ def test_basis_cli_median_cross5(tmp_path, capsys):
     assert doc["report"]["truncated_bounds_hold"] is True
 
 
+def test_basis_cli_median_3x5(tmp_path, capsys):
+    code = main(["basis", "--op", "median", "--window", "3x5",
+                 "--out", str(tmp_path / "b")])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["basis_size"] == report["dual_basis_size"] == 6435
+    assert report["sup_erosions_exact"] is True
+    assert report["inf_dilations_exact"] is True
+    assert report["truncated_bounds_hold"] is True
+
+
 def test_basis_cli_erosion_and_dilation(tmp_path, capsys):
     code = main(["basis", "--op", "erosion", "--se", "horiz2",
                  "--window", "1x3", "--out", str(tmp_path / "b")])

@@ -1,12 +1,18 @@
 """Kernel/basis machinery on exhaustively enumerable windows."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import make_random_pl, oracle_pl_maxmin
+from _oracles import (
+    make_random_pl, oracle_basis_extract, oracle_inf_dilations,
+    oracle_is_antichain, oracle_pl_maxmin, oracle_sup_erosions, oracle_tables,
+)
 
 from morphnn import autodiff as ad
+from morphnn.cli import SE_NAMES
 from morphnn import representation as rep
 from morphnn.representation import (
     BasisSet, OperatorTable, PLFunction, basis_extract, dc_decompose,
@@ -45,6 +51,28 @@ class TestOperatorTable:
         with pytest.raises(ValueError):
             erosion_table(W3, [(0, 2)])
 
+    @pytest.mark.parametrize("window, ses", [
+        (W3, [*SE_NAMES.values(), (), ((0, 2),)]),
+        (window_cross(), [*SE_NAMES.values(), ((1, 1), (0, 0))]),
+        (window_grid(1, 3), [*SE_NAMES.values()]),
+        (((0, 1), (1, 0), (1, 1)), [((1, 1),), ((-1, 0), (0, -1))]),
+        (window_grid(3, 5), [SE_NAMES["horiz2"]]),
+    ])
+    def test_builtin_tables_match_rule_forms(self, window, ses):
+        build = {"erosion": lambda se: erosion_table(window, se),
+                 "dilation": lambda se: dilation_table(window, se),
+                 "opening": lambda se: opening_table(window, se),
+                 "median": lambda se: median_table(window),
+                 "identity": lambda se: identity_table(window)}
+        for se in ses:
+            for name, want in oracle_tables(window, se).items():
+                if isinstance(want, str):
+                    with pytest.raises(ValueError, match=re.escape(want)):
+                        build[name](se)
+                else:
+                    got = build[name](se)
+                    assert got.equals(want) and got.name == name, (name, se)
+
 
 class TestKernelAndBasis:
     def test_erosion_basis_is_the_structuring_element(self):
@@ -72,6 +100,12 @@ class TestKernelAndBasis:
         sets = minimal_basis(opening_table(W3, SE_H2)).point_sets()
         assert sorted(map(sorted, sets)) == [
             [(0, -1), (0, 0)], [(0, 0), (0, 1)]]
+
+    def test_median_3x5_basis_is_an_antichain_of_eight_point_sets(self):
+        basis = minimal_basis(median_table(window_grid(3, 5)))
+        assert len(basis) == 6435  # C(15, 8)
+        assert all(len(s) == 8 for s in basis.point_sets())
+        assert basis.is_antichain()
 
     def test_basis_elements_lie_in_kernel(self):
         for op in fixtures():
@@ -122,6 +156,81 @@ class TestReconstruction:
         alien = [points_to_mask([(1, 1)], W3)]
         with pytest.raises(AssertionError):
             truncated_bounds(op, alien, [])
+
+
+def _random_masks(rng, bits, most):
+    size = 1 << bits
+    return rng.integers(0, size, size=int(rng.integers(0, most))).tolist()
+
+
+class TestAgainstLoopForms:
+    """Closure forms against the nested-loop oracles on random inputs."""
+
+    def test_random_increasing_operators(self):
+        rng = ad.make_rng(60)
+        for bits in range(1, 10):
+            window = tuple((0, i) for i in range(bits))
+            size = 1 << bits
+            for _ in range(6):
+                antichain = oracle_basis_extract(_random_masks(rng, bits, 9))
+                op = OperatorTable(window, oracle_sup_erosions(antichain, size))
+                dual = dual_table(op)
+                basis = basis_extract(kernel_enumerate(op))
+                dual_basis = basis_extract(kernel_enumerate(dual))
+                assert basis == antichain
+                assert dual_basis == oracle_basis_extract(
+                    kernel_enumerate(dual))
+                assert BasisSet(window, tuple(basis)).is_antichain()
+                assert reconstruct_sup_erosions(op, basis).equals(op)
+                inf = reconstruct_inf_dilations(op, dual_basis)
+                npt.assert_array_equal(inf.table,
+                                       oracle_inf_dilations(dual_basis, size))
+                assert inf.equals(op)
+
+    def test_arbitrary_mask_lists(self):
+        # kernels that are not upward closed, with duplicates, unsorted
+        rng = ad.make_rng(61)
+        for bits in range(1, 10):
+            window = tuple((0, i) for i in range(bits))
+            op = OperatorTable(window, np.zeros(1 << bits, dtype=bool))
+            for _ in range(6):
+                masks = _random_masks(rng, bits, 12)
+                masks += masks[:len(masks) // 2]
+                assert basis_extract(masks) == oracle_basis_extract(masks)
+                assert BasisSet(window, tuple(masks)).is_antichain() == \
+                    oracle_is_antichain(masks)
+                npt.assert_array_equal(
+                    reconstruct_sup_erosions(op, masks).table,
+                    oracle_sup_erosions(masks, 1 << bits))
+                npt.assert_array_equal(
+                    reconstruct_inf_dilations(op, masks).table,
+                    oracle_inf_dilations(masks, 1 << bits))
+
+    def test_edge_cases(self):
+        op = identity_table(W3)
+        assert basis_extract([]) == []
+        assert basis_extract([6, 3, 5, 0, 3]) == [0]
+        assert basis_extract([7, 6, 3, 6, 5, 12]) == [3, 5, 6, 12]
+        assert not reconstruct_sup_erosions(op, []).table.any()
+        assert reconstruct_inf_dilations(op, []).table.all()
+        assert reconstruct_sup_erosions(op, [0, 5]).table.all()
+        assert not reconstruct_inf_dilations(op, [0, 5]).table.any()
+        assert BasisSet(W3, ()).is_antichain()
+        assert BasisSet(W3, (0,)).is_antichain()
+        assert not BasisSet(W3, (0, 1)).is_antichain()
+        assert BasisSet(W3, (3, 5, 3)).is_antichain()
+
+    @pytest.mark.parametrize("bad", [-1, 512, 1 << 70])
+    def test_masks_outside_the_window_rejected(self, bad):
+        op = identity_table(W3)
+        with pytest.raises(ValueError, match="masks must lie"):
+            reconstruct_sup_erosions(op, [1, bad])
+        with pytest.raises(ValueError, match="masks must lie"):
+            reconstruct_inf_dilations(op, [bad])
+        with pytest.raises(ValueError, match="masks must lie"):
+            truncated_bounds(op, [16], [bad])
+        with pytest.raises(ValueError, match="masks must lie"):
+            BasisSet(W3, (bad, 1)).is_antichain()
 
 
 class TestFunctionOperators:

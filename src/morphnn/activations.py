@@ -199,7 +199,7 @@ def pl_activation(x, params: MorphoActivationParams,
     order.  Fused: under grad, forward keeps only the winning (j, i) per
     element, in the smallest integer dtypes that hold m and n.
     """
-    x = ad._lift(x)
+    x = ad.lift(x)
     beta, alpha = params.beta, params.alpha
     bsh = _bshape(x.data, params, channel_axis)
     b, a = _pieces(beta.data, bsh), _pieces(alpha.data, bsh)
@@ -312,7 +312,7 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.m_terms:
         raise ValueError("need one structuring function per max row")
-    x = ad._lift(x)
+    x = ad.lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
     bsh = _layer_bshape(x.data, params, pool, channel_axis)
     b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
@@ -364,7 +364,7 @@ def morpho_act2_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.n_terms:
         raise ValueError("need one structuring function per outer column")
-    x = ad._lift(x)
+    x = ad.lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
     bsh = _layer_bshape(x.data, params, pool, channel_axis)
     b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)

@@ -52,16 +52,18 @@ class Tensor:
     ``_parents`` holds ``(parent, rule)`` pairs where ``rule`` maps this
     node's output gradient to the parent's contribution.  Rules may return
     views of the incoming gradient; accumulation never mutates in place, so
-    aliasing is harmless.
+    aliasing is harmless.  A node without parents is a leaf; ``backward()``
+    frees the non-leaf nodes it walks and marks them ``_walked``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_walked")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple[tuple["Tensor", BackwardRule], ...] = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = parents
+        self._walked = False
         self.requires_grad = bool(requires_grad) or bool(parents)
 
     # -- introspection -------------------------------------------------
@@ -85,27 +87,34 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output.
+        """Backpropagate from a scalar output, freeing the graph as it goes.
 
-        Parents accumulate in reverse topological order, left to right
-        within each node.  Call once per forward graph: repeated calls
-        would double-count intermediate gradients.
+        Nodes are taken in reverse topological order, parents left to right
+        within each node.  Each node leaves the order and loses its edges
+        before its rules run, each rule is dropped once it has run (so the
+        forward arrays it captured die then), and a non-leaf gradient is
+        dropped once taken: after the call only leaves hold ``.grad``.  A
+        second ``backward()`` that reaches a walked node raises
+        ``RuntimeError`` instead of double-counting.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output, got shape "
                              f"{self.data.shape}")
         topo = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            g = node.grad
-            if g is None:
-                continue
-            for parent, rule in node._parents:
-                contrib = rule(g)
-                if parent.grad is None:
-                    parent.grad = contrib
-                else:
-                    parent.grad = parent.grad + contrib
+        while topo:
+            node = topo.pop()
+            edges, node._parents = list(node._parents), ()
+            if not edges:
+                continue  # a leaf keeps its gradient
+            node._walked = True
+            g, node.grad = node.grad, None
+            edges.reverse()
+            while edges:
+                parent, rule = edges.pop()
+                parent.grad = (rule(g) if parent.grad is None
+                               else parent.grad + rule(g))
+                del rule
 
     # -- operator sugar ---------------------------------------------------
 
@@ -118,7 +127,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_lift(other), self)
+        return sub(lift(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -150,6 +159,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._walked:
+            raise RuntimeError("backward() reached a node that an earlier "
+                               "backward() already walked and freed; build "
+                               "the graph again")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
@@ -158,7 +171,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _lift(x) -> Tensor:
+def lift(x) -> Tensor:
+    """``x`` itself if it is a Tensor, else a constant Tensor holding it."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -190,7 +204,7 @@ def _reduce_to(shape: tuple[int, ...], g: Array) -> Array:
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     _check_elementwise(a, b)
     out = a.data + b.data
     return make_node(out, [
@@ -200,7 +214,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     _check_elementwise(a, b)
     out = a.data - b.data
     return make_node(out, [
@@ -210,7 +224,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     _check_elementwise(a, b)
     out = a.data * b.data
     return make_node(out, [
@@ -220,13 +234,13 @@ def mul(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = _lift(a)
+    a = lift(a)
     return make_node(-a.data, [(a, lambda g: -g)])
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the subgradient routes to the first operand."""
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     _check_elementwise(a, b)
     take_a = a.data >= b.data
     out = np.where(take_a, a.data, b.data)
@@ -238,7 +252,7 @@ def maximum(a, b) -> Tensor:
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; on ties the subgradient routes to the first operand."""
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     _check_elementwise(a, b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
@@ -252,14 +266,14 @@ def minimum(a, b) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    a = _lift(a)
+    a = lift(a)
     shape = a.data.shape
     return make_node(np.sum(a.data).reshape(()),
                      [(a, lambda g: np.full(shape, float(g)))])
 
 
 def tmean(a: Tensor) -> Tensor:
-    a = _lift(a)
+    a = lift(a)
     shape = a.data.shape
     n = a.data.size
     return make_node(np.mean(a.data).reshape(()),
@@ -267,13 +281,13 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _lift(a)
+    a = lift(a)
     old = a.data.shape
     return make_node(a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-d operands")
     return make_node(a.data @ b.data, [
@@ -284,7 +298,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Add a length-n vector to every row of an (m, n) matrix."""
-    x, v = _lift(x), _lift(v)
+    x, v = lift(x), lift(v)
     if x.data.ndim != 2 or v.data.shape != (x.data.shape[1],):
         raise ValueError("add_rowvec expects (m, n) and (n,)")
     return make_node(x.data + v.data, [

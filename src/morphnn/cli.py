@@ -85,7 +85,9 @@ def _train_config(args) -> TrainConfig:
 
 def _emit(doc: dict, out_dir: Path, name: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(doc, indent=2)
+    # no indent: an indented dump runs the pure-Python encoder, about 8x
+    # slower than the C one on the 5 MB median 3x5 basis document
+    text = json.dumps(doc)
     (out_dir / name).write_text(text + "\n")
     print(text)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tensor, _lift
+from .autodiff import Array, Tensor, lift
 
 
 def _as_offset_tuple(o) -> tuple[int, ...]:
@@ -221,8 +221,9 @@ def routed_node(out: Array, routes, edges) -> Tensor:
 
     ``routes()`` runs once, at the first backward rule, and returns the
     live output cells (``_live``) and a dict of arrays with one entry per
-    live cell.  Each edge ``(parent, index, factor)`` takes ``g`` at the
-    live cells, times ``arrays[factor]`` unless ``factor`` is None.  With
+    live cell; they die with the node's last rule.  Each edge
+    ``(parent, index, factor)`` takes ``g`` at the live cells, times
+    ``arrays[factor]`` unless ``factor`` is None.  With
     ``index = (key, start)`` it scatters that with one ``np.bincount`` over
     ``arrays[key]``, the parent holding positions ``start`` onwards; with
     None the parent lines up cell for cell with the output, every cell is
@@ -272,20 +273,20 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
 
 def dilate(f, g: StructuringFunction) -> Tensor:
     """(f (+) g)(x) = max_y f(x - y) + g(y), same spatial extent as f."""
-    f = _lift(f)
+    f = lift(f)
     ones = (1,) * g.rank
     return _sup_conv(f, g.offsets, g.weights, ones, f.data.shape[-g.rank:])
 
 
 def erode(f, g: StructuringFunction) -> Tensor:
     """(f (-) g)(x) = min_y f(x + y) - g(y), via the dilation duality."""
-    f = _lift(f)
+    f = lift(f)
     return ad.neg(dilate(ad.neg(f), g.transpose()))
 
 
 def relu(f) -> Tensor:
     """max(f, 0); the gradient passes where f >= 0, at 0 too."""
-    f = _lift(f)
+    f = lift(f)
     return routed_node(np.maximum(f.data, 0.0),
                        lambda: (slice(None), {"slope": (f.data >= 0).ravel()}),
                        [(f, None, "slope")])
@@ -296,14 +297,14 @@ def relu(f) -> Tensor:
 
 def dilate_pool(f, g: StructuringFunction, pool: PoolSpec) -> Tensor:
     """Strided dilation: out(x) = max_y f(K*x - y) + g(y)."""
-    f = _lift(f)
+    f = lift(f)
     out_ext = pool.out_extent(f.data.shape[-pool.rank:])
     return _sup_conv(f, g.offsets, g.weights, pool.stride, out_ext)
 
 
 def max_pool(f, pool: PoolSpec) -> Tensor:
     """Flat max over corner-anchored windows."""
-    f = _lift(f)
+    f = lift(f)
     out_ext = pool.out_extent(f.data.shape[-pool.rank:])
     offs = StructuringFunction.pool_window(pool.extent).offsets
     return _sup_conv(f, offs, None, pool.stride, out_ext)
@@ -311,13 +312,13 @@ def max_pool(f, pool: PoolSpec) -> Tensor:
 
 def min_pool(f, pool: PoolSpec) -> Tensor:
     """Flat min over windows; dual of max_pool, same tie rule."""
-    return ad.neg(max_pool(ad.neg(_lift(f)), pool))
+    return ad.neg(max_pool(ad.neg(lift(f)), pool))
 
 
 def act_pool(f, pool: PoolSpec, alpha=0.0) -> Tensor:
     """Max over the window of max(0, f + alpha): ReLU and max-pooling as a
     single dilation with a trainable threshold."""
-    return max_pool(relu(ad.add(_lift(f), alpha)), pool)
+    return max_pool(relu(ad.add(lift(f), alpha)), pool)
 
 
 # -- two-slope activations and self-dual pooling -----------------------------
@@ -335,13 +336,13 @@ def prelu2(f, beta_pos, beta_neg) -> Tensor:
     """
     if _scalar_value(beta_pos) < _scalar_value(beta_neg):
         raise ValueError("prelu2 requires beta_pos >= beta_neg")
-    f = _lift(f)
+    f = lift(f)
     return ad.maximum(ad.mul(f, beta_neg), ad.mul(f, beta_pos))
 
 
 def pos_neg_split(f) -> tuple[Tensor, Tensor]:
     """f = pos - neg with both parts nonnegative."""
-    f = _lift(f)
+    f = lift(f)
     return relu(f), relu(ad.neg(f))
 
 
@@ -358,7 +359,7 @@ def posneg_pool_param(f, pool: PoolSpec, beta_pos, beta_neg) -> Tensor:
     The slope pairing follows the printed formula; with
     beta_pos = beta_neg = 1 it reduces exactly to selfdual_pool.
     """
-    f = _lift(f)
+    f = lift(f)
     pos_branch = max_pool(relu(ad.mul(f, beta_neg)), pool)
     neg_branch = min_pool(ad.minimum(ad.mul(f, beta_pos), 0.0), pool)
     return ad.add(pos_branch, neg_branch)

@@ -74,7 +74,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
         return (gmat @ cols.T).reshape(w.data.shape)
 
-    parents = [(x, back_x), (w, back_w)]
+    # back_w runs first: backward drops it, and cols with it, before
+    # back_x allocates dcols of the same size
+    parents = [(w, back_w), (x, back_x)]
     if b is not None:
         parents.append((b, lambda g: g.sum(axis=(0, 2, 3))))
     return ad.make_node(out, parents)
@@ -295,14 +297,21 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """The model ``save_model`` wrote to ``path``.  Raises ValueError when
+    a key is missing or a parameter's shape does not match the spec."""
     with np.load(path) as blob:
-        raw = bytes(blob["spec_json"].tobytes())
-        cfg = json.loads(raw)
+        def read(key: str) -> Array:
+            if key not in blob.files:
+                raise ValueError(f"{path}: no {key!r} entry; not a model "
+                                 "file written by save_model")
+            return blob[key]
+
+        cfg = json.loads(bytes(read("spec_json").tobytes()))
         cfg["image_size"] = tuple(cfg["image_size"])
         spec = ModelSpec(**cfg)
         model = Model(spec, make_rng(0))
         for i, p in enumerate(model.parameters()):
-            stored = blob[f"param_{i}"]
+            stored = read(f"param_{i}")
             if stored.shape != p.data.shape:
                 raise ValueError(f"param_{i} shape {stored.shape} does not "
                                  f"match the spec ({p.data.shape})")
@@ -418,7 +427,8 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 loss_sum += float(loss.data) * n
                 correct += int((logits.data.argmax(axis=1) == labels).sum())
                 seen += n
-                # free this step's graph before the next forward builds one
+                # backward() freed the graph; drop the step's outputs too,
+                # so nothing of this step lives while the next one runs
                 del logits, loss
             test_acc = evaluate(model, test_ds, cfg.eval_batch_size)
             row = {

@@ -201,3 +201,34 @@ def oracle_conv2d(x, w, b):
             if b is not None:
                 out[n, q] += b[q]
     return out
+
+
+def oracle_backward(root):
+    """Reverse-mode sweep that keeps the whole graph: every node's edges and
+    every non-leaf ``.grad`` stay until the graph is dropped.
+
+    Same order as ``Tensor.backward``: a postorder walk that pushes each
+    node's parents left to right, run in reverse, parents left to right
+    within a node.
+    """
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        for parent, rule in node._parents:
+            contrib = rule(node.grad)
+            parent.grad = (contrib if parent.grad is None
+                           else parent.grad + contrib)

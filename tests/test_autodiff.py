@@ -1,10 +1,15 @@
 """Tests for the reverse-mode engine: values, gradients, graph mechanics."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _oracles import oracle_backward
+
 from morphnn import autodiff as ad
+from morphnn import train as tr
 from morphnn.autodiff import Tensor
 
 
@@ -51,9 +56,76 @@ class TestBackward:
     def test_chain(self):
         # d/dx sum((2x + 1) * x) = 4x + 1
         x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        y = ad.mul(ad.add(ad.mul(x, 2.0), 1.0), x)
-        y.sum().backward()
+        inner = ad.add(ad.mul(x, 2.0), 1.0)
+        y = ad.mul(inner, x)
+        loss = y.sum()
+        loss.backward()
         npt.assert_allclose(x.grad, 4.0 * x.data + 1.0)
+        # only the leaf keeps its gradient; walked nodes keep their data
+        assert inner.grad is None and y.grad is None and loss.grad is None
+        assert inner._parents == () and y._parents == ()
+        npt.assert_array_equal(y.data, (2.0 * x.data + 1.0) * x.data)
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = ad.mul(x, 3.0)
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already walked"):
+            loss.backward()
+        # a new graph over a walked node raises too, instead of
+        # treating it as a leaf and dropping x's share
+        with pytest.raises(RuntimeError):
+            ad.mul(y, 2.0).sum().backward()
+        npt.assert_array_equal(x.grad, [3.0, 3.0])
+        # a leaf may start any number of new graphs; its gradient adds up
+        ad.mul(x, 2.0).sum().backward()
+        npt.assert_array_equal(x.grad, [5.0, 5.0])
+
+    def test_walked_node_frees_its_data_before_later_rules(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        freed = []
+
+        def back_a(g):
+            freed.append(b_data() is None)
+            return 2.0 * g
+
+        a = ad.make_node(2.0 * x.data, [(x, back_a)])
+        b = ad.add(a, 1.0)
+        b_data = weakref.ref(b.data)
+        loss = b.sum()
+        del a, b
+        loss.backward()
+        assert freed == [True]
+        npt.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_conv2d_frees_cols_before_back_x(self, monkeypatch):
+        cols = []
+        im2col = tr._im2col
+
+        def tracking_im2col(*args):
+            out = im2col(*args)
+            cols.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(tr, "_im2col", tracking_im2col)
+        rng = ad.make_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        out = tr.conv2d(x, w, None)
+        alive = []
+
+        def watched(rule):
+            def back(g):
+                alive.append(cols[0]() is not None)
+                return rule(g)
+            return back
+
+        out._parents = tuple((p, watched(rule) if p is x else rule)
+                             for p, rule in out._parents)
+        ad.mul(out, Tensor(rng.normal(size=out.shape))).sum().backward()
+        assert alive == [False]
+        assert x.grad is not None and w.grad is not None
 
     def test_accumulation_order_independent(self):
         # two graphs differing only in the order of a node's parent edges
@@ -100,6 +172,40 @@ class TestBackward:
             y = ad.add(y, 0.0)
         y.backward()
         npt.assert_array_equal(x.grad, np.array(1.0))
+
+
+def _model_leaf_grads(variant: str, retain: bool) -> list[bytes]:
+    """Leaf gradients of one seeded training step of a small model."""
+    spec = tr.ModelSpec(variant=variant, filters=3, image_size=(10, 10))
+    model = tr.build_model(spec, ad.make_rng(5))
+    rng = ad.make_rng(6)
+    x = Tensor(rng.random((4, 1, 10, 10)))
+    loss = tr.cross_entropy(model.forward(x, train=True, rng=rng),
+                            rng.integers(0, 10, 4))
+    (oracle_backward if retain else Tensor.backward)(loss)
+    return [p.grad.tobytes() for p in model.parameters()]
+
+
+def _conv_leaf_grads(retain: bool) -> list[bytes]:
+    rng = ad.make_rng(7)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((2, 3, 6, 6), (4, 3, 3, 3), (4,)))
+    out = tr.conv2d(x, w, b)
+    loss = ad.mul(out, Tensor(rng.normal(size=out.shape))).sum()
+    (oracle_backward if retain else Tensor.backward)(loss)
+    return [t.grad.tobytes() for t in (x, w, b)]
+
+
+class TestAgainstRetainingBackward:
+    """The freeing walk gives the leaves the very bytes of the old loop."""
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_model_step(self, variant):
+        assert (_model_leaf_grads(variant, retain=False)
+                == _model_leaf_grads(variant, retain=True))
+
+    def test_conv2d(self):
+        assert _conv_leaf_grads(retain=False) == _conv_leaf_grads(retain=True)
 
 
 class TestAgainstFiniteDifferences:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from morphnn.autodiff import make_rng
-from morphnn.cli import main
+from morphnn.cli import _emit, main
 from morphnn.data import write_idx
 from morphnn.train import build_model, load_model, ModelSpec
 
@@ -240,6 +240,28 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     assert main(["export-activation", "--model", str(run / "model.npz"),
                  "--out", str(tmp_path / "x")]) == 2
     assert "relu-maxpool" in capsys.readouterr().err
+
+    # an .npz without the spec, or without one parameter, names the key
+    with np.load(run / "model.npz") as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    for missing in ("spec_json", "param_1"):
+        path = tmp_path / f"no_{missing}.npz"
+        np.savez(path, **{k: v for k, v in arrays.items() if k != missing})
+        assert main(["export-activation", "--model", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(missing) in err
+
+
+def test_emit_document_parses_back_unchanged(tmp_path, capsys):
+    doc = {"config": {"command": "basis", "window": [3, 5], "op": "médian"},
+           "result": {"basis": [[0, 1], [], [2, 3, 4]], "ok": True,
+                      "none": None, "tenth": 0.1 + 0.2, "tiny": -1e-300,
+                      "big": 2 ** 70}}
+    _emit(doc, tmp_path / "o", "doc.json")
+    text = (tmp_path / "o" / "doc.json").read_text()
+    assert capsys.readouterr().out == text
+    assert json.loads(text) == json.loads(json.dumps(doc, indent=2)) == doc
 
 
 def test_table1_cli(data_dir, tmp_path, capsys):

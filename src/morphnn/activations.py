@@ -16,9 +16,20 @@ Parameter layout: ``beta[..., j, i]`` where ``j`` indexes the outer min and
 ``i`` the inner max.  A leading channel axis is allowed; it must line up
 with a channel axis of the input (``channel_axis``).
 
-Each layer form is one graph node.  Its forward pass computes the values
-with in-place ``np.maximum``/``np.minimum`` on blocks of the input's first
-axis small enough to stay in cache.  Every output cell has exactly one
+Each layer form is one graph node and works in a channel-first frame:
+``x.swapaxes(0, channel_axis)``, or x itself for shared parameters.  A
+conv2d output is channel-major in memory ([C, B, H, W] seen as
+[B, C, H, W]), so its frame is C-contiguous and no pass reorders it.  The
+forward pass computes the values with in-place ``np.maximum``/
+``np.minimum`` on blocks of whole channels, or of one channel cut along its
+next axis, small enough to stay in cache; each block takes its channels'
+slopes and intercepts as pieces shaped (channels, 1, ...), which for one
+channel is a scalar over one flat inner loop.  The output, the winner
+record, the backward's indices and the x gradient are C-contiguous in the
+frame, and the output and x gradient are returned as swapped views: a
+conv2d input or output gradient in channel-major layout again.  Summed
+gradients of parameters shared across channels (the structuring weights)
+accumulate channel by channel.  Every output cell has exactly one
 subgradient winner, and under grad (only then) the forward pass records it
 compactly: the outer branch (which is also the structuring function), the
 window offset and the inner index, each in the smallest signed integer
@@ -223,13 +234,20 @@ def pl_activation(x, params: MorphoActivationParams,
 # -- the two layer forms ---------------------------------------------------
 
 
-def _layer_bshape(x: Array, params: MorphoActivationParams, pool: PoolSpec,
-                  channel_axis: int | None) -> tuple[int, ...]:
-    """``_bshape`` for a layer form, whose channel axis must not be pooled."""
-    bsh = _bshape(x, params, channel_axis)
-    if max(bsh[x.ndim - pool.rank:]) > 1:
+def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
+           channel_axis: int | None) -> tuple[int, Array, Array]:
+    """A layer form's frame: the axis of x it swaps to the front, and beta,
+    alpha as [k, m, n] along that axis.  Per-channel parameters swap the
+    channel axis, which must not be pooled; shared ones keep x as it is
+    (axis 0) and get a unit leading axis (k = 1)."""
+    beta, alpha = params.beta.data, params.alpha.data
+    if beta.ndim == 2:
+        return 0, beta[None], alpha[None]
+    _bshape(x, params, channel_axis)  # checks the axis and its extent
+    axis = channel_axis % x.ndim
+    if axis >= x.ndim - pool.rank:
         raise ValueError("channel_axis must not be a pooled axis")
-    return bsh
+    return axis, beta, alpha
 
 
 def _bank(structuring: list[StructuringFunction]) -> tuple[Array, list]:
@@ -239,27 +257,32 @@ def _bank(structuring: list[StructuringFunction]) -> tuple[Array, list]:
     return starts, [y for sf in structuring for y in sf.offsets]
 
 
-def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
+def _layer_node(out: Array, x: Tensor, axis: int,
+                params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
-                bsh, rows: Array, cols: Array, offs: Array,
+                rows: Array, cols: Array, offs: Array,
                 pool_first: bool) -> Tensor:
     """One graph node for a layer form, from its winner record: per output
     cell the row j and column i of the winning affine piece and the window
     offset of the winning branch (the row for variant 1, the column for
-    variant 2, ``pool_first``).
+    variant 2, ``pool_first``).  ``out`` and the record are C-contiguous
+    in the frame that swaps ``axis`` of x to the front, and so are the
+    sources, cells and bank positions built from them.
     """
-    xd = x.data
+    xf = x.data.swapaxes(0, axis)
     starts, offsets = _bank(structuring)
+    bsh = (-1,) + (1,) * (xf.ndim - 1)  # per-channel parameters lead
 
     def routes():
         live = mo._live(offs)
         bank = starts[cols if pool_first else rows] + offs
-        src = mo._sources(xd.shape, pool.stride, offsets, bank).ravel()[live]
+        src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
         bank = bank.ravel()[live]
         cell = _cells(rows, cols, params, bsh).ravel()[live]
         # d out / d beta is the winning piece's input: x at the source, or
-        # for variant 2 the pooled value x + w there
-        piece_input = xd.ravel()[src]
+        # for variant 2 the pooled value x + w there; a view of x when x
+        # is channel-major, as a conv output is
+        piece_input = xf.ravel()[src]
         if pool_first:
             piece_input += np.concatenate(
                 [sf.weights.data for sf in structuring])[bank]
@@ -271,7 +294,7 @@ def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
              (params.alpha, ("cell", 0), None)]
     edges += [(sf.weights, ("bank", start), "slope" if pool_first else None)
               for start, sf in zip(starts, structuring)]
-    return mo.routed_node(out, routes, edges)
+    return mo.routed_node(out, routes, edges, axis)
 
 
 # input bytes per block: the block's working set (its input, two scratch
@@ -281,22 +304,50 @@ def _layer_node(out: Array, x: Tensor, params: MorphoActivationParams,
 _BLOCK_BYTES = 1 << 20
 
 
-def _blockwise(x: Array, bsh, pool: PoolSpec, forward) -> list[Array]:
-    """Run ``forward`` on consecutive slices of x's first axis, each about
-    ``_BLOCK_BYTES``, and join the arrays it returns along that axis.  One
-    slice when the first axis is pooled, carries the parameter channels or
-    is empty."""
-    if x.ndim == pool.rank or bsh[0] > 1 or len(x) == 0:
-        return list(forward(x))
-    step = max(1, _BLOCK_BYTES // max(x[0].nbytes, 1))
+def _blockwise(xf: Array, beta: Array, alpha: Array, rank: int,
+               forward) -> list[Array]:
+    """Run ``forward(xb, b, a)`` on blocks of the frame ``xf`` and join
+    the arrays it returns, C-contiguous in the frame.
+
+    ``xf``'s leading axis holds the channels of ``beta`` and ``alpha``
+    ([k, m, n]; k = 1 is shared by every channel) and its last ``rank``
+    axes are pooled.  A block is a run of whole channels of at most
+    ``_BLOCK_BYTES``, or, for a channel bigger than that, an even cut of
+    the channel along its next axis, unless that axis is pooled.
+    ``b[j][i]`` and ``a[j][i]`` are the block's pieces ``beta[c, j, i]``,
+    shaped (channels, 1, ...) so that they broadcast over the block: a
+    single-channel block multiplies by a scalar in one flat inner loop.
+    """
+    lead = xf.ndim - rank
+    size = xf[0].nbytes if lead and len(xf) else 0
+    if size > _BLOCK_BYTES and lead > 1:
+        rows = xf.shape[1]
+        cuts = -(-size // _BLOCK_BYTES)
+        step = -(-rows // cuts)
+        blocks = [(slice(c, c + 1), slice(s, s + step))
+                  for c in range(len(xf)) for s in range(0, rows, step)]
+    elif lead:
+        step = max(1, _BLOCK_BYTES // max(size, 1))
+        blocks = [(slice(c, c + step),) for c in range(0, len(xf), step)]
+    else:
+        blocks = []
+
+    def run(block):
+        pb, pa = ((beta, alpha) if len(beta) == 1
+                  else (beta[block[0]], alpha[block[0]]))
+        shape = (len(pb),) + (1,) * (xf.ndim - 1)
+        return forward(xf[block], _pieces(pb, shape), _pieces(pa, shape))
+
+    if len(blocks) <= 1:
+        return list(run((slice(None),)))
     joined = None
-    for s in range(0, len(x), step):
-        parts = forward(x[s:s + step])
+    for block in blocks:
+        parts = run(block)
         if joined is None:
-            joined = [np.empty((len(x),) + p.shape[1:], p.dtype)
+            joined = [np.empty(xf.shape[:lead] + p.shape[lead:], p.dtype)
                       for p in parts]
         for whole, part in zip(joined, parts):
-            whole[s:s + step] = part
+            whole[block] = part
     return joined
 
 
@@ -314,15 +365,14 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
         raise ValueError("need one structuring function per max row")
     x = ad.lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
-    bsh = _layer_bshape(x.data, params, pool, channel_axis)
-    b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
+    axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
     track = ad.is_grad_enabled()
     j_dtype = mo._index_dtype(len(structuring))
     i_dtype = mo._index_dtype(params.n_terms)
     o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
     starts, offsets = _bank(structuring)
 
-    def forward(xb: Array):
+    def forward(xb: Array, b, a):
         def branches():
             for j, sf in enumerate(structuring):
                 inner, _ = _affine_max(xb, b[j], a[j])
@@ -344,10 +394,12 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
             mo._record(rows == j, [(cols, arg)])
         return out, rows, cols, offs
 
+    parts = _blockwise(x.data.swapaxes(0, axis), beta, alpha, pool.rank,
+                       forward)
     if not track:
-        return Tensor(_blockwise(x.data, bsh, pool, forward)[0])
-    out, rows, cols, offs = _blockwise(x.data, bsh, pool, forward)
-    return _layer_node(out, x, params, structuring, pool, bsh, rows, cols,
+        return Tensor(parts[0].swapaxes(0, axis))
+    out, rows, cols, offs = parts
+    return _layer_node(out, x, axis, params, structuring, pool, rows, cols,
                        offs, pool_first=False)
 
 
@@ -366,14 +418,13 @@ def morpho_act2_forward(x, params: MorphoActivationParams,
         raise ValueError("need one structuring function per outer column")
     x = ad.lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
-    bsh = _layer_bshape(x.data, params, pool, channel_axis)
-    b, a = _pieces(params.beta.data, bsh), _pieces(params.alpha.data, bsh)
+    axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
     track = ad.is_grad_enabled()
     j_dtype = mo._index_dtype(params.m_terms) if track else None
     i_dtype = mo._index_dtype(len(structuring))
     o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
 
-    def forward(xb: Array):
+    def forward(xb: Array, b, a):
         def branches():
             for i, sf in enumerate(structuring):
                 pooled, off = mo._sup_max(xb, sf.offsets, sf.weights.data,
@@ -386,10 +437,12 @@ def morpho_act2_forward(x, params: MorphoActivationParams,
             branches(), (i_dtype, o_dtype, j_dtype) if track else None)
         return (out, *record) if track else (out,)
 
+    parts = _blockwise(x.data.swapaxes(0, axis), beta, alpha, pool.rank,
+                       forward)
     if not track:
-        return Tensor(_blockwise(x.data, bsh, pool, forward)[0])
-    out, cols, offs, rows = _blockwise(x.data, bsh, pool, forward)
-    return _layer_node(out, x, params, structuring, pool, bsh, rows, cols,
+        return Tensor(parts[0].swapaxes(0, axis))
+    out, cols, offs, rows = parts
+    return _layer_node(out, x, axis, params, structuring, pool, rows, cols,
                        offs, pool_first=True)
 
 
@@ -401,12 +454,18 @@ class MorphoLayerParams:
     activation: MorphoActivationParams
     structuring: list[StructuringFunction] = field(default_factory=list)
 
+    def named_tensors(self) -> dict[str, Tensor]:
+        """``beta``, ``alpha`` and each trainable bank member's weights as
+        ``w{j}``, a tensor shared by several members under its first name."""
+        named = {"beta": self.activation.beta, "alpha": self.activation.alpha}
+        for j, sf in enumerate(self.structuring):
+            if sf.weights.requires_grad and all(
+                    sf.weights is not t for t in named.values()):
+                named[f"w{j}"] = sf.weights
+        return named
+
     def tensors(self) -> list[Tensor]:
-        seen: list[Tensor] = [self.activation.beta, self.activation.alpha]
-        for sf in self.structuring:
-            if sf.weights.requires_grad and sf.weights not in seen:
-                seen.append(sf.weights)
-        return seen
+        return list(self.named_tensors().values())
 
     @classmethod
     def init(cls, variant: int, m_terms: int, n_terms: int, pool: PoolSpec,

@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:
-        print(f"error: training diverged at epoch {e.epoch}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

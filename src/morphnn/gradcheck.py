@@ -104,9 +104,12 @@ def _pool() -> PoolSpec:
     return PoolSpec((2, 2), (2, 2))
 
 
+# the 2x2 pool window's offsets, built once rather than on every probe
+_WINDOW = StructuringFunction.pool_window((2, 2)).offsets
+
+
 def _sf_bank(leaves: dict[str, Tensor], count: int) -> list[StructuringFunction]:
-    window = StructuringFunction.pool_window((2, 2)).offsets
-    return [StructuringFunction(window, weights=leaves[f"w{j}"])
+    return [StructuringFunction(_WINDOW, weights=leaves[f"w{j}"])
             for j in range(count)]
 
 

@@ -215,38 +215,49 @@ def _sources(x_shape, stride, offsets, index: Array) -> Array:
     return anchor - shifts[index]
 
 
-def routed_node(out: Array, routes, edges) -> Tensor:
+def routed_node(out: Array, routes, edges, axis: int = 0) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
 
-    ``routes()`` runs once, at the first backward rule, and returns the
-    live output cells (``_live``) and a dict of arrays with one entry per
-    live cell; they die with the node's last rule.  Each edge
+    The node works in a frame: ``out`` is C-contiguous with ``axis`` of the
+    node's output swapped to the front (0 leaves it as it is), the node
+    holds the swapped-back view, and every flat cell index counts cells of
+    the frame.  ``routes()`` runs once, at the first backward rule, and
+    returns the live output cells (``_live``) and a dict of arrays with one
+    entry per live cell; they die with the node's last rule.  Each edge
     ``(parent, index, factor)`` takes ``g`` at the live cells, times
     ``arrays[factor]`` unless ``factor`` is None.  With
     ``index = (key, start)`` it scatters that with one ``np.bincount`` over
     ``arrays[key]``, the parent holding positions ``start`` onwards; with
     None the parent lines up cell for cell with the output, every cell is
-    live, and the product is returned reshaped.
+    live, and the product is returned reshaped.  The first edge's parent is
+    the op's input, indexed in the frame too: its gradient is a view of a
+    buffer C-contiguous in the frame.
     """
     routes = functools.cache(routes)
 
-    def rule(parent: Tensor, index, factor):
+    def rule(parent: Tensor, index, factor, framed: bool):
+        shape = parent.data.shape
+        if framed and axis:
+            shape = parent.data.swapaxes(0, axis).shape
+
         def back(g: Array) -> Array:
             live, arrays = routes()
-            gl = g.ravel()[live]
+            gl = (g.swapaxes(0, axis) if axis else g).ravel()[live]
             if factor is not None:
                 gl = gl * arrays[factor]
-            if index is None:
-                return gl.reshape(parent.data.shape)
-            key, start = index
-            stop = start + parent.data.size
-            return np.bincount(arrays[key], weights=gl, minlength=stop)[
-                start:stop].reshape(parent.data.shape)
+            if index is not None:
+                key, start = index
+                stop = start + parent.data.size
+                gl = np.bincount(arrays[key], weights=gl,
+                                 minlength=stop)[start:stop]
+            gl = gl.reshape(shape)
+            return gl.swapaxes(0, axis) if framed and axis else gl
         return back
 
-    return ad.make_node(out, [(p, rule(p, index, factor))
-                              for p, index, factor in edges])
+    return ad.make_node(out.swapaxes(0, axis) if axis else out,
+                        [(p, rule(p, index, factor, k == 0))
+                         for k, (p, index, factor) in enumerate(edges)])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,

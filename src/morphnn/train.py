@@ -26,11 +26,17 @@ from .data import Dataset, batches
 from .morphops import PoolSpec
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss stops being finite; carries the epoch index."""
+    """Raised when training leaves the reals.  Carries the epoch, the step
+    (counted from the start of the run) and ``tensor``, the name of the
+    first parameter or gradient that is not finite, or None when every
+    one is (the loss overflowed on its own)."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged at epoch {epoch}")
-        self.epoch = epoch
+    def __init__(self, epoch: int, step: int | None = None,
+                 tensor: str | None = None):
+        where = f"epoch {epoch}" + ("" if step is None else f", step {step}")
+        what = "" if tensor is None else f": {tensor} is not finite"
+        super().__init__(f"training diverged at {where}{what}")
+        self.epoch, self.step, self.tensor = epoch, step, tensor
 
 
 # -- graph ops used only by the net ------------------------------------------
@@ -46,7 +52,13 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.]."""
+    """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.].
+
+    The output is the transposed view of one GEMM result, so its memory is
+    channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
+    output gradient, as the layer forms return, reaches both GEMMs of the
+    backward pass as a view.
+    """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
@@ -58,17 +70,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     if b is not None:
         out = out + b.data.reshape(1, f, 1, 1)
 
-    x_shape = x.data.shape
-
     def back_x(g: Array) -> Array:
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
         dcols = wmat.T @ gmat
         d6 = dcols.reshape(c, kh, kw, bsz, oh, ow)
-        dx = np.zeros(x_shape)
+        dx = np.zeros((c, bsz, h, wd))
         for i in range(kh):
             for j in range(kw):
-                dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j].transpose(1, 0, 2, 3)
-        return dx
+                dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j]
+        return dx.transpose(1, 0, 2, 3)
 
     def back_w(g: Array) -> Array:
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
@@ -124,8 +134,8 @@ class Conv2dLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w, self.b)
 
-    def params(self) -> list[Tensor]:
-        return [self.w] + ([self.b] if self.b is not None else [])
+    def named_params(self) -> dict[str, Tensor]:
+        return {"w": self.w} | ({} if self.b is None else {"b": self.b})
 
 
 class DenseLayer:
@@ -138,8 +148,8 @@ class DenseLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add_rowvec(ad.matmul(x, self.w), self.b)
 
-    def params(self) -> list[Tensor]:
-        return [self.w, self.b]
+    def named_params(self) -> dict[str, Tensor]:
+        return {"w": self.w, "b": self.b}
 
 
 def _morpho_stage(forward):
@@ -154,13 +164,14 @@ def _morpho_layer(variant: int):
         variant, spec.m_terms, spec.n_terms, pool, channels=spec.filters)
 
 
-def _no_params(spec, pool) -> tuple:
-    return ()
+def _no_params(spec, pool) -> dict:
+    return {}
 
 
-def _posneg_slopes(spec, pool) -> tuple[Tensor, Tensor]:
-    # (beta_pos, beta_neg), both initialized to 1
-    return (Tensor(1.0, requires_grad=True), Tensor(1.0, requires_grad=True))
+def _posneg_slopes(spec, pool) -> dict[str, Tensor]:
+    # both initialized to 1
+    return {"beta_pos": Tensor(1.0, requires_grad=True),
+            "beta_neg": Tensor(1.0, requires_grad=True)}
 
 
 # variant -> (forward(x, pool, layer), layer initializer(spec, pool), conv
@@ -172,7 +183,8 @@ STAGES = {
         ad.minimum(mo.relu(x), 6.0), pool), _no_params, True),
     "selfdual": (lambda x, pool, _: mo.selfdual_pool(x, pool),
                  _no_params, True),
-    "posneg": (lambda x, pool, slopes: mo.posneg_pool_param(x, pool, *slopes),
+    "posneg": (lambda x, pool, slopes: mo.posneg_pool_param(
+        x, pool, slopes["beta_pos"], slopes["beta_neg"]),
                _posneg_slopes, True),
     "morpho1": (_morpho_stage(morpho_act1_forward), _morpho_layer(1), False),
     "morpho2": (_morpho_stage(morpho_act2_forward), _morpho_layer(2), False),
@@ -184,7 +196,7 @@ class Stage:
     """Activation fused with stride pooling, looked up in ``STAGES``.
 
     ``layer`` holds the stage's trainable state: a ``MorphoLayerParams`` for
-    the morpho variants, a tuple of tensors otherwise.
+    the morpho variants, a dict of named tensors otherwise.
     """
 
     def __init__(self, spec: ModelSpec, pool: PoolSpec):
@@ -195,10 +207,10 @@ class Stage:
     def __call__(self, x: Tensor) -> Tensor:
         return self._forward(x, self.pool, self.layer)
 
-    def params(self) -> list[Tensor]:
+    def named_params(self) -> dict[str, Tensor]:
         if isinstance(self.layer, MorphoLayerParams):
-            return self.layer.tensors()
-        return list(self.layer)
+            return self.layer.named_tensors()
+        return dict(self.layer)
 
 
 # -- model --------------------------------------------------------------------
@@ -256,14 +268,19 @@ class Model:
             h = dropout(h, self.spec.dropout, rng)
         return self.dense(h)
 
+    def named_parameters(self) -> dict[str, Tensor]:
+        """Every parameter by name, ``conv1.w``, ``stage1.beta``, ...,
+        ``dense.b``, in ``parameters()`` order."""
+        return {f"{layer}.{name}": t
+                for layer in ("conv1", "stage1", "conv2", "stage2", "dense")
+                for name, t in getattr(self, layer).named_params().items()}
+
     def parameters(self) -> list[Tensor]:
-        out = self.conv1.params() + self.stage1.params()
-        out += self.conv2.params() + self.stage2.params()
-        out += self.dense.params()
-        return out
+        return list(self.named_parameters().values())
 
     def stage_parameters(self) -> list[Tensor]:
-        return self.stage1.params() + self.stage2.params()
+        return [t for name, t in self.named_parameters().items()
+                if name.startswith("stage")]
 
     def trainable(self, scope: str = "all") -> list[Tensor]:
         if scope == "all":
@@ -391,6 +408,20 @@ def evaluate(model: Model, ds: Dataset, batch_size: int = 512) -> float:
     return correct / len(ds)
 
 
+def _non_finite(model: Model, grads: bool) -> str | None:
+    """The first parameter (or, with ``grads``, trained parameter's
+    gradient) in ``parameters()`` order that is not finite, by name; None if
+    all are.  A frozen parameter's ``.grad`` may be left from an earlier run
+    and is not looked at."""
+    for name, p in model.named_parameters().items():
+        if grads and not p.requires_grad:
+            continue
+        arr = p.grad if grads else p.data
+        if arr is not None and not np.isfinite(arr).all():
+            return f"gradient of {name}" if grads else f"parameter {name}"
+    return None
+
+
 def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
           metrics_jsonl=None, summary_csv=None,
           log=None) -> Metrics:
@@ -398,7 +429,8 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 
     One rng stream (from cfg.seed) drives shuffling and dropout, so a fixed
     seed reproduces the run exactly.  Raises DivergenceError when the loss
-    leaves the reals.
+    or a gradient leaves the reals, naming the step and the first
+    parameter or gradient that is not finite.
     """
     rng = make_rng(cfg.seed)
     live = model.set_trainable_scope(cfg.trainable_scope)
@@ -406,7 +438,7 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     metrics = Metrics(seed=cfg.seed, n_parameters=model.n_parameters())
     jsonl = open(metrics_jsonl, "w") if metrics_jsonl else None
     started = time.perf_counter()
-    stale = 0
+    stale = step = 0
     try:
         for epoch in range(cfg.max_epochs):
             t0 = time.perf_counter()
@@ -419,10 +451,16 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 logits = model.forward(x, train=True, rng=rng)
                 loss = cross_entropy(logits, labels)
                 if not np.isfinite(loss.data):
-                    raise DivergenceError(epoch)
+                    raise DivergenceError(epoch, step,
+                                          _non_finite(model, grads=False))
                 opt.zero_grad()
                 loss.backward()
+                # caught before Adam spreads it into every later step
+                bad = _non_finite(model, grads=True)
+                if bad is not None:
+                    raise DivergenceError(epoch, step, bad)
                 opt.step()
+                step += 1
                 n = len(labels)
                 loss_sum += float(loss.data) * n
                 correct += int((logits.data.argmax(axis=1) == labels).sum())

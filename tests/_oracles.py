@@ -81,6 +81,66 @@ def oracle_morpho2(x, beta, alpha, sf_list, stride, out_extent):
     return np.minimum.reduce(branches)
 
 
+def oracle_layer_grads(x, beta, alpha, sf_list, stride, g, variant):
+    """Gradients of ``sum(g * layer(x))`` for a layer form with per-channel
+    parameters on axis 1 of x: (dx, dbeta, dalpha, [dw per bank member]).
+
+    Every output cell is visited in the logical (batch, channel, position)
+    order of g; its winner follows the documented tie rules (lowest inner
+    index, first window offset, lowest outer branch), and each sum is
+    accumulated in that order.
+    """
+    m, n = beta.shape[1:]
+    rank = len(stride)
+    dx, db, da = np.zeros(x.shape), np.zeros(beta.shape), np.zeros(beta.shape)
+    dw = [np.zeros(len(sf.offsets)) for sf in sf_list]
+
+    def sources(sf, lead, p):
+        # (offset index, source) of each window offset inside x
+        for o, y in enumerate(sf.offsets):
+            src = tuple(k * pi - yi for pi, k, yi in zip(p, stride, y))
+            if all(0 <= s < e for s, e in zip(src, x.shape[-rank:])):
+                yield o, lead + src
+
+    for cell in np.ndindex(*g.shape):
+        lead, p = cell[:-rank], cell[-rank:]
+        c = lead[1]
+        best = None  # (value, j, i, offset, source, piece input)
+        for k, sf in enumerate(sf_list):
+            branch = None
+            for o, src in sources(sf, lead, p):
+                if variant == 1:  # the bank member is row j = k
+                    inner = [beta[c, k, i] * x[src] + alpha[c, k, i]
+                             for i in range(n)]
+                    i = int(np.argmax(inner))
+                    cand = (inner[i] + sf.weights.data[o], k, i, o, src,
+                            x[src])
+                else:
+                    cand = (x[src] + sf.weights.data[o], o, src)
+                if branch is None or cand[0] > branch[0]:
+                    branch = cand
+            if branch is None:
+                continue
+            if variant == 2:  # the bank member is column i = k
+                pooled, o, src = branch
+                vals = [beta[c, j, k] * pooled + alpha[c, j, k]
+                        for j in range(m)]
+                j = int(np.argmax(vals))
+                branch = (vals[j], j, k, o, src, pooled)
+            if best is None or branch[0] < best[0]:
+                best = branch
+        if best is None:
+            continue
+        _, j, i, o, src, piece_input = best
+        gv = g[cell]
+        dx[src] += gv * beta[c, j, i]
+        db[c, j, i] += gv * piece_input
+        da[c, j, i] += gv
+        bank = j if variant == 1 else i
+        dw[bank][o] += gv if variant == 1 else gv * beta[c, j, i]
+    return dx, db, da, dw
+
+
 def oracle_pl_maxmin(pl, x):
     """Nested-loop evaluation of a max-min PL function at one point.
 
@@ -201,6 +261,34 @@ def oracle_conv2d(x, w, b):
             if b is not None:
                 out[n, q] += b[q]
     return out
+
+
+def oracle_conv2d_gemm(x, w, b, g):
+    """``conv2d``'s arithmetic in plain batch-major arrays: the output and
+    the x, w and b gradients of ``sum(g * conv2d(x, w, b))``.
+
+    One GEMM each on an im2col matrix gathered offset by offset; dx adds
+    the window offsets' slices in (i, j) order.
+    """
+    bb, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    cols = np.empty((c, kh, kw, bb, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x[:, :, i:i + oh, j:j + ow].transpose(1, 0, 2, 3)
+    cols = cols.reshape(c * kh * kw, -1)
+    wmat = w.reshape(f, -1)
+    out = (wmat @ cols).reshape(f, bb, oh, ow).transpose(1, 0, 2, 3) + \
+        b.reshape(1, f, 1, 1)
+    gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
+    dw = (gmat @ cols.T).reshape(w.shape)
+    d6 = (wmat.T @ gmat).reshape(c, kh, kw, bb, oh, ow)
+    dx = np.zeros(x.shape)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j].transpose(1, 0, 2, 3)
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
 
 
 def oracle_backward(root):

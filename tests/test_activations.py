@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import oracle_morpho1, oracle_morpho2, oracle_pl
+from _oracles import (oracle_layer_grads, oracle_morpho1, oracle_morpho2,
+                      oracle_pl)
 
 from morphnn import activations as act
 from morphnn import autodiff as ad
@@ -293,6 +294,99 @@ class TestMorphoLayers:
         assert len(lp2.structuring) == 2
         for sf in lp2.structuring:
             npt.assert_array_equal(sf.weights.data, np.zeros(4))
+
+
+def _channel_major(x):
+    """x's values in memory ordered [C, B, ...], seen as [B, C, ...], like a
+    conv2d output."""
+    return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _layer_case(rng, shape, m, n, variant):
+    c = shape[1]
+    params = MorphoActivationParams(
+        Tensor(rng.normal(size=(c, m, n)), requires_grad=True),
+        Tensor(rng.normal(size=(c, m, n)), requires_grad=True))
+    bank = [StructuringFunction.pool_window((2, 2), learnable=True)
+            for _ in range(m if variant == 1 else n)]
+    for sf in bank:
+        sf.weights.data[:] = rng.normal(size=4) * 0.3
+    x = rng.normal(size=shape) * 2
+    g = rng.normal(size=(shape[0], c) + tuple(
+        (e - 2) // 2 + 1 for e in shape[2:]))
+    return params, bank, x, g
+
+
+def _run_layer(fwd, params, bank, x, g):
+    """Output and (x, beta, alpha, weights) gradients of sum(g * layer)."""
+    for t in [params.beta, params.alpha] + [sf.weights for sf in bank]:
+        t.grad = None
+    xt = Tensor(x, requires_grad=True)
+    out = fwd(xt, params, bank, PoolSpec((2, 2), (2, 2)), channel_axis=1)
+    ad.mul(out, Tensor(g)).sum().backward()
+    return (out.data, xt.grad, params.beta.grad, params.alpha.grad,
+            [sf.weights.grad for sf in bank])
+
+
+FORMS = [(1, act.morpho_act1_forward), (2, act.morpho_act2_forward)]
+
+
+class TestChannelMajorFrame:
+    """The layer forms work channel-first: a conv2d output's channel-major
+    memory is read, and the output and x gradient written, without a
+    reordering copy, and the result does not depend on the layout."""
+
+    # (batch, channels) of 12x12 images: one channel bigger than a block,
+    # so it is cut along the batch; many channels per block over several
+    # blocks; one channel with per-channel parameters, cut as well
+    ROWS = act._BLOCK_BYTES // (8 * 12 * 12)
+    SHAPES = [(ROWS + 5, 2), (ROWS // 20 + 1, 48), (ROWS + 5, 1)]
+
+    @pytest.mark.parametrize("batch,channels", SHAPES)
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_layouts_byte_equal(self, batch, channels, variant, fwd):
+        rng = ad.make_rng(60 + channels)
+        params, bank, x, g = _layer_case(rng, (batch, channels, 12, 12),
+                                         2, 3, variant)
+        want = _run_layer(fwd, params, bank, x, g)
+        got = _run_layer(fwd, params, bank, _channel_major(x),
+                         _channel_major(g))
+        for a, b in zip(want[:4] + tuple(want[4]), got[:4] + tuple(got[4])):
+            assert (np.ascontiguousarray(a).tobytes()
+                    == np.ascontiguousarray(b).tobytes())
+        # channel-major in and out: the output and the x gradient are views
+        # of channel-first buffers
+        assert got[0].swapaxes(0, 1).flags.c_contiguous
+        assert got[1].swapaxes(0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("block_bytes", [act._BLOCK_BYTES, 2000, 600])
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_gradients_match_logical_order_oracle(self, monkeypatch,
+                                                  block_bytes, variant, fwd):
+        # each channel holds 864 bytes: one block, two blocks of two
+        # channels, or each channel cut in two
+        monkeypatch.setattr(act, "_BLOCK_BYTES", block_bytes)
+        rng = ad.make_rng(64 + variant)
+        params, bank, x, g = _layer_case(rng, (3, 4, 6, 6), 3, 2, variant)
+        want = oracle_layer_grads(x, params.beta.data, params.alpha.data,
+                                  bank, (2, 2), g, variant)
+        for xin in (x, _channel_major(x)):
+            _, dx, db, da, dw = _run_layer(fwd, params, bank, xin, g)
+            npt.assert_array_equal(dx, want[0])
+            npt.assert_array_equal(db, want[1])
+            npt.assert_array_equal(da, want[2])
+            # summed across channels in the channel-first frame, not in the
+            # oracle's batch-first order
+            for got_w, want_w in zip(dw, want[3]):
+                npt.assert_allclose(got_w, want_w, rtol=1e-12, atol=0)
+
+    def test_pooled_channel_axis_rejected(self):
+        lp = MorphoLayerParams.init(1, 2, 2, PoolSpec((2, 2), (2, 2)),
+                                    channels=1)
+        with pytest.raises(ValueError, match="pooled"):
+            act.morpho_act1_forward(Tensor(np.zeros((2, 1, 6))),
+                                    lp.activation, lp.structuring,
+                                    PoolSpec((1, 2), (1, 2)), channel_axis=1)
 
 
 class TestActivationCurve:

@@ -66,6 +66,16 @@ def test_train_missing_file_exits_2(tmp_path, capsys):
     assert "train-images-idx3-ubyte" in err
 
 
+def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
+    # a huge learning rate overflows the second forward pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(_train_args(data_dir, tmp_path / "run",
+                                ["--lr", "1e308"]))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: training diverged at epoch 0, "
+                                       "step 1\n")
+
+
 def test_unknown_flag_rejected(data_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(_train_args(data_dir, tmp_path / "o", ["--bogus", "1"]))

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import oracle_conv2d, synth_classification
+from _oracles import oracle_conv2d, oracle_conv2d_gemm, synth_classification
 
 from morphnn import autodiff as ad
 from morphnn import data as md
@@ -38,6 +38,30 @@ class TestConv2d:
         b = rng.normal(size=4)
         got = tr.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         npt.assert_allclose(got, oracle_conv2d(x, w, b), atol=1e-12)
+
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_byte_equal_to_batch_major_rules(self, channel_major):
+        # the output and the x gradient are channel-major in memory; the
+        # values are those of the batch-major arithmetic, bit for bit,
+        # whichever layout the output gradient arrives in
+        rng = make_rng(72)
+        x = rng.normal(size=(3, 4, 7, 6))
+        w = rng.normal(size=(5, 4, 3, 3))
+        b = rng.normal(size=5)
+        g = rng.normal(size=(3, 5, 5, 4))
+        if channel_major:
+            g = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(
+                1, 0, 2, 3)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = tr.conv2d(xt, wt, bt)
+        rules = {id(parent): rule for parent, rule in out._parents}
+        got = [out.data] + [rules[id(t)](g) for t in (xt, wt, bt)]
+        for have, want in zip(got, oracle_conv2d_gemm(x, w, b, g)):
+            assert have.shape == want.shape
+            assert (np.ascontiguousarray(have).tobytes()
+                    == np.ascontiguousarray(want).tobytes())
+        assert got[0].transpose(1, 0, 2, 3).flags.c_contiguous
+        assert got[1].transpose(1, 0, 2, 3).flags.c_contiguous
 
     def test_gradients(self):
         rng = make_rng(71)
@@ -250,7 +274,8 @@ class TestTrainLoop:
         assert alive == [0, 0, 0]
 
     def test_divergence_raises_with_epoch(self):
-        # overflowing weights drive the logits to +/-inf and the loss to nan
+        # overflowing weights drive the logits to +/-inf and the loss to
+        # nan, while every parameter is still finite
         ds = synth_ds(seed=83, n=32)
         model = build_model(small_spec(), make_rng(0))
         model.conv1.w.data[:] = 1e308
@@ -258,7 +283,79 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(tr.DivergenceError) as err:
                 tr.train(model, ds, ds, cfg)
-        assert err.value.epoch == 0
+        assert (err.value.epoch, err.value.step) == (0, 0)
+        assert err.value.tensor is None
+        assert str(err.value) == "training diverged at epoch 0, step 0"
+
+    def test_divergence_counts_steps_across_epochs(self):
+        # one step per epoch; a huge learning rate pushes the weights so
+        # far in the first step that the second forward overflows
+        ds = synth_ds(seed=83, n=32)
+        model = build_model(small_spec(), make_rng(0))
+        cfg = TrainConfig(lr=1e308, batch_size=32, max_epochs=3, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(tr.DivergenceError) as err:
+                tr.train(model, ds, ds, cfg)
+        assert (err.value.epoch, err.value.step) == (1, 1)
+
+    def test_divergence_names_the_first_non_finite_parameter(self):
+        ds = synth_ds(seed=83, n=64)
+        model = build_model(small_spec("morpho1"), make_rng(0))
+        model.stage2.layer.activation.beta.data[1, 0, 0] = np.nan
+        model.dense.b.data[0] = np.inf
+        cfg = TrainConfig(batch_size=32, max_epochs=1, seed=0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(tr.DivergenceError) as err:
+                tr.train(model, ds, ds, cfg)
+        assert (err.value.epoch, err.value.step) == (0, 0)
+        assert err.value.tensor == "parameter stage2.beta"
+        assert str(err.value).endswith(": parameter stage2.beta is not "
+                                       "finite")
+
+    def test_divergence_names_the_first_non_finite_gradient(self,
+                                                            monkeypatch):
+        # a finite loss whose backward sends nan: caught before Adam steps
+        ds = synth_ds(seed=83, n=64)
+        model = build_model(small_spec(), make_rng(0))
+        before = [p.data.copy() for p in model.parameters()]
+
+        cross_entropy = tr.cross_entropy
+
+        def nan_backward(logits, labels):
+            loss = cross_entropy(logits, labels)
+            return ad.make_node(loss.data, [
+                (logits, lambda g: np.full(logits.data.shape, np.nan))])
+
+        monkeypatch.setattr(tr, "cross_entropy", nan_backward)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(tr.DivergenceError) as err:
+                tr.train(model, ds, ds, TrainConfig(batch_size=32, seed=0))
+        assert (err.value.epoch, err.value.step) == (0, 0)
+        assert err.value.tensor == "gradient of conv1.w"
+        for p, was in zip(model.parameters(), before):
+            npt.assert_array_equal(p.data, was)
+
+    def test_divergence_ignores_a_frozen_parameters_stale_gradient(self):
+        # a nan gradient left on conv1.w by an earlier run takes no part in
+        # an activations-only run and must not stop it
+        ds = synth_ds(seed=83, n=64)
+        model = build_model(small_spec("morpho1"), make_rng(0))
+        model.conv1.w.grad = np.full(model.conv1.w.data.shape, np.nan)
+        cfg = TrainConfig(batch_size=32, max_epochs=1, seed=0,
+                          trainable_scope="activations_only")
+        tr.train(model, ds, ds, cfg)
+        assert np.isnan(model.conv1.w.grad).all()
+
+    def test_named_parameters_follow_parameters_order(self):
+        model = build_model(small_spec("morpho2"), make_rng(0))
+        named = model.named_parameters()
+        assert list(named)[:5] == ["conv1.w", "stage1.beta", "stage1.alpha",
+                                   "stage1.w0", "stage1.w1"]
+        assert list(named)[-2:] == ["dense.w", "dense.b"]
+        assert list(named.values()) == model.parameters()
+        posneg = build_model(small_spec("posneg"), make_rng(0))
+        assert [n for n in posneg.named_parameters() if "stage1" in n] == [
+            "stage1.beta_pos", "stage1.beta_neg"]
 
     def test_metrics_files(self, tmp_path):
         ds = synth_ds(seed=84, n=64)

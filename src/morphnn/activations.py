@@ -33,9 +33,14 @@ accumulate channel by channel.  Every output cell has exactly one
 subgradient winner, and under grad (only then) the forward pass records it
 compactly: the outer branch (which is also the structuring function), the
 window offset and the inner index, each in the smallest signed integer
-dtype that holds its count.  The backward pass turns the record into flat
-source and parameter indices once and scatters through
-``morphops.routed_node``, as ``pl_activation`` and the pools do.  Tie
+dtype that holds its count.  The backward pass is one
+``morphops.routed_node``, as for ``pl_activation`` and the pools, run on
+the forward pass's blocks: per block it turns the record into the block's
+source and parameter indices, scatters the x gradient into the block's
+slice of a frame-contiguous buffer with a block-local ``np.bincount``, and
+adds the parameter gradients into running sums in cell order with
+``np.add.at``, the same sums to the bit as one ``bincount`` over every
+cell.  So beside the gradients only a few blocks' temporaries live.  Tie
 rules, as for ``pl_activation`` and the pools: the inner max keeps the
 lowest index, the window keeps its first offset in row-major order, and
 the outer min keeps the lowest branch.  A cell whose window lies wholly
@@ -191,13 +196,14 @@ def _outer_min(branches, dtypes=None) -> tuple[Array, list[Array] | None]:
 
 
 def _cells(rows: Array, cols: Array, params: MorphoActivationParams,
-           bsh) -> Array:
-    """Flat (channel, j, i) parameter index of each element's winner."""
+           channel: Array) -> Array:
+    """Flat (channel, j, i) parameter index of each element's winner, where
+    ``channel`` broadcasts each element's channel (shared [m, n] parameters
+    ignore it)."""
     m, n = params.m_terms, params.n_terms
     cell = rows.astype(np.int64) * n + cols
     if params.beta.data.ndim == 3:
-        channels = params.beta.data.shape[0]
-        cell += np.arange(channels).reshape(bsh) * (m * n)
+        cell += channel * (m * n)
     return cell
 
 
@@ -221,14 +227,15 @@ def pl_activation(x, params: MorphoActivationParams,
          for j in range(params.m_terms)),
         (mo._index_dtype(params.m_terms), i_dtype) if track else None)
 
-    def routes():  # runs only under grad, where the record exists
-        cell = _cells(*record, params, bsh).ravel()
+    def route(block):  # runs only under grad, where the record exists
+        channel = np.arange(np.prod(bsh)).reshape(bsh)
+        cell = _cells(*record, params, channel).ravel()
         return slice(None), {"cell": cell, "input": x.data.ravel(),
                              "slope": beta.data.reshape(-1)[cell]}
 
-    return mo.routed_node(out, routes, [(x, None, "slope"),
-                                        (beta, ("cell", 0), "input"),
-                                        (alpha, ("cell", 0), None)])
+    return mo.routed_node(out, [mo.WHOLE], route,
+                          [(x, None, "slope"), (beta, ("cell", 0), "input"),
+                           (alpha, ("cell", 0), None)])
 
 
 # -- the two layer forms ---------------------------------------------------
@@ -251,8 +258,8 @@ def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
 
 
 def _bank(structuring: list[StructuringFunction]) -> tuple[Array, list]:
-    """The bank's offsets listed in bank order, and the position of each
-    structuring function's first offset in that list."""
+    """The position of each structuring function's first offset in the
+    bank's offset list, and that list: every offset in bank order."""
     starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
     return starts, [y for sf in structuring for y in sf.offsets]
 
@@ -266,35 +273,38 @@ def _layer_node(out: Array, x: Tensor, axis: int,
     cell the row j and column i of the winning affine piece and the window
     offset of the winning branch (the row for variant 1, the column for
     variant 2, ``pool_first``).  ``out`` and the record are C-contiguous
-    in the frame that swaps ``axis`` of x to the front, and so are the
-    sources, cells and bank positions built from them.
+    in the frame that swaps ``axis`` of x to the front.  The backward pass
+    runs on the forward pass's blocks (``_blocks``): per block it builds
+    the sources, cells and bank positions of the block's cells from the
+    record, so no array spans every cell but the gradients themselves.
     """
     xf = x.data.swapaxes(0, axis)
     starts, offsets = _bank(structuring)
-    bsh = (-1,) + (1,) * (xf.ndim - 1)  # per-channel parameters lead
+    beta = params.beta.data.reshape(-1)
+    channels = np.arange(len(xf)).reshape((-1,) + (1,) * (xf.ndim - 1))
+    weights = np.concatenate([sf.weights.data for sf in structuring])
 
-    def routes():
-        live = mo._live(offs)
-        bank = starts[cols if pool_first else rows] + offs
-        src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
+    def route(block):
+        rb, cb, ob = rows[block], cols[block], offs[block]
+        live = mo._live(ob)
+        bank = starts[cb if pool_first else rb] + ob
+        xb = xf[block]
+        src = mo._sources(xb.shape, pool.stride, offsets, bank).ravel()[live]
         bank = bank.ravel()[live]
-        cell = _cells(rows, cols, params, bsh).ravel()[live]
+        cell = _cells(rb, cb, params, channels[block[0]]).ravel()[live]
         # d out / d beta is the winning piece's input: x at the source, or
-        # for variant 2 the pooled value x + w there; a view of x when x
-        # is channel-major, as a conv output is
-        piece_input = xf.ravel()[src]
+        # for variant 2 the pooled value x + w there
+        piece_input = xb.ravel()[src]
         if pool_first:
-            piece_input += np.concatenate(
-                [sf.weights.data for sf in structuring])[bank]
+            piece_input += weights[bank]
         return live, {"src": src, "cell": cell, "bank": bank,
-                      "input": piece_input,
-                      "slope": params.beta.data.reshape(-1)[cell]}
+                      "input": piece_input, "slope": beta[cell]}
 
     edges = [(x, ("src", 0), "slope"), (params.beta, ("cell", 0), "input"),
              (params.alpha, ("cell", 0), None)]
     edges += [(sf.weights, ("bank", start), "slope" if pool_first else None)
               for start, sf in zip(starts, structuring)]
-    return mo.routed_node(out, routes, edges, axis)
+    return mo.routed_node(out, _blocks(xf, pool.rank), route, edges, axis)
 
 
 # input bytes per block: the block's working set (its input, two scratch
@@ -304,19 +314,14 @@ def _layer_node(out: Array, x: Tensor, axis: int,
 _BLOCK_BYTES = 1 << 20
 
 
-def _blockwise(xf: Array, beta: Array, alpha: Array, rank: int,
-               forward) -> list[Array]:
-    """Run ``forward(xb, b, a)`` on blocks of the frame ``xf`` and join
-    the arrays it returns, C-contiguous in the frame.
-
-    ``xf``'s leading axis holds the channels of ``beta`` and ``alpha``
-    ([k, m, n]; k = 1 is shared by every channel) and its last ``rank``
-    axes are pooled.  A block is a run of whole channels of at most
-    ``_BLOCK_BYTES``, or, for a channel bigger than that, an even cut of
-    the channel along its next axis, unless that axis is pooled.
-    ``b[j][i]`` and ``a[j][i]`` are the block's pieces ``beta[c, j, i]``,
-    shaped (channels, 1, ...) so that they broadcast over the block: a
-    single-channel block multiplies by a scalar in one flat inner loop.
+def _blocks(xf: Array, rank: int) -> list[tuple]:
+    """The blocks both passes of a layer form run on, over the frame
+    ``xf`` whose leading axis holds the channels and whose last ``rank``
+    axes are pooled: runs of whole channels of at most ``_BLOCK_BYTES``,
+    or, for a channel bigger than that, even cuts of the channel along its
+    next axis, unless that axis is pooled.  No block cuts a pooled axis,
+    so each output block's winners lie in the same block of the input.
+    ``[WHOLE]`` when that gives fewer than two blocks.
     """
     lead = xf.ndim - rank
     size = xf[0].nbytes if lead and len(xf) else 0
@@ -331,24 +336,27 @@ def _blockwise(xf: Array, beta: Array, alpha: Array, rank: int,
         blocks = [(slice(c, c + step),) for c in range(0, len(xf), step)]
     else:
         blocks = []
+    return blocks if len(blocks) > 1 else [mo.WHOLE]
 
+
+def _blockwise(xf: Array, beta: Array, alpha: Array, rank: int,
+               forward) -> list[Array]:
+    """Run ``forward(xb, b, a)`` on the blocks (``_blocks``) of the frame
+    ``xf`` and join the arrays it returns, C-contiguous in the frame.
+
+    ``beta`` and ``alpha`` are [k, m, n] along ``xf``'s leading axis (k = 1
+    is shared by every channel).  ``b[j][i]`` and ``a[j][i]`` are the
+    block's pieces ``beta[c, j, i]``, shaped (channels, 1, ...) so that
+    they broadcast over the block: a single-channel block multiplies by a
+    scalar in one flat inner loop.
+    """
     def run(block):
         pb, pa = ((beta, alpha) if len(beta) == 1
                   else (beta[block[0]], alpha[block[0]]))
         shape = (len(pb),) + (1,) * (xf.ndim - 1)
         return forward(xf[block], _pieces(pb, shape), _pieces(pa, shape))
 
-    if len(blocks) <= 1:
-        return list(run((slice(None),)))
-    joined = None
-    for block in blocks:
-        parts = run(block)
-        if joined is None:
-            joined = [np.empty(xf.shape[:lead] + p.shape[lead:], p.dtype)
-                      for p in parts]
-        for whole, part in zip(joined, parts):
-            whole[block] = part
-    return joined
+    return mo._join(xf.shape, _blocks(xf, rank), run)
 
 
 def morpho_act1_forward(x, params: MorphoActivationParams,

@@ -27,7 +27,9 @@ from .activations import (MorphoActivationParams, morpho_act1_forward,
 from .autodiff import Tensor, make_rng
 from .morphops import PoolSpec, StructuringFunction
 
-Builder = Callable[[dict[str, Tensor]], Tensor]
+# leaves -> the layer's forward pass over them; the layer's structures
+# (parameter records, the bank) are built once, outside the returned call
+Builder = Callable[[dict[str, Tensor]], Callable[[], Tensor]]
 
 
 _RESAMPLES = 3
@@ -39,15 +41,16 @@ def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
     best = None
     for _ in range(_RESAMPLES):
         arrays = draw(rng)
-        out_probe = builder({k: Tensor(v) for k, v in arrays.items()})
-        proj = rng.normal(size=out_probe.data.shape)
+        # constant leaves wrap ``arrays`` themselves, which the probes
+        # move in place, so the forward built here serves every probe
+        forward = builder({k: Tensor(v) for k, v in arrays.items()})
+        proj = rng.normal(size=forward().data.shape)
 
         def loss_np() -> float:
-            out = builder({k: Tensor(v) for k, v in arrays.items()})
-            return float((out.data * proj).sum())
+            return float((forward().data * proj).sum())
 
         leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        loss = ad.mul(builder(leaves), Tensor(proj)).sum()
+        loss = ad.mul(builder(leaves)(), Tensor(proj)).sum()
         loss.backward()
 
         base = float(loss.data)
@@ -104,12 +107,9 @@ def _pool() -> PoolSpec:
     return PoolSpec((2, 2), (2, 2))
 
 
-# the 2x2 pool window's offsets, built once rather than on every probe
-_WINDOW = StructuringFunction.pool_window((2, 2)).offsets
-
-
 def _sf_bank(leaves: dict[str, Tensor], count: int) -> list[StructuringFunction]:
-    return [StructuringFunction(_WINDOW, weights=leaves[f"w{j}"])
+    window = StructuringFunction.pool_window((2, 2)).offsets
+    return [StructuringFunction(window, weights=leaves[f"w{j}"])
             for j in range(count)]
 
 
@@ -124,8 +124,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                 "gap": np.asarray(rng.uniform(0.2, 1.0))}
 
     def build_two_slope(lv):
-        beta_pos = ad.add(lv["beta_neg"], lv["gap"])
-        return mo.prelu2(lv["f"], beta_pos, lv["beta_neg"])
+        return lambda: mo.prelu2(lv["f"], ad.add(lv["beta_neg"], lv["gap"]),
+                                 lv["beta_neg"])
 
     cases.append({"name": "two_slope_rectifier", "build": build_two_slope,
                   "draw": draw_two_slope})
@@ -134,7 +134,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
         return {"f": rng.normal(size=(1, 2, 6, 6)) * 2}
 
     cases.append({"name": "selfdual_pool",
-                  "build": lambda lv: mo.selfdual_pool(lv["f"], _pool()),
+                  "build": lambda lv: lambda: mo.selfdual_pool(lv["f"],
+                                                               _pool()),
                   "draw": draw_field})
 
     def draw_posneg(rng):
@@ -144,7 +145,7 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
         return d
 
     cases.append({"name": "posneg_pool_param",
-                  "build": lambda lv: mo.posneg_pool_param(
+                  "build": lambda lv: lambda: mo.posneg_pool_param(
                       lv["f"], _pool(), lv["beta_pos"], lv["beta_neg"]),
                   "draw": draw_posneg})
 
@@ -154,8 +155,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
         return d
 
     cases.append({"name": "act_pool",
-                  "build": lambda lv: mo.act_pool(lv["f"], _pool(),
-                                                  lv["alpha"]),
+                  "build": lambda lv: lambda: mo.act_pool(
+                      lv["f"], _pool(), lv["alpha"]),
                   "draw": draw_actpool})
 
     for m, n in itertools.product(sizes, sizes):
@@ -165,9 +166,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                     "alpha": rng.normal(size=(m, n))}
 
         def build_pl(lv):
-            return pl_activation(lv["x"],
-                                 MorphoActivationParams(lv["beta"],
-                                                        lv["alpha"]))
+            params = MorphoActivationParams(lv["beta"], lv["alpha"])
+            return lambda: pl_activation(lv["x"], params)
 
         cases.append({"name": f"pl_activation_m{m}_n{n}", "build": build_pl,
                       "draw": draw_pl})
@@ -184,9 +184,10 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                 return d
 
             def build_layer(lv, fwd=fwd, bank=bank):
-                return fwd(lv["x"],
-                           MorphoActivationParams(lv["beta"], lv["alpha"]),
-                           _sf_bank(lv, bank), _pool(), channel_axis=1)
+                params = MorphoActivationParams(lv["beta"], lv["alpha"])
+                sfs = _sf_bank(lv, bank)
+                return lambda: fwd(lv["x"], params, sfs, _pool(),
+                                   channel_axis=1)
 
             cases.append({"name": f"{form}_m{m}_n{n}", "build": build_layer,
                           "draw": draw_layer})

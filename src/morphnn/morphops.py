@@ -20,7 +20,6 @@ Conventions shared by every op here:
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -215,49 +214,115 @@ def _sources(x_shape, stride, offsets, index: Array) -> Array:
     return anchor - shifts[index]
 
 
-def routed_node(out: Array, routes, edges, axis: int = 0) -> Tensor:
+# the block of a single-block partition: every cell of an array of any rank
+WHOLE = (Ellipsis,)
+
+
+def _join(shape, blocks, run) -> list[Array]:
+    """Run ``run(block)`` on each block and join the arrays it returns.
+
+    ``blocks`` index leading axes of ``shape`` and take whole trailing
+    axes; each joined array has ``shape``'s leading axes and its part's
+    trailing ones.  A single block's arrays are returned as they are.
+    """
+    if len(blocks) == 1:
+        return list(run(blocks[0]))
+    joined = None
+    for block in blocks:
+        parts = run(block)
+        if joined is None:
+            lead = len(block)
+            joined = [np.empty(tuple(shape[:lead]) + p.shape[lead:], p.dtype)
+                      for p in parts]
+        for whole, part in zip(joined, parts):
+            whole[block] = part
+    return joined
+
+
+def routed_node(out: Array, blocks, route, edges, axis: int = 0) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
 
     The node works in a frame: ``out`` is C-contiguous with ``axis`` of the
     node's output swapped to the front (0 leaves it as it is), the node
-    holds the swapped-back view, and every flat cell index counts cells of
-    the frame.  ``routes()`` runs once, at the first backward rule, and
-    returns the live output cells (``_live``) and a dict of arrays with one
-    entry per live cell; they die with the node's last rule.  Each edge
-    ``(parent, index, factor)`` takes ``g`` at the live cells, times
-    ``arrays[factor]`` unless ``factor`` is None.  With
-    ``index = (key, start)`` it scatters that with one ``np.bincount`` over
-    ``arrays[key]``, the parent holding positions ``start`` onwards; with
-    None the parent lines up cell for cell with the output, every cell is
-    live, and the product is returned reshaped.  The first edge's parent is
-    the op's input, indexed in the frame too: its gradient is a view of a
-    buffer C-contiguous in the frame.
+    holds the swapped-back view, and the first edge's parent, the op's
+    input, is indexed in the frame too.  ``blocks`` cuts the frame into
+    index tuples over its leading axes, in C order, such that each block of
+    the output takes its winners from the same block of the input (no
+    block cuts a pooled axis); ``WHOLE`` alone is one block.
+    ``route(block)`` returns the block's live output cells (``_live``) and
+    a dict of arrays with one entry per live cell of the block.
+
+    The node's first backward rule computes every edge's gradient in one
+    pass over the blocks; each later rule hands out its stored gradient.
+    Each edge ``(parent, index, factor)`` takes ``g`` at the live cells,
+    times ``arrays[factor]`` unless ``factor`` is None.  With
+    ``index = (key, start)`` it scatters that over ``arrays[key]``, the
+    parent holding positions ``start`` onwards; with None (the input edge
+    only) the parent lines up cell for cell with the output and every cell
+    is live.  The input edge's positions count cells of its block: each
+    block's product or ``np.bincount`` fills its slice of a gradient
+    C-contiguous in the frame.  A parameter edge's positions count the
+    whole parameter, and ``np.add.at`` adds each block into a running sum
+    in cell order, as one ``bincount`` over every cell would, so the sum is
+    the same to the bit.  An edge whose parent does not require grad is
+    skipped.
     """
-    routes = functools.cache(routes)
+    def frame(a: Array) -> Array:
+        return a.swapaxes(0, axis) if axis else a
 
-    def rule(parent: Tensor, index, factor, framed: bool):
-        shape = parent.data.shape
-        if framed and axis:
-            shape = parent.data.swapaxes(0, axis).shape
+    kept = [k for k, (p, _, _) in enumerate(edges) if p.requires_grad]
+    grads: dict[int, Array] = {}
 
-        def back(g: Array) -> Array:
-            live, arrays = routes()
-            gl = (g.swapaxes(0, axis) if axis else g).ravel()[live]
-            if factor is not None:
-                gl = gl * arrays[factor]
-            if index is not None:
+    def backward_pass(g: Array) -> None:
+        gf, xf = frame(g), frame(edges[0][0].data)
+        sizes = {}  # (key, factor) -> length of a running sum
+        for k in kept:
+            if k:
+                parent, (key, start), factor = edges[k]
+                sizes[key, factor] = max(sizes.get((key, factor), 0),
+                                         start + parent.data.size)
+        sums = {kf: np.zeros(size) for kf, size in sizes.items()}
+        _, x_index, x_factor = edges[0]
+
+        def run(block):
+            live, arrays = route(block)
+            gb = gf[block].ravel()[live]
+            products = {None: gb}
+
+            def times(factor):
+                if factor not in products:
+                    products[factor] = gb * arrays[factor]
+                return products[factor]
+
+            for key, factor in sums:
+                np.add.at(sums[key, factor], arrays[key], times(factor))
+            if kept[0]:
+                return []
+            xb, gl = xf[block], times(x_factor)
+            if x_index is not None:
+                gl = np.bincount(arrays[x_index[0]], weights=gl,
+                                 minlength=xb.size)
+            return [gl.reshape(xb.shape)]
+
+        parts = _join(xf.shape, blocks, run)
+        for k in kept:
+            parent, index, factor = edges[k]
+            if k == 0:
+                grads[k] = frame(parts[0])
+            else:
                 key, start = index
-                stop = start + parent.data.size
-                gl = np.bincount(arrays[key], weights=gl,
-                                 minlength=stop)[start:stop]
-            gl = gl.reshape(shape)
-            return gl.swapaxes(0, axis) if framed and axis else gl
+                grads[k] = sums[key, factor][
+                    start:start + parent.data.size].reshape(parent.data.shape)
+
+    def rule(k: int):
+        def back(g: Array) -> Array:
+            if not grads:
+                backward_pass(g)
+            return grads.pop(k)
         return back
 
-    return ad.make_node(out.swapaxes(0, axis) if axis else out,
-                        [(p, rule(p, index, factor, k == 0))
-                         for k, (p, index, factor) in enumerate(edges)])
+    return ad.make_node(frame(out), [(edges[k][0], rule(k)) for k in kept])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
@@ -268,7 +333,7 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
                         None if weights is None else weights.data, stride,
                         out_extent, ad.is_grad_enabled())
 
-    def routes():
+    def route(block):
         live = _live(idx)
         src = _sources(f.data.shape, stride, offsets, idx).ravel()[live]
         return live, {"src": src, "offset": idx.ravel()[live]}
@@ -276,7 +341,7 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
     edges = [(f, ("src", 0), None)]
     if weights is not None:
         edges.append((weights, ("offset", 0), None))
-    return routed_node(out, routes, edges)
+    return routed_node(out, [WHOLE], route, edges)
 
 
 # -- stride-1 operators ----------------------------------------------------
@@ -298,8 +363,9 @@ def erode(f, g: StructuringFunction) -> Tensor:
 def relu(f) -> Tensor:
     """max(f, 0); the gradient passes where f >= 0, at 0 too."""
     f = lift(f)
-    return routed_node(np.maximum(f.data, 0.0),
-                       lambda: (slice(None), {"slope": (f.data >= 0).ravel()}),
+    return routed_node(np.maximum(f.data, 0.0), [WHOLE],
+                       lambda block: (slice(None),
+                                      {"slope": (f.data >= 0).ravel()}),
                        [(f, None, "slope")])
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import resource
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -306,16 +307,26 @@ def build_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
     return Model(spec, rng)
 
 
+# layout of the files save_model writes; load_model reads this one only
+MODEL_FORMAT = 1
+
+
 def save_model(model: Model, path) -> None:
-    arrays = {f"param_{i}": p.data for i, p in enumerate(model.parameters())}
+    """Write the spec, ``format_version`` and each parameter under its
+    name in ``named_parameters()`` (``conv1.w``, ..., ``dense.b``)."""
+    arrays = {name: p.data for name, p in model.named_parameters().items()}
     arrays["spec_json"] = np.frombuffer(
         json.dumps(asdict(model.spec)).encode(), dtype=np.uint8)
+    arrays["format_version"] = np.asarray(MODEL_FORMAT)
     np.savez(path, **arrays)
 
 
 def load_model(path) -> Model:
-    """The model ``save_model`` wrote to ``path``.  Raises ValueError when
-    a key is missing or a parameter's shape does not match the spec."""
+    """The model ``save_model`` wrote to ``path``, parameters matched by
+    name.  Raises ValueError, naming the problem, on a file of another
+    format version (an older file's positional ``param_{i}`` keys
+    included), on a missing or unexpected entry, or on a parameter whose
+    shape does not match the spec."""
     with np.load(path) as blob:
         def read(key: str) -> Array:
             if key not in blob.files:
@@ -323,14 +334,28 @@ def load_model(path) -> Model:
                                  "file written by save_model")
             return blob[key]
 
+        if "format_version" not in blob.files and "param_0" in blob.files:
+            raise ValueError(f"{path}: positional 'param_{{i}}' keys from "
+                             "an older save_model; this version loads "
+                             f"parameters by name (format {MODEL_FORMAT})")
+        version = read("format_version").tolist()
+        if version != MODEL_FORMAT:
+            raise ValueError(f"{path}: model format version {version}; "
+                             f"this version reads {MODEL_FORMAT}")
         cfg = json.loads(bytes(read("spec_json").tobytes()))
         cfg["image_size"] = tuple(cfg["image_size"])
         spec = ModelSpec(**cfg)
         model = Model(spec, make_rng(0))
-        for i, p in enumerate(model.parameters()):
-            stored = read(f"param_{i}")
+        named = model.named_parameters()
+        extra = sorted(set(blob.files) - set(named)
+                       - {"spec_json", "format_version"})
+        if extra:
+            raise ValueError(f"{path}: entries {extra} are not parameters "
+                             f"of a {spec.variant} model")
+        for name, p in named.items():
+            stored = read(name)
             if stored.shape != p.data.shape:
-                raise ValueError(f"param_{i} shape {stored.shape} does not "
+                raise ValueError(f"{name} shape {stored.shape} does not "
                                  f"match the spec ({p.data.shape})")
             p.data = stored.copy()
     return model
@@ -408,6 +433,12 @@ def evaluate(model: Model, ds: Dataset, batch_size: int = 512) -> float:
     return correct / len(ds)
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB (Linux reports
+    ``ru_maxrss`` in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _non_finite(model: Model, grads: bool) -> str | None:
     """The first parameter (or, with ``grads``, trained parameter's
     gradient) in ``parameters()`` order that is not finite, by name; None if
@@ -431,6 +462,11 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     seed reproduces the run exactly.  Raises DivergenceError when the loss
     or a gradient leaves the reals, naming the step and the first
     parameter or gradient that is not finite.
+
+    Each epoch appends one row to ``metrics.epochs`` and to the JSONL file:
+    loss, accuracies, the epoch's ``seconds``, the mean ``step_seconds``
+    and the ``examples_per_second`` of its training steps (evaluation
+    excluded), and the process's ``peak_rss_mb`` so far.
     """
     rng = make_rng(cfg.seed)
     live = model.set_trainable_scope(cfg.trainable_scope)
@@ -443,8 +479,7 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
         for epoch in range(cfg.max_epochs):
             t0 = time.perf_counter()
             loss_sum = 0.0
-            correct = 0
-            seen = 0
+            correct = seen = steps = 0
             for images, labels in batches(train_ds, cfg.batch_size, rng,
                                           shuffle=cfg.shuffle):
                 x = Tensor(images[:, None, :, :])
@@ -465,9 +500,11 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 loss_sum += float(loss.data) * n
                 correct += int((logits.data.argmax(axis=1) == labels).sum())
                 seen += n
+                steps += 1
                 # backward() freed the graph; drop the step's outputs too,
                 # so nothing of this step lives while the next one runs
                 del logits, loss
+            train_seconds = time.perf_counter() - t0
             test_acc = evaluate(model, test_ds, cfg.eval_batch_size)
             row = {
                 "epoch": epoch,
@@ -475,6 +512,9 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 "train_acc": correct / seen,
                 "test_acc": test_acc,
                 "seconds": time.perf_counter() - t0,
+                "step_seconds": train_seconds / steps,
+                "examples_per_second": seen / train_seconds,
+                "peak_rss_mb": _peak_rss_mb(),
             }
             metrics.epochs.append(row)
             if jsonl:

@@ -320,3 +320,57 @@ def oracle_backward(root):
             contrib = rule(node.grad)
             parent.grad = (contrib if parent.grad is None
                            else parent.grad + contrib)
+
+
+def full_size_layer_node(out, x, axis, params, structuring, pool, rows, cols,
+                         offs, pool_first):
+    """A layer form's graph node (same arguments as
+    ``activations._layer_node``) whose backward routes every output cell at
+    once: full-size source, cell, bank, piece-input and slope arrays, and
+    one ``np.bincount`` over all of them per edge, each sum taken in the
+    frame's cell order.
+    """
+    from morphnn import autodiff as ad
+    from morphnn import morphops as mo
+
+    xf = x.data.swapaxes(0, axis)
+    starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
+    offsets = [y for sf in structuring for y in sf.offsets]
+    live = mo._live(offs)
+    bank = starts[cols if pool_first else rows] + offs
+    src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
+    bank = bank.ravel()[live]
+    m, n = params.m_terms, params.n_terms
+    cell = rows.astype(np.int64) * n + cols
+    if params.beta.data.ndim == 3:
+        cell += np.arange(len(xf)).reshape(
+            (-1,) + (1,) * (xf.ndim - 1)) * (m * n)
+    cell = cell.ravel()[live]
+    piece_input = xf.ravel()[src]
+    if pool_first:
+        piece_input += np.concatenate(
+            [sf.weights.data for sf in structuring])[bank]
+    arrays = {"src": src, "cell": cell, "bank": bank, "input": piece_input,
+              "slope": params.beta.data.reshape(-1)[cell]}
+
+    def rule(parent, key, start, factor, framed):
+        shape = (parent.data.swapaxes(0, axis).shape if framed
+                 else parent.data.shape)
+
+        def back(g):
+            gl = (g.swapaxes(0, axis) if axis else g).ravel()[live]
+            if factor is not None:
+                gl = gl * arrays[factor]
+            stop = start + parent.data.size
+            gl = np.bincount(arrays[key], weights=gl,
+                             minlength=stop)[start:stop].reshape(shape)
+            return gl.swapaxes(0, axis) if framed else gl
+        return back
+
+    edges = [(x, "src", 0, "slope"), (params.beta, "cell", 0, "input"),
+             (params.alpha, "cell", 0, None)]
+    edges += [(sf.weights, "bank", start, "slope" if pool_first else None)
+              for start, sf in zip(starts, structuring)]
+    return ad.make_node(out.swapaxes(0, axis),
+                        [(p, rule(p, key, start, factor, k == 0))
+                         for k, (p, key, start, factor) in enumerate(edges)])

@@ -1,11 +1,13 @@
 """Max-min activations and the two morphological layers vs loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import (oracle_layer_grads, oracle_morpho1, oracle_morpho2,
-                      oracle_pl)
+from _oracles import (full_size_layer_node, oracle_layer_grads,
+                      oracle_morpho1, oracle_morpho2, oracle_pl)
 
 from morphnn import activations as act
 from morphnn import autodiff as ad
@@ -387,6 +389,105 @@ class TestChannelMajorFrame:
             act.morpho_act1_forward(Tensor(np.zeros((2, 1, 6))),
                                     lp.activation, lp.structuring,
                                     PoolSpec((1, 2), (1, 2)), channel_axis=1)
+
+
+def _node_grads(out, g):
+    """Each parent's gradient from the node's own rules, summed per tensor
+    as ``backward()`` sums them (a shared tensor is several parents)."""
+    grads = {}
+    for parent, rule in out._parents:
+        d = rule(g)
+        grads[id(parent)] = d if id(parent) not in grads else grads[id(parent)] + d
+    return grads
+
+
+def _blockwise_case(kind, variant):
+    """(x, params, bank, pool, channel_axis) for one backward case."""
+    rng = ad.make_rng(90 + variant)
+    m, n = 2, 3
+    window, pool, axis = (2, 2), PoolSpec((2, 2), (2, 2)), 1
+    if kind == "shared":  # [m, n] parameters; the frame is x, cut by batch
+        shape, pshape, axis = (80, 2, 32, 32), (m, n), None
+    elif kind == "overlap":
+        shape, pshape = (5, 4, 9, 9), (4, m, n)
+        window, pool = (3, 3), PoolSpec((3, 3), (2, 2))
+    else:  # "outside", "frozen"
+        shape, pshape = (5, 4, 8, 8), (4, m, n)
+    params = MorphoActivationParams(
+        Tensor(rng.normal(size=pshape), requires_grad=True),
+        Tensor(rng.normal(size=pshape), requires_grad=True))
+    bank = [StructuringFunction.pool_window(window, learnable=True)
+            for _ in range(m if variant == 1 else n)]
+    if kind == "outside":
+        # reads K*p - y: output rows and columns 0 and 1 see only offsets
+        # outside the input, so this branch's window is wholly outside there
+        bank[0] = StructuringFunction([(3, 3), (4, 3), (3, 4)],
+                                      learnable=True)
+        if variant == 2:  # the pooled -inf times a positive slope stays
+            col = params.beta.data[..., 0]
+            np.abs(col, out=col)
+    for sf in bank:
+        sf.weights.data[:] = rng.normal(size=len(sf.offsets)) * 0.3
+    x = Tensor(rng.normal(size=shape) * 2, requires_grad=kind != "frozen")
+    return x, params, bank, pool, axis
+
+
+class TestBlockwiseBackward:
+    """The layer forms' backward runs on the forward pass's blocks; every
+    gradient is byte-equal to one full-size bincount per edge."""
+
+    KINDS = ["shared", "overlap", "outside", "frozen"]
+
+    @pytest.mark.parametrize("block_bytes", [act._BLOCK_BYTES, 2000, 600])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_byte_equal_to_full_size_oracle(self, monkeypatch, block_bytes,
+                                            kind, variant, fwd):
+        monkeypatch.setattr(act, "_BLOCK_BYTES", block_bytes)
+        x, params, bank, pool, axis = _blockwise_case(kind, variant)
+        xf = x.data.swapaxes(0, axis or 0)
+        if kind == "shared" or block_bytes < 1000:
+            assert len(act._blocks(xf, pool.rank)) > 1
+        tensors = [x, params.beta, params.alpha] + [sf.weights for sf in bank]
+
+        def grads():
+            out = fwd(x, params, bank, pool, channel_axis=axis)
+            got = _node_grads(out, ad.make_rng(7).normal(size=out.shape))
+            return [got.get(id(t)) for t in tensors]
+
+        got = grads()
+        monkeypatch.setattr(act, "_layer_node", full_size_layer_node)
+        want = grads()
+        if kind == "outside":  # some cells are dead, so some weights idle
+            assert np.isneginf(fwd(x, params, bank, pool, axis).data).any()
+        assert (got[0] is None) == (want[0] is None) == (kind == "frozen")
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape
+            assert (np.ascontiguousarray(a).tobytes()
+                    == np.ascontiguousarray(b).tobytes())
+        if got[0] is not None:
+            assert got[0].shape == want[0].shape
+            assert got[0].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_backward_memory_is_the_gradient_and_a_few_blocks(
+            self, frozen, variant, fwd):
+        # 9 MB of channel-major input, as a conv2d output, over 16 blocks
+        rng = ad.make_rng(95)
+        params, bank, x, g = _layer_case(rng, (128, 16, 24, 24), 2, 3,
+                                         variant)
+        xt = Tensor(_channel_major(x), requires_grad=not frozen)
+        out = fwd(xt, params, bank, PoolSpec((2, 2), (2, 2)), channel_axis=1)
+        tracemalloc.start()
+        try:
+            grads = _node_grads(out, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (id(xt) in grads) != frozen
+        # the full-size route arrays alone took 1.4 x.nbytes
+        assert peak <= (0 if frozen else x.nbytes) + 4 * act._BLOCK_BYTES
 
 
 class TestActivationCurve:

@@ -254,13 +254,33 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     # an .npz without the spec, or without one parameter, names the key
     with np.load(run / "model.npz") as blob:
         arrays = {k: blob[k] for k in blob.files}
-    for missing in ("spec_json", "param_1"):
-        path = tmp_path / f"no_{missing}.npz"
-        np.savez(path, **{k: v for k, v in arrays.items() if k != missing})
+    assert "conv1.b" in arrays and arrays["format_version"] == 1
+
+    def export_error(name, entries):
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, **entries)
         assert main(["export-activation", "--model", str(path),
                      "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(missing) in err
+        assert err.startswith("error: ")
+        return err
+
+    for missing in ("spec_json", "conv1.b"):
+        err = export_error(f"no_{missing}", {k: v for k, v in arrays.items()
+                                             if k != missing})
+        assert repr(missing) in err
+    # an older file's positional keys, another format version, or an
+    # entry the spec has no parameter for are each named
+    params = [v for k, v in arrays.items()
+              if k not in ("spec_json", "format_version")]
+    positional = {f"param_{i}": v for i, v in enumerate(params)}
+    err = export_error("positional", positional | {
+        "spec_json": arrays["spec_json"]})
+    assert "positional" in err and "param_" in err
+    err = export_error("v2", arrays | {"format_version": np.asarray(2)})
+    assert "format version 2" in err
+    err = export_error("extra", arrays | {"stage1.beta": params[0]})
+    assert "'stage1.beta'" in err
 
 
 def test_emit_document_parses_back_unchanged(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_kink_at_probe_point_is_screened():
     # relu has its kink at exactly 0; the 0.0 coordinate must be skipped,
     # the rest compared
     def build(lv):
-        return relu(lv["x"])
+        return lambda: relu(lv["x"])
 
     def draw(rng):
         return {"x": np.array([0.0, 1.0, -1.0, 0.5])}
@@ -59,7 +59,8 @@ def test_non_finite_gradient_fails(bad):
     # 0.0 and pass it; a non-finite gradient must count as an infinite error
     def build(lv):
         x = lv["x"]
-        return ad.make_node(x.data * 2.0, [(x, lambda g: g * 2.0 * bad)])
+        return lambda: ad.make_node(x.data * 2.0,
+                                    [(x, lambda g: g * 2.0 * bad)])
 
     def draw(rng):
         return {"x": rng.normal(size=(3,))}

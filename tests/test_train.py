@@ -215,7 +215,9 @@ class TestTrainLoop:
         d = metrics.to_dict()
         d.pop("wall_seconds")
         for row in d["epochs"]:
-            row.pop("seconds")
+            for key in ("seconds", "step_seconds", "examples_per_second",
+                        "peak_rss_mb"):
+                row.pop(key)
         return d
 
     def test_deterministic_given_seed(self):
@@ -367,8 +369,14 @@ class TestTrainLoop:
         lines = jsonl.read_text().strip().splitlines()
         assert len(lines) == 2
         row = json.loads(lines[0])
-        assert {"epoch", "train_loss", "train_acc", "test_acc",
-                "seconds"} <= row.keys()
+        assert {"epoch", "train_loss", "train_acc", "test_acc", "seconds",
+                "step_seconds", "examples_per_second",
+                "peak_rss_mb"} <= row.keys()
+        # 64 images in 2 steps of 32
+        assert 0 < 2 * row["step_seconds"] <= row["seconds"]
+        assert row["examples_per_second"] == pytest.approx(
+            32 / row["step_seconds"])
+        assert row["peak_rss_mb"] > 0
         header = summary.read_text().splitlines()[0].split(",")
         assert "best_test_acc" in header
 

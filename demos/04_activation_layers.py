@@ -13,7 +13,7 @@ from morphnn.activations import (MorphoActivationParams, activation_curve,
                                  morpho_act1_forward, morpho_act2_forward,
                                  pl_activation)
 from morphnn.autodiff import Tensor, make_rng
-from morphnn.morphops import PoolSpec, StructuringFunction, max_pool, relu
+from morphnn.morphops import PoolSpec, StructuringFunction, act_pool, relu
 
 grid = np.array([-8.0, -3.0, 0.0, 2.0, 5.0, 6.5, 10.0])
 params = MorphoActivationParams.clamp(m_terms=2, n_terms=3)
@@ -31,7 +31,7 @@ flat2 = lambda k: [StructuringFunction.pool_window((2, 2))
                    for _ in range(k)]
 out1 = morpho_act1_forward(x, rows, flat2(2), pool, channel_axis=1)
 out2 = morpho_act2_forward(x, cols, flat2(3), pool, channel_axis=1)
-ref = max_pool(ad.minimum(ad.maximum(x, 0.0), 6.0), pool)
+ref = act_pool(x, pool, cap=6.0)  # relu6 + max-pool, one node
 print("\nboth layer forms equal relu6 + max-pool at init:",
       bool(np.array_equal(out1.data, ref.data)),
       bool(np.array_equal(out2.data, ref.data)))

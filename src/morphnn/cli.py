@@ -96,11 +96,11 @@ def _emit(doc: dict, out_dir: Path, name: str) -> None:
 
 
 def cmd_train(args) -> int:
+    spec = _model_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_ds, train_info = _load_split(args, "train")
     test_ds, test_info = _load_split(args, "test")
-    spec = _model_spec(args)
     cfg = _train_config(args)
     config = {"command": "train", "spec": asdict(spec), "train": asdict(cfg),
               "data": {"train": train_info, "test": test_info,
@@ -287,10 +287,6 @@ def cmd_export_activation(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, train_info = _load_split(args, "train")
-    test_ds, test_info = _load_split(args, "test")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = tuple(int(s) for s in args.seeds.split(","))
     specs = {}
@@ -298,6 +294,10 @@ def cmd_table1(args) -> int:
         spec_args = argparse.Namespace(**vars(args))
         spec_args.variant = v
         specs[v] = _model_spec(spec_args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    train_ds, train_info = _load_split(args, "train")
+    test_ds, test_info = _load_split(args, "test")
     cfg = _train_config(args)
     config = {"command": "table1", "variants": variants, "seeds": list(seeds),
               "spec": {v: asdict(s) for v, s in specs.items()},

@@ -16,6 +16,14 @@ Conventions shared by every op here:
   windows is the first position in row-major window order;
 * each output cell copies one winner, so every backward here is one
   ``routed_node``, which sends the cell's gradient to that winner alone.
+
+The rectifier stages of the baseline nets are built from ``act_pool``:
+ReLU (or ReLU6) and max-pooling are both dilations, and the clamp commutes
+with the window's max, so it pools first and clamps the pooled values in
+one node, in the channel-first frame a conv2d output is contiguous in.
+``selfdual_pool`` and the max half of ``posneg_pool_param`` are
+``act_pool`` of f and of -f (of beta_neg * f).  ``relu`` and ``max_pool``
+stay as separate ops.
 """
 
 from __future__ import annotations
@@ -196,15 +204,16 @@ def _live(index: Array):
     return np.flatnonzero(index >= 0) if (index < 0).any() else slice(None)
 
 
-def _sources(x_shape, stride, offsets, index: Array) -> Array:
-    """Flat index into an array of ``x_shape`` of each output cell's
-    winning source ``K*p - y``, where ``index`` (shaped like the output)
-    picks y among ``offsets``.  A cell whose index is -1 gets a meaningless
-    source."""
+def _sources(x_shape, stride, offsets, index: Array, axis: int = 0) -> Array:
+    """Flat index into a C-contiguous array of ``x_shape`` of each output
+    cell's winning source ``K*p - y``, where ``index`` picks y among
+    ``offsets``.  ``index`` is shaped like the output in the frame that
+    swaps its ``axis`` to the front (0: as it is).  A cell whose index is
+    -1 gets a meaningless source."""
     lead = len(x_shape) - len(stride)
-    strides = np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1]
-    steps = list(strides[:lead]) + [s * k for s, k in
-                                    zip(strides[lead:], stride)]
+    strides = list(np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1])
+    strides[0], strides[axis] = strides[axis], strides[0]
+    steps = strides[:lead] + [s * k for s, k in zip(strides[lead:], stride)]
     # flat index of each window's anchor K*p, summed from per-axis grids
     anchor = sum((np.arange(size, dtype=np.int64) * step).reshape(
         (size,) + (1,) * (index.ndim - ax - 1))
@@ -239,17 +248,20 @@ def _join(shape, blocks, run) -> list[Array]:
     return joined
 
 
-def routed_node(out: Array, blocks, route, edges, axis: int = 0) -> Tensor:
+def routed_node(out: Array, blocks, route, edges, axis: int = 0,
+                x_axis: int | None = None) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
 
     The node works in a frame: ``out`` is C-contiguous with ``axis`` of the
     node's output swapped to the front (0 leaves it as it is), the node
     holds the swapped-back view, and the first edge's parent, the op's
-    input, is indexed in the frame too.  ``blocks`` cuts the frame into
-    index tuples over its leading axes, in C order, such that each block of
-    the output takes its winners from the same block of the input (no
-    block cuts a pooled axis); ``WHOLE`` alone is one block.
+    input, is indexed in the frame that swaps its ``x_axis`` to the front
+    (by default ``axis``; frames that differ need one block).  ``blocks``
+    cuts the frame into index tuples over its leading axes, in C order,
+    such that each block of the output takes its winners from the same
+    block of the input (no block cuts a pooled axis); ``WHOLE`` alone is
+    one block.
     ``route(block)`` returns the block's live output cells (``_live``) and
     a dict of arrays with one entry per live cell of the block.
 
@@ -266,16 +278,21 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0) -> Tensor:
     whole parameter, and ``np.add.at`` adds each block into a running sum
     in cell order, as one ``bincount`` over every cell would, so the sum is
     the same to the bit.  An edge whose parent does not require grad is
-    skipped.
+    skipped.  A route may also return ``closed``, positions of the input
+    edge's gradient in its block that are multiplied by 0 after the
+    scatter: the sources where a rectifier is closed, whose gradient is
+    then the summed gradient times a 0 slope, signed zero included.
     """
-    def frame(a: Array) -> Array:
-        return a.swapaxes(0, axis) if axis else a
+    def frame(a: Array, ax: int = axis) -> Array:
+        return a.swapaxes(0, ax) if ax else a
+
+    x_axis = axis if x_axis is None else x_axis
 
     kept = [k for k, (p, _, _) in enumerate(edges) if p.requires_grad]
     grads: dict[int, Array] = {}
 
     def backward_pass(g: Array) -> None:
-        gf, xf = frame(g), frame(edges[0][0].data)
+        gf, xf = frame(g), frame(edges[0][0].data, x_axis)
         sizes = {}  # (key, factor) -> length of a running sum
         for k in kept:
             if k:
@@ -303,13 +320,15 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0) -> Tensor:
             if x_index is not None:
                 gl = np.bincount(arrays[x_index[0]], weights=gl,
                                  minlength=xb.size)
+                if "closed" in arrays:
+                    gl[arrays["closed"]] *= 0.0
             return [gl.reshape(xb.shape)]
 
         parts = _join(xf.shape, blocks, run)
         for k in kept:
             parent, index, factor = edges[k]
             if k == 0:
-                grads[k] = frame(parts[0])
+                grads[k] = frame(parts[0], x_axis)
             else:
                 key, start = index
                 grads[k] = sums[key, factor][
@@ -392,10 +411,73 @@ def min_pool(f, pool: PoolSpec) -> Tensor:
     return ad.neg(max_pool(ad.neg(lift(f)), pool))
 
 
-def act_pool(f, pool: PoolSpec, alpha=0.0) -> Tensor:
-    """Max over the window of max(0, f + alpha): ReLU and max-pooling as a
-    single dilation with a trainable threshold."""
-    return max_pool(relu(ad.add(lift(f), alpha)), pool)
+def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
+    """Max over the window of min(max(0, f + alpha), cap) (no upper bound
+    when ``cap`` is None): ReLU, or ReLU6 with cap 6, and max-pooling as a
+    single dilation with a trainable threshold.
+
+    The clamp is increasing, so it commutes with the window's max: the op
+    pools ``f + alpha`` first and clamps the pooled values, which gives
+    the values of ``max_pool(min(relu(f + alpha), cap))`` without its
+    full-size rectified array.  It is one graph node.  Each cell's
+    gradient goes to the chain's winner, the first window offset whose
+    clamped value attains the max, times the rectifier's 0/1 slope there:
+
+    * a cell whose max is at most 0 takes its first offset, open where
+      f >= 0 there;
+    * a cell whose max reaches ``cap`` takes its first offset with
+      f >= cap, open where f <= cap there;
+    * any other cell takes the first offset attaining the max of f.
+
+    A closed source's gradient is its summed gradient times 0, as in the
+    chain.  The node runs in the channel-first frame (axis 1 of an input
+    with batch and channel axes), where a conv2d output and its gradient,
+    channel-major in memory, are C-contiguous.  The input's gradient is
+    C-contiguous in the input's own axis order, as the chain's is, so the
+    sums taken over it downstream (a conv bias gradient, a slope's) add
+    in the chain's order.
+    """
+    f = lift(f)
+    if isinstance(alpha, Tensor) or alpha != 0.0:
+        f = ad.add(f, alpha)
+    axis = 1 if f.data.ndim >= pool.rank + 2 else 0
+    xf = f.data.swapaxes(0, axis)
+    out_ext = pool.out_extent(xf.shape[-pool.rank:])
+    offsets = StructuringFunction.pool_window(pool.extent).offsets
+    track = ad.is_grad_enabled()
+    out, idx = _sup_max(xf, offsets, None, pool.stride, out_ext, track)
+    np.maximum(out, 0.0, out=out)
+    if cap is not None:
+        np.minimum(out, cap, out=out)
+    if not track:
+        return Tensor(out.swapaxes(0, axis))
+
+    def at(o: int) -> Array:
+        # f at offset o of every cell's window (pool windows lie inside f)
+        _, src_sl = _offset_slices(offsets[o], pool.stride,
+                                   xf.shape[-pool.rank:], out_ext)
+        return xf[(..., *src_sl)]
+
+    def route(block):
+        # f at each cell's winner: the max itself for an interior cell
+        value = out.copy()
+        low = out <= 0.0
+        idx[low] = 0
+        np.copyto(value, at(0), where=low)
+        if cap is not None and cap > 0.0:
+            high = out >= cap
+            for o in reversed(range(len(offsets))):
+                hit = high & (at(o) >= cap)
+                idx[hit] = o
+                np.copyto(value, at(o), where=hit)
+        opened = value >= 0.0
+        if cap is not None:
+            opened &= value <= cap
+        src = _sources(f.data.shape, pool.stride, offsets, idx, axis).ravel()
+        return slice(None), {"src": src, "closed": src[~opened.ravel()]}
+
+    return routed_node(out, [WHOLE], route, [(f, ("src", 0), None)], axis,
+                       x_axis=0)
 
 
 # -- two-slope activations and self-dual pooling -----------------------------
@@ -417,16 +499,11 @@ def prelu2(f, beta_pos, beta_neg) -> Tensor:
     return ad.maximum(ad.mul(f, beta_neg), ad.mul(f, beta_pos))
 
 
-def pos_neg_split(f) -> tuple[Tensor, Tensor]:
-    """f = pos - neg with both parts nonnegative."""
-    f = lift(f)
-    return relu(f), relu(ad.neg(f))
-
-
 def selfdual_pool(f, pool: PoolSpec) -> Tensor:
-    """max_pool(f_pos) - max_pool(f_neg): commutes with negation."""
-    pos, neg_part = pos_neg_split(f)
-    return ad.sub(max_pool(pos, pool), max_pool(neg_part, pool))
+    """act_pool(f) - act_pool(-f): max-pools the positive and the negative
+    part; commutes with negation."""
+    f = lift(f)
+    return ad.sub(act_pool(f, pool), act_pool(ad.neg(f), pool))
 
 
 def posneg_pool_param(f, pool: PoolSpec, beta_pos, beta_neg) -> Tensor:
@@ -437,6 +514,6 @@ def posneg_pool_param(f, pool: PoolSpec, beta_pos, beta_neg) -> Tensor:
     beta_pos = beta_neg = 1 it reduces exactly to selfdual_pool.
     """
     f = lift(f)
-    pos_branch = max_pool(relu(ad.mul(f, beta_neg)), pool)
+    pos_branch = act_pool(ad.mul(f, beta_neg), pool)
     neg_branch = min_pool(ad.minimum(ad.mul(f, beta_pos), 0.0), pool)
     return ad.add(pos_branch, neg_branch)

@@ -43,6 +43,12 @@ class DivergenceError(RuntimeError):
 # -- graph ops used only by the net ------------------------------------------
 
 
+# bytes of the im2col-shaped x gradient that conv2d's backward holds at a
+# time: it runs the GEMM and the shifted adds one slice of the batch at a
+# time instead of on the whole (272 MB at conv2 at batch 256)
+_BACK_X_BYTES = 1 << 24
+
+
 def _im2col(x: Array, kh: int, kw: int) -> Array:
     b, c, h, w = x.shape
     oh, ow = h - kh + 1, w - kw + 1
@@ -58,7 +64,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     The output is the transposed view of one GEMM result, so its memory is
     channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
     output gradient, as the layer forms return, reaches both GEMMs of the
-    backward pass as a view.
+    backward pass as a view.  The x gradient is computed a batch slice at
+    a time (``_BACK_X_BYTES``); each slice's columns are the whole GEMM's,
+    so the result is the same to the bit.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -69,16 +77,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     wmat = w.data.reshape(f, -1)
     out = (wmat @ cols).reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
-        out = out + b.data.reshape(1, f, 1, 1)
+        out += b.data.reshape(1, f, 1, 1)
 
     def back_x(g: Array) -> Array:
-        gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
-        dcols = wmat.T @ gmat
-        d6 = dcols.reshape(c, kh, kw, bsz, oh, ow)
         dx = np.zeros((c, bsz, h, wd))
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j]
+        per_image = wmat.itemsize * c * kh * kw * oh * ow
+        step = max(1, _BACK_X_BYTES // per_image)
+        for start in range(0, bsz, step):
+            gs = g[start:start + step]
+            gmat = gs.transpose(1, 0, 2, 3).reshape(f, -1)
+            d6 = (wmat.T @ gmat).reshape(c, kh, kw, len(gs), oh, ow)
+            dxs = dx[:, start:start + step]
+            for i in range(kh):
+                for j in range(kw):
+                    dxs[:, :, i:i + oh, j:j + ow] += d6[:, i, j]
         return dx.transpose(1, 0, 2, 3)
 
     def back_w(g: Array) -> Array:
@@ -86,7 +98,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         return (gmat @ cols.T).reshape(w.data.shape)
 
     # back_w runs first: backward drops it, and cols with it, before
-    # back_x allocates dcols of the same size
+    # back_x runs (back_x must not hold cols)
     parents = [(w, back_w), (x, back_x)]
     if b is not None:
         parents.append((b, lambda g: g.sum(axis=(0, 2, 3))))
@@ -178,10 +190,10 @@ def _posneg_slopes(spec, pool) -> dict[str, Tensor]:
 # variant -> (forward(x, pool, layer), layer initializer(spec, pool), conv
 # bias); the morpho variants drop the bias, the activation intercepts absorb it
 STAGES = {
-    "relu-maxpool": (lambda x, pool, _: mo.max_pool(mo.relu(x), pool),
+    "relu-maxpool": (lambda x, pool, _: mo.act_pool(x, pool),
                      _no_params, True),
-    "relu6-maxpool": (lambda x, pool, _: mo.max_pool(
-        ad.minimum(mo.relu(x), 6.0), pool), _no_params, True),
+    "relu6-maxpool": (lambda x, pool, _: mo.act_pool(x, pool, cap=6.0),
+                      _no_params, True),
     "selfdual": (lambda x, pool, _: mo.selfdual_pool(x, pool),
                  _no_params, True),
     "posneg": (lambda x, pool, slopes: mo.posneg_pool_param(
@@ -237,6 +249,9 @@ class ModelSpec:
                              f"choose from {VARIANTS}")
         if self.n_terms < 1 or self.m_terms < 1:
             raise ValueError("n_terms and m_terms must be >= 1")
+        for name in ("filters", "kernel_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class Model:

@@ -43,6 +43,39 @@ def oracle_sup_conv_grads(f, offsets, w, stride, g):
     return df, dw
 
 
+def chain_act_pool(f, pool, alpha=0.0, cap=None):
+    """``act_pool`` as the chain of graph nodes it replaced: rectify (and
+    clamp) every input at full resolution, then max-pool."""
+    from morphnn import autodiff as ad
+    from morphnn import morphops as mo
+
+    r = mo.relu(ad.add(f, alpha))
+    if cap is not None:
+        r = ad.minimum(r, cap)
+    return mo.max_pool(r, pool)
+
+
+def chain_selfdual_pool(f, pool):
+    """``selfdual_pool`` as the chain it replaced: max-pool the rectified
+    positive and negative parts."""
+    from morphnn import autodiff as ad
+    from morphnn import morphops as mo
+
+    f = ad.lift(f)
+    return ad.sub(mo.max_pool(mo.relu(f), pool),
+                  mo.max_pool(mo.relu(ad.neg(f)), pool))
+
+
+def chain_posneg_pool_param(f, pool, beta_pos, beta_neg):
+    """``posneg_pool_param`` with its max half as the chain it replaced."""
+    from morphnn import autodiff as ad
+    from morphnn import morphops as mo
+
+    f = ad.lift(f)
+    return ad.add(mo.max_pool(mo.relu(ad.mul(f, beta_neg)), pool),
+                  mo.min_pool(ad.minimum(ad.mul(f, beta_pos), 0.0), pool))
+
+
 def oracle_pl(x, beta, alpha):
     """Elementwise min_j max_i beta[j,i] * x + alpha[j,i]; beta is [m, n]."""
     m, n = beta.shape

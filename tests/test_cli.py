@@ -76,6 +76,18 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
                                        "step 1\n")
 
 
+def test_train_and_table1_reject_empty_layers(data_dir, tmp_path, capsys):
+    # a zero filter count is a usage error, not an overflow traceback, and
+    # is caught before anything is written
+    table1 = ["table1", "--data-dir", str(data_dir), "--seeds", "0",
+              "--variants", "relu-maxpool", "--epochs", "1", "--quiet"]
+    for argv in (_train_args(data_dir, tmp_path / "t"),
+                 table1 + ["--out", str(tmp_path / "t")]):
+        assert main(argv + ["--filters", "0"]) == 2
+        assert capsys.readouterr().err == "error: filters must be >= 1\n"
+        assert not (tmp_path / "t").exists()
+
+
 def test_unknown_flag_rejected(data_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(_train_args(data_dir, tmp_path / "o", ["--bogus", "1"]))

@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import oracle_sup_conv, oracle_sup_conv_grads
+from _oracles import (chain_act_pool, chain_posneg_pool_param,
+                      chain_selfdual_pool, oracle_sup_conv,
+                      oracle_sup_conv_grads)
 
 from morphnn import autodiff as ad
 from morphnn import morphops as mo
@@ -235,6 +237,120 @@ class TestExactRouting:
         assert np.isfinite(out[:, 3:]).all()
 
 
+def _channel_major(a):
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _tied(rng, shape, cap=None, layout="batch-major"):
+    """Integer-valued input that ties at 0 and at ``cap``, a quarter of it
+    -0.0, in the given memory layout."""
+    top = 3 if cap is None else int(cap) + 1
+    f = rng.integers(-2, top + 1, size=shape).astype(np.float64)
+    f[rng.random(shape) < 0.25] = -0.0
+    return _channel_major(f) if layout == "channel-major" else f
+
+
+def _output_and_grads(op, arrays, g):
+    """``op(*tensors)`` over leaves holding ``arrays``, backpropagated from
+    the output gradient ``g``: [output, gradient of each leaf]."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    ad.make_node(np.zeros(()), [(out, lambda _: g)]).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert (np.ascontiguousarray(a).tobytes()
+                == np.ascontiguousarray(b).tobytes())
+
+
+POOLS = [PoolSpec((2, 2), (2, 2)), PoolSpec((3, 3), (2, 2))]
+
+
+class TestActPool:
+    """The fused rectifier-pool node against the chain it replaced, byte
+    for byte: integer-valued inputs tie at 0 and at the cap, so the tie
+    rules decide many cells, and -0.0 checks the sign of every zero."""
+
+    @pytest.mark.parametrize("layout", ["batch-major", "channel-major"])
+    @pytest.mark.parametrize("cap", [None, 6.0, 1.0, 0.0])
+    @pytest.mark.parametrize("pool", POOLS, ids=["2x2s2", "3x3s2"])
+    def test_byte_equal_to_chain(self, pool, cap, layout):
+        rng = ad.make_rng(40)
+        f = _tied(rng, (3, 4, 9, 9), cap, layout)
+        g = rng.integers(-3, 4, size=(3, 4, 4, 4)).astype(np.float64)
+        got = _output_and_grads(lambda t: mo.act_pool(t, pool, cap=cap),
+                                [f], g)
+        want = _output_and_grads(lambda t: chain_act_pool(t, pool, cap=cap),
+                                 [f], g)
+        _assert_same_bytes(got, want)
+        # the output is channel-major, the input gradient batch-major
+        assert got[0].swapaxes(0, 1).flags.c_contiguous
+        assert got[1].flags.c_contiguous
+
+    def test_pooling_then_rectifying_naively_misroutes_ties(self):
+        # relu(max_pool(f)) has the same values, but a cell whose max is 0
+        # routes to its first zero, not to its first offset
+        rng = ad.make_rng(40)
+        pool = POOLS[0]
+        f = _tied(rng, (3, 4, 9, 9))
+        g = rng.integers(-3, 4, size=(3, 4, 4, 4)).astype(np.float64)
+        naive = _output_and_grads(lambda t: mo.relu(mo.max_pool(t, pool)),
+                                  [f], g)
+        want = _output_and_grads(lambda t: chain_act_pool(t, pool), [f], g)
+        npt.assert_array_equal(naive[0], want[0])
+        assert not np.array_equal(naive[1], want[1])
+
+    @pytest.mark.parametrize("shape,pool", [
+        ((10,), PoolSpec((3,), (2,))), ((4, 9, 9), PoolSpec((3, 3), (2, 2)))])
+    def test_trainable_threshold_byte_equal_to_chain(self, shape, pool):
+        rng = ad.make_rng(41)
+        f = _tied(rng, shape, 6.0)
+        out_shape = shape[:-pool.rank] + pool.out_extent(shape[-pool.rank:])
+        g = rng.integers(-3, 4, size=out_shape).astype(np.float64)
+        alpha = np.asarray(-1.0)
+        got = _output_and_grads(
+            lambda t, a: mo.act_pool(t, pool, a, cap=6.0), [f, alpha], g)
+        want = _output_and_grads(
+            lambda t, a: chain_act_pool(t, pool, a, cap=6.0), [f, alpha], g)
+        _assert_same_bytes(got, want)
+
+    def test_constant_zero_threshold_adds_no_node(self):
+        t = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
+        out = mo.act_pool(t, POOLS[0])
+        assert [p for p, _ in out._parents] == [t]
+
+    def test_no_grad_values(self):
+        rng = ad.make_rng(42)
+        f = _tied(rng, (3, 4, 9, 9), 6.0, "channel-major")
+        with ad.no_grad():
+            got = mo.act_pool(Tensor(f), POOLS[1], cap=6.0)
+            want = chain_act_pool(Tensor(f), POOLS[1], cap=6.0)
+        assert not got._parents
+        _assert_same_bytes([got.data], [want.data])
+
+    @pytest.mark.parametrize("layout", ["batch-major", "channel-major"])
+    def test_selfdual_and_posneg_byte_equal_to_chains(self, layout):
+        rng = ad.make_rng(43)
+        pool = POOLS[0]
+        f = _tied(rng, (3, 4, 8, 8), layout=layout)
+        g = rng.integers(-3, 4, size=(3, 4, 4, 4)).astype(np.float64)
+        got = _output_and_grads(lambda t: mo.selfdual_pool(t, pool), [f], g)
+        want = _output_and_grads(lambda t: chain_selfdual_pool(t, pool),
+                                 [f], g)
+        _assert_same_bytes(got, want)
+        slopes = [f, np.asarray(0.75), np.asarray(1.25)]
+        got = _output_and_grads(
+            lambda t, bp, bn: mo.posneg_pool_param(t, pool, bp, bn), slopes,
+            g)
+        want = _output_and_grads(
+            lambda t, bp, bn: chain_posneg_pool_param(t, pool, bp, bn),
+            slopes, g)
+        _assert_same_bytes(got, want)
+
+
 class TestTwoSlope:
     def test_relu_and_leaky_configs(self):
         rng = ad.make_rng(29)
@@ -259,13 +375,6 @@ class TestTwoSlope:
 
 
 class TestSelfDualAndParametric:
-    def test_pos_neg_split(self):
-        rng = ad.make_rng(30)
-        f = rng.normal(size=(4, 4))
-        pos, neg = mo.pos_neg_split(Tensor(f))
-        assert (pos.data >= 0).all() and (neg.data >= 0).all()
-        npt.assert_array_equal(pos.data - neg.data, f)
-
     def test_selfdual_two_forms_bit_exact(self):
         rng = ad.make_rng(31)
         pool = PoolSpec((2, 2), (2, 2))

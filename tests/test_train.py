@@ -1,6 +1,7 @@
 """Training harness: ops vs oracles, model wiring, optimization, protocols."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -62,6 +63,39 @@ class TestConv2d:
                     == np.ascontiguousarray(want).tobytes())
         assert got[0].transpose(1, 0, 2, 3).flags.c_contiguous
         assert got[1].transpose(1, 0, 2, 3).flags.c_contiguous
+
+    def test_x_gradient_in_batch_slices(self, monkeypatch):
+        # a budget of two images' columns: slices of 2, 2 and 1 image
+        rng = make_rng(73)
+        x = rng.normal(size=(5, 4, 7, 6))
+        w = rng.normal(size=(5, 4, 3, 3))
+        b = rng.normal(size=5)
+        g = rng.normal(size=(5, 5, 5, 4))
+        monkeypatch.setattr(tr, "_BACK_X_BYTES", 2 * 8 * (4 * 3 * 3) * 5 * 4)
+        for layout in (g, np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+                       .transpose(1, 0, 2, 3)):
+            xt = Tensor(x, requires_grad=True)
+            out = tr.conv2d(xt, Tensor(w), Tensor(b))
+            dx = out._parents[0][1](layout)
+            want = oracle_conv2d_gemm(x, w, b, g)[1]
+            assert dx.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_x_gradient_memory_is_dx_and_one_slice(self, monkeypatch):
+        # the whole im2col-shaped gradient would be 7.4 MB, 7 budgets
+        monkeypatch.setattr(tr, "_BACK_X_BYTES", 1 << 20)
+        rng = make_rng(74)
+        x = rng.normal(size=(64, 16, 12, 12))
+        g = np.ascontiguousarray(rng.normal(size=(16, 64, 10, 10)))
+        xt = Tensor(x, requires_grad=True)
+        out = tr.conv2d(xt, Tensor(rng.normal(size=(16, 16, 3, 3))), None)
+        back_x = out._parents[0][1]
+        tracemalloc.start()
+        try:
+            dx = back_x(g.transpose(1, 0, 2, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dx.nbytes + 2 * tr._BACK_X_BYTES
 
     def test_gradients(self):
         rng = make_rng(71)
@@ -174,6 +208,21 @@ class TestModel:
         for variant in ("morpho1", "morpho2"):
             model = build_model(small_spec(variant), make_rng(0))
             assert model.conv1.b is None and model.conv2.b is None
+
+    def test_spec_rejects_empty_layers(self):
+        for name in ("filters", "kernel_size"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+                ModelSpec(**{name: 0})
+
+    @pytest.mark.parametrize("variant", ["relu-maxpool", "relu6-maxpool"])
+    def test_rectifier_stage_is_one_node(self, variant):
+        # conv, stage, conv, stage, reshape, dropout, matmul, bias,
+        # cross-entropy and the six parameters
+        model = build_model(small_spec(variant), make_rng(0))
+        x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
+        loss = tr.cross_entropy(model.forward(x, train=True, rng=make_rng(2)),
+                                np.zeros(4, dtype=np.int64))
+        assert len(ad._toposort(loss)) == 15
 
     def test_default_feature_dim(self):
         model = build_model(ModelSpec(), make_rng(0))

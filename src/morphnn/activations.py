@@ -472,9 +472,6 @@ class MorphoLayerParams:
                 named[f"w{j}"] = sf.weights
         return named
 
-    def tensors(self) -> list[Tensor]:
-        return list(self.named_tensors().values())
-
     @classmethod
     def init(cls, variant: int, m_terms: int, n_terms: int, pool: PoolSpec,
              channels: int | None = None) -> "MorphoLayerParams":

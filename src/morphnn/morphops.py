@@ -21,9 +21,12 @@ The rectifier stages of the baseline nets are built from ``act_pool``:
 ReLU (or ReLU6) and max-pooling are both dilations, and the clamp commutes
 with the window's max, so it pools first and clamps the pooled values in
 one node, in the channel-first frame a conv2d output is contiguous in.
-``selfdual_pool`` and the max half of ``posneg_pool_param`` are
-``act_pool`` of f and of -f (of beta_neg * f).  ``relu`` and ``max_pool``
-stay as separate ops.
+Min-pooling is the negation dual of max-pooling, so ``selfdual_pool`` and
+``posneg_pool_param`` are each a difference of two ``act_pool``s.  No
+stage calls ``relu``, ``max_pool`` or ``min_pool``; they keep their own
+routing because the chain references in ``tests/_oracles.py`` are built
+from them, and routing them through ``act_pool`` would make it the
+reference for its own tests.
 """
 
 from __future__ import annotations
@@ -80,10 +83,6 @@ class StructuringFunction:
         """Reflection through the origin; the weights tensor is shared."""
         return StructuringFunction(tuple(tuple(-c for c in o) for o in self.offsets),
                                    weights=self.weights)
-
-    @classmethod
-    def flat(cls, offsets, learnable: bool = False) -> "StructuringFunction":
-        return cls(offsets, learnable=learnable)
 
     @classmethod
     def pool_window(cls, extent, learnable: bool = False) -> "StructuringFunction":
@@ -318,8 +317,9 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
                 return []
             xb, gl = xf[block], times(x_factor)
             if x_index is not None:
+                # float64 even with no live cell, where bincount is int64
                 gl = np.bincount(arrays[x_index[0]], weights=gl,
-                                 minlength=xb.size)
+                                 minlength=xb.size).astype(float, copy=False)
                 if "closed" in arrays:
                     gl[arrays["closed"]] *= 0.0
             return [gl.reshape(xb.shape)]
@@ -430,12 +430,13 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     * any other cell takes the first offset attaining the max of f.
 
     A closed source's gradient is its summed gradient times 0, as in the
-    chain.  The node runs in the channel-first frame (axis 1 of an input
-    with batch and channel axes), where a conv2d output and its gradient,
-    channel-major in memory, are C-contiguous.  The input's gradient is
-    C-contiguous in the input's own axis order, as the chain's is, so the
-    sums taken over it downstream (a conv bias gradient, a slope's) add
-    in the chain's order.
+    chain.  A NaN cell (a window holding NaN) takes no gradient and closes
+    no source.  The node runs in the channel-first frame (axis 1 of an
+    input with batch and channel axes), where a conv2d output and its
+    gradient, channel-major in memory, are C-contiguous.  The input's
+    gradient is C-contiguous in the input's own axis order, as the chain's
+    is, so the sums taken over it downstream (a conv bias gradient, a
+    slope's) add in the chain's order.
     """
     f = lift(f)
     if isinstance(alpha, Tensor) or alpha != 0.0:
@@ -473,8 +474,11 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
         opened = value >= 0.0
         if cap is not None:
             opened &= value <= cap
-        src = _sources(f.data.shape, pool.stride, offsets, idx, axis).ravel()
-        return slice(None), {"src": src, "closed": src[~opened.ravel()]}
+        idx[np.isnan(out)] = -1
+        live = _live(idx)
+        src = _sources(f.data.shape, pool.stride, offsets, idx,
+                       axis).ravel()[live]
+        return live, {"src": src, "closed": src[~opened.ravel()[live]]}
 
     return routed_node(out, [WHOLE], route, [(f, ("src", 0), None)], axis,
                        x_axis=0)
@@ -483,17 +487,14 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
 # -- two-slope activations and self-dual pooling -----------------------------
 
 
-def _scalar_value(x) -> float:
-    return float(x.data) if isinstance(x, Tensor) else float(x)
-
-
 def prelu2(f, beta_pos, beta_neg) -> Tensor:
     """Two-slope rectifier max(beta_neg * f, beta_pos * f).
 
     Valid as written only when beta_pos >= beta_neg (otherwise the max picks
     the wrong branch); (1, 0) is ReLU, (1, 0.01) the usual leaky variant.
     """
-    if _scalar_value(beta_pos) < _scalar_value(beta_neg):
+    beta_pos, beta_neg = lift(beta_pos), lift(beta_neg)
+    if float(beta_pos.data) < float(beta_neg.data):
         raise ValueError("prelu2 requires beta_pos >= beta_neg")
     f = lift(f)
     return ad.maximum(ad.mul(f, beta_neg), ad.mul(f, beta_pos))
@@ -510,10 +511,11 @@ def posneg_pool_param(f, pool: PoolSpec, beta_pos, beta_neg) -> Tensor:
     """Parametric split pooling:
     max_pool(max(0, beta_neg * f)) + min_pool(min(0, beta_pos * f)).
 
-    The slope pairing follows the printed formula; with
-    beta_pos = beta_neg = 1 it reduces exactly to selfdual_pool.
+    Built as act_pool(beta_neg * f) - act_pool(-beta_pos * f), negating
+    the scalar slope rather than the product.  The slope pairing follows
+    the printed formula; with beta_pos = beta_neg = 1 it reduces exactly to
+    selfdual_pool.
     """
     f = lift(f)
-    pos_branch = act_pool(ad.mul(f, beta_neg), pool)
-    neg_branch = min_pool(ad.minimum(ad.mul(f, beta_pos), 0.0), pool)
-    return ad.add(pos_branch, neg_branch)
+    return ad.sub(act_pool(ad.mul(f, beta_neg), pool),
+                  act_pool(ad.mul(f, ad.neg(beta_pos)), pool))

@@ -433,9 +433,6 @@ class Metrics:
     n_parameters: int = 0
     wall_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(model: Model, ds: Dataset, batch_size: int = 512) -> float:
     """Top-1 accuracy under no_grad."""

@@ -46,8 +46,8 @@ def _skip(num: int, reason: str) -> None:
 
 def test_criterion_01_lattice_laws():
     rng = make_rng(101)
-    se1 = StructuringFunction.flat([(-1,), (0,), (1,)])
-    se2 = StructuringFunction.flat([(0, 0), (0, 1), (1, 0), (-1, -1)])
+    se1 = StructuringFunction([(-1,), (0,), (1,)])
+    se2 = StructuringFunction([(0, 0), (0, 1), (1, 0), (-1, -1)])
     pool1 = PoolSpec((2,), (2,))
     pool2 = PoolSpec((2, 2), (2, 2))
     started = time.perf_counter()

@@ -291,7 +291,7 @@ class TestMorphoLayers:
         pool = PoolSpec((2, 2), (2, 2))
         lp1 = MorphoLayerParams.init(1, 3, 2, pool)
         assert len(lp1.structuring) == 3
-        assert len(lp1.tensors()) == 2 + 3
+        assert len(lp1.named_tensors()) == 2 + 3
         lp2 = MorphoLayerParams.init(2, 3, 2, pool)
         assert len(lp2.structuring) == 2
         for sf in lp2.structuring:

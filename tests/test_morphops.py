@@ -137,6 +137,13 @@ class TestDilateErode:
         ad.mul(ad.maximum(out, -1e9), 1.0).sum().backward()
         npt.assert_array_equal(f.grad, np.array([1.0, 0.0, 0.0]))
 
+    def test_no_live_cell_gradient_is_float64(self):
+        # no window reaches the input, so no cell routes anything back
+        f = Tensor(np.arange(3.0), requires_grad=True)
+        mo.dilate(f, StructuringFunction([(5,)], weights=[0.5])).sum().backward()
+        assert f.grad.dtype == np.float64
+        npt.assert_array_equal(f.grad, np.zeros(3))
+
 
 class TestPools:
     def test_max_pool_matches_oracle(self):
@@ -316,6 +323,25 @@ class TestActPool:
         want = _output_and_grads(
             lambda t, a: chain_act_pool(t, pool, a, cap=6.0), [f, alpha], g)
         _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("f,pool,cap,out,grad", [
+        # the window [3, nan] takes nothing, nor closes 3, the winner of
+        # [1, 3]
+        ([[[[1.0, 3.0, np.nan]]]], PoolSpec((1, 2), (1, 1)), None,
+         [3.0, np.nan], [0.0, 1.0, 0.0]),
+        ([[[[1.0, 3.0, np.nan]]]], PoolSpec((1, 2), (1, 1)), 6.0,
+         [3.0, np.nan], [0.0, 1.0, 0.0]),
+        # no live cell at all
+        ([[1.0, np.nan], [0.0, -1.0]], POOLS[0], None, [np.nan],
+         [0.0] * 4)])
+    def test_nan_cell_takes_no_gradient(self, f, pool, cap, out, grad):
+        f = np.array(f)
+        g = np.ones(f.shape[:-2] + pool.out_extent(f.shape[-2:]))
+        got = _output_and_grads(lambda t: mo.act_pool(t, pool, cap=cap), [f],
+                                g)
+        npt.assert_array_equal(got[0].ravel(), out)
+        assert got[1].dtype == np.float64
+        npt.assert_array_equal(got[1].ravel(), grad)
 
     def test_constant_zero_threshold_adds_no_node(self):
         t = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)

@@ -1,6 +1,7 @@
 """The scripts under ``scripts`` run to completion against the package in
 ``src``, so the checks they serve cannot rot unnoticed."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -24,3 +25,46 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     hashes = json.loads(lines[0])["params"]
     assert list(hashes) == list(VARIANTS)
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in hashes.values())
+
+
+def test_line_count_counts_every_src_file(tmp_path):
+    done = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "line_count.py")],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert "config" in report
+    files = report["files"]
+    assert sorted(files) == sorted(p.relative_to(ROOT).as_posix()
+                                   for p in (ROOT / "src").rglob("*.py"))
+    for name, counts in files.items():
+        physical = len((ROOT / name).read_text().splitlines())
+        assert counts["lines"] == physical
+        assert 0 < counts["code"] < physical
+    assert report["total"] == {key: sum(c[key] for c in files.values())
+                               for key in ("lines", "code")}
+
+
+def test_code_lines_skip_comments_docstrings_and_blanks():
+    spec = importlib.util.spec_from_file_location(
+        "line_count", ROOT / "scripts" / "line_count.py")
+    line_count = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(line_count)
+    source = '''"""Module
+docstring."""
+
+# a comment
+def f(x):  # counted: code before the comment
+    """Docstring."""
+    s = """a string
+    that is data"""
+    return s
+
+class C:
+    """Class docstring."""
+'''
+    # def, the two lines of s, return, class
+    assert line_count.code_lines(source) == 5

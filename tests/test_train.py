@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -214,15 +215,19 @@ class TestModel:
             with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
                 ModelSpec(**{name: 0})
 
-    @pytest.mark.parametrize("variant", ["relu-maxpool", "relu6-maxpool"])
-    def test_rectifier_stage_is_one_node(self, variant):
+    @pytest.mark.parametrize("variant,nodes", [
+        ("relu-maxpool", 15), ("relu6-maxpool", 15), ("selfdual", 21),
+        ("posneg", 29)])
+    def test_rectifier_stage_is_one_node(self, variant, nodes):
         # conv, stage, conv, stage, reshape, dropout, matmul, bias,
-        # cross-entropy and the six parameters
+        # cross-entropy and the six parameters; a selfdual stage adds -x,
+        # a second act_pool and a sub (3 nodes), a posneg stage a second
+        # act_pool, a sub, two products, -beta_pos and both slopes (7)
         model = build_model(small_spec(variant), make_rng(0))
         x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
         loss = tr.cross_entropy(model.forward(x, train=True, rng=make_rng(2)),
                                 np.zeros(4, dtype=np.int64))
-        assert len(ad._toposort(loss)) == 15
+        assert len(ad._toposort(loss)) == nodes
 
     def test_default_feature_dim(self):
         model = build_model(ModelSpec(), make_rng(0))
@@ -261,7 +266,7 @@ class TestModel:
 class TestTrainLoop:
     @staticmethod
     def _strip_timing(metrics):
-        d = metrics.to_dict()
+        d = asdict(metrics)
         d.pop("wall_seconds")
         for row in d["epochs"]:
             for key in ("seconds", "step_seconds", "examples_per_second",

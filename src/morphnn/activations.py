@@ -11,6 +11,9 @@ across rows; variant 2 pools first, one weighted dilation-pool per outer
 index, then applies the affine max-min on the pooled values.  Both reduce
 to ReLU6 + max-pooling under the clamp initialization, and both expose
 every parameter (slopes, intercepts, structuring weights) to reverse mode.
+The bare activation ``pl_activation`` is variant 1 on a unit window (one
+frozen zero-weight offset at stride 1), so one code path computes the
+values, the winner record and the backward of all three.
 
 Parameter layout: ``beta[..., j, i]`` where ``j`` indexes the outer min and
 ``i`` the inner max.  A leading channel axis is allowed; it must line up
@@ -34,17 +37,16 @@ subgradient winner, and under grad (only then) the forward pass records it
 compactly: the outer branch (which is also the structuring function), the
 window offset and the inner index, each in the smallest signed integer
 dtype that holds its count.  The backward pass is one
-``morphops.routed_node``, as for ``pl_activation`` and the pools, run on
-the forward pass's blocks: per block it turns the record into the block's
-source and parameter indices, scatters the x gradient into the block's
-slice of a frame-contiguous buffer with a block-local ``np.bincount``, and
-adds the parameter gradients into running sums in cell order with
-``np.add.at``, the same sums to the bit as one ``bincount`` over every
-cell.  So beside the gradients only a few blocks' temporaries live.  Tie
-rules, as for ``pl_activation`` and the pools: the inner max keeps the
-lowest index, the window keeps its first offset in row-major order, and
-the outer min keeps the lowest branch.  A cell whose window lies wholly
-outside the input holds -inf and takes no gradient.
+``morphops.routed_node``, as for the pools, run on the forward pass's
+blocks: per block it turns the record into the block's source and
+parameter indices, scatters the x gradient into the block's slice of a
+frame-contiguous buffer with a block-local ``np.bincount``, and adds the
+parameter gradients into running sums in cell order with ``np.add.at``,
+the same sums to the bit as one ``bincount`` over every cell.  So beside the gradients only a few blocks' temporaries live.  Tie
+rules, as for the pools: the inner max keeps the lowest index, the window
+keeps its first offset in row-major order, and the outer min keeps the
+lowest branch.  A cell whose window lies wholly outside the input holds
+-inf and takes no gradient, nor does a NaN cell.
 """
 
 from __future__ import annotations
@@ -131,22 +133,6 @@ class MorphoActivationParams:
                    Tensor(a, requires_grad=True))
 
 
-def _bshape(x: Array, params: MorphoActivationParams,
-            channel_axis: int | None) -> tuple[int, ...]:
-    """Broadcast shape placing per-channel parameters on ``channel_axis``
-    of x (all ones for shared [m, n] parameters)."""
-    shape = [1] * x.ndim
-    if params.beta.data.ndim == 3:
-        if channel_axis is None:
-            raise ValueError(
-                "channel_axis required for per-channel parameters")
-        channel_axis %= x.ndim
-        if x.shape[channel_axis] != params.beta.data.shape[0]:
-            raise ValueError("channel extent mismatch")
-        shape[channel_axis] = params.beta.data.shape[0]
-    return tuple(shape)
-
-
 def _pieces(mat: Array, bsh) -> list[list[Array]]:
     """``mat[..., j, i]`` reshaped to ``bsh``, as a nested [j][i] list."""
     return [[mat[..., j, i].reshape(bsh) for i in range(mat.shape[-1])]
@@ -195,47 +181,29 @@ def _outer_min(branches, dtypes=None) -> tuple[Array, list[Array] | None]:
     return out, record
 
 
-def _cells(rows: Array, cols: Array, params: MorphoActivationParams,
-           channel: Array) -> Array:
-    """Flat (channel, j, i) parameter index of each element's winner, where
-    ``channel`` broadcasts each element's channel (shared [m, n] parameters
-    ignore it)."""
-    m, n = params.m_terms, params.n_terms
-    cell = rows.astype(np.int64) * n + cols
-    if params.beta.data.ndim == 3:
-        cell += channel * (m * n)
-    return cell
-
-
 def pl_activation(x, params: MorphoActivationParams,
                   channel_axis: int | None = None) -> Tensor:
     """Elementwise min over j of max over i of beta[j,i] * x + alpha[j,i].
 
     With 3-d parameters [c, m, n] each channel along ``channel_axis`` of x
     uses its own matrix.  Ties route to the lowest (j, i) in row-major
-    order.  Fused: under grad, forward keeps only the winning (j, i) per
-    element, in the smallest integer dtypes that hold m and n.
+    order.  This is layer form 1 on a unit window: x gains a trailing axis
+    of extent 1, pooled by one frozen zero-weight offset at stride 1, so
+    the values, the winner record and the backward are the layer form's.
+    The values equal the direct evaluation's to the bit.  Two gradient
+    details follow from the layer form: a zero x gradient is +0.0 (it is
+    a ``bincount``), and per-channel beta/alpha gradients with
+    ``channel_axis % x.ndim >= 2`` sum in the frame's cell order.  A NaN
+    output cell takes no gradient.
     """
     x = ad.lift(x)
-    beta, alpha = params.beta, params.alpha
-    bsh = _bshape(x.data, params, channel_axis)
-    b, a = _pieces(beta.data, bsh), _pieces(alpha.data, bsh)
-    track = ad.is_grad_enabled()
-    i_dtype = mo._index_dtype(params.n_terms) if track else None
-    out, record = _outer_min(
-        (_affine_max(x.data, b[j], a[j], i_dtype)
-         for j in range(params.m_terms)),
-        (mo._index_dtype(params.m_terms), i_dtype) if track else None)
-
-    def route(block):  # runs only under grad, where the record exists
-        channel = np.arange(np.prod(bsh)).reshape(bsh)
-        cell = _cells(*record, params, channel).ravel()
-        return slice(None), {"cell": cell, "input": x.data.ravel(),
-                             "slope": beta.data.reshape(-1)[cell]}
-
-    return mo.routed_node(out, [mo.WHOLE], route,
-                          [(x, None, "slope"), (beta, ("cell", 0), "input"),
-                           (alpha, ("cell", 0), None)])
+    if channel_axis is not None:
+        channel_axis %= x.ndim
+    unit = StructuringFunction([(0,)])
+    out = morpho_act1_forward(ad.reshape(x, x.shape + (1,)), params,
+                              [unit] * params.m_terms, PoolSpec((1,), (1,)),
+                              channel_axis)
+    return ad.reshape(out, x.shape)
 
 
 # -- the two layer forms ---------------------------------------------------
@@ -250,8 +218,11 @@ def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
     beta, alpha = params.beta.data, params.alpha.data
     if beta.ndim == 2:
         return 0, beta[None], alpha[None]
-    _bshape(x, params, channel_axis)  # checks the axis and its extent
+    if channel_axis is None:
+        raise ValueError("channel_axis required for per-channel parameters")
     axis = channel_axis % x.ndim
+    if x.shape[axis] != len(beta):
+        raise ValueError("channel extent mismatch")
     if axis >= x.ndim - pool.rank:
         raise ValueError("channel_axis must not be a pooled axis")
     return axis, beta, alpha
@@ -277,12 +248,15 @@ def _layer_node(out: Array, x: Tensor, axis: int,
     runs on the forward pass's blocks (``_blocks``): per block it builds
     the sources, cells and bank positions of the block's cells from the
     record, so no array spans every cell but the gradients themselves.
+    A NaN output cell takes no gradient: its offset becomes -1.
     """
     xf = x.data.swapaxes(0, axis)
     starts, offsets = _bank(structuring)
     beta = params.beta.data.reshape(-1)
+    m, n = params.m_terms, params.n_terms
     channels = np.arange(len(xf)).reshape((-1,) + (1,) * (xf.ndim - 1))
     weights = np.concatenate([sf.weights.data for sf in structuring])
+    offs[np.isnan(out)] = -1
 
     def route(block):
         rb, cb, ob = rows[block], cols[block], offs[block]
@@ -291,7 +265,11 @@ def _layer_node(out: Array, x: Tensor, axis: int,
         xb = xf[block]
         src = mo._sources(xb.shape, pool.stride, offsets, bank).ravel()[live]
         bank = bank.ravel()[live]
-        cell = _cells(rb, cb, params, channels[block[0]]).ravel()[live]
+        # flat (channel, j, i) parameter index; shared ones have no channel
+        cell = rb.astype(np.int64) * n + cb
+        if params.beta.data.ndim == 3:
+            cell += channels[block[0]] * (m * n)
+        cell = cell.ravel()[live]
         # d out / d beta is the winning piece's input: x at the source, or
         # for variant 2 the pooled value x + w there
         piece_input = xb.ravel()[src]

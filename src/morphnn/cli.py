@@ -70,17 +70,24 @@ def _load_split(args, split: str) -> tuple[Dataset, dict]:
     return ds, {"images": img, "labels": lbl, "examples": len(ds)}
 
 
-def _model_spec(args) -> ModelSpec:
-    return ModelSpec(variant=args.variant, n_terms=args.n_terms,
-                     m_terms=args.m_terms, filters=args.filters,
-                     pool_extent=args.pool_size, pool_stride=args.stride,
-                     dropout=args.dropout)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                       max_epochs=args.epochs, patience=args.patience,
-                       seed=args.seed, trainable_scope=args.trainable_scope)
+def _prepare_run(args, variants) -> tuple:
+    """Resolve a training command's model spec per variant, its config and
+    both data splits, then create ``--out``: a usage or input error leaves
+    nothing on disk."""
+    specs = {v: ModelSpec(variant=v, n_terms=args.n_terms,
+                          m_terms=args.m_terms, filters=args.filters,
+                          pool_extent=args.pool_size, pool_stride=args.stride,
+                          dropout=args.dropout) for v in variants}
+    cfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
+                      max_epochs=args.epochs, patience=args.patience,
+                      seed=args.seed, trainable_scope=args.trainable_scope)
+    train_ds, train_info = _load_split(args, "train")
+    test_ds, test_info = _load_split(args, "test")
+    data = {"train": train_info, "test": test_info,
+            "subset_seed": args.subset_seed}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return specs, cfg, train_ds, test_ds, data, out
 
 
 def _emit(doc: dict, out_dir: Path, name: str) -> None:
@@ -96,16 +103,11 @@ def _emit(doc: dict, out_dir: Path, name: str) -> None:
 
 
 def cmd_train(args) -> int:
-    spec = _model_spec(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, train_info = _load_split(args, "train")
-    test_ds, test_info = _load_split(args, "test")
-    cfg = _train_config(args)
+    specs, cfg, train_ds, test_ds, data, out = _prepare_run(args,
+                                                            [args.variant])
+    spec = specs[args.variant]
     config = {"command": "train", "spec": asdict(spec), "train": asdict(cfg),
-              "data": {"train": train_info, "test": test_info,
-                       "subset_seed": args.subset_seed},
-              "out": str(out)}
+              "data": data, "out": str(out)}
     model = build_model(spec, make_rng(args.seed))
     metrics_path = args.metrics or str(out / "metrics.jsonl")
     verbose = None if args.quiet else (lambda s: print(s, file=sys.stderr))
@@ -237,6 +239,8 @@ def cmd_basis(args) -> int:
 def cmd_export_activation(args) -> int:
     if args.init == (args.model is not None):
         raise ValueError("choose exactly one of --model PATH or --init")
+    if not np.isfinite([args.lo, args.hi, args.step]).all():
+        raise ValueError("--lo, --hi and --step must be finite")
     if not args.step > 0:
         raise ValueError(f"--step must be positive, got {args.step}")
     if not args.hi >= args.lo:
@@ -289,22 +293,10 @@ def cmd_export_activation(args) -> int:
 def cmd_table1(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    specs = {}
-    for v in variants:
-        spec_args = argparse.Namespace(**vars(args))
-        spec_args.variant = v
-        specs[v] = _model_spec(spec_args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, train_info = _load_split(args, "train")
-    test_ds, test_info = _load_split(args, "test")
-    cfg = _train_config(args)
+    specs, cfg, train_ds, test_ds, data, out = _prepare_run(args, variants)
     config = {"command": "table1", "variants": variants, "seeds": list(seeds),
               "spec": {v: asdict(s) for v, s in specs.items()},
-              "train": asdict(cfg),
-              "data": {"train": train_info, "test": test_info,
-                       "subset_seed": args.subset_seed},
-              "out": str(out)}
+              "train": asdict(cfg), "data": data, "out": str(out)}
     verbose = None if args.quiet else (lambda s: print(s, file=sys.stderr))
     report = run_table1_protocol(specs, cfg, train_ds, test_ds, seeds=seeds,
                                  baseline=args.baseline, log=verbose)

@@ -202,11 +202,17 @@ def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, h: float = 1e-5,
     """Run the whole suite; returns a JSON-ready report.
 
     ``corrupt_case`` is a testing hook: it perturbs that case's reported
-    analytic error so failure paths stay exercised end to end.
+    analytic error so failure paths stay exercised end to end.  A name
+    that is not a case raises ``ValueError``.
     """
+    cases = build_cases(sizes)
+    names = [case["name"] for case in cases]
+    if corrupt_case is not None and corrupt_case not in names:
+        raise ValueError(f"unknown case {corrupt_case!r}; known cases: "
+                         f"{', '.join(names)}")
     rng = make_rng(seed)
     rows = []
-    for case in build_cases(sizes):
+    for case in cases:
         row = _check_case(case["build"], case["draw"], rng, h, kink_tol)
         row["name"] = case["name"]
         if corrupt_case is not None and case["name"] == corrupt_case:

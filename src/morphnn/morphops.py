@@ -14,6 +14,8 @@ Conventions shared by every op here:
   to the lattice bottom -inf and carries zero gradient;
 * on ties the subgradient routes to the lowest offset index, which for pool
   windows is the first position in row-major window order;
+* a NaN output cell (a window holding NaN) takes no gradient, wherever
+  the NaN sits in its window;
 * each output cell copies one winner, so every backward here is one
   ``routed_node``, which sends the cell's gradient to that winner alone.
 
@@ -353,6 +355,7 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
                         out_extent, ad.is_grad_enabled())
 
     def route(block):
+        idx[np.isnan(out)] = -1
         live = _live(idx)
         src = _sources(f.data.shape, stride, offsets, idx).ravel()[live]
         return live, {"src": src, "offset": idx.ravel()[live]}

@@ -249,9 +249,11 @@ class ModelSpec:
                              f"choose from {VARIANTS}")
         if self.n_terms < 1 or self.m_terms < 1:
             raise ValueError("n_terms and m_terms must be >= 1")
-        for name in ("filters", "kernel_size"):
+        for name in ("filters", "kernel_size", "pool_extent", "pool_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 class Model:
@@ -421,6 +423,10 @@ class TrainConfig:
     trainable_scope: str = "all"
     shuffle: bool = True
     eval_batch_size: int = 512
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

@@ -87,6 +87,36 @@ def oracle_pl(x, beta, alpha):
     return out
 
 
+def oracle_pl_grads(x, beta, alpha, g, channel_axis=None):
+    """Gradients of ``sum(g * pl_activation(x))``: (dx, dbeta, dalpha).
+
+    ``beta`` and ``alpha`` are [m, n], or [c, m, n] with the channel read
+    from ``channel_axis`` of x.  Each element picks its winner by the
+    lowest-(j, i) rule (the first maximising i in each row, then the first
+    minimising row j) and adds g * beta to dx, g * x to dbeta and g to
+    dalpha there.
+    """
+    dx = np.zeros(x.shape)
+    dbeta, dalpha = np.zeros(beta.shape), np.zeros(beta.shape)
+    m, n = beta.shape[-2:]
+    for pos in np.ndindex(x.shape):
+        c = () if beta.ndim == 2 else (pos[channel_axis],)
+        best = None  # (value, j, i)
+        for j in range(m):
+            row = None  # (value, i)
+            for i in range(n):
+                v = beta[c + (j, i)] * x[pos] + alpha[c + (j, i)]
+                if row is None or v > row[0]:
+                    row = (v, i)
+            if best is None or row[0] < best[0]:
+                best = (row[0], j, row[1])
+        cell = c + best[1:]
+        dx[pos] += g[pos] * beta[cell]
+        dbeta[cell] += g[pos] * x[pos]
+        dalpha[cell] += g[pos]
+    return dx, dbeta, dalpha
+
+
 def oracle_morpho1(x, beta, alpha, sf_list, stride, out_extent):
     """min_j dilate_pool(max_i affine, b_j) for a single-channel signal."""
     m = beta.shape[0]

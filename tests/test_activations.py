@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from _oracles import (full_size_layer_node, oracle_layer_grads,
-                      oracle_morpho1, oracle_morpho2, oracle_pl)
+                      oracle_morpho1, oracle_morpho2, oracle_pl,
+                      oracle_pl_grads)
 
 from morphnn import activations as act
 from morphnn import autodiff as ad
@@ -96,6 +97,37 @@ class TestPlActivation:
         want = np.zeros((130, 200))
         want[129, 199] = 3.0
         npt.assert_array_equal(params.alpha.grad, want)
+
+    @pytest.mark.parametrize("channel_axis", [None, 0, 1, -1])
+    def test_matches_loop_oracle_with_ties(self, channel_axis):
+        # small integers tie pieces everywhere and make every sum exact in
+        # any order, so values and gradients must match to the bit
+        rng = ad.make_rng(44)
+        for shape in [(3, 4, 5), (2, 6), (4, 1, 3, 2)]:
+            m, n = (int(k) for k in rng.integers(1, 5, size=2))
+            pshape = (m, n) if channel_axis is None else (
+                shape[channel_axis], m, n)
+            x, g = (rng.integers(-3, 4, size=shape).astype(float)
+                    for _ in range(2))
+            beta, alpha = (rng.integers(-2, 3, size=pshape).astype(float)
+                           for _ in range(2))
+            xt = Tensor(x, requires_grad=True)
+            params = MorphoActivationParams(Tensor(beta, requires_grad=True),
+                                            Tensor(alpha, requires_grad=True))
+            out = act.pl_activation(xt, params, channel_axis)
+            ad.mul(out, Tensor(g)).sum().backward()
+            if channel_axis is None:
+                npt.assert_array_equal(out.data, oracle_pl(x, beta, alpha))
+            else:
+                for ch in range(pshape[0]):
+                    npt.assert_array_equal(
+                        out.data.take(ch, channel_axis),
+                        oracle_pl(x.take(ch, channel_axis), beta[ch],
+                                  alpha[ch]))
+            want = oracle_pl_grads(x, beta, alpha, g, channel_axis)
+            for got, ref in zip([xt.grad, params.beta.grad,
+                                 params.alpha.grad], want):
+                npt.assert_array_equal(got, ref)
 
     def test_gradients_vs_fd(self):
         # clamp parameters, samples held away from the kinks at 0 and 6
@@ -488,6 +520,38 @@ class TestBlockwiseBackward:
         assert (id(xt) in grads) != frozen
         # the full-size route arrays alone took 1.4 x.nbytes
         assert peak <= (0 if frozen else x.nbytes) + 4 * act._BLOCK_BYTES
+
+
+_NAN_POOL = PoolSpec((1, 2), (1, 1))
+
+
+def _nan_layer(fwd, variant):
+    p = MorphoLayerParams.init(variant, 2, 2, _NAN_POOL, channels=1)
+    return lambda t: fwd(t, p.activation, p.structuring, _NAN_POOL,
+                         channel_axis=1)
+
+
+@pytest.mark.parametrize("forward,grad", [
+    (lambda t: mo.max_pool(t, _NAN_POOL), [0, 0, 0]),
+    (lambda t: mo.act_pool(t, _NAN_POOL), [0, 0, 0]),
+    # out(p) = max(x[p], x[p + 1]): only the last cell is not NaN
+    (lambda t: mo.dilate(t, StructuringFunction([(0, 0), (0, -1)])),
+     [0, 0, 1]),
+    (_nan_layer(act.morpho_act1_forward, 1), [0, 0, 0]),
+    (_nan_layer(act.morpho_act2_forward, 2), [0, 0, 0]),
+    (lambda t: act.pl_activation(t, MorphoActivationParams.clamp(2, 2)),
+     [1, 0, 1])],
+    ids=["max_pool", "act_pool", "dilate", "morpho_act1_forward",
+         "morpho_act2_forward", "pl_activation"])
+def test_nan_cell_takes_no_gradient(forward, grad):
+    # one rule for every routed op: a NaN output cell takes no gradient,
+    # wherever the NaN sits in its window
+    x = Tensor(np.array([[[[1.0, np.nan, 3.0]]]]), requires_grad=True)
+    out = forward(x)
+    assert np.isnan(out.data).any()
+    out.sum().backward()
+    assert x.grad.dtype == np.float64
+    npt.assert_array_equal(x.grad.ravel(), grad)
 
 
 class TestActivationCurve:

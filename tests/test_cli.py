@@ -76,15 +76,26 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
                                        "step 1\n")
 
 
-def test_train_and_table1_reject_empty_layers(data_dir, tmp_path, capsys):
-    # a zero filter count is a usage error, not an overflow traceback, and
-    # is caught before anything is written
+@pytest.mark.parametrize("flag,value,message", [
+    ("--filters", "0", "filters must be >= 1"),
+    ("--dropout", "1.5", "dropout must be in [0, 1), got 1.5"),
+    ("--dropout", "-0.1", "dropout must be in [0, 1), got -0.1"),
+    ("--pool-size", "0", "pool_extent must be >= 1"),
+    ("--stride", "0", "pool_stride must be >= 1"),
+    ("--batch-size", "0", "batch_size must be >= 1")],
+    ids=["filters", "dropout-high", "dropout-negative", "pool-size", "stride",
+         "batch-size"])
+def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,
+                                                     capsys, flag, value,
+                                                     message):
+    # a usage error exits 2 with a message, not a traceback or a failed
+    # run, and is caught before anything is written
     table1 = ["table1", "--data-dir", str(data_dir), "--seeds", "0",
               "--variants", "relu-maxpool", "--epochs", "1", "--quiet"]
     for argv in (_train_args(data_dir, tmp_path / "t"),
                  table1 + ["--out", str(tmp_path / "t")]):
-        assert main(argv + ["--filters", "0"]) == 2
-        assert capsys.readouterr().err == "error: filters must be >= 1\n"
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "t").exists()
 
 
@@ -135,9 +146,10 @@ def test_gradcheck_cli_pass_and_fail(tmp_path, capsys):
     assert detail["layer"] == "selfdual_pool"
     assert detail["parameter"] is not None
 
-    # a zero term count or probe step is a usage error, not a crash or a
-    # failed check
-    for bad in (["--sizes", "0"], ["--step", "0"]):
+    # a zero term count, a probe step or an unknown case to corrupt is a
+    # usage error, not a crash, a failed check or a vacuous pass
+    for bad in (["--sizes", "0"], ["--step", "0"],
+                ["--sizes", "1", "--corrupt", "nosuchcase"]):
         out = tmp_path / "g3"
         assert main(["gradcheck", "--out", str(out), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -246,8 +258,10 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     assert "no.npz" in err
 
     # a non-positive step or an empty range would divide by zero or write
-    # an empty curve
-    for bad in (["--step", "0"], ["--step", "-1"], ["--lo", "5", "--hi", "-5"]):
+    # an empty curve, and a non-finite bound or step has no grid
+    for bad in (["--step", "0"], ["--step", "-1"], ["--lo", "5", "--hi", "-5"],
+                ["--hi", "inf"], ["--lo=-inf"], ["--lo", "nan"],
+                ["--step", "inf"]):
         out = tmp_path / "bad"
         assert main(["export-activation", "--init", "--out", str(out),
                      *bad]) == 2

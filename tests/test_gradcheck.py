@@ -37,6 +37,16 @@ def test_corrupt_case_fails_by_name():
         assert row["pass"] is (row["name"] != "selfdual_pool")
 
 
+def test_unknown_corrupt_case_is_rejected():
+    # a mistyped name would corrupt nothing and pass vacuously
+    with pytest.raises(ValueError) as exc:
+        gc.run_gradcheck(seed=0, sizes=(1,), corrupt_case="nosuchcase")
+    message = str(exc.value)
+    assert "'nosuchcase'" in message
+    for case in gc.build_cases((1,)):
+        assert case["name"] in message
+
+
 def test_kink_at_probe_point_is_screened():
     # relu has its kink at exactly 0; the 0.0 coordinate must be skipped,
     # the rest compared

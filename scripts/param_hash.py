@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Train every stage variant briefly and print a hash of its parameters.
+"""Train every stage variant briefly and print a hash of its parameters,
+and of the gradcheck report.
 
     python3 scripts/param_hash.py
 
 Each variant of ``train.STAGES`` is built and trained with seed 0 for two
-epochs on the benchmark's seeded synthetic MNIST-shaped data (no files
-needed).  The output is one JSON line: ``config`` and, per variant, the
-SHA-256 of its trained parameters' shapes and bytes.  Two checkouts that
-print the same line train bit for bit alike on it; run it on both sides of a
-change that must not move a bit.  It runs in seconds; at batch 256
-a stage-1 channel is bigger than the layer forms' block, so both block
-shapes run.
+epochs on the benchmark's seeded synthetic MNIST-shaped data (no files needed).
+The output is one JSON line: ``config``, per variant the SHA-256 of its trained
+parameters' shapes and bytes (``params``), and the SHA-256 of
+``run_gradcheck(seed=0)``'s report as JSON (``gradcheck``).  Two checkouts that
+print the same line train bit for bit alike on it and check every gradient
+alike; run it on both sides of a change that must not move a bit.  It runs in
+seconds; at batch 256 a stage-1 channel is bigger than the layer forms' block,
+so both block shapes run.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ import numpy as np  # noqa: E402
 
 from morphnn import data, train as tr  # noqa: E402
 from morphnn.autodiff import make_rng  # noqa: E402
+from morphnn.gradcheck import run_gradcheck  # noqa: E402
 from workloads import make_split  # noqa: E402
 
 SEED = 0
@@ -61,7 +64,9 @@ def main() -> int:
     config = {"seed": SEED, "epochs": EPOCHS, "filters": FILTERS,
               "n_train": N_TRAIN, "n_test": N_TEST, "batch": BATCH,
               "numpy": np.__version__}
-    print(json.dumps({"config": config, "params": hashes}))
+    report = json.dumps(run_gradcheck(seed=SEED)).encode()
+    print(json.dumps({"config": config, "params": hashes,
+                      "gradcheck": hashlib.sha256(report).hexdigest()}))
     return 0
 
 

@@ -19,34 +19,34 @@ Parameter layout: ``beta[..., j, i]`` where ``j`` indexes the outer min and
 ``i`` the inner max.  A leading channel axis is allowed; it must line up
 with a channel axis of the input (``channel_axis``).
 
-Each layer form is one graph node and works in a channel-first frame:
-``x.swapaxes(0, channel_axis)``, or x itself for shared parameters.  A
-conv2d output is channel-major in memory ([C, B, H, W] seen as
-[B, C, H, W]), so its frame is C-contiguous and no pass reorders it.  The
-forward pass computes the values with in-place ``np.maximum``/
+Both layer forms run one driver, ``_layer``; each is one graph node and works
+in a channel-first frame: ``x.swapaxes(0, channel_axis)``, or x itself for
+shared parameters.  A conv2d output is channel-major in memory ([C, B, H, W]
+seen as [B, C, H, W]), so its frame is C-contiguous and no pass reorders it.
+The forward pass computes the values with in-place ``np.maximum``/
 ``np.minimum`` on blocks of whole channels, or of one channel cut along its
-next axis, small enough to stay in cache; each block takes its channels'
-slopes and intercepts as pieces shaped (channels, 1, ...), which for one
-channel is a scalar over one flat inner loop.  The output, the winner
-record, the backward's indices and the x gradient are C-contiguous in the
-frame, and the output and x gradient are returned as swapped views: a
-conv2d input or output gradient in channel-major layout again.  Summed
-gradients of parameters shared across channels (the structuring weights)
-accumulate channel by channel.  Every output cell has exactly one
-subgradient winner, and under grad (only then) the forward pass records it
-compactly: the outer branch (which is also the structuring function), the
-window offset and the inner index, each in the smallest signed integer
-dtype that holds its count.  The backward pass is one
-``morphops.routed_node``, as for the pools, run on the forward pass's
-blocks: per block it turns the record into the block's source and
-parameter indices, scatters the x gradient into the block's slice of a
-frame-contiguous buffer with a block-local ``np.bincount``, and adds the
-parameter gradients into running sums in cell order with ``np.add.at``,
-the same sums to the bit as one ``bincount`` over every cell.  So beside the gradients only a few blocks' temporaries live.  Tie
-rules, as for the pools: the inner max keeps the lowest index, the window
-keeps its first offset in row-major order, and the outer min keeps the
-lowest branch.  A cell whose window lies wholly outside the input holds
--inf and takes no gradient, nor does a NaN cell.
+next axis, small enough to stay in cache; each block takes its channels' slopes
+and intercepts as pieces shaped (channels, 1, ...), which for one channel is a
+scalar over one flat inner loop.  The output, the winner record, the backward's
+indices and the x gradient are C-contiguous in the frame, and the output and x
+gradient are returned as swapped views: a conv2d input or output gradient in
+channel-major layout again.  Summed gradients of parameters shared across
+channels (the structuring weights) accumulate channel by channel.  Every output
+cell has exactly one subgradient winner, and under grad (only then) the forward
+pass records it compactly: the outer branch (which is also the structuring
+function), the window offset and the inner index, each in the smallest signed
+integer dtype that holds its count; form 1's pool carries the inner index from
+each cell's winning source with the offset.  The backward pass is one
+``morphops.routed_node``, as for the pools, run on the forward pass's blocks:
+per block it turns the record into the block's source and parameter indices,
+scatters the x gradient into the block's slice of a frame-contiguous buffer
+with a block-local ``np.bincount``, and adds the parameter gradients into
+running sums in cell order with ``np.add.at``, the same sums to the bit as one
+``bincount`` over every cell.  So beside the gradients only a few blocks'
+temporaries live.  Tie rules, as for the pools: the inner max keeps the lowest
+index, the window keeps its first offset in row-major order, and the outer min
+keeps the lowest branch.  A cell whose window lies wholly outside the input
+holds -inf and takes no gradient, nor does a NaN cell (``morphops._live``).
 """
 
 from __future__ import annotations
@@ -228,13 +228,6 @@ def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
     return axis, beta, alpha
 
 
-def _bank(structuring: list[StructuringFunction]) -> tuple[Array, list]:
-    """The position of each structuring function's first offset in the
-    bank's offset list, and that list: every offset in bank order."""
-    starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
-    return starts, [y for sf in structuring for y in sf.offsets]
-
-
 def _layer_node(out: Array, x: Tensor, axis: int,
                 params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
@@ -248,19 +241,20 @@ def _layer_node(out: Array, x: Tensor, axis: int,
     runs on the forward pass's blocks (``_blocks``): per block it builds
     the sources, cells and bank positions of the block's cells from the
     record, so no array spans every cell but the gradients themselves.
-    A NaN output cell takes no gradient: its offset becomes -1.
+    A NaN output cell takes no gradient (``morphops._live``).
     """
     xf = x.data.swapaxes(0, axis)
-    starts, offsets = _bank(structuring)
+    # every offset of the bank, and where each member's first one sits
+    offsets = [y for sf in structuring for y in sf.offsets]
+    starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
     beta = params.beta.data.reshape(-1)
     m, n = params.m_terms, params.n_terms
     channels = np.arange(len(xf)).reshape((-1,) + (1,) * (xf.ndim - 1))
     weights = np.concatenate([sf.weights.data for sf in structuring])
-    offs[np.isnan(out)] = -1
 
     def route(block):
         rb, cb, ob = rows[block], cols[block], offs[block]
-        live = mo._live(ob)
+        live = mo._live(ob, out[block])
         bank = starts[cb if pool_first else rb] + ob
         xb = xf[block]
         src = mo._sources(xb.shape, pool.stride, offsets, bank).ravel()[live]
@@ -317,24 +311,58 @@ def _blocks(xf: Array, rank: int) -> list[tuple]:
     return blocks if len(blocks) > 1 else [mo.WHOLE]
 
 
-def _blockwise(xf: Array, beta: Array, alpha: Array, rank: int,
-               forward) -> list[Array]:
-    """Run ``forward(xb, b, a)`` on the blocks (``_blocks``) of the frame
-    ``xf`` and join the arrays it returns, C-contiguous in the frame.
-
-    ``beta`` and ``alpha`` are [k, m, n] along ``xf``'s leading axis (k = 1
-    is shared by every channel).  ``b[j][i]`` and ``a[j][i]`` are the
-    block's pieces ``beta[c, j, i]``, shaped (channels, 1, ...) so that
-    they broadcast over the block: a single-channel block multiplies by a
-    scalar in one flat inner loop.
+def _layer(x, params: MorphoActivationParams,
+           structuring: list[StructuringFunction], pool: PoolSpec,
+           channel_axis: int | None, pool_first: bool) -> Tensor:
+    """Both layer forms, on the frame's blocks (``_blocks``): per branch
+    k, an affine max and a dilation-pool by structuring function k, the
+    pool after the max (form 1) or before it (``pool_first``), then the
+    min over the branches.  Under grad each branch also yields its window
+    offset and inner index; form 1's pool carries the inner index from
+    each cell's winning source.  A block's pieces ``b[j][i]`` are
+    ``beta[c, j, i]`` shaped (channels, 1, ...): a scalar for one channel.
     """
+    x = ad.lift(x)
+    out_ext = pool.out_extent(x.data.shape[-pool.rank:])
+    axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
+    xf = x.data.swapaxes(0, axis)
+    track = ad.is_grad_enabled()
+    inner_dtype = mo._index_dtype(
+        params.m_terms if pool_first else params.n_terms) if track else None
+    dtypes = (mo._index_dtype(len(structuring)),
+              mo._index_dtype(max(len(sf.offsets) for sf in structuring)),
+              inner_dtype) if track else None
+
     def run(block):
         pb, pa = ((beta, alpha) if len(beta) == 1
                   else (beta[block[0]], alpha[block[0]]))
         shape = (len(pb),) + (1,) * (xf.ndim - 1)
-        return forward(xf[block], _pieces(pb, shape), _pieces(pa, shape))
+        xb, b, a = xf[block], _pieces(pb, shape), _pieces(pa, shape)
 
-    return mo._join(xf.shape, _blocks(xf, rank), run)
+        def branches():
+            for k, sf in enumerate(structuring):
+                w = sf.weights.data
+                if pool_first:
+                    pooled, off = mo._sup_max(xb, sf.offsets, w, pool.stride,
+                                              out_ext, track)
+                    val, arg = _affine_max(pooled, [bj[k] for bj in b],
+                                           [aj[k] for aj in a], inner_dtype)
+                    yield val, off, arg
+                else:
+                    inner, arg = _affine_max(xb, b[k], a[k], inner_dtype)
+                    yield mo._sup_max(inner, sf.offsets, w, pool.stride,
+                                      out_ext, track, (arg,) if track else ())
+
+        out, record = _outer_min(branches(), dtypes)
+        return (out, *record) if track else (out,)
+
+    parts = mo._join(xf.shape, _blocks(xf, pool.rank), run)
+    if not track:
+        return Tensor(parts[0].swapaxes(0, axis))
+    out, outer, offs, inner = parts
+    rows, cols = (inner, outer) if pool_first else (outer, inner)
+    return _layer_node(out, x, axis, params, structuring, pool, rows, cols,
+                       offs, pool_first)
 
 
 def morpho_act1_forward(x, params: MorphoActivationParams,
@@ -349,44 +377,8 @@ def morpho_act1_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.m_terms:
         raise ValueError("need one structuring function per max row")
-    x = ad.lift(x)
-    out_ext = pool.out_extent(x.data.shape[-pool.rank:])
-    axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
-    track = ad.is_grad_enabled()
-    j_dtype = mo._index_dtype(len(structuring))
-    i_dtype = mo._index_dtype(params.n_terms)
-    o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
-    starts, offsets = _bank(structuring)
-
-    def forward(xb: Array, b, a):
-        def branches():
-            for j, sf in enumerate(structuring):
-                inner, _ = _affine_max(xb, b[j], a[j])
-                yield mo._sup_max(inner, sf.offsets, sf.weights.data,
-                                  pool.stride, out_ext, track)
-
-        out, record = _outer_min(branches(),
-                                 (j_dtype, o_dtype) if track else None)
-        if not track:
-            return (out,)
-        rows, offs = record
-        # the inner index matters only at each cell's winning source, so it
-        # is recomputed there from x rather than tracked at full resolution
-        src = mo._sources(xb.shape, pool.stride, offsets, starts[rows] + offs)
-        xs = np.take(xb, src, mode="clip")
-        cols = np.zeros(out.shape, i_dtype)
-        for j in range(params.m_terms):
-            _, arg = _affine_max(xs, b[j], a[j], i_dtype)
-            mo._record(rows == j, [(cols, arg)])
-        return out, rows, cols, offs
-
-    parts = _blockwise(x.data.swapaxes(0, axis), beta, alpha, pool.rank,
-                       forward)
-    if not track:
-        return Tensor(parts[0].swapaxes(0, axis))
-    out, rows, cols, offs = parts
-    return _layer_node(out, x, axis, params, structuring, pool, rows, cols,
-                       offs, pool_first=False)
+    return _layer(x, params, structuring, pool, channel_axis,
+                  pool_first=False)
 
 
 def morpho_act2_forward(x, params: MorphoActivationParams,
@@ -402,34 +394,8 @@ def morpho_act2_forward(x, params: MorphoActivationParams,
     """
     if len(structuring) != params.n_terms:
         raise ValueError("need one structuring function per outer column")
-    x = ad.lift(x)
-    out_ext = pool.out_extent(x.data.shape[-pool.rank:])
-    axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
-    track = ad.is_grad_enabled()
-    j_dtype = mo._index_dtype(params.m_terms) if track else None
-    i_dtype = mo._index_dtype(len(structuring))
-    o_dtype = mo._index_dtype(max(len(sf.offsets) for sf in structuring))
-
-    def forward(xb: Array, b, a):
-        def branches():
-            for i, sf in enumerate(structuring):
-                pooled, off = mo._sup_max(xb, sf.offsets, sf.weights.data,
-                                          pool.stride, out_ext, track)
-                val, arg = _affine_max(pooled, [bj[i] for bj in b],
-                                       [aj[i] for aj in a], j_dtype)
-                yield val, off, arg
-
-        out, record = _outer_min(
-            branches(), (i_dtype, o_dtype, j_dtype) if track else None)
-        return (out, *record) if track else (out,)
-
-    parts = _blockwise(x.data.swapaxes(0, axis), beta, alpha, pool.rank,
-                       forward)
-    if not track:
-        return Tensor(parts[0].swapaxes(0, axis))
-    out, cols, offs, rows = parts
-    return _layer_node(out, x, axis, params, structuring, pool, rows, cols,
-                       offs, pool_first=True)
+    return _layer(x, params, structuring, pool, channel_axis,
+                  pool_first=True)
 
 
 @dataclass

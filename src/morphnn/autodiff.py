@@ -238,28 +238,31 @@ def neg(a) -> Tensor:
     return make_node(-a.data, [(a, lambda g: -g)])
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; on ties the subgradient routes to the first operand."""
+def _select(a, b, wins) -> Tensor:
+    # a where wins(a, b) holds or a is NaN, else b; each cell's gradient
+    # goes to the operand whose value it holds
     a, b = lift(a), lift(b)
     _check_elementwise(a, b)
-    take_a = a.data >= b.data
+    take_a = wins(a.data, b.data) | np.isnan(a.data)
     out = np.where(take_a, a.data, b.data)
     return make_node(out, [
         (a, lambda g: _reduce_to(a.data.shape, g * take_a)),
         (b, lambda g: _reduce_to(b.data.shape, g * ~take_a)),
     ])
+
+
+def maximum(a, b) -> Tensor:
+    """Elementwise max; on ties the subgradient routes to the first operand.
+    A NaN operand is the result and takes the gradient (the first, if both
+    are NaN)."""
+    return _select(a, b, np.greater_equal)
 
 
 def minimum(a, b) -> Tensor:
-    """Elementwise min; on ties the subgradient routes to the first operand."""
-    a, b = lift(a), lift(b)
-    _check_elementwise(a, b)
-    take_a = a.data <= b.data
-    out = np.where(take_a, a.data, b.data)
-    return make_node(out, [
-        (a, lambda g: _reduce_to(a.data.shape, g * take_a)),
-        (b, lambda g: _reduce_to(b.data.shape, g * ~take_a)),
-    ])
+    """Elementwise min; on ties the subgradient routes to the first operand.
+    A NaN operand is the result and takes the gradient (the first, if both
+    are NaN)."""
+    return _select(a, b, np.less_equal)
 
 
 # -- reductions and shape ops ---------------------------------------------

@@ -136,6 +136,9 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not args.step > 0:
         raise ValueError(f"--step must be positive, got {args.step}")
+    if not 0 <= args.tolerance < np.inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got "
+                         f"{args.tolerance}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
     report = run_gradcheck(seed=args.seed, tolerance=args.tolerance,
                            h=args.step, sizes=sizes,
@@ -235,6 +238,9 @@ def cmd_basis(args) -> int:
 
 # -- export-activation ---------------------------------------------------
 
+# a curve holds one float64 per channel and grid point
+MAX_GRID_STEPS = 100_000
+
 
 def cmd_export_activation(args) -> int:
     if args.init == (args.model is not None):
@@ -245,7 +251,10 @@ def cmd_export_activation(args) -> int:
         raise ValueError(f"--step must be positive, got {args.step}")
     if not args.hi >= args.lo:
         raise ValueError(f"--hi {args.hi} is below --lo {args.lo}")
-    n = int(round((args.hi - args.lo) / args.step)) + 1
+    intervals = (args.hi - args.lo) / args.step  # inf when it overflows
+    if not intervals < MAX_GRID_STEPS:
+        raise ValueError(f"the grid has {MAX_GRID_STEPS} steps or more")
+    n = int(round(intervals)) + 1
     grid = args.lo + args.step * np.arange(n)
 
     if args.init:
@@ -277,7 +286,7 @@ def cmd_export_activation(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["x"] + [f"c{i}" for i in range(curve.shape[0])])
         for k in range(len(grid)):
-            writer.writerow([f"{grid[k]:.2f}"]
+            writer.writerow([repr(float(grid[k]))]
                             + [repr(float(v)) for v in curve[:, k]])
     doc = {"config": {"command": "export-activation", "source": source,
                       "lo": args.lo, "hi": args.hi, "step": args.step},

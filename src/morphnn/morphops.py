@@ -15,9 +15,11 @@ Conventions shared by every op here:
 * on ties the subgradient routes to the lowest offset index, which for pool
   windows is the first position in row-major window order;
 * a NaN output cell (a window holding NaN) takes no gradient, wherever
-  the NaN sits in its window;
-* each output cell copies one winner, so every backward here is one
-  ``routed_node``, which sends the cell's gradient to that winner alone.
+  the NaN sits in its window: ``_live``, which every route calls, drops
+  it, so no route marks it;
+* each output cell copies one winner, so every windowed backward here is
+  one ``routed_node``, which sends the cell's gradient to that winner
+  alone (``relu``, elementwise, is a plain node).
 
 The rectifier stages of the baseline nets are built from ``act_pool``:
 ReLU (or ReLU6) and max-pooling are both dilations, and the clamp commutes
@@ -165,12 +167,15 @@ def _record(better: Array, records) -> None:
 
 
 def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
-             track: bool) -> tuple[Array, Array | None]:
+             track: bool, carry=()) -> tuple:
     """Strided sup-convolution of a plain array:
     ``out(x) = max_y f(K*x - y) + w(y)`` over the trailing axes.
 
     With ``track`` it also returns the first attaining offset index per
     output position (ties keep the earliest offset); without it, None.
+    Each integer array of ``carry``, shaped like ``fdat``, is carried from
+    every cell's winning source into a record shaped like the output,
+    returned after the index: ``(out, index, *carried)``.
     """
     rank = len(offsets[0])
     if fdat.ndim < rank:
@@ -178,6 +183,7 @@ def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
     n_in = fdat.shape[-rank:]
     out = np.full(fdat.shape[:-rank] + tuple(out_extent), -np.inf)
     idx = np.full(out.shape, -1, _index_dtype(len(offsets))) if track else None
+    carried = [np.zeros(out.shape, c.dtype) for c in carry]
     shifted = None  # reused buffer for f + w(y)
     for o, y in enumerate(offsets):
         sl = _offset_slices(y, stride, n_in, out_extent)
@@ -191,18 +197,22 @@ def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
                 shifted = np.empty(out.shape)
             cand = np.add(cand, wdat[o], out=shifted[(..., *out_sl)])
         if track:  # strict: ties keep the earlier offset
-            _record(cand > region, [(idx[(..., *out_sl)], o)])
+            _record(cand > region, [(idx[(..., *out_sl)], o)] + [
+                (k[(..., *out_sl)], c[(..., *src_sl)])
+                for k, c in zip(carried, carry)])
         np.maximum(region, cand, out=region)
     # positions whose window lies entirely outside the input keep the
     # lattice bottom -inf and receive no gradient (idx stays -1); pool
     # windows can never produce them (out_extent guarantees overlap)
-    return out, idx
+    return (out, idx, *carried)
 
 
-def _live(index: Array):
+def _live(index: Array, out: Array):
     """Flat output cells that take gradient: every cell but those whose
-    winner ``index`` is -1 (a window wholly outside the input)."""
-    return np.flatnonzero(index >= 0) if (index < 0).any() else slice(None)
+    winner ``index`` is -1 (a window wholly outside the input) and the NaN
+    cells of ``out``, wherever the NaN sits in the window."""
+    dead = (index < 0) | np.isnan(out)
+    return np.flatnonzero(~dead) if dead.any() else slice(None)
 
 
 def _sources(x_shape, stride, offsets, index: Array, axis: int = 0) -> Array:
@@ -268,21 +278,18 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
 
     The node's first backward rule computes every edge's gradient in one
     pass over the blocks; each later rule hands out its stored gradient.
-    Each edge ``(parent, index, factor)`` takes ``g`` at the live cells,
-    times ``arrays[factor]`` unless ``factor`` is None.  With
-    ``index = (key, start)`` it scatters that over ``arrays[key]``, the
-    parent holding positions ``start`` onwards; with None (the input edge
-    only) the parent lines up cell for cell with the output and every cell
-    is live.  The input edge's positions count cells of its block: each
-    block's product or ``np.bincount`` fills its slice of a gradient
-    C-contiguous in the frame.  A parameter edge's positions count the
-    whole parameter, and ``np.add.at`` adds each block into a running sum
-    in cell order, as one ``bincount`` over every cell would, so the sum is
-    the same to the bit.  An edge whose parent does not require grad is
-    skipped.  A route may also return ``closed``, positions of the input
-    edge's gradient in its block that are multiplied by 0 after the
-    scatter: the sources where a rectifier is closed, whose gradient is
-    then the summed gradient times a 0 slope, signed zero included.
+    Each edge ``(parent, (key, start), factor)`` takes ``g`` at the live cells,
+    times ``arrays[factor]`` unless ``factor`` is None, and scatters that over
+    ``arrays[key]``, the parent holding positions ``start`` onwards.  The input
+    edge's positions count cells of its block: each block's ``np.bincount``
+    fills its slice of a gradient C-contiguous in the frame.  A parameter
+    edge's positions count the whole parameter, and ``np.add.at`` adds each
+    block into a running sum in cell order, as one ``bincount`` over every cell
+    would, so the sum is the same to the bit.  An edge whose parent does not
+    require grad is skipped.  A route may also return ``closed``, positions of
+    the input edge's gradient in its block that are multiplied by 0 after the
+    scatter: the sources where a rectifier is closed, whose gradient is then
+    the summed gradient times a 0 slope, signed zero included.
     """
     def frame(a: Array, ax: int = axis) -> Array:
         return a.swapaxes(0, ax) if ax else a
@@ -301,7 +308,7 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
                 sizes[key, factor] = max(sizes.get((key, factor), 0),
                                          start + parent.data.size)
         sums = {kf: np.zeros(size) for kf, size in sizes.items()}
-        _, x_index, x_factor = edges[0]
+        _, (x_key, _), x_factor = edges[0]
 
         def run(block):
             live, arrays = route(block)
@@ -317,13 +324,12 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
                 np.add.at(sums[key, factor], arrays[key], times(factor))
             if kept[0]:
                 return []
-            xb, gl = xf[block], times(x_factor)
-            if x_index is not None:
-                # float64 even with no live cell, where bincount is int64
-                gl = np.bincount(arrays[x_index[0]], weights=gl,
-                                 minlength=xb.size).astype(float, copy=False)
-                if "closed" in arrays:
-                    gl[arrays["closed"]] *= 0.0
+            xb = xf[block]
+            # float64 even with no live cell, where bincount is int64
+            gl = np.bincount(arrays[x_key], weights=times(x_factor),
+                             minlength=xb.size).astype(float, copy=False)
+            if "closed" in arrays:
+                gl[arrays["closed"]] *= 0.0
             return [gl.reshape(xb.shape)]
 
         parts = _join(xf.shape, blocks, run)
@@ -355,8 +361,7 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
                         out_extent, ad.is_grad_enabled())
 
     def route(block):
-        idx[np.isnan(out)] = -1
-        live = _live(idx)
+        live = _live(idx, out)
         src = _sources(f.data.shape, stride, offsets, idx).ravel()[live]
         return live, {"src": src, "offset": idx.ravel()[live]}
 
@@ -385,10 +390,8 @@ def erode(f, g: StructuringFunction) -> Tensor:
 def relu(f) -> Tensor:
     """max(f, 0); the gradient passes where f >= 0, at 0 too."""
     f = lift(f)
-    return routed_node(np.maximum(f.data, 0.0), [WHOLE],
-                       lambda block: (slice(None),
-                                      {"slope": (f.data >= 0).ravel()}),
-                       [(f, None, "slope")])
+    return ad.make_node(np.maximum(f.data, 0.0),
+                        [(f, lambda g: g * (f.data >= 0))])
 
 
 # -- pooling ----------------------------------------------------------------
@@ -477,8 +480,7 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
         opened = value >= 0.0
         if cap is not None:
             opened &= value <= cap
-        idx[np.isnan(out)] = -1
-        live = _live(idx)
+        live = _live(idx, out)
         src = _sources(f.data.shape, pool.stride, offsets, idx,
                        axis).ravel()[live]
         return live, {"src": src, "closed": src[~opened.ravel()[live]]}

@@ -37,9 +37,11 @@ NEG_INF = float("-inf")
 
 
 def window_grid(height: int, width: int) -> tuple[Point, ...]:
-    """Centered (height x width) window, row-major; extents must be odd."""
-    if height % 2 == 0 or width % 2 == 0:
-        raise ValueError("window extents must be odd so the origin is centered")
+    """Centered (height x width) window, row-major; extents must be odd
+    and positive."""
+    if min(height, width) < 1 or height % 2 == 0 or width % 2 == 0:
+        raise ValueError("window extents must be odd and positive so the "
+                         "origin is centered")
     return tuple((dy, dx) for dy in range(-(height // 2), height // 2 + 1)
                  for dx in range(-(width // 2), width // 2 + 1))
 

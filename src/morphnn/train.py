@@ -11,10 +11,13 @@ reverse mode like any other parameter.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import resource
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -343,8 +346,13 @@ def load_model(path) -> Model:
     name.  Raises ValueError, naming the problem, on a file of another
     format version (an older file's positional ``param_{i}`` keys
     included), on a missing or unexpected entry, or on a parameter whose
-    shape does not match the spec."""
-    with np.load(path) as blob:
+    shape does not match the spec, and on a damaged file (empty or
+    truncated)."""
+    try:  # from memory: a failed np.load(path) leaves the file open
+        blob = np.load(io.BytesIO(Path(path).read_bytes()))
+    except (EOFError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: damaged model file ({e})") from e
+    with blob:
         def read(key: str) -> Array:
             if key not in blob.files:
                 raise ValueError(f"{path}: no {key!r} entry; not a model "

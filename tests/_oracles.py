@@ -399,7 +399,7 @@ def full_size_layer_node(out, x, axis, params, structuring, pool, rows, cols,
     xf = x.data.swapaxes(0, axis)
     starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
     offsets = [y for sf in structuring for y in sf.offsets]
-    live = mo._live(offs)
+    live = mo._live(offs, out)
     bank = starts[cols if pool_first else rows] + offs
     src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
     bank = bank.ravel()[live]

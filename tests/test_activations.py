@@ -100,34 +100,9 @@ class TestPlActivation:
 
     @pytest.mark.parametrize("channel_axis", [None, 0, 1, -1])
     def test_matches_loop_oracle_with_ties(self, channel_axis):
-        # small integers tie pieces everywhere and make every sum exact in
-        # any order, so values and gradients must match to the bit
         rng = ad.make_rng(44)
         for shape in [(3, 4, 5), (2, 6), (4, 1, 3, 2)]:
-            m, n = (int(k) for k in rng.integers(1, 5, size=2))
-            pshape = (m, n) if channel_axis is None else (
-                shape[channel_axis], m, n)
-            x, g = (rng.integers(-3, 4, size=shape).astype(float)
-                    for _ in range(2))
-            beta, alpha = (rng.integers(-2, 3, size=pshape).astype(float)
-                           for _ in range(2))
-            xt = Tensor(x, requires_grad=True)
-            params = MorphoActivationParams(Tensor(beta, requires_grad=True),
-                                            Tensor(alpha, requires_grad=True))
-            out = act.pl_activation(xt, params, channel_axis)
-            ad.mul(out, Tensor(g)).sum().backward()
-            if channel_axis is None:
-                npt.assert_array_equal(out.data, oracle_pl(x, beta, alpha))
-            else:
-                for ch in range(pshape[0]):
-                    npt.assert_array_equal(
-                        out.data.take(ch, channel_axis),
-                        oracle_pl(x.take(ch, channel_axis), beta[ch],
-                                  alpha[ch]))
-            want = oracle_pl_grads(x, beta, alpha, g, channel_axis)
-            for got, ref in zip([xt.grad, params.beta.grad,
-                                 params.alpha.grad], want):
-                npt.assert_array_equal(got, ref)
+            _check_pl_with_ties(rng, shape, channel_axis)
 
     def test_gradients_vs_fd(self):
         # clamp parameters, samples held away from the kinks at 0 and 6
@@ -158,6 +133,34 @@ class TestPlActivation:
             at_beta, Tensor(params.beta.data)), atol=1e-7)
         npt.assert_allclose(at.grad, ad.finite_difference_grad(
             at_alpha, Tensor(params.alpha.data)), atol=1e-7)
+
+
+def _check_pl_with_ties(rng, shape, channel_axis):
+    """``pl_activation`` on integer x, beta, alpha drawn from ``rng``
+    against the loop oracles, values and gradients.  Small integers tie
+    pieces everywhere and make every sum exact in any order, so they must
+    match to the bit."""
+    m, n = (int(k) for k in rng.integers(1, 5, size=2))
+    pshape = (m, n) if channel_axis is None else (shape[channel_axis], m, n)
+    x, g = (rng.integers(-3, 4, size=shape).astype(float) for _ in range(2))
+    beta, alpha = (rng.integers(-2, 3, size=pshape).astype(float)
+                   for _ in range(2))
+    xt = Tensor(x, requires_grad=True)
+    params = MorphoActivationParams(Tensor(beta, requires_grad=True),
+                                    Tensor(alpha, requires_grad=True))
+    out = act.pl_activation(xt, params, channel_axis)
+    ad.mul(out, Tensor(g)).sum().backward()
+    if channel_axis is None:
+        npt.assert_array_equal(out.data, oracle_pl(x, beta, alpha))
+    else:
+        for ch in range(pshape[0]):
+            npt.assert_array_equal(
+                out.data.take(ch, channel_axis),
+                oracle_pl(x.take(ch, channel_axis), beta[ch], alpha[ch]))
+    want = oracle_pl_grads(x, beta, alpha, g, channel_axis)
+    for got, ref in zip([xt.grad, params.beta.grad, params.alpha.grad],
+                        want):
+        npt.assert_array_equal(got, ref)
 
 
 class TestMorphoLayers:
@@ -552,6 +555,79 @@ def test_nan_cell_takes_no_gradient(forward, grad):
     out.sum().backward()
     assert x.grad.dtype == np.float64
     npt.assert_array_equal(x.grad.ravel(), grad)
+
+
+class TestDifferential:
+    """Seeded differential against the loop oracles, a fixed budget of 50
+    cases per op: random batch, channel and spatial sizes, windows and
+    strides 1-3, m and n 1-4, shared or per-channel parameters, either
+    layout, and blocks of the default size or of a few hundred bytes.
+    Small integers tie pieces, offsets and branches everywhere and make
+    every sum exact in any order, so values and all gradients must match
+    exactly."""
+
+    CASES = 50
+
+    @staticmethod
+    def _ints(rng, lo, hi, shape):
+        return rng.integers(lo, hi + 1, size=shape).astype(np.float64)
+
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_layer_forms(self, monkeypatch, variant, fwd):
+        rng = ad.make_rng(97 + variant)
+        for _ in range(self.CASES):
+            monkeypatch.setattr(act, "_BLOCK_BYTES",
+                                int(rng.choice([1 << 20, 300])))
+            b, c, m, n = (int(k) for k in rng.integers(1, [3, 4, 5, 5]))
+            window, stride = (tuple(int(k) for k in rng.integers(1, 4, 2))
+                              for _ in range(2))
+            pool = PoolSpec(window, stride)
+            spatial = tuple(r + k * int(rng.integers(0, 3))
+                            for r, k in zip(window, stride))
+            x = self._ints(rng, -3, 3, (b, c) + spatial)
+            if rng.random() < 0.5:
+                x = _channel_major(x)
+            shared = rng.random() < 0.5
+            pshape = (m, n) if shared else (c, m, n)
+            beta, alpha = (self._ints(rng, lo, -lo, pshape)
+                           for lo in (-2, -3))
+            offsets = StructuringFunction.pool_window(window).offsets
+            bank = [StructuringFunction(
+                offsets, self._ints(rng, -2, 0, len(offsets)), learnable=True)
+                for _ in range(m if variant == 1 else n)]
+            params = MorphoActivationParams(Tensor(beta, requires_grad=True),
+                                            Tensor(alpha, requires_grad=True))
+            xt = Tensor(x, requires_grad=True)
+            out = fwd(xt, params, bank, pool, channel_axis=1)
+            g = self._ints(rng, -3, 3, out.shape)
+            ad.mul(out, Tensor(g)).sum().backward()
+
+            per_c = np.broadcast_to(beta, (c, m, n)), np.broadcast_to(
+                alpha, (c, m, n))
+            oracle = oracle_morpho1 if variant == 1 else oracle_morpho2
+            out_ext = pool.out_extent(spatial)
+            for bi, ci in np.ndindex(b, c):
+                npt.assert_array_equal(out.data[bi, ci], oracle(
+                    x[bi, ci], per_c[0][ci], per_c[1][ci], bank, stride,
+                    out_ext))
+            dx, db, da, dw = oracle_layer_grads(x, *per_c, bank, stride, g,
+                                                variant)
+            if shared:
+                db, da = db.sum(axis=0), da.sum(axis=0)
+            for got, want in zip([xt.grad, params.beta.grad,
+                                  params.alpha.grad]
+                                 + [sf.weights.grad for sf in bank],
+                                 [dx, db, da] + dw):
+                npt.assert_array_equal(got, want)
+
+    def test_pl_activation(self):
+        rng = ad.make_rng(99)
+        for _ in range(self.CASES):
+            ndim = int(rng.integers(1, 4))
+            shape = tuple(int(k) for k in rng.integers(1, 5, ndim))
+            axis = None if rng.random() < 0.4 else int(
+                rng.integers(-ndim, ndim))
+            _check_pl_with_ties(rng, shape, axis)
 
 
 class TestActivationCurve:

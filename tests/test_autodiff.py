@@ -157,6 +157,19 @@ class TestBackward:
         npt.assert_array_equal(a2.grad, np.array([1.0]))
         npt.assert_array_equal(b2.grad, np.array([0.0]))
 
+    def test_nan_operand_wins_and_takes_the_gradient(self):
+        # min(nan, 6) is nan, not 6, and its gradient goes to the NaN
+        for op, other in ((ad.minimum, 6.0), (ad.maximum, 0.0)):
+            a = Tensor(np.array([np.nan, 1.0, np.nan]), requires_grad=True)
+            b = Tensor(np.array([other, np.nan, np.nan]), requires_grad=True)
+            out = op(a, b)
+            assert np.isnan(out.data).all()
+            out.sum().backward()
+            npt.assert_array_equal(a.grad, [1.0, 0.0, 1.0])
+            npt.assert_array_equal(b.grad, [0.0, 1.0, 0.0])
+            s = Tensor(np.array([np.nan, 7.0]), requires_grad=True)
+            npt.assert_array_equal(op(s, other).data[:1], [np.nan])
+
     def test_no_grad_builds_no_graph(self):
         a = Tensor(1.0, requires_grad=True)
         with ad.no_grad():

@@ -146,10 +146,14 @@ def test_gradcheck_cli_pass_and_fail(tmp_path, capsys):
     assert detail["layer"] == "selfdual_pool"
     assert detail["parameter"] is not None
 
-    # a zero term count, a probe step or an unknown case to corrupt is a
-    # usage error, not a crash, a failed check or a vacuous pass
+    # a zero term count or probe step, an unknown case to corrupt, or a
+    # tolerance that is not a finite number >= 0 (inf passes even a
+    # corrupted case) is a usage error, not a crash, a failed check or a
+    # vacuous pass
     for bad in (["--sizes", "0"], ["--step", "0"],
-                ["--sizes", "1", "--corrupt", "nosuchcase"]):
+                ["--sizes", "1", "--corrupt", "nosuchcase"],
+                ["--tolerance", "nan"], ["--tolerance=-1e-4"],
+                ["--tolerance", "inf", "--corrupt", "selfdual_pool"]):
         out = tmp_path / "g3"
         assert main(["gradcheck", "--out", str(out), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -202,6 +206,11 @@ def test_basis_cli_rejects_bad_input(tmp_path, capsys):
                  "--out", str(tmp_path / "b")])
     assert code == 2  # median takes no structuring element
     capsys.readouterr()
+    for window in ("-1x3", "3x-1"):  # odd, but no window
+        code = main(["basis", "--op", "identity", f"--window={window}",
+                     "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "odd and positive" in capsys.readouterr().err
 
 
 def test_export_activation_init_curve(tmp_path, capsys):
@@ -217,6 +226,17 @@ def test_export_activation_init_curve(tmp_path, capsys):
     assert curve[10.0] == 6.0
     assert curve[-3.0] == 0.0
     assert curve[2.0] == 2.0
+
+
+def test_export_activation_x_column_is_the_grid(tmp_path, capsys):
+    # a step finer than two decimals still gives distinct rows, each the
+    # grid point lo + k * step exactly
+    out = tmp_path / "e"
+    assert main(["export-activation", "--init", "--lo", "0", "--hi", "0.01",
+                 "--step", "0.002", "--out", str(out)]) == 0
+    capsys.readouterr()
+    xs = [float(r[0]) for r in _csv_rows(out / "activation_init.csv")[1:]]
+    assert xs == [0.0 + 0.002 * k for k in range(6)]
 
 
 def test_export_activation_many_terms(tmp_path, capsys):
@@ -261,7 +281,8 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     # an empty curve, and a non-finite bound or step has no grid
     for bad in (["--step", "0"], ["--step", "-1"], ["--lo", "5", "--hi", "-5"],
                 ["--hi", "inf"], ["--lo=-inf"], ["--lo", "nan"],
-                ["--step", "inf"]):
+                ["--step", "inf"], ["--hi", "1e14"],
+                ["--lo=-1e308", "--hi", "1e308"]):
         out = tmp_path / "bad"
         assert main(["export-activation", "--init", "--out", str(out),
                      *bad]) == 2
@@ -307,6 +328,17 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     assert "format version 2" in err
     err = export_error("extra", arrays | {"stage1.beta": params[0]})
     assert "'stage1.beta'" in err
+
+    # an empty or a truncated file is an input error naming the file
+    whole = (run / "model.npz").read_bytes()
+    for name, content in (("empty", b""),
+                          ("truncated", whole[:len(whole) // 2])):
+        path = tmp_path / f"{name}.npz"
+        path.write_bytes(content)
+        assert main(["export-activation", "--model", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: damaged model file")
 
 
 def test_emit_document_parses_back_unchanged(tmp_path, capsys):

@@ -343,6 +343,26 @@ class TestActPool:
         assert got[1].dtype == np.float64
         npt.assert_array_equal(got[1].ravel(), grad)
 
+    @pytest.mark.parametrize("cap", [1.0, 6.0])
+    @pytest.mark.parametrize("pool", POOLS, ids=["2x2s2", "3x3s2"])
+    def test_capped_chain_agrees_on_nan_and_inf(self, pool, cap):
+        # seeded differential: NaN, +-inf and -0.0 among tied integers; the
+        # chain's clamp keeps a NaN, so it agrees with act_pool byte for byte
+        rng = ad.make_rng(44)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0])
+        for _ in range(300):
+            f = rng.integers(-2, int(cap) + 2, size=(2, 2, 5, 5)).astype(
+                np.float64)
+            hit = rng.random(f.shape) < rng.choice([0.05, 0.2])
+            f[hit] = rng.choice(special, size=int(hit.sum()))
+            out_shape = (2, 2) + pool.out_extent((5, 5))
+            g = rng.integers(-3, 4, size=out_shape).astype(np.float64)
+            got = _output_and_grads(lambda t: mo.act_pool(t, pool, cap=cap),
+                                    [f], g)
+            want = _output_and_grads(
+                lambda t: chain_act_pool(t, pool, cap=cap), [f], g)
+            _assert_same_bytes(got, want)
+
     def test_constant_zero_threshold_adds_no_node(self):
         t = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
         out = mo.act_pool(t, POOLS[0])

@@ -1,6 +1,7 @@
 """The scripts under ``scripts`` run to completion against the package in
 ``src``, so the checks they serve cannot rot unnoticed."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from morphnn.gradcheck import run_gradcheck
 from morphnn.train import VARIANTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,9 +24,13 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1
-    hashes = json.loads(lines[0])["params"]
+    doc = json.loads(lines[0])
+    hashes = doc["params"]
     assert list(hashes) == list(VARIANTS)
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in hashes.values())
+    # and the hash of the seed-0 gradcheck report, as run in process
+    report = json.dumps(run_gradcheck(seed=0)).encode()
+    assert doc["gradcheck"] == hashlib.sha256(report).hexdigest()
 
 
 def test_line_count_counts_every_src_file(tmp_path):

@@ -23,30 +23,28 @@ Both layer forms run one driver, ``_layer``; each is one graph node and works
 in a channel-first frame: ``x.swapaxes(0, channel_axis)``, or x itself for
 shared parameters.  A conv2d output is channel-major in memory ([C, B, H, W]
 seen as [B, C, H, W]), so its frame is C-contiguous and no pass reorders it.
-The forward pass computes the values with in-place ``np.maximum``/
-``np.minimum`` on blocks of whole channels, or of one channel cut along its
-next axis, small enough to stay in cache; each block takes its channels' slopes
-and intercepts as pieces shaped (channels, 1, ...), which for one channel is a
-scalar over one flat inner loop.  The output, the winner record, the backward's
-indices and the x gradient are C-contiguous in the frame, and the output and x
-gradient are returned as swapped views: a conv2d input or output gradient in
-channel-major layout again.  Summed gradients of parameters shared across
-channels (the structuring weights) accumulate channel by channel.  Every output
-cell has exactly one subgradient winner, and under grad (only then) the forward
-pass records it compactly: the outer branch (which is also the structuring
-function), the window offset and the inner index, each in the smallest signed
-integer dtype that holds its count; form 1's pool carries the inner index from
-each cell's winning source with the offset.  The backward pass is one
-``morphops.routed_node``, as for the pools, run on the forward pass's blocks:
-per block it turns the record into the block's source and parameter indices,
-scatters the x gradient into the block's slice of a frame-contiguous buffer
-with a block-local ``np.bincount``, and adds the parameter gradients into
-running sums in cell order with ``np.add.at``, the same sums to the bit as one
-``bincount`` over every cell.  So beside the gradients only a few blocks'
-temporaries live.  Tie rules, as for the pools: the inner max keeps the lowest
-index, the window keeps its first offset in row-major order, and the outer min
-keeps the lowest branch.  A cell whose window lies wholly outside the input
-holds -inf and takes no gradient, nor does a NaN cell (``morphops._live``).
+The forward pass runs on ``morphops._blocks``, whole channels or one channel
+cut along its next axis, small enough to stay in cache; each block takes its
+channels' slopes and intercepts as pieces shaped (channels, 1, ...), a scalar
+for one channel.  Every output cell has exactly one subgradient winner, an
+affine piece at a window offset, and under grad (only then) the forward pass
+records it as one integer code in the smallest signed dtype that holds it:
+``inner * len(bank offsets) + bank position``, the bank position naming both
+the offset and its member, the outer branch; -1 where no offset lands.  Form
+1's pool carries each source's code from the cell's winning source.  The
+backward pass is one ``morphops.routed_node`` on the forward pass's blocks:
+per block it decodes the codes through two lookup tables into source and
+parameter indices, scatters the x gradient into the block's slice of a
+frame-contiguous buffer with ``np.bincount``, and adds the parameter
+gradients into running sums in cell order with ``np.add.at``, the same sums
+to the bit as one ``bincount`` over every cell.  The output and x gradient
+are returned as swapped views: channel-major again for a conv2d.  Summed
+gradients of parameters shared across channels (the structuring weights)
+accumulate channel by channel.  Tie rules, as for the pools: the inner max
+keeps the lowest index, the window its first offset in row-major order, and
+the outer min the lowest branch.  A cell whose window lies wholly outside
+the input holds -inf and takes no gradient, nor does a NaN cell
+(``morphops._live``).
 """
 
 from __future__ import annotations
@@ -140,43 +138,37 @@ def _pieces(mat: Array, bsh) -> list[list[Array]]:
 
 
 def _affine_max(x: Array, slopes, intercepts,
-                arg_dtype=None) -> tuple[Array, Array | None]:
+                codes: Array | None = None) -> tuple[Array, Array | None]:
     """Elementwise max over k of ``slopes[k] * x + intercepts[k]``.
 
-    With ``arg_dtype`` it also returns the first maximising k (ties keep
-    the lower k); otherwise the index is None.
+    With ``codes`` it also returns, in their dtype, ``codes[k]`` of the
+    first maximising k (ties keep the lower k); otherwise None.
     """
     val = np.multiply(slopes[0], x)
     val += intercepts[0]
-    arg = None if arg_dtype is None else np.zeros(val.shape, arg_dtype)
+    arg = None if codes is None else np.full(val.shape, codes[0])
     cand = np.empty_like(val) if len(slopes) > 1 else None
     for k in range(1, len(slopes)):
         np.multiply(slopes[k], x, out=cand)
         cand += intercepts[k]
         if arg is not None:
-            mo._record(cand > val, [(arg, k)])
+            mo._record(cand > val, arg, codes[k])
         np.maximum(val, cand, out=val)
     return val, arg
 
 
-def _outer_min(branches, dtypes=None) -> tuple[Array, list[Array] | None]:
-    """Elementwise min over the values of ``branches``, each a tuple
-    ``(value, *extras)``.
-
-    With ``dtypes`` it also returns each element's winner record: the index
-    of the winning branch (strict ``<``, so ties keep the lower index) and
-    that branch's extras, in ``dtypes``; otherwise the record is None.
-    """
+def _outer_min(branches) -> tuple[Array, Array | None]:
+    """Elementwise min over the values of ``branches``, each a pair
+    ``(value, code)``, and the code of each element's winning branch
+    (strict ``<``, so ties keep the lower branch), or None where the
+    branches have no code."""
     out = record = None
-    for k, (val, *extras) in enumerate(branches):
+    for val, code in branches:
         if out is None:
-            out = val
-            if dtypes:
-                record = [np.zeros(val.shape, dtypes[0])] + [
-                    e.astype(dt) for e, dt in zip(extras, dtypes[1:])]
+            out, record = val, code
         else:
-            if dtypes:
-                mo._record(val < out, zip(record, (k, *extras)))
+            if record is not None:
+                mo._record(val < out, record, code)
             np.minimum(out, val, out=out)
     return out, record
 
@@ -228,39 +220,45 @@ def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
     return axis, beta, alpha
 
 
-def _layer_node(out: Array, x: Tensor, axis: int,
+def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
                 params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
-                rows: Array, cols: Array, offs: Array,
                 pool_first: bool) -> Tensor:
-    """One graph node for a layer form, from its winner record: per output
-    cell the row j and column i of the winning affine piece and the window
-    offset of the winning branch (the row for variant 1, the column for
-    variant 2, ``pool_first``).  ``out`` and the record are C-contiguous
-    in the frame that swaps ``axis`` of x to the front.  The backward pass
-    runs on the forward pass's blocks (``_blocks``): per block it builds
-    the sources, cells and bank positions of the block's cells from the
-    record, so no array spans every cell but the gradients themselves.
-    A NaN output cell takes no gradient (``morphops._live``).
+    """One graph node for a layer form, from its winner code (see the
+    module docstring), C-contiguous like ``out`` in the frame that swaps
+    ``axis`` of x to the front.  On each block of the forward pass
+    (``morphops._blocks``) the backward decodes the codes through two
+    tables built once, code to bank position and code to flat (j, i), into
+    the block's sources, cells and bank positions, so no array spans every
+    cell but the gradients themselves.  A NaN output cell takes no
+    gradient (``morphops._live``).
     """
     xf = x.data.swapaxes(0, axis)
     # every offset of the bank, and where each member's first one sits
     offsets = [y for sf in structuring for y in sf.offsets]
-    starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
+    sizes = [len(sf.offsets) for sf in structuring]
+    starts = np.cumsum([0] + sizes[:-1])
     beta = params.beta.data.reshape(-1)
     m, n = params.m_terms, params.n_terms
     channels = np.arange(len(xf)).reshape((-1,) + (1,) * (xf.ndim - 1))
     weights = np.concatenate([sf.weights.data for sf in structuring])
+    # code -> bank position and code -> flat (j, i); a dead cell's -1 reads
+    # the last entry of each, which its liveness then drops
+    inner = np.arange(m if pool_first else n)[:, None]
+    member = np.repeat(np.arange(len(structuring)), sizes)
+    bank_of = np.tile(np.arange(len(offsets)), len(inner))
+    cell_of = (inner * n + member if pool_first
+               else member * n + inner).ravel()
 
     def route(block):
-        rb, cb, ob = rows[block], cols[block], offs[block]
-        live = mo._live(ob, out[block])
-        bank = starts[cb if pool_first else rb] + ob
+        cb = code[block]
+        live = mo._live(cb, out[block])
+        bank = bank_of[cb]
         xb = xf[block]
         src = mo._sources(xb.shape, pool.stride, offsets, bank).ravel()[live]
         bank = bank.ravel()[live]
         # flat (channel, j, i) parameter index; shared ones have no channel
-        cell = rb.astype(np.int64) * n + cb
+        cell = cell_of[cb]
         if params.beta.data.ndim == 3:
             cell += channels[block[0]] * (m * n)
         cell = cell.ravel()[live]
@@ -276,62 +274,34 @@ def _layer_node(out: Array, x: Tensor, axis: int,
              (params.alpha, ("cell", 0), None)]
     edges += [(sf.weights, ("bank", start), "slope" if pool_first else None)
               for start, sf in zip(starts, structuring)]
-    return mo.routed_node(out, _blocks(xf, pool.rank), route, edges, axis)
-
-
-# input bytes per block: the block's working set (its input, two scratch
-# arrays of the same size and the pooled outputs) stays in a core's L2 cache
-# across the chain of elementwise passes instead of streaming each pass
-# through memory
-_BLOCK_BYTES = 1 << 20
-
-
-def _blocks(xf: Array, rank: int) -> list[tuple]:
-    """The blocks both passes of a layer form run on, over the frame
-    ``xf`` whose leading axis holds the channels and whose last ``rank``
-    axes are pooled: runs of whole channels of at most ``_BLOCK_BYTES``,
-    or, for a channel bigger than that, even cuts of the channel along its
-    next axis, unless that axis is pooled.  No block cuts a pooled axis,
-    so each output block's winners lie in the same block of the input.
-    ``[WHOLE]`` when that gives fewer than two blocks.
-    """
-    lead = xf.ndim - rank
-    size = xf[0].nbytes if lead and len(xf) else 0
-    if size > _BLOCK_BYTES and lead > 1:
-        rows = xf.shape[1]
-        cuts = -(-size // _BLOCK_BYTES)
-        step = -(-rows // cuts)
-        blocks = [(slice(c, c + 1), slice(s, s + step))
-                  for c in range(len(xf)) for s in range(0, rows, step)]
-    elif lead:
-        step = max(1, _BLOCK_BYTES // max(size, 1))
-        blocks = [(slice(c, c + step),) for c in range(0, len(xf), step)]
-    else:
-        blocks = []
-    return blocks if len(blocks) > 1 else [mo.WHOLE]
+    return mo.routed_node(out, mo._blocks(xf, pool.rank), route, edges, axis)
 
 
 def _layer(x, params: MorphoActivationParams,
            structuring: list[StructuringFunction], pool: PoolSpec,
            channel_axis: int | None, pool_first: bool) -> Tensor:
-    """Both layer forms, on the frame's blocks (``_blocks``): per branch
-    k, an affine max and a dilation-pool by structuring function k, the
-    pool after the max (form 1) or before it (``pool_first``), then the
-    min over the branches.  Under grad each branch also yields its window
-    offset and inner index; form 1's pool carries the inner index from
-    each cell's winning source.  A block's pieces ``b[j][i]`` are
-    ``beta[c, j, i]`` shaped (channels, 1, ...): a scalar for one channel.
+    """Both layer forms, on the frame's blocks: per branch k, an affine
+    max and a dilation-pool by structuring function k, the pool after the
+    max (form 1) or before it (``pool_first``), then the min over the
+    branches.  Under grad each branch also yields its winner code: form 1's
+    pool carries the code of each source's inner index and member and adds
+    the offset; form 2 adds the pooled offset to the code of the inner
+    index and member.  A block's pieces ``b[j][i]`` are ``beta[c, j, i]``
+    shaped (channels, 1, ...): a scalar for one channel.
     """
     x = ad.lift(x)
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
     axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
     xf = x.data.swapaxes(0, axis)
     track = ad.is_grad_enabled()
-    inner_dtype = mo._index_dtype(
-        params.m_terms if pool_first else params.n_terms) if track else None
-    dtypes = (mo._index_dtype(len(structuring)),
-              mo._index_dtype(max(len(sf.offsets) for sf in structuring)),
-              inner_dtype) if track else None
+    codes = [None] * len(structuring)
+    if track:
+        # member k's piece codes: inner * len(bank offsets) + k's start
+        n_inner = params.m_terms if pool_first else params.n_terms
+        sizes = [len(sf.offsets) for sf in structuring]
+        dtype = mo._index_dtype(n_inner * sum(sizes))
+        codes = [(np.arange(n_inner) * sum(sizes) + start).astype(dtype)
+                 for start in np.cumsum([0] + sizes[:-1])]
 
     def run(block):
         pb, pa = ((beta, alpha) if len(beta) == 1
@@ -345,24 +315,23 @@ def _layer(x, params: MorphoActivationParams,
                 if pool_first:
                     pooled, off = mo._sup_max(xb, sf.offsets, w, pool.stride,
                                               out_ext, track)
-                    val, arg = _affine_max(pooled, [bj[k] for bj in b],
-                                           [aj[k] for aj in a], inner_dtype)
-                    yield val, off, arg
+                    val, code = _affine_max(pooled, [bj[k] for bj in b],
+                                            [aj[k] for aj in a], codes[k])
+                    # in the code's dtype, not the offset's, which may wrap
+                    yield val, off if off is None else np.where(
+                        off < 0, -1, code + off)
                 else:
-                    inner, arg = _affine_max(xb, b[k], a[k], inner_dtype)
+                    inner, code = _affine_max(xb, b[k], a[k], codes[k])
                     yield mo._sup_max(inner, sf.offsets, w, pool.stride,
-                                      out_ext, track, (arg,) if track else ())
+                                      out_ext, track, code)
 
-        out, record = _outer_min(branches(), dtypes)
-        return (out, *record) if track else (out,)
+        return _outer_min(branches())
 
-    parts = mo._join(xf.shape, _blocks(xf, pool.rank), run)
+    out, code = mo._join(xf.shape, mo._blocks(xf, pool.rank), run)
     if not track:
-        return Tensor(parts[0].swapaxes(0, axis))
-    out, outer, offs, inner = parts
-    rows, cols = (inner, outer) if pool_first else (outer, inner)
-    return _layer_node(out, x, axis, params, structuring, pool, rows, cols,
-                       offs, pool_first)
+        return Tensor(out.swapaxes(0, axis))
+    return _layer_node(out, code, x, axis, params, structuring, pool,
+                       pool_first)
 
 
 def morpho_act1_forward(x, params: MorphoActivationParams,

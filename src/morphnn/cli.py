@@ -67,6 +67,8 @@ def _load_split(args, split: str) -> tuple[Dataset, dict]:
     want = getattr(args, "subset" if split == "train" else "test_subset")
     if want:
         ds = subset(ds, want, make_rng(args.subset_seed))
+    if not len(ds):
+        raise ValueError(f"{img}: the {split} split holds no images")
     return ds, {"images": img, "labels": lbl, "examples": len(ds)}
 
 
@@ -302,6 +304,9 @@ def cmd_export_activation(args) -> int:
 def cmd_table1(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = tuple(int(s) for s in args.seeds.split(","))
+    if args.baseline not in variants:
+        raise ValueError(f"--variants must include the baseline "
+                         f"{args.baseline!r}")
     specs, cfg, train_ds, test_ds, data, out = _prepare_run(args, variants)
     config = {"command": "table1", "variants": variants, "seeds": list(seeds),
               "spec": {v: asdict(s) for v, s in specs.items()},

@@ -17,14 +17,15 @@ Conventions shared by every op here:
 * a NaN output cell (a window holding NaN) takes no gradient, wherever
   the NaN sits in its window: ``_live``, which every route calls, drops
   it, so no route marks it;
-* each output cell copies one winner, so every windowed backward here is
-  one ``routed_node``, which sends the cell's gradient to that winner
-  alone (``relu``, elementwise, is a plain node).
+* each output cell copies one winner, recorded as one integer code (the
+  offset, plus what ``_sup_max`` carries from the winning source), so every
+  windowed backward here is one ``routed_node``, which sends the cell's
+  gradient to that winner alone (``relu``, elementwise, is a plain node).
 
-The rectifier stages of the baseline nets are built from ``act_pool``:
-ReLU (or ReLU6) and max-pooling are both dilations, and the clamp commutes
-with the window's max, so it pools first and clamps the pooled values in
-one node, in the channel-first frame a conv2d output is contiguous in.
+The rectifier stages of the baseline nets are built from ``act_pool``, the
+chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
+cache-sized block of the channel-first frame (``_blocks``), in which a conv2d
+output is contiguous, at a time, and its code flags a closed rectifier.
 Min-pooling is the negation dual of max-pooling, so ``selfdual_pool`` and
 ``posneg_pool_param`` are each a difference of two ``act_pool``s.  No
 stage calls ``relu``, ``max_pool`` or ``min_pool``; they keep their own
@@ -154,36 +155,35 @@ def _index_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(-max(count, 1))
 
 
-def _record(better: Array, records) -> None:
-    """Where ``better`` holds, overwrite each integer record with its value
-    (an array or a scalar), in place.
+def _record(better: Array, dst: Array, value) -> None:
+    """Where ``better`` holds, overwrite the integer record ``dst`` with
+    ``value`` (an array or a scalar), in place.
 
     Integer arithmetic rather than a masked copy, which branches per
     element and runs several times slower; a wrapped difference still
     lands on the value, since the arithmetic is modular.
     """
-    for dst, value in records:
-        dst += (value - dst) * better
+    dst += (value - dst) * better
 
 
 def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
-             track: bool, carry=()) -> tuple:
+             track: bool, carry: Array | None = None) -> tuple:
     """Strided sup-convolution of a plain array:
     ``out(x) = max_y f(K*x - y) + w(y)`` over the trailing axes.
 
-    With ``track`` it also returns the first attaining offset index per
-    output position (ties keep the earliest offset); without it, None.
-    Each integer array of ``carry``, shaped like ``fdat``, is carried from
-    every cell's winning source into a record shaped like the output,
-    returned after the index: ``(out, index, *carried)``.
+    Returns ``(out, index)``.  With ``track`` the index is each output
+    position's first attaining offset index (ties keep the earliest), or
+    -1 where no offset lands; without it, None.  An integer ``carry``
+    shaped like ``fdat`` makes the index ``offset + carry[source]`` at the
+    winning source, in the carry's dtype, which must hold it.
     """
     rank = len(offsets[0])
     if fdat.ndim < rank:
         raise ValueError("input rank below offset rank")
     n_in = fdat.shape[-rank:]
     out = np.full(fdat.shape[:-rank] + tuple(out_extent), -np.inf)
-    idx = np.full(out.shape, -1, _index_dtype(len(offsets))) if track else None
-    carried = [np.zeros(out.shape, c.dtype) for c in carry]
+    idx = np.full(out.shape, -1, _index_dtype(len(offsets)) if carry is None
+                  else carry.dtype) if track else None
     shifted = None  # reused buffer for f + w(y)
     for o, y in enumerate(offsets):
         sl = _offset_slices(y, stride, n_in, out_extent)
@@ -197,14 +197,13 @@ def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
                 shifted = np.empty(out.shape)
             cand = np.add(cand, wdat[o], out=shifted[(..., *out_sl)])
         if track:  # strict: ties keep the earlier offset
-            _record(cand > region, [(idx[(..., *out_sl)], o)] + [
-                (k[(..., *out_sl)], c[(..., *src_sl)])
-                for k, c in zip(carried, carry)])
+            _record(cand > region, idx[(..., *out_sl)],
+                    o if carry is None else o + carry[(..., *src_sl)])
         np.maximum(region, cand, out=region)
     # positions whose window lies entirely outside the input keep the
     # lattice bottom -inf and receive no gradient (idx stays -1); pool
     # windows can never produce them (out_extent guarantees overlap)
-    return (out, idx, *carried)
+    return out, idx
 
 
 def _live(index: Array, out: Array):
@@ -237,13 +236,45 @@ def _sources(x_shape, stride, offsets, index: Array, axis: int = 0) -> Array:
 # the block of a single-block partition: every cell of an array of any rank
 WHOLE = (Ellipsis,)
 
+# input bytes per block: the block's working set (its input, two scratch
+# arrays of the same size and the pooled outputs) stays in a core's L2 cache
+# across the chain of elementwise passes instead of streaming each pass
+# through memory
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(xf: Array, rank: int) -> list[tuple]:
+    """The blocks a blockwise op runs on, over the frame ``xf`` whose
+    leading axis holds the channels and whose last ``rank`` axes are
+    pooled: runs of whole channels of at most ``_BLOCK_BYTES``, or, for a
+    channel bigger than that, even cuts of the channel along its next axis,
+    unless that axis is pooled.  No block cuts a pooled axis, so each
+    output block's winners lie in the same block of the input.  ``[WHOLE]``
+    when that gives fewer than two blocks.
+    """
+    lead = xf.ndim - rank
+    size = xf[0].nbytes if lead and len(xf) else 0
+    if size > _BLOCK_BYTES and lead > 1:
+        rows = xf.shape[1]
+        cuts = -(-size // _BLOCK_BYTES)
+        step = -(-rows // cuts)
+        blocks = [(slice(c, c + 1), slice(s, s + step))
+                  for c in range(len(xf)) for s in range(0, rows, step)]
+    elif lead:
+        step = max(1, _BLOCK_BYTES // max(size, 1))
+        blocks = [(slice(c, c + step),) for c in range(0, len(xf), step)]
+    else:
+        blocks = []
+    return blocks if len(blocks) > 1 else [WHOLE]
+
 
 def _join(shape, blocks, run) -> list[Array]:
     """Run ``run(block)`` on each block and join the arrays it returns.
 
     ``blocks`` index leading axes of ``shape`` and take whole trailing
     axes; each joined array has ``shape``'s leading axes and its part's
-    trailing ones.  A single block's arrays are returned as they are.
+    trailing ones, and a None part joins to None.  A single block's parts
+    are returned as they are.
     """
     if len(blocks) == 1:
         return list(run(blocks[0]))
@@ -252,10 +283,11 @@ def _join(shape, blocks, run) -> list[Array]:
         parts = run(block)
         if joined is None:
             lead = len(block)
-            joined = [np.empty(tuple(shape[:lead]) + p.shape[lead:], p.dtype)
-                      for p in parts]
+            joined = [p if p is None else np.empty(
+                tuple(shape[:lead]) + p.shape[lead:], p.dtype) for p in parts]
         for whole, part in zip(joined, parts):
-            whole[block] = part
+            if part is not None:
+                whole[block] = part
     return joined
 
 
@@ -422,28 +454,22 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     when ``cap`` is None): ReLU, or ReLU6 with cap 6, and max-pooling as a
     single dilation with a trainable threshold.
 
-    The clamp is increasing, so it commutes with the window's max: the op
-    pools ``f + alpha`` first and clamps the pooled values, which gives
-    the values of ``max_pool(min(relu(f + alpha), cap))`` without its
-    full-size rectified array.  It is one graph node.  Each cell's
-    gradient goes to the chain's winner, the first window offset whose
-    clamped value attains the max, times the rectifier's 0/1 slope there:
-
-    * a cell whose max is at most 0 takes its first offset, open where
-      f >= 0 there;
-    * a cell whose max reaches ``cap`` takes its first offset with
-      f >= cap, open where f <= cap there;
-    * any other cell takes the first offset attaining the max of f.
-
-    A closed source's gradient is its summed gradient times 0, as in the
-    chain.  A NaN cell (a window holding NaN) takes no gradient and closes
-    no source.  The node runs in the channel-first frame (axis 1 of an
-    input with batch and channel axes), where a conv2d output and its
-    gradient, channel-major in memory, are C-contiguous.  The input's
+    It is the chain ``max_pool(min(relu(f + alpha), cap))`` as one graph
+    node, run on ``_blocks`` of the channel-first frame (axis 1 of an input
+    with batch and channel axes), where a conv2d output is C-contiguous:
+    each block is clamped into a copy that stays in cache and pooled with
+    ``_sup_max``, so values and winners are the chain's.  Under grad the
+    pool carries ``len(offsets)`` from every source whose rectifier is
+    closed (its clamped value differs from f), so each cell's winner code
+    is its offset plus that flag, and a closed winner's summed gradient is
+    times 0, signed zero included, as in the chain.  A NaN cell (a window
+    holding NaN) takes no gradient and closes no source.  The input's
     gradient is C-contiguous in the input's own axis order, as the chain's
-    is, so the sums taken over it downstream (a conv bias gradient, a
-    slope's) add in the chain's order.
+    is, so the sums taken over it downstream add in the chain's order.  A
+    cap below 0, for which the clamp passes no f, is refused.
     """
+    if cap is not None and not cap >= 0.0:
+        raise ValueError(f"act_pool needs cap >= 0, got {cap}")
     f = lift(f)
     if isinstance(alpha, Tensor) or alpha != 0.0:
         f = ad.add(f, alpha)
@@ -452,38 +478,27 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     out_ext = pool.out_extent(xf.shape[-pool.rank:])
     offsets = StructuringFunction.pool_window(pool.extent).offsets
     track = ad.is_grad_enabled()
-    out, idx = _sup_max(xf, offsets, None, pool.stride, out_ext, track)
-    np.maximum(out, 0.0, out=out)
-    if cap is not None:
-        np.minimum(out, cap, out=out)
+    flag = len(offsets)
+
+    def run(block):
+        xb = xf[block]
+        clamped = np.maximum(xb, 0.0)
+        if cap is not None:
+            np.minimum(clamped, cap, out=clamped)
+        carry = None if not track else np.multiply(
+            clamped != xb, flag, dtype=_index_dtype(2 * flag))
+        return _sup_max(clamped, offsets, None, pool.stride, out_ext, track,
+                        carry)
+
+    out, idx = _join(xf.shape, _blocks(xf, pool.rank), run)
     if not track:
         return Tensor(out.swapaxes(0, axis))
 
-    def at(o: int) -> Array:
-        # f at offset o of every cell's window (pool windows lie inside f)
-        _, src_sl = _offset_slices(offsets[o], pool.stride,
-                                   xf.shape[-pool.rank:], out_ext)
-        return xf[(..., *src_sl)]
-
     def route(block):
-        # f at each cell's winner: the max itself for an interior cell
-        value = out.copy()
-        low = out <= 0.0
-        idx[low] = 0
-        np.copyto(value, at(0), where=low)
-        if cap is not None and cap > 0.0:
-            high = out >= cap
-            for o in reversed(range(len(offsets))):
-                hit = high & (at(o) >= cap)
-                idx[hit] = o
-                np.copyto(value, at(o), where=hit)
-        opened = value >= 0.0
-        if cap is not None:
-            opened &= value <= cap
         live = _live(idx, out)
-        src = _sources(f.data.shape, pool.stride, offsets, idx,
+        src = _sources(f.data.shape, pool.stride, offsets * 2, idx,
                        axis).ravel()[live]
-        return live, {"src": src, "closed": src[~opened.ravel()[live]]}
+        return live, {"src": src, "closed": src[idx.ravel()[live] >= flag]}
 
     return routed_node(out, [WHOLE], route, [(f, ("src", 0), None)], axis,
                        x_axis=0)

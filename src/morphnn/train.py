@@ -368,8 +368,12 @@ def load_model(path) -> Model:
             raise ValueError(f"{path}: model format version {version}; "
                              f"this version reads {MODEL_FORMAT}")
         cfg = json.loads(bytes(read("spec_json").tobytes()))
-        cfg["image_size"] = tuple(cfg["image_size"])
-        spec = ModelSpec(**cfg)
+        try:
+            cfg["image_size"] = tuple(cfg["image_size"])
+            spec = ModelSpec(**cfg)
+        except (TypeError, KeyError) as e:
+            raise ValueError(f"{path}: spec_json is not a model spec ({e!r})"
+                             ) from e
         model = Model(spec, make_rng(0))
         named = model.named_parameters()
         extra = sorted(set(blob.files) - set(named)
@@ -435,6 +439,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # a NaN or infinite rate makes Adam's last update NaN everywhere
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got "
+                             f"{self.max_epochs}")
 
 
 @dataclass

@@ -385,30 +385,36 @@ def oracle_backward(root):
                            else parent.grad + contrib)
 
 
-def full_size_layer_node(out, x, axis, params, structuring, pool, rows, cols,
-                         offs, pool_first):
+def full_size_layer_node(out, code, x, axis, params, structuring, pool,
+                         pool_first):
     """A layer form's graph node (same arguments as
     ``activations._layer_node``) whose backward routes every output cell at
     once: full-size source, cell, bank, piece-input and slope arrays, and
     one ``np.bincount`` over all of them per edge, each sum taken in the
-    frame's cell order.
+    frame's cell order.  The winner code is split with ``np.divmod`` into
+    the inner index and the bank position, whose member is the outer
+    branch.
     """
     from morphnn import autodiff as ad
     from morphnn import morphops as mo
 
     xf = x.data.swapaxes(0, axis)
-    starts = np.cumsum([0] + [len(sf.offsets) for sf in structuring[:-1]])
+    sizes = [len(sf.offsets) for sf in structuring]
+    starts = np.cumsum([0] + sizes[:-1])
     offsets = [y for sf in structuring for y in sf.offsets]
-    live = mo._live(offs, out)
-    bank = starts[cols if pool_first else rows] + offs
+    live = mo._live(code, out)
+    inner, bank = np.divmod(code.astype(np.int64), len(offsets))
     src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
     bank = bank.ravel()[live]
+    member = np.searchsorted(starts, bank, side="right") - 1
+    inner = inner.ravel()[live]
+    rows, cols = (inner, member) if pool_first else (member, inner)
     m, n = params.m_terms, params.n_terms
-    cell = rows.astype(np.int64) * n + cols
+    cell = rows * n + cols
     if params.beta.data.ndim == 3:
-        cell += np.arange(len(xf)).reshape(
-            (-1,) + (1,) * (xf.ndim - 1)) * (m * n)
-    cell = cell.ravel()[live]
+        channel = np.broadcast_to(np.arange(len(xf)).reshape(
+            (-1,) + (1,) * (xf.ndim - 1)), code.shape).ravel()[live]
+        cell += channel * (m * n)
     piece_input = xf.ravel()[src]
     if pool_first:
         piece_input += np.concatenate(

@@ -376,7 +376,7 @@ class TestChannelMajorFrame:
     # (batch, channels) of 12x12 images: one channel bigger than a block,
     # so it is cut along the batch; many channels per block over several
     # blocks; one channel with per-channel parameters, cut as well
-    ROWS = act._BLOCK_BYTES // (8 * 12 * 12)
+    ROWS = mo._BLOCK_BYTES // (8 * 12 * 12)
     SHAPES = [(ROWS + 5, 2), (ROWS // 20 + 1, 48), (ROWS + 5, 1)]
 
     @pytest.mark.parametrize("batch,channels", SHAPES)
@@ -396,13 +396,13 @@ class TestChannelMajorFrame:
         assert got[0].swapaxes(0, 1).flags.c_contiguous
         assert got[1].swapaxes(0, 1).flags.c_contiguous
 
-    @pytest.mark.parametrize("block_bytes", [act._BLOCK_BYTES, 2000, 600])
+    @pytest.mark.parametrize("block_bytes", [mo._BLOCK_BYTES, 2000, 600])
     @pytest.mark.parametrize("variant,fwd", FORMS)
     def test_gradients_match_logical_order_oracle(self, monkeypatch,
                                                   block_bytes, variant, fwd):
         # each channel holds 864 bytes: one block, two blocks of two
         # channels, or each channel cut in two
-        monkeypatch.setattr(act, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
         rng = ad.make_rng(64 + variant)
         params, bank, x, g = _layer_case(rng, (3, 4, 6, 6), 3, 2, variant)
         want = oracle_layer_grads(x, params.beta.data, params.alpha.data,
@@ -473,16 +473,16 @@ class TestBlockwiseBackward:
 
     KINDS = ["shared", "overlap", "outside", "frozen"]
 
-    @pytest.mark.parametrize("block_bytes", [act._BLOCK_BYTES, 2000, 600])
+    @pytest.mark.parametrize("block_bytes", [mo._BLOCK_BYTES, 2000, 600])
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("variant,fwd", FORMS)
     def test_byte_equal_to_full_size_oracle(self, monkeypatch, block_bytes,
                                             kind, variant, fwd):
-        monkeypatch.setattr(act, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
         x, params, bank, pool, axis = _blockwise_case(kind, variant)
         xf = x.data.swapaxes(0, axis or 0)
         if kind == "shared" or block_bytes < 1000:
-            assert len(act._blocks(xf, pool.rank)) > 1
+            assert len(mo._blocks(xf, pool.rank)) > 1
         tensors = [x, params.beta, params.alpha] + [sf.weights for sf in bank]
 
         def grads():
@@ -522,7 +522,7 @@ class TestBlockwiseBackward:
             tracemalloc.stop()
         assert (id(xt) in grads) != frozen
         # the full-size route arrays alone took 1.4 x.nbytes
-        assert peak <= (0 if frozen else x.nbytes) + 4 * act._BLOCK_BYTES
+        assert peak <= (0 if frozen else x.nbytes) + 4 * mo._BLOCK_BYTES
 
 
 _NAN_POOL = PoolSpec((1, 2), (1, 1))
@@ -576,7 +576,7 @@ class TestDifferential:
     def test_layer_forms(self, monkeypatch, variant, fwd):
         rng = ad.make_rng(97 + variant)
         for _ in range(self.CASES):
-            monkeypatch.setattr(act, "_BLOCK_BYTES",
+            monkeypatch.setattr(mo, "_BLOCK_BYTES",
                                 int(rng.choice([1 << 20, 300])))
             b, c, m, n = (int(k) for k in rng.integers(1, [3, 4, 5, 5]))
             window, stride = (tuple(int(k) for k in rng.integers(1, 4, 2))
@@ -619,6 +619,32 @@ class TestDifferential:
                                  + [sf.weights.grad for sf in bank],
                                  [dx, db, da] + dw):
                 npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("variant,m,n", [(1, 4, 1), (1, 4, 2),
+                                             (2, 1, 4), (2, 2, 4)])
+    def test_winner_codes_past_int8(self, variant, m, n):
+        # four 6x6 members make 144 bank offsets, so the winner codes of
+        # the last member's later offsets pass 127
+        rng = ad.make_rng(100 + 10 * m + n)
+        pool = PoolSpec((6, 6), (2, 2))
+        x = self._ints(rng, -3, 3, (2, 3, 12, 12))
+        beta, alpha = (self._ints(rng, lo, -lo, (3, m, n)) for lo in (-2, -3))
+        offsets = StructuringFunction.pool_window((6, 6)).offsets
+        bank = [StructuringFunction(offsets, self._ints(rng, -4, 0, 36),
+                                    learnable=True) for _ in range(4)]
+        params = MorphoActivationParams(Tensor(beta, requires_grad=True),
+                                        Tensor(alpha, requires_grad=True))
+        xt = Tensor(x, requires_grad=True)
+        fwd = dict(FORMS)[variant]
+        out = fwd(xt, params, bank, pool, channel_axis=1)
+        g = self._ints(rng, 1, 3, out.shape)
+        ad.mul(out, Tensor(g)).sum().backward()
+        want = oracle_layer_grads(x, beta, alpha, bank, (2, 2), g, variant)
+        assert want[3][3][20:].any()  # some winner's code is past 127
+        for got, w in zip([xt.grad, params.beta.grad, params.alpha.grad]
+                          + [sf.weights.grad for sf in bank],
+                          want[:3] + tuple(want[3])):
+            npt.assert_array_equal(got, w)
 
     def test_pl_activation(self):
         rng = ad.make_rng(99)

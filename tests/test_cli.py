@@ -82,9 +82,13 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
     ("--dropout", "-0.1", "dropout must be in [0, 1), got -0.1"),
     ("--pool-size", "0", "pool_extent must be >= 1"),
     ("--stride", "0", "pool_stride must be >= 1"),
-    ("--batch-size", "0", "batch_size must be >= 1")],
+    ("--batch-size", "0", "batch_size must be >= 1"),
+    ("--lr", "nan", "lr must be finite and >= 0, got nan"),
+    ("--lr", "inf", "lr must be finite and >= 0, got inf"),
+    ("--lr", "-0.1", "lr must be finite and >= 0, got -0.1"),
+    ("--epochs", "0", "max_epochs must be >= 1, got 0")],
     ids=["filters", "dropout-high", "dropout-negative", "pool-size", "stride",
-         "batch-size"])
+         "batch-size", "lr-nan", "lr-inf", "lr-negative", "epochs"])
 def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,
                                                      capsys, flag, value,
                                                      message):
@@ -94,8 +98,37 @@ def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,
               "--variants", "relu-maxpool", "--epochs", "1", "--quiet"]
     for argv in (_train_args(data_dir, tmp_path / "t"),
                  table1 + ["--out", str(tmp_path / "t")]):
-        assert main(argv + [flag, value]) == 2
+        assert main(argv + [f"{flag}={value}"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t").exists()
+
+
+def test_table1_without_its_baseline_writes_nothing(tmp_path, capsys):
+    # refused before the data are looked for or --out is made
+    out = tmp_path / "t"
+    assert main(["table1", "--data-dir", str(tmp_path / "nowhere"),
+                 "--variants", "morpho1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --variants must include the "
+                                       "baseline 'relu-maxpool'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_empty_split_is_an_input_error(data_dir, tmp_path, capsys, split):
+    # a valid IDX file with zero images would divide by zero in training
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    write_idx(empty / "images", np.zeros((0, 28, 28), np.uint8))
+    write_idx(empty / "labels", np.zeros(0, np.uint8))
+    files = [f"--{split}-images", str(empty / "images"),
+             f"--{split}-labels", str(empty / "labels")]
+    table1 = ["table1", "--data-dir", str(data_dir), "--seeds", "0",
+              "--variants", "relu-maxpool", "--epochs", "1", "--quiet",
+              "--out", str(tmp_path / "t")]
+    for argv in (_train_args(data_dir, tmp_path / "t"), table1):
+        assert main(argv + files) == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty / 'images'}: the {split} split holds no images\n")
         assert not (tmp_path / "t").exists()
 
 
@@ -328,6 +361,17 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     assert "format version 2" in err
     err = export_error("extra", arrays | {"stage1.beta": params[0]})
     assert "'stage1.beta'" in err
+    # valid JSON that is not a model spec: an unknown key, a missing
+    # image_size, a list
+    spec = json.loads(arrays["spec_json"].tobytes())
+    for name, bad in (("unknown_key", spec | {"colour": 1}),
+                      ("no_image_size", {k: v for k, v in spec.items()
+                                         if k != "image_size"}),
+                      ("list", [spec])):
+        path = tmp_path / f"{name}.npz"
+        err = export_error(name, arrays | {"spec_json": np.frombuffer(
+            json.dumps(bad).encode(), np.uint8)})
+        assert err.startswith(f"error: {path}: spec_json is not a model spec")
 
     # an empty or a truncated file is an input error naming the file
     whole = (run / "model.npz").read_bytes()

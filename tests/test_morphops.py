@@ -363,6 +363,42 @@ class TestActPool:
                 lambda t: chain_act_pool(t, pool, cap=cap), [f], g)
             _assert_same_bytes(got, want)
 
+    @pytest.mark.parametrize("block_bytes", [200, 600, 2000,
+                                             mo._BLOCK_BYTES])
+    def test_seeded_differential_over_blocks(self, monkeypatch, block_bytes):
+        # random sizes, windows, strides and caps, both layouts, integers
+        # among NaN, +-inf, +-0.0, 1 and 6; small blocks cut the
+        # channel-first frame into runs of channels or cut one channel
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
+        rng = ad.make_rng(45)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 6.0])
+        several = 0
+        for _ in range(100):
+            b, c, h, w = (int(k) for k in rng.integers([1, 1, 3, 3],
+                                                       [5, 5, 9, 9]))
+            pool = PoolSpec(*(tuple(int(k) for k in rng.integers(1, 4, 2))
+                              for _ in range(2)))
+            cap = [None, 1.0, 6.0][int(rng.integers(3))]
+            f = rng.integers(-3, 8, size=(b, c, h, w)).astype(np.float64)
+            hit = rng.random(f.shape) < 0.15
+            f[hit] = rng.choice(special, size=int(hit.sum()))
+            if rng.random() < 0.5:
+                f = _channel_major(f)
+            out_shape = (b, c) + pool.out_extent((h, w))
+            g = rng.integers(-3, 4, size=out_shape).astype(np.float64)
+            got = _output_and_grads(lambda t: mo.act_pool(t, pool, cap=cap),
+                                    [f], g)
+            want = _output_and_grads(
+                lambda t: chain_act_pool(t, pool, cap=cap), [f], g)
+            _assert_same_bytes(got, want)
+            several += len(mo._blocks(f.swapaxes(0, 1), pool.rank)) > 1
+        assert (several > 0) == (block_bytes <= 2000)
+
+    @pytest.mark.parametrize("cap", [-1.0, np.nan])
+    def test_cap_below_zero_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            mo.act_pool(Tensor(np.zeros((2, 2))), POOLS[0], cap=cap)
+
     def test_constant_zero_threshold_adds_no_node(self):
         t = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
         out = mo.act_pool(t, POOLS[0])

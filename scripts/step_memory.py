@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Measure the memory one training step and one eval batch allocate.
+
+    python3 scripts/step_memory.py [--batch 256] [--eval-batch 512]
+                                   [--filters 128]
+
+For each variant of ``train.STAGES`` a seeded model (28x28 images) runs one
+training step (forward, cross-entropy, ``backward()``, Adam) on ``--batch``
+seeded images, then one ``evaluate()``-style forward under ``no_grad`` on
+``--eval-batch`` images.  Each figure is the tracemalloc peak of that call
+in MiB, counted from what was allocated when it started, so the model, its
+optimizer state and the inputs do not count.  The output is one JSON line:
+``config`` and, per variant, ``train_step_mb`` and ``eval_batch_mb``.
+numpy reports its array buffers to tracemalloc, so the figures count every
+array a step holds at once; they leave out the interpreter and the
+allocator's own overhead, which ``peak_rss_mb`` sees.
+"""
+
+import argparse
+import gc
+import json
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from morphnn import autodiff as ad, train as tr  # noqa: E402
+
+SEED = 0
+MB = float(1 << 20)
+
+
+def peak_mb(call) -> float:
+    """tracemalloc peak of ``call()`` above what was allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round((peak - base) / MB, 1)
+
+
+def measure(variant: str, args) -> dict:
+    spec = tr.ModelSpec(variant=variant, filters=args.filters)
+    model = tr.build_model(spec, ad.make_rng(SEED))
+    opt = tr.Adam(model.parameters())
+    rng = ad.make_rng(SEED + 1)
+    images = rng.random((max(args.batch, args.eval_batch), 1, 28, 28))
+    labels = rng.integers(0, spec.n_classes, args.batch)
+
+    def step():
+        x = ad.Tensor(images[:args.batch])
+        loss = tr.cross_entropy(model.forward(x, train=True, rng=rng), labels)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+
+    def eval_batch():
+        with ad.no_grad():
+            model.forward(ad.Tensor(images[:args.eval_batch]))
+
+    return {"train_step_mb": peak_mb(step), "eval_batch_mb": peak_mb(eval_batch)}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--batch", type=int, default=256)
+    p.add_argument("--eval-batch", type=int, default=512)
+    p.add_argument("--filters", type=int, default=128)
+    args = p.parse_args(argv)
+    if min(args.batch, args.eval_batch, args.filters) < 1:
+        p.error("--batch, --eval-batch and --filters must be >= 1")
+    config = {"seed": SEED, "batch": args.batch,
+              "eval_batch": args.eval_batch, "filters": args.filters,
+              "numpy": np.__version__}
+    variants = {v: measure(v, args) for v in tr.VARIANTS}
+    print(json.dumps({"config": config, "variants": variants}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

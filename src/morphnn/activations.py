@@ -43,8 +43,8 @@ gradients of parameters shared across channels (the structuring weights)
 accumulate channel by channel.  Tie rules, as for the pools: the inner max
 keeps the lowest index, the window its first offset in row-major order, and
 the outer min the lowest branch.  A cell whose window lies wholly outside
-the input holds -inf and takes no gradient, nor does a NaN cell
-(``morphops._live``).
+the input holds -inf and takes no gradient, nor does a NaN cell: the
+forward pass marks both dead in the code (``morphops._mark_dead``).
 """
 
 from __future__ import annotations
@@ -230,8 +230,10 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
     (``morphops._blocks``) the backward decodes the codes through two
     tables built once, code to bank position and code to flat (j, i), into
     the block's sources, cells and bank positions, so no array spans every
-    cell but the gradients themselves.  A NaN output cell takes no
-    gradient (``morphops._live``).
+    cell but the gradients themselves.  A dead code, -1, takes no gradient
+    (``morphops._live``).  The backward reads x at each winning source
+    (d out / d beta is the winning piece's input), so the node keeps the
+    input's array alive until it has run; it does not hold ``out``.
     """
     xf = x.data.swapaxes(0, axis)
     # every offset of the bank, and where each member's first one sits
@@ -239,6 +241,7 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
     sizes = [len(sf.offsets) for sf in structuring]
     starts = np.cumsum([0] + sizes[:-1])
     beta = params.beta.data.reshape(-1)
+    per_channel = params.beta.data.ndim == 3
     m, n = params.m_terms, params.n_terms
     channels = np.arange(len(xf)).reshape((-1,) + (1,) * (xf.ndim - 1))
     weights = np.concatenate([sf.weights.data for sf in structuring])
@@ -252,14 +255,14 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
 
     def route(block):
         cb = code[block]
-        live = mo._live(cb, out[block])
+        live = mo._live(cb)
         bank = bank_of[cb]
         xb = xf[block]
         src = mo._sources(xb.shape, pool.stride, offsets, bank).ravel()[live]
         bank = bank.ravel()[live]
         # flat (channel, j, i) parameter index; shared ones have no channel
         cell = cell_of[cb]
-        if params.beta.data.ndim == 3:
+        if per_channel:
             cell += channels[block[0]] * (m * n)
         cell = cell.ravel()[live]
         # d out / d beta is the winning piece's input: x at the source, or
@@ -274,7 +277,8 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
              (params.alpha, ("cell", 0), None)]
     edges += [(sf.weights, ("bank", start), "slope" if pool_first else None)
               for start, sf in zip(starts, structuring)]
-    return mo.routed_node(out, mo._blocks(xf, pool.rank), route, edges, axis)
+    return mo.routed_node(out, mo._blocks(xf, pool.rank), route, edges,
+                          xf.shape, axis)
 
 
 def _layer(x, params: MorphoActivationParams,
@@ -325,7 +329,10 @@ def _layer(x, params: MorphoActivationParams,
                     yield mo._sup_max(inner, sf.offsets, w, pool.stride,
                                       out_ext, track, code)
 
-        return _outer_min(branches())
+        out, code = _outer_min(branches())
+        if code is not None:
+            mo._mark_dead(code, out)
+        return out, code
 
     out, code = mo._join(xf.shape, mo._blocks(xf, pool.rank), run)
     if not track:

@@ -1,11 +1,17 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps a float64 ``np.ndarray`` together with an optional
-gradient and the backward edges of the computation graph.  Operators build
-the graph eagerly; ``Tensor.backward()`` walks it once in reverse
-topological order.  All numerics are float64; -inf appears only as the
-lattice bottom for out-of-support padding in the morphological kernels,
-never inside gradient arithmetic.
+A ``Tensor`` is a float64 ``np.ndarray`` plus, once it takes part in a
+graph, a ``Node``: the backward edges, the gradient slot and the walked
+flag.  Edges point from node to node, never to a tensor, so an op's result
+keeps no operand's array alive: each backward rule captures, when its op
+runs, exactly the arrays it will read (a mask, the other operand's data, a
+winner record, an input shape) and nothing else.  An array that no rule
+reads dies with its tensor, as soon as the caller drops it, not when
+``backward()`` reaches its consumer.  Operators build the graph eagerly;
+``Tensor.backward()`` walks it once in reverse topological order.  All
+numerics are float64; -inf appears only as the lattice bottom for
+out-of-support padding in the morphological kernels, never inside gradient
+arithmetic.
 
 Elementwise ops accept tensors of identical shape, or a scalar on either
 side (a Python number or a size-1 tensor).  Anything fancier goes through a
@@ -46,25 +52,55 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class Tensor:
-    """Node of the reverse-mode graph.
+class Node:
+    """Vertex of the reverse-mode graph, apart from the tensor it belongs to.
 
-    ``_parents`` holds ``(parent, rule)`` pairs where ``rule`` maps this
+    ``parents`` holds ``(node, rule)`` pairs where ``rule`` maps this
     node's output gradient to the parent's contribution.  Rules may return
     views of the incoming gradient; accumulation never mutates in place, so
-    aliasing is harmless.  A node without parents is a leaf; ``backward()``
-    frees the non-leaf nodes it walks and marks them ``_walked``.
+    aliasing is harmless.  A node without parents is a leaf's; ``backward()``
+    empties the parents of every non-leaf node it walks and marks it
+    ``walked``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_walked")
+    __slots__ = ("parents", "grad", "walked")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 parents: tuple[tuple["Tensor", BackwardRule], ...] = ()):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, parents: tuple = ()):
+        self.parents = parents
         self.grad: Array | None = None
-        self._parents = parents
-        self._walked = False
-        self.requires_grad = bool(requires_grad) or bool(parents)
+        self.walked = False
+
+
+class Tensor:
+    """A float64 array and, once it has one, its graph ``Node``.
+
+    An op result made under grad owns the node of its backward edges; a
+    leaf gets an empty node when it first becomes an edge of a graph or is
+    given a gradient, so a constant (``no_grad`` results, probe inputs)
+    makes none.  ``grad`` reads and writes the node's slot (None without a
+    node); ``_parents`` reads its edges, ``()`` for a leaf or once
+    ``backward()`` has walked it.
+    """
+
+    __slots__ = ("data", "requires_grad", "_node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = bool(requires_grad)
+        self._node: Node | None = None
+
+    @property
+    def grad(self) -> Array | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: Array | None) -> None:
+        if value is not None or self._node is not None:
+            _node_of(self).grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
 
     # -- introspection -------------------------------------------------
 
@@ -100,14 +136,15 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output, got shape "
                              f"{self.data.shape}")
-        topo = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        root = _node_of(self)
+        topo = _toposort(root)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            edges, node._parents = list(node._parents), ()
+            edges, node.parents = list(node.parents), ()
             if not edges:
                 continue  # a leaf keeps its gradient
-            node._walked = True
+            node.walked = True
             g, node.grad = node.grad, None
             edges.reverse()
             while edges:
@@ -147,11 +184,18 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _node_of(t: Tensor) -> Node:
+    """``t``'s node, made empty (a leaf's) if it has none yet."""
+    if t._node is None:
+        t._node = Node()
+    return t._node
+
+
+def _toposort(root: Node) -> list[Node]:
     # iterative postorder; recursion would overflow on long training graphs
-    order: list[Tensor] = []
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -159,13 +203,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
-        if node._walked:
+        if node.walked:
             raise RuntimeError("backward() reached a node that an earlier "
                                "backward() already walked and freed; build "
                                "the graph again")
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._parents:
+        for parent, _ in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
@@ -177,11 +221,17 @@ def lift(x) -> Tensor:
 
 
 def make_node(data: Array, parents: Iterable[tuple[Tensor, BackwardRule]]) -> Tensor:
-    """Assemble an op result, keeping only differentiable edges."""
-    if not _grad_enabled:
-        return Tensor(data)
-    kept = tuple((p, rule) for p, rule in parents if p.requires_grad)
-    return Tensor(data, parents=kept)
+    """Assemble an op result from ``(operand, rule)`` pairs, keeping only
+    differentiable edges, each to its operand's node.  A rule must not
+    read an operand tensor: whatever it reads it captures as an array."""
+    out = Tensor(data)
+    if _grad_enabled:
+        kept = tuple((_node_of(p), rule) for p, rule in parents
+                     if p.requires_grad)
+        if kept:
+            out.requires_grad = True
+            out._node = Node(kept)
+    return out
 
 
 def _check_elementwise(a: Tensor, b: Tensor) -> None:
@@ -206,30 +256,31 @@ def _reduce_to(shape: tuple[int, ...], g: Array) -> Array:
 def add(a, b) -> Tensor:
     a, b = lift(a), lift(b)
     _check_elementwise(a, b)
-    out = a.data + b.data
-    return make_node(out, [
-        (a, lambda g: _reduce_to(a.data.shape, g)),
-        (b, lambda g: _reduce_to(b.data.shape, g)),
+    sa, sb = a.data.shape, b.data.shape
+    return make_node(a.data + b.data, [
+        (a, lambda g: _reduce_to(sa, g)),
+        (b, lambda g: _reduce_to(sb, g)),
     ])
 
 
 def sub(a, b) -> Tensor:
     a, b = lift(a), lift(b)
     _check_elementwise(a, b)
-    out = a.data - b.data
-    return make_node(out, [
-        (a, lambda g: _reduce_to(a.data.shape, g)),
-        (b, lambda g: _reduce_to(b.data.shape, -g)),
+    sa, sb = a.data.shape, b.data.shape
+    return make_node(a.data - b.data, [
+        (a, lambda g: _reduce_to(sa, g)),
+        (b, lambda g: _reduce_to(sb, -g)),
     ])
 
 
 def mul(a, b) -> Tensor:
     a, b = lift(a), lift(b)
     _check_elementwise(a, b)
-    out = a.data * b.data
-    return make_node(out, [
-        (a, lambda g: _reduce_to(a.data.shape, g * b.data)),
-        (b, lambda g: _reduce_to(b.data.shape, g * a.data)),
+    da, db = a.data, b.data
+    sa, sb = da.shape, db.shape
+    return make_node(da * db, [
+        (a, lambda g: _reduce_to(sa, g * db)),
+        (b, lambda g: _reduce_to(sb, g * da)),
     ])
 
 
@@ -244,10 +295,10 @@ def _select(a, b, wins) -> Tensor:
     a, b = lift(a), lift(b)
     _check_elementwise(a, b)
     take_a = wins(a.data, b.data) | np.isnan(a.data)
-    out = np.where(take_a, a.data, b.data)
-    return make_node(out, [
-        (a, lambda g: _reduce_to(a.data.shape, g * take_a)),
-        (b, lambda g: _reduce_to(b.data.shape, g * ~take_a)),
+    sa, sb = a.data.shape, b.data.shape
+    return make_node(np.where(take_a, a.data, b.data), [
+        (a, lambda g: _reduce_to(sa, g * take_a)),
+        (b, lambda g: _reduce_to(sb, g * ~take_a)),
     ])
 
 
@@ -293,9 +344,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = lift(a), lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-d operands")
-    return make_node(a.data @ b.data, [
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
+    da, db = a.data, b.data
+    return make_node(da @ db, [
+        (a, lambda g: g @ db.T),
+        (b, lambda g: da.T @ g),
     ])
 
 

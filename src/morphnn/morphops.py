@@ -15,12 +15,15 @@ Conventions shared by every op here:
 * on ties the subgradient routes to the lowest offset index, which for pool
   windows is the first position in row-major window order;
 * a NaN output cell (a window holding NaN) takes no gradient, wherever
-  the NaN sits in its window: ``_live``, which every route calls, drops
-  it, so no route marks it;
+  the NaN sits in its window: the forward pass marks it dead in the winner
+  record (``_mark_dead``), as a window wholly outside the input is, and
+  ``_live``, which every route calls, drops the dead cells;
 * each output cell copies one winner, recorded as one integer code (the
   offset, plus what ``_sup_max`` carries from the winning source), so every
   windowed backward here is one ``routed_node``, which sends the cell's
-  gradient to that winner alone (``relu``, elementwise, is a plain node).
+  gradient to that winner alone (``relu``, elementwise, is a plain node);
+* a backward rule reads the winner record and the input's shape, never
+  the input or the output, so a stage holds neither of them alive.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
@@ -37,6 +40,7 @@ reference for its own tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,11 +210,20 @@ def _sup_max(fdat: Array, offsets, wdat: Array | None, stride, out_extent,
     return out, idx
 
 
-def _live(index: Array, out: Array):
+def _mark_dead(index: Array, out: Array) -> None:
+    """Set the winner ``index`` to -1, in place, at the NaN cells of
+    ``out``, wherever the NaN sits in the window: such a cell takes no
+    gradient."""
+    nan = np.isnan(out)
+    if nan.any():
+        index[nan] = -1
+
+
+def _live(index: Array):
     """Flat output cells that take gradient: every cell but those whose
-    winner ``index`` is -1 (a window wholly outside the input) and the NaN
-    cells of ``out``, wherever the NaN sits in the window."""
-    dead = (index < 0) | np.isnan(out)
+    winner ``index`` is -1 (a window wholly outside the input, or a NaN
+    cell that ``_mark_dead`` marked)."""
+    dead = index < 0
     return np.flatnonzero(~dead) if dead.any() else slice(None)
 
 
@@ -291,7 +304,7 @@ def _join(shape, blocks, run) -> list[Array]:
     return joined
 
 
-def routed_node(out: Array, blocks, route, edges, axis: int = 0,
+def routed_node(out: Array, blocks, route, edges, x_shape, axis: int = 0,
                 x_axis: int | None = None) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
@@ -299,14 +312,15 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
     The node works in a frame: ``out`` is C-contiguous with ``axis`` of the
     node's output swapped to the front (0 leaves it as it is), the node
     holds the swapped-back view, and the first edge's parent, the op's
-    input, is indexed in the frame that swaps its ``x_axis`` to the front
-    (by default ``axis``; frames that differ need one block).  ``blocks``
-    cuts the frame into index tuples over its leading axes, in C order,
-    such that each block of the output takes its winners from the same
-    block of the input (no block cuts a pooled axis); ``WHOLE`` alone is
-    one block.
-    ``route(block)`` returns the block's live output cells (``_live``) and
-    a dict of arrays with one entry per live cell of the block.
+    input, has the shape ``x_shape`` in the frame that swaps its ``x_axis``
+    to the front (by default ``axis``; frames that differ need one block).
+    ``blocks`` cuts the frame into index tuples over its leading axes, in C
+    order, such that each block of the output takes its winners from the
+    same block of the input (no block cuts a pooled axis); ``WHOLE`` alone
+    is one block.  ``route(block)`` returns the block's live output cells
+    (``_live``) and a dict of arrays with one entry per live cell of the
+    block; whatever of the forward pass it reads, it captures itself.  The
+    node reads no parent: of each edge it keeps the slot it fills.
 
     The node's first backward rule computes every edge's gradient in one
     pass over the blocks; each later rule hands out its stored gradient.
@@ -327,20 +341,24 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
         return a.swapaxes(0, ax) if ax else a
 
     x_axis = axis if x_axis is None else x_axis
-
-    kept = [k for k, (p, _, _) in enumerate(edges) if p.requires_grad]
+    (x_key, _), x_factor = edges[0][1:]
+    # each kept edge's slot: its position, index, factor and shape
+    kept = [(k, index, factor, parent.data.shape)
+            for k, (parent, index, factor) in enumerate(edges)
+            if parent.requires_grad]
     grads: dict[int, Array] = {}
 
     def backward_pass(g: Array) -> None:
-        gf, xf = frame(g), frame(edges[0][0].data, x_axis)
+        gf = frame(g)
+        # a zero-stride stand-in for the input frame: only the shapes of
+        # its blocks are read
+        xf = np.broadcast_to(0.0, x_shape)
         sizes = {}  # (key, factor) -> length of a running sum
-        for k in kept:
+        for k, (key, start), factor, shape in kept:
             if k:
-                parent, (key, start), factor = edges[k]
                 sizes[key, factor] = max(sizes.get((key, factor), 0),
-                                         start + parent.data.size)
+                                         start + math.prod(shape))
         sums = {kf: np.zeros(size) for kf, size in sizes.items()}
-        _, (x_key, _), x_factor = edges[0]
 
         def run(block):
             live, arrays = route(block)
@@ -354,7 +372,7 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
 
             for key, factor in sums:
                 np.add.at(sums[key, factor], arrays[key], times(factor))
-            if kept[0]:
+            if kept[0][0]:  # the input takes no gradient
                 return []
             xb = xf[block]
             # float64 even with no live cell, where bincount is int64
@@ -364,15 +382,14 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
                 gl[arrays["closed"]] *= 0.0
             return [gl.reshape(xb.shape)]
 
-        parts = _join(xf.shape, blocks, run)
-        for k in kept:
-            parent, index, factor = edges[k]
+        parts = _join(x_shape, blocks, run)
+        for k, index, factor, shape in kept:
             if k == 0:
                 grads[k] = frame(parts[0], x_axis)
             else:
                 key, start = index
                 grads[k] = sums[key, factor][
-                    start:start + parent.data.size].reshape(parent.data.shape)
+                    start:start + math.prod(shape)].reshape(shape)
 
     def rule(k: int):
         def back(g: Array) -> Array:
@@ -381,26 +398,32 @@ def routed_node(out: Array, blocks, route, edges, axis: int = 0,
             return grads.pop(k)
         return back
 
-    return ad.make_node(frame(out), [(edges[k][0], rule(k)) for k in kept])
+    return ad.make_node(frame(out), [(edges[k][0], rule(k))
+                                     for k, *_ in kept])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
               out_extent) -> Tensor:
     """Strided sup-convolution op over ``_sup_max``, routing each cell's
     gradient to its first attaining offset."""
+    track = ad.is_grad_enabled()
     out, idx = _sup_max(f.data, offsets,
                         None if weights is None else weights.data, stride,
-                        out_extent, ad.is_grad_enabled())
+                        out_extent, track)
+    if not track:
+        return Tensor(out)
+    _mark_dead(idx, out)
+    shape = f.data.shape
 
     def route(block):
-        live = _live(idx, out)
-        src = _sources(f.data.shape, stride, offsets, idx).ravel()[live]
+        live = _live(idx)
+        src = _sources(shape, stride, offsets, idx).ravel()[live]
         return live, {"src": src, "offset": idx.ravel()[live]}
 
     edges = [(f, ("src", 0), None)]
     if weights is not None:
         edges.append((weights, ("offset", 0), None))
-    return routed_node(out, [WHOLE], route, edges)
+    return routed_node(out, [WHOLE], route, edges, shape)
 
 
 # -- stride-1 operators ----------------------------------------------------
@@ -422,8 +445,8 @@ def erode(f, g: StructuringFunction) -> Tensor:
 def relu(f) -> Tensor:
     """max(f, 0); the gradient passes where f >= 0, at 0 too."""
     f = lift(f)
-    return ad.make_node(np.maximum(f.data, 0.0),
-                        [(f, lambda g: g * (f.data >= 0))])
+    mask = f.data >= 0
+    return ad.make_node(np.maximum(f.data, 0.0), [(f, lambda g: g * mask)])
 
 
 # -- pooling ----------------------------------------------------------------
@@ -458,7 +481,10 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     node, run on ``_blocks`` of the channel-first frame (axis 1 of an input
     with batch and channel axes), where a conv2d output is C-contiguous:
     each block is clamped into a copy that stays in cache and pooled with
-    ``_sup_max``, so values and winners are the chain's.  Under grad the
+    ``_sup_max``, so values and winners are the chain's.  Under no_grad,
+    where no winner is recorded, each block is pooled raw and only the
+    pooled cells are clamped: the clamp is monotone and turns every zero
+    into +0, so the values are still the chain's to the bit.  Under grad the
     pool carries ``len(offsets)`` from every source whose rectifier is
     closed (its clamped value differs from f), so each cell's winner code
     is its offset plus that flag, and a closed winner's summed gradient is
@@ -480,28 +506,36 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     track = ad.is_grad_enabled()
     flag = len(offsets)
 
+    def clamp(a: Array, out: Array | None = None) -> Array:
+        a = np.maximum(a, 0.0, out=out)
+        return a if cap is None else np.minimum(a, cap, out=a)
+
     def run(block):
         xb = xf[block]
-        clamped = np.maximum(xb, 0.0)
-        if cap is not None:
-            np.minimum(clamped, cap, out=clamped)
-        carry = None if not track else np.multiply(
-            clamped != xb, flag, dtype=_index_dtype(2 * flag))
-        return _sup_max(clamped, offsets, None, pool.stride, out_ext, track,
-                        carry)
+        if not track:
+            pooled, _ = _sup_max(xb, offsets, None, pool.stride, out_ext,
+                                 False)
+            return clamp(pooled, pooled), None
+        clamped = clamp(xb)
+        carry = np.multiply(clamped != xb, flag, dtype=_index_dtype(2 * flag))
+        pooled, idx = _sup_max(clamped, offsets, None, pool.stride, out_ext,
+                               True, carry)
+        _mark_dead(idx, pooled)
+        return pooled, idx
 
     out, idx = _join(xf.shape, _blocks(xf, pool.rank), run)
     if not track:
         return Tensor(out.swapaxes(0, axis))
+    shape = f.data.shape
 
     def route(block):
-        live = _live(idx, out)
-        src = _sources(f.data.shape, pool.stride, offsets * 2, idx,
+        live = _live(idx)
+        src = _sources(shape, pool.stride, offsets * 2, idx,
                        axis).ravel()[live]
         return live, {"src": src, "closed": src[idx.ravel()[live] >= flag]}
 
-    return routed_node(out, [WHOLE], route, [(f, ("src", 0), None)], axis,
-                       x_axis=0)
+    return routed_node(out, [WHOLE], route, [(f, ("src", 0), None)], shape,
+                       axis, x_axis=0)
 
 
 # -- two-slope activations and self-dual pooling -----------------------------

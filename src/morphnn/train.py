@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import resource
 import time
 import zipfile
@@ -51,14 +52,55 @@ class DivergenceError(RuntimeError):
 # time instead of on the whole (272 MB at conv2 at batch 256)
 _BACK_X_BYTES = 1 << 24
 
+# bytes of im2col columns that conv2d's no-grad forward holds at a time: it
+# fills one buffer of whole images' columns per slice of the batch instead
+# of the whole im2col (571 MB at conv2 at batch 512); smaller slices run
+# slower inside evaluate(), where each copy follows a multithreaded GEMM
+_NO_GRAD_COLS_BYTES = 1 << 26
+
+# a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
+# when the slice starts and ends on a multiple of this many columns, the
+# group OpenBLAS's Haswell dgemm kernel computes together; a slice ending
+# elsewhere differed in the last bit in its last columns
+_GEMM_COLUMN_GROUP = 8
+
+
+def _windows(x: Array, kh: int, kw: int) -> Array:
+    """Every kh x kw window of x [B,C,H,W] as a [C,kh,kw,B,OH,OW] view."""
+    b, c, h, w = x.shape
+    s = x.strides
+    win = as_strided(x, shape=(b, c, kh, kw, h - kh + 1, w - kw + 1),
+                     strides=(s[0], s[1], s[2], s[3], s[2], s[3]))
+    return win.transpose(1, 2, 3, 0, 4, 5)
+
 
 def _im2col(x: Array, kh: int, kw: int) -> Array:
-    b, c, h, w = x.shape
+    win = _windows(x, kh, kw)
+    return win.reshape(math.prod(win.shape[:3]), -1)
+
+
+def _conv_no_grad(x: Array, wmat: Array, kh: int, kw: int) -> Array:
+    """``wmat @ _im2col(x, kh, kw)`` a slice of whole images at a time
+    (``_NO_GRAD_COLS_BYTES``), each slice's columns filled into one reused
+    buffer and its GEMM written into its columns of the result.  Each
+    slice holds a multiple of ``_GEMM_COLUMN_GROUP`` columns (the last may
+    end the batch), so the result is the whole GEMM's."""
+    bsz, c, h, w = x.shape
     oh, ow = h - kh + 1, w - kw + 1
-    s = x.strides
-    win = as_strided(x, shape=(b, c, kh, kw, oh, ow),
-                     strides=(s[0], s[1], s[2], s[3], s[2], s[3]))
-    return win.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, b * oh * ow)
+    rows, cells = c * kh * kw, oh * ow
+    unit = _GEMM_COLUMN_GROUP // math.gcd(cells, _GEMM_COLUMN_GROUP)
+    fits = _NO_GRAD_COLS_BYTES // (wmat.itemsize * rows * cells)
+    step = min(bsz, max(unit, fits - fits % unit))
+    buf = np.empty(rows * step * cells)
+    out = np.empty((len(wmat), bsz * cells))
+    for start in range(0, bsz, step):
+        xs = x[start:start + step]
+        n = len(xs) * cells
+        cols = buf[:rows * n].reshape(rows, n)
+        np.copyto(cols.reshape(c, kh, kw, len(xs), oh, ow),
+                  _windows(xs, kh, kw))
+        np.matmul(wmat, cols, out=out[:, start * cells:start * cells + n])
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -67,20 +109,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     The output is the transposed view of one GEMM result, so its memory is
     channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
     output gradient, as the layer forms return, reaches both GEMMs of the
-    backward pass as a view.  The x gradient is computed a batch slice at
-    a time (``_BACK_X_BYTES``); each slice's columns are the whole GEMM's,
-    so the result is the same to the bit.
+    backward pass as a view.  The no-grad forward pass runs a batch slice
+    at a time (``_conv_no_grad``), and its output is the whole GEMM's to
+    the bit.  The x gradient is computed a batch slice at a time too
+    (``_BACK_X_BYTES``).  Under grad the rules keep the im2col columns
+    (for the w gradient) and the weight matrix (for the x gradient), never
+    x or the output.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError("channel mismatch")
     oh, ow = h - kh + 1, wd - kw + 1
-    cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
     wmat = w.data.reshape(f, -1)
-    out = (wmat @ cols).reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
+    track = ad.is_grad_enabled()
+    cols = _im2col(x.data, kh, kw) if track else None  # [C*kh*kw, B*OH*OW]
+    gemm = wmat @ cols if track else _conv_no_grad(x.data, wmat, kh, kw)
+    out = gemm.reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data.reshape(1, f, 1, 1)
+    if not track:
+        return Tensor(out)
+    w_shape = w.data.shape
 
     def back_x(g: Array) -> Array:
         dx = np.zeros((c, bsz, h, wd))
@@ -98,7 +148,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
     def back_w(g: Array) -> Array:
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
-        return (gmat @ cols.T).reshape(w.data.shape)
+        return (gmat @ cols.T).reshape(w_shape)
 
     # back_w runs first: backward drops it, and cols with it, before
     # back_x runs (back_x must not hold cols)
@@ -276,8 +326,9 @@ class Model:
         self.dense = DenseLayer(self.feature_dim, spec.n_classes, rng)
 
     def features(self, x: Tensor) -> Tensor:
-        h = self.stage1(self.conv1(x))
-        h = self.stage2(self.conv2(h))
+        # nested, so each stage's input dies as soon as its consumer has
+        # run unless a backward rule keeps it
+        h = self.stage2(self.conv2(self.stage1(self.conv1(x))))
         return ad.reshape(h, (h.data.shape[0], self.feature_dim))
 
     def forward(self, x: Tensor, train: bool = False,

@@ -362,7 +362,7 @@ def oracle_backward(root):
     node's parents left to right, run in reverse, parents left to right
     within a node.
     """
-    order, seen, stack = [], set(), [(root, False)]
+    order, seen, stack = [], set(), [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -372,14 +372,14 @@ def oracle_backward(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._parents:
+        for parent, _ in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node.grad is None:
             continue
-        for parent, rule in node._parents:
+        for parent, rule in node.parents:
             contrib = rule(node.grad)
             parent.grad = (contrib if parent.grad is None
                            else parent.grad + contrib)
@@ -402,7 +402,8 @@ def full_size_layer_node(out, code, x, axis, params, structuring, pool,
     sizes = [len(sf.offsets) for sf in structuring]
     starts = np.cumsum([0] + sizes[:-1])
     offsets = [y for sf in structuring for y in sf.offsets]
-    live = mo._live(code, out)
+    dead = (code < 0) | np.isnan(out)
+    live = np.flatnonzero(~dead) if dead.any() else slice(None)
     inner, bank = np.divmod(code.astype(np.int64), len(offsets))
     src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
     bank = bank.ravel()[live]

@@ -428,7 +428,8 @@ class TestChannelMajorFrame:
 
 def _node_grads(out, g):
     """Each parent's gradient from the node's own rules, summed per tensor
-    as ``backward()`` sums them (a shared tensor is several parents)."""
+    as ``backward()`` sums them (a shared tensor is several parents), by
+    the id of the tensor's graph node (``id(t._node)``)."""
     grads = {}
     for parent, rule in out._parents:
         d = rule(g)
@@ -488,7 +489,7 @@ class TestBlockwiseBackward:
         def grads():
             out = fwd(x, params, bank, pool, channel_axis=axis)
             got = _node_grads(out, ad.make_rng(7).normal(size=out.shape))
-            return [got.get(id(t)) for t in tensors]
+            return [got.get(id(t._node)) for t in tensors]
 
         got = grads()
         monkeypatch.setattr(act, "_layer_node", full_size_layer_node)
@@ -520,7 +521,7 @@ class TestBlockwiseBackward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (id(xt) in grads) != frozen
+        assert (id(xt._node) in grads) != frozen
         # the full-size route arrays alone took 1.4 x.nbytes
         assert peak <= (0 if frozen else x.nbytes) + 4 * mo._BLOCK_BYTES
 

@@ -121,8 +121,8 @@ class TestBackward:
                 return rule(g)
             return back
 
-        out._parents = tuple((p, watched(rule) if p is x else rule)
-                             for p, rule in out._parents)
+        out._node.parents = tuple((p, watched(rule) if p is x._node else rule)
+                                  for p, rule in out._parents)
         ad.mul(out, Tensor(rng.normal(size=out.shape))).sum().backward()
         assert alive == [False]
         assert x.grad is not None and w.grad is not None
@@ -136,7 +136,7 @@ class TestBackward:
             edges = [(a, lambda g: g * b.data), (b, lambda g: g * a.data)]
             if swap:
                 edges = edges[::-1]
-            out = Tensor(prod, parents=tuple(edges))
+            out = ad.make_node(prod, edges)
             out.backward()
             return a.grad.copy(), b.grad.copy()
 

@@ -402,16 +402,29 @@ class TestActPool:
     def test_constant_zero_threshold_adds_no_node(self):
         t = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
         out = mo.act_pool(t, POOLS[0])
-        assert [p for p, _ in out._parents] == [t]
+        assert [p for p, _ in out._parents] == [t._node]
 
-    def test_no_grad_values(self):
+    @pytest.mark.parametrize("block_bytes", [600, mo._BLOCK_BYTES])
+    @pytest.mark.parametrize("layout", ["batch-major", "channel-major"])
+    @pytest.mark.parametrize("cap", [None, 6.0])
+    def test_no_grad_values(self, monkeypatch, cap, layout, block_bytes):
+        # seeded differential: under no_grad act_pool pools the raw input
+        # and clamps the pooled cells, the chain clamps every input and
+        # pools; the bytes agree, the sign of every zero included
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
         rng = ad.make_rng(42)
-        f = _tied(rng, (3, 4, 9, 9), 6.0, "channel-major")
-        with ad.no_grad():
-            got = mo.act_pool(Tensor(f), POOLS[1], cap=6.0)
-            want = chain_act_pool(Tensor(f), POOLS[1], cap=6.0)
-        assert not got._parents
-        _assert_same_bytes([got.data], [want.data])
+        values = np.array([0.0, -0.0, 1.0, -1.0, 6.0, 7.0, np.nan, np.inf,
+                           -np.inf])
+        for _ in range(300):
+            pool = POOLS[int(rng.integers(len(POOLS)))]
+            f = rng.choice(values, size=(2, 3, 7, 7))
+            if layout == "channel-major":
+                f = _channel_major(f)
+            with ad.no_grad():
+                got = mo.act_pool(Tensor(f), pool, cap=cap)
+                want = chain_act_pool(Tensor(f), pool, cap=cap)
+            assert not got._parents
+            _assert_same_bytes([got.data], [want.data])
 
     @pytest.mark.parametrize("layout", ["batch-major", "channel-major"])
     def test_selfdual_and_posneg_byte_equal_to_chains(self, layout):

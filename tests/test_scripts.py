@@ -33,6 +33,25 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     assert doc["gradcheck"] == hashlib.sha256(report).hexdigest()
 
 
+def test_step_memory_reports_every_variant(tmp_path):
+    done = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "step_memory.py"),
+                           "--batch", "4", "--eval-batch", "6",
+                           "--filters", "3"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["config"]["batch"] == 4
+    assert report["config"]["eval_batch"] == 6
+    assert list(report["variants"]) == list(VARIANTS)
+    for row in report["variants"].values():
+        assert set(row) == {"train_step_mb", "eval_batch_mb"}
+        assert all(v > 0 for v in row.values())
+
+
 def test_line_count_counts_every_src_file(tmp_path):
     done = subprocess.run([sys.executable,
                            str(ROOT / "scripts" / "line_count.py")],

@@ -57,7 +57,7 @@ class TestConv2d:
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         out = tr.conv2d(xt, wt, bt)
         rules = {id(parent): rule for parent, rule in out._parents}
-        got = [out.data] + [rules[id(t)](g) for t in (xt, wt, bt)]
+        got = [out.data] + [rules[id(t._node)](g) for t in (xt, wt, bt)]
         for have, want in zip(got, oracle_conv2d_gemm(x, w, b, g)):
             assert have.shape == want.shape
             assert (np.ascontiguousarray(have).tobytes()
@@ -97,6 +97,55 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak <= dx.nbytes + 2 * tr._BACK_X_BYTES
+
+    @pytest.mark.parametrize("shape,fits,slices", [
+        # 5 x 4 = 20 cells an image: two images fill the column group
+        ((7, 4, 7, 6), 3, [2, 2, 2, 1]),
+        # 5 x 5 = 25 cells: only eight do, more than the budget holds
+        ((11, 3, 7, 7), 3, [8, 3]),
+        ((6, 2, 5, 5), 100, [6])])
+    def test_no_grad_forward_in_slices(self, monkeypatch, shape, fits,
+                                       slices):
+        # the no-grad forward fills the columns of whole images a slice at
+        # a time; each slice spans whole column groups, so the output is
+        # that of the whole GEMM under grad, to the bit
+        rng = make_rng(75)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(5, shape[1], 3, 3))
+        b = rng.normal(size=5)
+        cells = (shape[2] - 2) * (shape[3] - 2)
+        monkeypatch.setattr(tr, "_NO_GRAD_COLS_BYTES",
+                            fits * 8 * shape[1] * 9 * cells)
+        want = tr.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        seen = []
+        windows = tr._windows
+        monkeypatch.setattr(tr, "_windows",
+                            lambda xs, kh, kw: seen.append(len(xs))
+                            or windows(xs, kh, kw))
+        with ad.no_grad():
+            got = tr.conv2d(Tensor(x), Tensor(w), Tensor(b))
+        assert seen == slices
+        assert not got._parents
+        assert got.data.shape == want.shape
+        assert got.data.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert (np.ascontiguousarray(got.data).tobytes()
+                == np.ascontiguousarray(want).tobytes())
+
+    def test_no_grad_forward_memory_is_the_output_and_one_slice(
+            self, monkeypatch):
+        # the whole im2col would be 7.4 MB, 7 budgets
+        monkeypatch.setattr(tr, "_NO_GRAD_COLS_BYTES", 1 << 20)
+        rng = make_rng(76)
+        x = Tensor(rng.normal(size=(64, 16, 12, 12)))
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                out = tr.conv2d(x, w, None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= out.data.nbytes + tr._NO_GRAD_COLS_BYTES
 
     def test_gradients(self):
         rng = make_rng(71)
@@ -227,7 +276,7 @@ class TestModel:
         x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
         loss = tr.cross_entropy(model.forward(x, train=True, rng=make_rng(2)),
                                 np.zeros(4, dtype=np.int64))
-        assert len(ad._toposort(loss)) == nodes
+        assert len(ad._toposort(loss._node)) == nodes
 
     def test_default_feature_dim(self):
         model = build_model(ModelSpec(), make_rng(0))
@@ -261,6 +310,85 @@ class TestModel:
             for a, b in zip(clone.parameters(), model.parameters()):
                 npt.assert_array_equal(a.data, b.data)
             npt.assert_array_equal(clone.forward(x).data, want, variant)
+
+
+def _buffer(a):
+    """The array that owns the memory of ``a``, a view or not."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestSavedArrays:
+    """A training step's graph keeps only the arrays its backward rules
+    read: a layer's output dies with its tensor once its consumer has run,
+    unless a rule of that consumer reads it."""
+
+    def _watched(self, model, names, refs):
+        # each named layer records a weak reference to its output's memory
+        for name in names:
+            def call(t, layer=getattr(model, name), name=name):
+                out = layer(t)
+                refs[name] = weakref.ref(_buffer(out.data))
+                return out
+            setattr(model, name, call)
+
+    def test_relu_maxpool_outputs_die_with_their_consumer(self):
+        model = build_model(small_spec("relu-maxpool"), make_rng(0))
+        weights = [model.conv1.w, model.conv2.w]
+        refs = {}
+        self._watched(model, ["conv1", "stage1", "conv2"], refs)
+        x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
+        h = model.stage1(model.conv1(x))
+        # act_pool's rule reads its input's shape, not its input
+        assert refs["conv1"]() is None
+        h = model.conv2(h)
+        # conv2d's rules read the im2col columns and w, not x
+        assert refs["stage1"]() is None
+        assert refs["conv2"]() is not None
+        h = model.stage2(h)
+        assert refs["conv2"]() is None
+        h.sum().backward()
+        assert all(w.grad is not None for w in weights)
+
+    def test_morpho1_stage_keeps_its_input_until_backward(self):
+        # d out / d beta is the winning piece's input, x at the winning
+        # source, so _layer_node holds x until its rule has run
+        model = build_model(small_spec("morpho1"), make_rng(0))
+        refs = {}
+        self._watched(model, ["conv1"], refs)
+        x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
+        h = model.stage1(model.conv1(x))
+        assert refs["conv1"]() is not None
+        h.sum().backward()
+        assert refs["conv1"]() is None
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_no_rule_reads_a_tensor_lazily(self, monkeypatch, variant):
+        # every array a rule reads is captured when its op runs: poisoning
+        # each non-leaf tensor's data after the forward pass leaves every
+        # parameter gradient byte for byte as it was
+        labels = np.arange(4) % 10
+
+        def grads(poison):
+            made = []
+            make_node = ad.make_node
+            if poison:
+                monkeypatch.setattr(ad, "make_node", lambda data, parents: (
+                    made.append(make_node(data, parents)) or made[-1]))
+            model = build_model(small_spec(variant), make_rng(0))
+            x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
+            loss = tr.cross_entropy(
+                model.forward(x, train=True, rng=make_rng(2)), labels)
+            monkeypatch.undo()
+            for t in made:
+                if t._parents:
+                    t.data = np.full(t.data.shape, np.nan)
+            assert len(made) > 5 or not poison
+            loss.backward()
+            return [p.grad.tobytes() for p in model.parameters()]
+
+        assert grads(poison=True) == grads(poison=False)
 
 
 class TestTrainLoop:

@@ -32,13 +32,13 @@ records it as one integer code in the smallest signed dtype that holds it:
 ``inner * len(bank offsets) + bank position``, the bank position naming both
 the offset and its member, the outer branch; -1 where no offset lands.  Form
 1's pool carries each source's code from the cell's winning source.  The
-backward pass is one ``morphops.routed_node`` on the forward pass's blocks:
-per block it decodes the codes through two lookup tables into source and
-parameter indices, scatters the x gradient into the block's slice of a
-frame-contiguous buffer with ``np.bincount``, and adds the parameter
-gradients into running sums in cell order with ``np.add.at``, the same sums
-to the bit as one ``bincount`` over every cell.  The output and x gradient
-are returned as swapped views: channel-major again for a conv2d.  Summed
+backward pass is one ``morphops.routed_node`` on the forward pass's blocks,
+whose route decodes a block's codes through two lookup tables into sources
+and parameter indices and returns its gradients: g times the winning slope
+for x (and form 2's weights), g times the winning piece's input for beta, g
+for alpha; the node scatters and sums them in cell order, the same to the
+bit as one ``bincount`` over every cell.  The output and x gradient are
+returned as swapped views: channel-major again for a conv2d.  Summed
 gradients of parameters shared across channels (the structuring weights)
 accumulate channel by channel.  Tie rules, as for the pools: the inner max
 keeps the lowest index, the window its first offset in row-major order, and
@@ -226,20 +226,16 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
                 pool_first: bool) -> Tensor:
     """One graph node for a layer form, from its winner code (see the
     module docstring), C-contiguous like ``out`` in the frame that swaps
-    ``axis`` of x to the front.  On each block of the forward pass
-    (``morphops._blocks``) the backward decodes the codes through two
-    tables built once, code to bank position and code to flat (j, i), into
-    the block's sources, cells and bank positions, so no array spans every
-    cell but the gradients themselves.  A dead code, -1, takes no gradient
-    (``morphops._live``).  The backward reads x at each winning source
-    (d out / d beta is the winning piece's input), so the node keeps the
-    input's array alive until it has run; it does not hold ``out``.
+    ``axis`` of x to the front.  Its route decodes a block's codes through
+    two tables built once, code to bank position and code to flat (j, i),
+    so no array spans every cell but the gradients.  A dead code, -1, takes
+    no gradient (``morphops._live``).  The route reads x at each winning
+    source (d out / d beta is the winning piece's input), so the node keeps
+    the input's array alive until it has run; it does not hold ``out``.
     """
     xf = x.data.swapaxes(0, axis)
-    # every offset of the bank, and where each member's first one sits
     offsets = [y for sf in structuring for y in sf.offsets]
     sizes = [len(sf.offsets) for sf in structuring]
-    starts = np.cumsum([0] + sizes[:-1])
     beta = params.beta.data.reshape(-1)
     per_channel = params.beta.data.ndim == 3
     m, n = params.m_terms, params.n_terms
@@ -253,7 +249,11 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
     cell_of = (inner * n + member if pool_first
                else member * n + inner).ravel()
 
-    def route(block):
+    takes_x, takes_beta, takes_alpha = (
+        t.requires_grad for t in (x, params.beta, params.alpha))
+    takes_w = any(sf.weights.requires_grad for sf in structuring)
+
+    def route(block, g):
         cb = code[block]
         live = mo._live(cb)
         bank = bank_of[cb]
@@ -265,20 +265,26 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
         if per_channel:
             cell += channels[block[0]] * (m * n)
         cell = cell.ravel()[live]
-        # d out / d beta is the winning piece's input: x at the source, or
-        # for variant 2 the pooled value x + w there
-        piece_input = xb.ravel()[src]
-        if pool_first:
-            piece_input += weights[bank]
-        return live, {"src": src, "cell": cell, "bank": bank,
-                      "input": piece_input, "slope": beta[cell]}
+        gb = g.ravel()[live]
+        # d out / d x (and, for variant 2, d out / d w) is the winning slope
+        gs = gb * beta[cell] if takes_x or takes_w and pool_first else None
+        parts = []
+        if takes_beta:
+            # d out / d beta is the winning piece's input: x at the source,
+            # or for variant 2 the pooled value x + w there
+            piece_input = xb.ravel()[src]
+            if pool_first:
+                piece_input += weights[bank]
+            parts.append((0, cell, gb * piece_input))
+        if takes_alpha:
+            parts.append((1, cell, gb))
+        if takes_w:
+            parts.append((2, bank, gs if pool_first else gb))
+        return src, gs if takes_x else None, None, parts
 
-    edges = [(x, ("src", 0), "slope"), (params.beta, ("cell", 0), "input"),
-             (params.alpha, ("cell", 0), None)]
-    edges += [(sf.weights, ("bank", start), "slope" if pool_first else None)
-              for start, sf in zip(starts, structuring)]
-    return mo.routed_node(out, mo._blocks(xf, pool.rank), route, edges,
-                          xf.shape, axis)
+    return mo.routed_node(out, mo._blocks(xf, pool.rank), route, x,
+                          [params.beta, params.alpha]
+                          + [sf.weights for sf in structuring], axis)
 
 
 def _layer(x, params: MorphoActivationParams,

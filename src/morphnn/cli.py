@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as e:  # IdxFormatError included
+    except (OSError, ValueError) as e:  # IdxFormatError, --out a file
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

@@ -20,8 +20,9 @@ Conventions shared by every op here:
   ``_live``, which every route calls, drops the dead cells;
 * each output cell copies one winner, recorded as one integer code (the
   offset, plus what ``_sup_max`` carries from the winning source), so every
-  windowed backward here is one ``routed_node``, which sends the cell's
-  gradient to that winner alone (``relu``, elementwise, is a plain node);
+  windowed backward here is one ``routed_node``, whose route returns each
+  cell's gradient for that winner alone (``relu``, elementwise, is a plain
+  node);
 * a backward rule reads the winner record and the input's shape, never
   the input or the output, so a stage holds neither of them alive.
 
@@ -304,92 +305,72 @@ def _join(shape, blocks, run) -> list[Array]:
     return joined
 
 
-def routed_node(out: Array, blocks, route, edges, x_shape, axis: int = 0,
-                x_axis: int | None = None) -> Tensor:
+def routed_node(out: Array, blocks, route, x: Tensor, params=(),
+                axis: int = 0, x_axis: int | None = None) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
 
     The node works in a frame: ``out`` is C-contiguous with ``axis`` of the
     node's output swapped to the front (0 leaves it as it is), the node
-    holds the swapped-back view, and the first edge's parent, the op's
-    input, has the shape ``x_shape`` in the frame that swaps its ``x_axis``
-    to the front (by default ``axis``; frames that differ need one block).
-    ``blocks`` cuts the frame into index tuples over its leading axes, in C
-    order, such that each block of the output takes its winners from the
-    same block of the input (no block cuts a pooled axis); ``WHOLE`` alone
-    is one block.  ``route(block)`` returns the block's live output cells
-    (``_live``) and a dict of arrays with one entry per live cell of the
-    block; whatever of the forward pass it reads, it captures itself.  The
-    node reads no parent: of each edge it keeps the slot it fills.
+    holds the swapped-back view, and its input ``x`` is seen in the frame
+    that swaps its ``x_axis`` to the front (by default ``axis``; frames that
+    differ need one block).  ``blocks`` cuts the frame into index tuples
+    over its leading axes, in C order, such that each block of the output
+    takes its winners from the same block of the input (no block cuts a
+    pooled axis); ``WHOLE`` alone is one block.
 
-    The node's first backward rule computes every edge's gradient in one
-    pass over the blocks; each later rule hands out its stored gradient.
-    Each edge ``(parent, (key, start), factor)`` takes ``g`` at the live cells,
-    times ``arrays[factor]`` unless ``factor`` is None, and scatters that over
-    ``arrays[key]``, the parent holding positions ``start`` onwards.  The input
-    edge's positions count cells of its block: each block's ``np.bincount``
-    fills its slice of a gradient C-contiguous in the frame.  A parameter
-    edge's positions count the whole parameter, and ``np.add.at`` adds each
-    block into a running sum in cell order, as one ``bincount`` over every cell
-    would, so the sum is the same to the bit.  An edge whose parent does not
-    require grad is skipped.  A route may also return ``closed``, positions of
-    the input edge's gradient in its block that are multiplied by 0 after the
-    scatter: the sources where a rectifier is closed, whose gradient is then
-    the summed gradient times a 0 slope, signed zero included.
+    ``route(block, g)`` gets the block's output gradient in the frame and
+    returns its gradients as ``(src, gx, closed, parts)``: each live cell's
+    (``_live``) source in the x frame's block and x gradient, None for a
+    frozen x; sources whose summed gradient is then times 0, signed zero
+    included (a closed rectifier), or None; and parts ``(k, index,
+    values)``, added at ``index`` into ``params`` laid end to end from
+    ``params[k]`` on.  A route captures what it reads and skips the work of
+    a frozen leaf; the node keeps shapes and ``requires_grad`` flags, never
+    a tensor.  The first backward rule runs the blocks: a block-local
+    ``np.bincount`` fills the block's slice of an x gradient C-contiguous in
+    the x frame, and ``np.add.at`` adds the parts into one running sum in
+    cell order, the same to the bit as one ``bincount`` over every cell.
+    Later rules hand out the stored gradients.
     """
     def frame(a: Array, ax: int = axis) -> Array:
         return a.swapaxes(0, ax) if ax else a
 
     x_axis = axis if x_axis is None else x_axis
-    (x_key, _), x_factor = edges[0][1:]
-    # each kept edge's slot: its position, index, factor and shape
-    kept = [(k, index, factor, parent.data.shape)
-            for k, (parent, index, factor) in enumerate(edges)
-            if parent.requires_grad]
+    x_shape = frame(x.data, x_axis).shape
+    shapes = [p.data.shape for p in params]
+    starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    takes = [t.requires_grad for t in (x, *params)]
     grads: dict[int, Array] = {}
 
     def backward_pass(g: Array) -> None:
         gf = frame(g)
-        # a zero-stride stand-in for the input frame: only the shapes of
-        # its blocks are read
+        # a zero-stride stand-in for the x frame, of which only the shapes
+        # of its blocks are read; built here rather than with the node, as
+        # an allocation made then shifts the allocator's layout enough to
+        # move a training step's peak RSS
         xf = np.broadcast_to(0.0, x_shape)
-        sizes = {}  # (key, factor) -> length of a running sum
-        for k, (key, start), factor, shape in kept:
-            if k:
-                sizes[key, factor] = max(sizes.get((key, factor), 0),
-                                         start + math.prod(shape))
-        sums = {kf: np.zeros(size) for kf, size in sizes.items()}
+        total = np.zeros(starts[-1])
 
         def run(block):
-            live, arrays = route(block)
-            gb = gf[block].ravel()[live]
-            products = {None: gb}
-
-            def times(factor):
-                if factor not in products:
-                    products[factor] = gb * arrays[factor]
-                return products[factor]
-
-            for key, factor in sums:
-                np.add.at(sums[key, factor], arrays[key], times(factor))
-            if kept[0][0]:  # the input takes no gradient
+            src, gx, closed, parts = route(block, gf[block])
+            for k, index, values in parts:
+                np.add.at(total[starts[k]:], index, values)
+            if not takes[0]:
                 return []
             xb = xf[block]
             # float64 even with no live cell, where bincount is int64
-            gl = np.bincount(arrays[x_key], weights=times(x_factor),
-                             minlength=xb.size).astype(float, copy=False)
-            if "closed" in arrays:
-                gl[arrays["closed"]] *= 0.0
+            gl = np.bincount(src, gx, xb.size).astype(float, copy=False)
+            if closed is not None:
+                gl[closed] *= 0.0
             return [gl.reshape(xb.shape)]
 
-        parts = _join(x_shape, blocks, run)
-        for k, index, factor, shape in kept:
-            if k == 0:
-                grads[k] = frame(parts[0], x_axis)
-            else:
-                key, start = index
-                grads[k] = sums[key, factor][
-                    start:start + math.prod(shape)].reshape(shape)
+        joined = _join(x_shape, blocks, run)
+        if takes[0]:
+            grads[0] = frame(joined[0], x_axis)
+        for k, shape in enumerate(shapes):
+            if takes[k + 1]:
+                grads[k + 1] = total[starts[k]:starts[k + 1]].reshape(shape)
 
     def rule(k: int):
         def back(g: Array) -> Array:
@@ -398,8 +379,8 @@ def routed_node(out: Array, blocks, route, edges, x_shape, axis: int = 0,
             return grads.pop(k)
         return back
 
-    return ad.make_node(frame(out), [(edges[k][0], rule(k))
-                                     for k, *_ in kept])
+    return ad.make_node(frame(out), [(t, rule(k))
+                                     for k, t in enumerate((x, *params))])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
@@ -414,16 +395,19 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
         return Tensor(out)
     _mark_dead(idx, out)
     shape = f.data.shape
+    params = () if weights is None else (weights,)
+    takes_f = f.requires_grad
+    takes_w = weights is not None and weights.requires_grad
 
-    def route(block):
+    def route(block, g):
         live = _live(idx)
-        src = _sources(shape, stride, offsets, idx).ravel()[live]
-        return live, {"src": src, "offset": idx.ravel()[live]}
+        src = (_sources(shape, stride, offsets, idx).ravel()[live]
+               if takes_f else None)
+        gb = g.ravel()[live]
+        return (src, gb if takes_f else None, None,
+                [(0, idx.ravel()[live], gb)] if takes_w else [])
 
-    edges = [(f, ("src", 0), None)]
-    if weights is not None:
-        edges.append((weights, ("offset", 0), None))
-    return routed_node(out, [WHOLE], route, edges, shape)
+    return routed_node(out, [WHOLE], route, f, params)
 
 
 # -- stride-1 operators ----------------------------------------------------
@@ -528,14 +512,14 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
         return Tensor(out.swapaxes(0, axis))
     shape = f.data.shape
 
-    def route(block):
+    def route(block, g):
         live = _live(idx)
         src = _sources(shape, pool.stride, offsets * 2, idx,
                        axis).ravel()[live]
-        return live, {"src": src, "closed": src[idx.ravel()[live] >= flag]}
+        closed = src[idx.ravel()[live] >= flag]
+        return src, g.ravel()[live], closed, []
 
-    return routed_node(out, [WHOLE], route, [(f, ("src", 0), None)], shape,
-                       axis, x_axis=0)
+    return routed_node(out, [WHOLE], route, f, axis=axis, x_axis=0)
 
 
 # -- two-slope activations and self-dual pooling -----------------------------

@@ -49,7 +49,10 @@ class DivergenceError(RuntimeError):
 
 # bytes of the im2col-shaped x gradient that conv2d's backward holds at a
 # time: it runs the GEMM and the shifted adds one slice of the batch at a
-# time instead of on the whole (272 MB at conv2 at batch 256)
+# time instead of on the whole (272 MB at conv2 at batch 256); a slice
+# there is 15 images, 1,815 columns, not whole _GEMM_COLUMN_GROUPs, so the
+# x gradient may differ from one unsliced GEMM's in the last bit, and the
+# parameter hashes pin these slices
 _BACK_X_BYTES = 1 << 24
 
 # bytes of im2col columns that conv2d's no-grad forward holds at a time: it
@@ -112,9 +115,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     backward pass as a view.  The no-grad forward pass runs a batch slice
     at a time (``_conv_no_grad``), and its output is the whole GEMM's to
     the bit.  The x gradient is computed a batch slice at a time too
-    (``_BACK_X_BYTES``).  Under grad the rules keep the im2col columns
-    (for the w gradient) and the weight matrix (for the x gradient), never
-    x or the output.
+    (``_BACK_X_BYTES``); those slices are not aligned to
+    ``_GEMM_COLUMN_GROUP`` (15 images, 1,815 columns at conv2), so it may
+    differ from one unsliced GEMM's in the last bit.  Under grad the rules
+    keep the im2col columns (for the w gradient) and the weight matrix (for
+    the x gradient), never x or the output.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape

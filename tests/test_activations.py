@@ -526,6 +526,165 @@ class TestBlockwiseBackward:
         assert peak <= (0 if frozen else x.nbytes) + 4 * mo._BLOCK_BYTES
 
 
+def _spy_routes(monkeypatch) -> list:
+    """Record, for every block that a routed node's route runs on, whether
+    it returned an x gradient and which parameter parts it returned."""
+    seen = []
+    real = mo.routed_node
+
+    def spy(out, blocks, route, *args, **kwargs):
+        def recorded(block, g):
+            src, gx, closed, parts = route(block, g)
+            seen.append((gx is not None, tuple(k for k, _, _ in parts)))
+            return src, gx, closed, parts
+        return real(out, blocks, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(mo, "routed_node", spy)
+    return seen
+
+
+class TestFrozenLeaves:
+    """Freezing one group of leaves at a time: every live leaf's gradient
+    is the all-live run's, byte for byte, each frozen leaf's stays None,
+    and the routes do no work for the frozen group, so a skipped part
+    neither runs nor shifts another part's slice of the flat sum."""
+
+    GROUPS = ["none", "beta", "alpha", "w0", "bank", "x"]
+
+    @staticmethod
+    def _grads(leaves, frozen, run):
+        for name, t in leaves:
+            t.requires_grad = name not in frozen
+            t.grad = None
+        run()
+        return [t.grad for _, t in leaves]
+
+    def _check(self, monkeypatch, leaves, frozen, run, want_parts):
+        seen = _spy_routes(monkeypatch)
+        want = self._grads(leaves, (), run)
+        seen.clear()
+        got = self._grads(leaves, frozen, run)
+        for (name, _), a, b in zip(leaves, got, want):
+            if name in frozen:
+                assert a is None
+            else:
+                assert a.tobytes() == b.tobytes()
+        assert seen and set(seen) == {("x" not in frozen, want_parts)}
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_layer_forms(self, monkeypatch, group, variant, fwd):
+        # per-channel parameters, channel-major input, several blocks
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", 2000)
+        rng = ad.make_rng(97 + variant)
+        params, bank, x, g = _layer_case(rng, (3, 4, 6, 6), 2, 3, variant)
+        xt = Tensor(_channel_major(x))
+        leaves = [("x", xt), ("beta", params.beta), ("alpha", params.alpha)]
+        leaves += [(f"w{k}", sf.weights) for k, sf in enumerate(bank)]
+        frozen = {"bank": [f"w{k}" for k in range(len(bank))]}.get(
+            group, [group])
+
+        def run():
+            out = fwd(xt, params, bank, PoolSpec((2, 2), (2, 2)),
+                      channel_axis=1)
+            ad.mul(out, Tensor(g)).sum().backward()
+
+        assert len(mo._blocks(xt.data.swapaxes(0, 1), 2)) > 1
+        # parts: 0 beta, 1 alpha, 2 the bank's weights laid end to end
+        parts = tuple(k for k, names in enumerate(
+            [["beta"], ["alpha"], [name for name, _ in leaves[3:]]])
+            if set(names) - set(frozen))
+        self._check(monkeypatch, leaves, frozen, run, parts)
+
+    @pytest.mark.parametrize("group", ["none", "weights", "x"])
+    def test_dilate(self, monkeypatch, group):
+        rng = ad.make_rng(99)
+        sf = StructuringFunction([(0, 0), (1, 0), (0, -1), (2, 1)],
+                                 weights=rng.normal(size=4))
+        f = Tensor(_channel_major(rng.normal(size=(2, 3, 5, 6))))
+        g = rng.normal(size=f.shape)
+        leaves = [("x", f), ("weights", sf.weights)]
+
+        def run():
+            ad.mul(mo.dilate(f, sf), Tensor(g)).sum().backward()
+
+        self._check(monkeypatch, leaves, [group], run,
+                    () if group == "weights" else (0,))
+
+
+def _frozen_layer1(beta, alpha, extent):
+    """Frozen form-1 parameters: the matrices and one flat window per row."""
+    params = MorphoActivationParams(Tensor(np.array(beta, dtype=float)),
+                                    Tensor(np.array(alpha, dtype=float)))
+    return params, [StructuringFunction.pool_window(extent)
+                    for _ in range(params.m_terms)]
+
+
+class TestReluMaxPoolReduction:
+    """The paper's reduction of ReLU then max-pooling to layer form 1:
+    beta = [[1, 0]], alpha = 0 and one flat window make the form's
+    ``max(1 * x + 0, 0 * x + 0)`` pooled equal ``act_pool``'s clamp and
+    pool.  Two kernels, each through ``routed_node``, checked against each
+    other."""
+
+    POOL = PoolSpec((2, 2), (2, 2))
+
+    def test_values_and_gradients(self):
+        rng = ad.make_rng(101)
+        params, bank = _frozen_layer1([[1.0, 0.0]], [[0.0, 0.0]], (2, 2))
+        differ = 0
+        for _ in range(20):
+            b, c, h, w = (int(k) for k in rng.integers([1, 1, 2, 2],
+                                                       [5, 5, 10, 10]))
+            x = rng.integers(-3, 4, size=(b, c, h, w)).astype(np.float64)
+            if rng.random() < 0.5:
+                x = _channel_major(x)
+            g = rng.integers(-3, 4, size=(b, c) + self.POOL.out_extent(
+                (h, w))).astype(np.float64)
+            pooled, layer = [], []
+            for fwd, grads in ((lambda t: mo.act_pool(t, self.POOL), pooled),
+                               (lambda t: act.morpho_act1_forward(
+                                   t, params, bank, self.POOL), layer)):
+                xt = Tensor(x, requires_grad=True)
+                out = fwd(xt)
+                ad.mul(out, Tensor(g)).sum().backward()
+                grads += [out.data, xt.grad]
+            assert pooled[0].tobytes() == layer[0].tobytes()
+            npt.assert_array_equal(pooled[1], layer[1])
+            # signed zeros: a closed winner takes g * 0 in act_pool, as in
+            # the chain, -0.0 for a negative g; the layer's bincount adds
+            # the closed piece's g * 0 to +0.0, so its zeros are all +0.0
+            assert not np.signbit(layer[1][layer[1] == 0]).any()
+            signs = np.signbit(pooled[1]) != np.signbit(layer[1])
+            assert (pooled[1][signs] == 0).all()
+            assert np.signbit(pooled[1][signs]).all()
+            differ += int(signs.sum())
+        assert differ
+
+    def test_capped_tie_routes_differently(self):
+        # window [6, 7] under cap 6: both give 6, but
+        # - act_pool clamps both sources to 6 and routes g to the first
+        #   offset attaining the max (the documented tie rule), whose
+        #   rectifier is open: d/dx0 = 1;
+        # - form 1 with the clamp matrix takes min(max(x, 0) pooled = 7,
+        #   the constant 6 row pooled = 6), so the constant branch wins and
+        #   routes 0: the output is locally constant in both sources
+        x = np.array([[6.0, 7.0]])
+        pool = PoolSpec((2,), (2,))
+        params, bank = _frozen_layer1(*act.clamp_init(2, 2), (2,))
+        got = []
+        for fwd in (lambda t: mo.act_pool(t, pool, cap=6.0),
+                    lambda t: act.morpho_act1_forward(t, params, bank, pool)):
+            xt = Tensor(x, requires_grad=True)
+            out = fwd(xt)
+            out.sum().backward()
+            got.append((out.data, xt.grad))
+        (v_pool, d_pool), (v_layer, d_layer) = got
+        assert v_pool.tolist() == v_layer.tolist() == [[6.0]]
+        assert d_pool.tolist() == [[1.0, 0.0]]
+        assert d_layer.tolist() == [[0.0, 0.0]]
+
+
 _NAN_POOL = PoolSpec((1, 2), (1, 1))
 
 

@@ -422,3 +422,32 @@ def test_table1_requires_baseline(data_dir, tmp_path, capsys):
                  "--subset", "96", "--quiet"])
     assert code == 2
     assert "baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "train", "gradcheck", "basis", "export-activation", "table1"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_exits_2(command, under, data_dir, tmp_path,
+                                   capsys):
+    # --out names a file (mkdir raises FileExistsError) or a path under one
+    # (NotADirectoryError): an input error, not a traceback or exit 1
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    args = {
+        "train": _train_args(data_dir, out),
+        "gradcheck": ["gradcheck", "--sizes", "1", "--out", str(out)],
+        "basis": ["basis", "--op", "median", "--window", "3x3",
+                  "--out", str(out)],
+        "export-activation": ["export-activation", "--init",
+                              "--out", str(out)],
+        "table1": ["table1", "--data-dir", str(data_dir), "--out", str(out),
+                   "--variants", "relu-maxpool", "--seeds", "0",
+                   "--filters", "4", "--epochs", "1", "--subset", "96",
+                   "--quiet"],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out if under else afile) in err
+    assert afile.read_text() == "kept\n"

@@ -276,6 +276,90 @@ def _assert_same_bytes(got, want):
 POOLS = [PoolSpec((2, 2), (2, 2)), PoolSpec((3, 3), (2, 2))]
 
 
+def _sup_conv_values(f, offsets, w, stride, out_extent):
+    """``oracle_sup_conv`` over each index of f's leading axes."""
+    rank = len(offsets[0])
+    out = np.empty(f.shape[:-rank] + tuple(out_extent))
+    for lead in np.ndindex(f.shape[:-rank]):
+        out[lead] = oracle_sup_conv(f[lead], offsets, w, stride, out_extent)
+    return out
+
+
+class TestSingleBlockDifferential:
+    """Seeded differential for the routed ops that run as one block:
+    ``max_pool``, ``dilate_pool``, ``dilate`` and ``erode`` against the loop
+    oracles, which never call ``_sup_max``.  Random normal data (no ties,
+    no zeros), random shapes with 1 or 2 spatial axes and up to two leading
+    axes, extents, strides, offsets and weights, C-contiguous or a
+    channel-major view; values and the f and weight gradients are compared
+    byte for byte (both sums add in cell order)."""
+
+    CASES = 200
+
+    @staticmethod
+    def _draw(rng):
+        rank = int(rng.integers(1, 3))
+        lead = tuple(int(k) for k in rng.integers(1, 4,
+                                                  int(rng.integers(0, 3))))
+        extent = tuple(int(k) for k in rng.integers(1, 4, rank))
+        stride = tuple(int(k) for k in rng.integers(1, 4, rank))
+        n = tuple(r + int(k) for r, k in zip(extent, rng.integers(0, 5, rank)))
+        f = rng.normal(size=lead + n)
+        channel_major = f.ndim >= 2 and rng.random() < 0.5
+        return (_channel_major(f) if channel_major else f,
+                PoolSpec(extent, stride), channel_major)
+
+    def _compare(self, op, f, offsets, w, stride, out_extent, rng):
+        """``op(f, weights)`` against the oracle of max_y f(K*x - y) + w(y),
+        from an upstream gradient ``g`` drawn for the output; ``w`` None
+        stands for a flat window and ``op`` then takes f alone."""
+        rank = len(offsets[0])
+        g = rng.normal(size=f.shape[:-rank] + tuple(out_extent))
+        flat = w is None
+        w = np.zeros(len(offsets)) if flat else w
+        want = [_sup_conv_values(f, offsets, w, stride, out_extent),
+                *oracle_sup_conv_grads(f, offsets, w, stride, g)]
+        got = _output_and_grads(op, [f] if flat else [f, w], g)
+        _assert_same_bytes(got, want[:2] if flat else want)
+
+    def test_against_loop_oracles(self):
+        rng = ad.make_rng(46)
+        layouts = set()
+        for _ in range(self.CASES):
+            f, pool, channel_major = self._draw(rng)
+            layouts.add(channel_major)
+            n = f.shape[-pool.rank:]
+            window = StructuringFunction.pool_window(pool.extent).offsets
+            self._compare(lambda t: mo.max_pool(t, pool), f, window, None,
+                          pool.stride, pool.out_extent(n), rng)
+            # dilate_pool: random offsets and weights at the pool's stride
+            sf = random_sf(rng, pool.rank, k=int(rng.integers(1, 5)))
+            self._compare(
+                lambda t, w: mo.dilate_pool(
+                    t, StructuringFunction(sf.offsets, weights=w), pool),
+                f, sf.offsets, sf.weights.data, pool.stride,
+                pool.out_extent(n), rng)
+            # dilate: stride 1, same extent; windows may lie wholly outside
+            ones = (1,) * pool.rank
+            self._compare(
+                lambda t, w: mo.dilate(
+                    t, StructuringFunction(sf.offsets, weights=w)),
+                f, sf.offsets, sf.weights.data, ones, n, rng)
+            # erode(f, w) = -dilate(-f, transposed w): the oracle's values
+            # and gradients of -f under -g, negated
+            g = rng.normal(size=f.shape)
+            offs_t = sf.transpose().offsets
+            w = sf.weights.data
+            want = [-_sup_conv_values(-f, offs_t, w, ones, n)]
+            dh, dw = oracle_sup_conv_grads(-f, offs_t, w, ones, -g)
+            got = _output_and_grads(
+                lambda t, wt: mo.erode(
+                    t, StructuringFunction(sf.offsets, weights=wt)),
+                [f, w], g)
+            _assert_same_bytes(got, want + [-dh, dw])
+        assert layouts == {False, True}
+
+
 class TestActPool:
     """The fused rectifier-pool node against the chain it replaced, byte
     for byte: integer-valued inputs tie at 0 and at the cap, so the tie

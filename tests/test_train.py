@@ -66,7 +66,10 @@ class TestConv2d:
         assert got[1].transpose(1, 0, 2, 3).flags.c_contiguous
 
     def test_x_gradient_in_batch_slices(self, monkeypatch):
-        # a budget of two images' columns: slices of 2, 2 and 1 image
+        # a budget of two images' columns: slices of 2, 2 and 1 image; two
+        # images are 40 columns, whole groups of tr._GEMM_COLUMN_GROUP, and
+        # the last slice ends the batch, so each slice's GEMM groups its
+        # columns as the whole GEMM does: that is why the bytes agree
         rng = make_rng(73)
         x = rng.normal(size=(5, 4, 7, 6))
         w = rng.normal(size=(5, 4, 3, 3))

@@ -28,7 +28,7 @@ from . import representation as rep
 from .activations import MorphoActivationParams, activation_curve
 from .autodiff import make_rng
 from .data import Dataset, load_dataset, subset
-from .gradcheck import run_gradcheck
+from .gradcheck import build_cases, run_gradcheck
 from .train import (DivergenceError, ModelSpec, TrainConfig, VARIANTS,
                     build_model, load_model, run_table1_protocol, save_model,
                     train)
@@ -142,6 +142,10 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--tolerance must be finite and >= 0, got "
                          f"{args.tolerance}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
+    names = [case["name"] for case in build_cases(sizes)]
+    if args.corrupt not in (None, *names):
+        raise ValueError(f"unknown case {args.corrupt!r}; known: {names}")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_gradcheck(seed=args.seed, tolerance=args.tolerance,
                            h=args.step, sizes=sizes,
                            corrupt_case=args.corrupt)
@@ -192,8 +196,7 @@ def _parse_se(spec: str):
 
 def cmd_basis(args) -> int:
     window = _parse_window(args.window)
-    needs_se = args.op in ("erosion", "dilation", "opening")
-    if needs_se:
+    if args.op in ("erosion", "dilation", "opening"):
         se_spec = args.se or "horiz2"
         se = _parse_se(se_spec)
         table = {"erosion": rep.erosion_table, "dilation": rep.dilation_table,
@@ -204,6 +207,7 @@ def cmd_basis(args) -> int:
         se_spec = None
         table = {"median": rep.median_table,
                  "identity": rep.identity_table}[args.op](window)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
 
     kernel = rep.kernel_enumerate(table)
     basis = rep.minimal_basis(table)
@@ -443,14 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a bad IDX file (IdxFormatError) or an --out naming a file exits 2
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:  # IdxFormatError, --out a file
+    except (OSError, ValueError, DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(e, DivergenceError) else 2
 
 
 if __name__ == "__main__":

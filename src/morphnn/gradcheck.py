@@ -115,7 +115,10 @@ def _sf_bank(leaves: dict[str, Tensor], count: int) -> list[StructuringFunction]
 
 def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
     """Case table: two-slope rectifier, self-dual and parametric pooling,
-    threshold pooling, and the activation families over the size grid."""
+    threshold pooling, and the activation families over the size grid.  A
+    size below 1 raises ``ValueError``."""
+    if min(sizes) < 1:
+        raise ValueError(f"term counts must be >= 1, got sizes {sizes}")
     cases: list[dict] = []
 
     def draw_two_slope(rng):

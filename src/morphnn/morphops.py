@@ -228,15 +228,13 @@ def _live(index: Array):
     return np.flatnonzero(~dead) if dead.any() else slice(None)
 
 
-def _sources(x_shape, stride, offsets, index: Array, axis: int = 0) -> Array:
+def _sources(x_shape, stride, offsets, index: Array) -> Array:
     """Flat index into a C-contiguous array of ``x_shape`` of each output
-    cell's winning source ``K*p - y``, where ``index`` picks y among
-    ``offsets``.  ``index`` is shaped like the output in the frame that
-    swaps its ``axis`` to the front (0: as it is).  A cell whose index is
-    -1 gets a meaningless source."""
+    cell's winning source ``K*p - y``, where ``index``, shaped like the
+    output in the same frame, picks y among ``offsets``.  A cell whose
+    index is -1 gets a meaningless source."""
     lead = len(x_shape) - len(stride)
     strides = list(np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1])
-    strides[0], strides[axis] = strides[axis], strides[0]
     steps = strides[:lead] + [s * k for s, k in zip(strides[lead:], stride)]
     # flat index of each window's anchor K*p, summed from per-axis grids
     anchor = sum((np.arange(size, dtype=np.int64) * step).reshape(
@@ -306,22 +304,21 @@ def _join(shape, blocks, run) -> list[Array]:
 
 
 def routed_node(out: Array, blocks, route, x: Tensor, params=(),
-                axis: int = 0, x_axis: int | None = None) -> Tensor:
+                axis: int = 0) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
 
-    The node works in a frame: ``out`` is C-contiguous with ``axis`` of the
-    node's output swapped to the front (0 leaves it as it is), the node
-    holds the swapped-back view, and its input ``x`` is seen in the frame
-    that swaps its ``x_axis`` to the front (by default ``axis``; frames that
-    differ need one block).  ``blocks`` cuts the frame into index tuples
-    over its leading axes, in C order, such that each block of the output
-    takes its winners from the same block of the input (no block cuts a
-    pooled axis); ``WHOLE`` alone is one block.
+    The node works in one frame: ``out`` is C-contiguous with ``axis`` of
+    the node's output swapped to the front (0 leaves it as it is), the node
+    holds the swapped-back view, and it sees its input ``x``, and returns
+    x's gradient, in the output's frame.  ``blocks`` cuts the frame into
+    index tuples over its leading axes, in C order, such that each block of
+    the output takes its winners from the same block of the input (no
+    block cuts a pooled axis); ``WHOLE`` alone is one block.
 
     ``route(block, g)`` gets the block's output gradient in the frame and
     returns its gradients as ``(src, gx, closed, parts)``: each live cell's
-    (``_live``) source in the x frame's block and x gradient, None for a
+    (``_live``) source in the frame's input block and x gradient, None for a
     frozen x; sources whose summed gradient is then times 0, signed zero
     included (a closed rectifier), or None; and parts ``(k, index,
     values)``, added at ``index`` into ``params`` laid end to end from
@@ -329,22 +326,18 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
     a frozen leaf; the node keeps shapes and ``requires_grad`` flags, never
     a tensor.  The first backward rule runs the blocks: a block-local
     ``np.bincount`` fills the block's slice of an x gradient C-contiguous in
-    the x frame, and ``np.add.at`` adds the parts into one running sum in
+    the frame, and ``np.add.at`` adds the parts into one running sum in
     cell order, the same to the bit as one ``bincount`` over every cell.
     Later rules hand out the stored gradients.
     """
-    def frame(a: Array, ax: int = axis) -> Array:
-        return a.swapaxes(0, ax) if ax else a
-
-    x_axis = axis if x_axis is None else x_axis
-    x_shape = frame(x.data, x_axis).shape
+    x_shape = x.data.swapaxes(0, axis).shape
     shapes = [p.data.shape for p in params]
     starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
     takes = [t.requires_grad for t in (x, *params)]
     grads: dict[int, Array] = {}
 
     def backward_pass(g: Array) -> None:
-        gf = frame(g)
+        gf = g.swapaxes(0, axis)
         # a zero-stride stand-in for the x frame, of which only the shapes
         # of its blocks are read; built here rather than with the node, as
         # an allocation made then shifts the allocator's layout enough to
@@ -367,7 +360,7 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
 
         joined = _join(x_shape, blocks, run)
         if takes[0]:
-            grads[0] = frame(joined[0], x_axis)
+            grads[0] = joined[0].swapaxes(0, axis)
         for k, shape in enumerate(shapes):
             if takes[k + 1]:
                 grads[k + 1] = total[starts[k]:starts[k + 1]].reshape(shape)
@@ -379,8 +372,8 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
             return grads.pop(k)
         return back
 
-    return ad.make_node(frame(out), [(t, rule(k))
-                                     for k, t in enumerate((x, *params))])
+    return ad.make_node(out.swapaxes(0, axis), [
+        (t, rule(k)) for k, t in enumerate((x, *params))])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
@@ -474,9 +467,9 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     is its offset plus that flag, and a closed winner's summed gradient is
     times 0, signed zero included, as in the chain.  A NaN cell (a window
     holding NaN) takes no gradient and closes no source.  The input's
-    gradient is C-contiguous in the input's own axis order, as the chain's
-    is, so the sums taken over it downstream add in the chain's order.  A
-    cap below 0, for which the clamp passes no f, is refused.
+    gradient is the chain's, in the frame, so a ``Tensor`` ``alpha`` on
+    batch-and-channel input sums it in the frame's order: equal in value
+    to the chain's, not always to the bit.  A cap below 0 is refused.
     """
     if cap is not None and not cap >= 0.0:
         raise ValueError(f"act_pool needs cap >= 0, got {cap}")
@@ -510,16 +503,15 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     out, idx = _join(xf.shape, _blocks(xf, pool.rank), run)
     if not track:
         return Tensor(out.swapaxes(0, axis))
-    shape = f.data.shape
+    shape = xf.shape
 
     def route(block, g):
         live = _live(idx)
-        src = _sources(shape, pool.stride, offsets * 2, idx,
-                       axis).ravel()[live]
+        src = _sources(shape, pool.stride, offsets * 2, idx).ravel()[live]
         closed = src[idx.ravel()[live] >= flag]
         return src, g.ravel()[live], closed, []
 
-    return routed_node(out, [WHOLE], route, f, axis=axis, x_axis=0)
+    return routed_node(out, [WHOLE], route, f, axis=axis)
 
 
 # -- two-slope activations and self-dual pooling -----------------------------

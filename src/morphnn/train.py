@@ -111,11 +111,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
     The output is the transposed view of one GEMM result, so its memory is
     channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
-    output gradient, as the layer forms return, reaches both GEMMs of the
-    backward pass as a view.  The no-grad forward pass runs a batch slice
-    at a time (``_conv_no_grad``), and its output is the whole GEMM's to
-    the bit.  The x gradient is computed a batch slice at a time too
-    (``_BACK_X_BYTES``); those slices are not aligned to
+    output gradient, as every stage returns, reaches both GEMMs of the
+    backward pass as a view, and the bias adds its images in batch order,
+    to the bit as for a batch-major one.  The no-grad forward pass runs a
+    batch slice at a time (``_conv_no_grad``), and its output is the whole
+    GEMM's to the bit.  The x gradient is computed a batch slice at a time
+    too (``_BACK_X_BYTES``); those slices are not aligned to
     ``_GEMM_COLUMN_GROUP`` (15 images, 1,815 columns at conv2), so it may
     differ from one unsliced GEMM's in the last bit.  Under grad the rules
     keep the im2col columns (for the w gradient) and the weight matrix (for
@@ -159,7 +160,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     # back_x runs (back_x must not hold cols)
     parents = [(w, back_w), (x, back_x)]
     if b is not None:
-        parents.append((b, lambda g: g.sum(axis=(0, 2, 3))))
+        parents.append((b, lambda g: np.ascontiguousarray(
+            g.sum(axis=(2, 3))).sum(axis=0)))
     return ad.make_node(out, parents)
 
 

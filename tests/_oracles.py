@@ -309,6 +309,12 @@ def synth_classification(rng, n=200, side=10, classes=10, noise=0.08):
     return (images * 255).astype(np.uint8), labels.astype(np.uint8)
 
 
+def channel_major(a):
+    """a's values in memory ordered [C, B, ...], seen as [B, C, ...], like a
+    conv2d output."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 def oracle_conv2d(x, w, b):
     """Direct-loop valid cross-correlation, [B,C,H,W] x [F,C,kh,kw]."""
     bb, c, h, wd = x.shape
@@ -351,7 +357,7 @@ def oracle_conv2d_gemm(x, w, b, g):
     for i in range(kh):
         for j in range(kw):
             dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j].transpose(1, 0, 2, 3)
-    return out, dx, dw, g.sum(axis=(0, 2, 3))
+    return out, dx, dw, np.ascontiguousarray(g).sum(axis=(0, 2, 3))
 
 
 def oracle_backward(root):

@@ -6,9 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import (full_size_layer_node, oracle_layer_grads,
-                      oracle_morpho1, oracle_morpho2, oracle_pl,
-                      oracle_pl_grads)
+from _oracles import (channel_major, full_size_layer_node,
+                      oracle_layer_grads, oracle_morpho1, oracle_morpho2,
+                      oracle_pl, oracle_pl_grads)
 
 from morphnn import activations as act
 from morphnn import autodiff as ad
@@ -333,12 +333,6 @@ class TestMorphoLayers:
             npt.assert_array_equal(sf.weights.data, np.zeros(4))
 
 
-def _channel_major(x):
-    """x's values in memory ordered [C, B, ...], seen as [B, C, ...], like a
-    conv2d output."""
-    return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
-
-
 def _layer_case(rng, shape, m, n, variant):
     c = shape[1]
     params = MorphoActivationParams(
@@ -386,8 +380,8 @@ class TestChannelMajorFrame:
         params, bank, x, g = _layer_case(rng, (batch, channels, 12, 12),
                                          2, 3, variant)
         want = _run_layer(fwd, params, bank, x, g)
-        got = _run_layer(fwd, params, bank, _channel_major(x),
-                         _channel_major(g))
+        got = _run_layer(fwd, params, bank, channel_major(x),
+                         channel_major(g))
         for a, b in zip(want[:4] + tuple(want[4]), got[:4] + tuple(got[4])):
             assert (np.ascontiguousarray(a).tobytes()
                     == np.ascontiguousarray(b).tobytes())
@@ -407,7 +401,7 @@ class TestChannelMajorFrame:
         params, bank, x, g = _layer_case(rng, (3, 4, 6, 6), 3, 2, variant)
         want = oracle_layer_grads(x, params.beta.data, params.alpha.data,
                                   bank, (2, 2), g, variant)
-        for xin in (x, _channel_major(x)):
+        for xin in (x, channel_major(x)):
             _, dx, db, da, dw = _run_layer(fwd, params, bank, xin, g)
             npt.assert_array_equal(dx, want[0])
             npt.assert_array_equal(db, want[1])
@@ -513,7 +507,7 @@ class TestBlockwiseBackward:
         rng = ad.make_rng(95)
         params, bank, x, g = _layer_case(rng, (128, 16, 24, 24), 2, 3,
                                          variant)
-        xt = Tensor(_channel_major(x), requires_grad=not frozen)
+        xt = Tensor(channel_major(x), requires_grad=not frozen)
         out = fwd(xt, params, bank, PoolSpec((2, 2), (2, 2)), channel_axis=1)
         tracemalloc.start()
         try:
@@ -578,7 +572,7 @@ class TestFrozenLeaves:
         monkeypatch.setattr(mo, "_BLOCK_BYTES", 2000)
         rng = ad.make_rng(97 + variant)
         params, bank, x, g = _layer_case(rng, (3, 4, 6, 6), 2, 3, variant)
-        xt = Tensor(_channel_major(x))
+        xt = Tensor(channel_major(x))
         leaves = [("x", xt), ("beta", params.beta), ("alpha", params.alpha)]
         leaves += [(f"w{k}", sf.weights) for k, sf in enumerate(bank)]
         frozen = {"bank": [f"w{k}" for k in range(len(bank))]}.get(
@@ -601,7 +595,7 @@ class TestFrozenLeaves:
         rng = ad.make_rng(99)
         sf = StructuringFunction([(0, 0), (1, 0), (0, -1), (2, 1)],
                                  weights=rng.normal(size=4))
-        f = Tensor(_channel_major(rng.normal(size=(2, 3, 5, 6))))
+        f = Tensor(channel_major(rng.normal(size=(2, 3, 5, 6))))
         g = rng.normal(size=f.shape)
         leaves = [("x", f), ("weights", sf.weights)]
 
@@ -638,7 +632,7 @@ class TestReluMaxPoolReduction:
                                                        [5, 5, 10, 10]))
             x = rng.integers(-3, 4, size=(b, c, h, w)).astype(np.float64)
             if rng.random() < 0.5:
-                x = _channel_major(x)
+                x = channel_major(x)
             g = rng.integers(-3, 4, size=(b, c) + self.POOL.out_extent(
                 (h, w))).astype(np.float64)
             pooled, layer = [], []
@@ -746,7 +740,7 @@ class TestDifferential:
                             for r, k in zip(window, stride))
             x = self._ints(rng, -3, 3, (b, c) + spatial)
             if rng.random() < 0.5:
-                x = _channel_major(x)
+                x = channel_major(x)
             shared = rng.random() < 0.5
             pshape = (m, n) if shared else (c, m, n)
             beta, alpha = (self._ints(rng, lo, -lo, pshape)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morphnn import cli, representation as rep
 from morphnn.autodiff import make_rng
 from morphnn.cli import _emit, main
 from morphnn.data import write_idx
@@ -428,9 +429,15 @@ def test_table1_requires_baseline(data_dir, tmp_path, capsys):
     "train", "gradcheck", "basis", "export-activation", "table1"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_out_naming_a_file_exits_2(command, under, data_dir, tmp_path,
-                                   capsys):
+                                   capsys, monkeypatch):
     # --out names a file (mkdir raises FileExistsError) or a path under one
-    # (NotADirectoryError): an input error, not a traceback or exit 1
+    # (NotADirectoryError): an input error, not a traceback or exit 1, and
+    # reported before the check runs
+    def not_reached(*args, **kwargs):
+        pytest.fail("the check ran before --out was created")
+
+    monkeypatch.setattr(cli, "run_gradcheck", not_reached)
+    monkeypatch.setattr(rep, "minimal_basis", not_reached)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     out = afile / "sub" if under else afile

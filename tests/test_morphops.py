@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from _oracles import (chain_act_pool, chain_posneg_pool_param,
-                      chain_selfdual_pool, oracle_sup_conv,
+                      chain_selfdual_pool, channel_major, oracle_sup_conv,
                       oracle_sup_conv_grads)
 
 from morphnn import autodiff as ad
@@ -244,17 +244,13 @@ class TestExactRouting:
         assert np.isfinite(out[:, 3:]).all()
 
 
-def _channel_major(a):
-    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
-
-
 def _tied(rng, shape, cap=None, layout="batch-major"):
     """Integer-valued input that ties at 0 and at ``cap``, a quarter of it
     -0.0, in the given memory layout."""
     top = 3 if cap is None else int(cap) + 1
     f = rng.integers(-2, top + 1, size=shape).astype(np.float64)
     f[rng.random(shape) < 0.25] = -0.0
-    return _channel_major(f) if layout == "channel-major" else f
+    return channel_major(f) if layout == "channel-major" else f
 
 
 def _output_and_grads(op, arrays, g):
@@ -305,9 +301,9 @@ class TestSingleBlockDifferential:
         stride = tuple(int(k) for k in rng.integers(1, 4, rank))
         n = tuple(r + int(k) for r, k in zip(extent, rng.integers(0, 5, rank)))
         f = rng.normal(size=lead + n)
-        channel_major = f.ndim >= 2 and rng.random() < 0.5
-        return (_channel_major(f) if channel_major else f,
-                PoolSpec(extent, stride), channel_major)
+        by_channel = f.ndim >= 2 and rng.random() < 0.5
+        return (channel_major(f) if by_channel else f,
+                PoolSpec(extent, stride), by_channel)
 
     def _compare(self, op, f, offsets, w, stride, out_extent, rng):
         """``op(f, weights)`` against the oracle of max_y f(K*x - y) + w(y),
@@ -326,8 +322,8 @@ class TestSingleBlockDifferential:
         rng = ad.make_rng(46)
         layouts = set()
         for _ in range(self.CASES):
-            f, pool, channel_major = self._draw(rng)
-            layouts.add(channel_major)
+            f, pool, by_channel = self._draw(rng)
+            layouts.add(by_channel)
             n = f.shape[-pool.rank:]
             window = StructuringFunction.pool_window(pool.extent).offsets
             self._compare(lambda t: mo.max_pool(t, pool), f, window, None,
@@ -377,9 +373,9 @@ class TestActPool:
         want = _output_and_grads(lambda t: chain_act_pool(t, pool, cap=cap),
                                  [f], g)
         _assert_same_bytes(got, want)
-        # the output is channel-major, the input gradient batch-major
+        # the output and the input gradient are channel-major
         assert got[0].swapaxes(0, 1).flags.c_contiguous
-        assert got[1].flags.c_contiguous
+        assert got[1].swapaxes(0, 1).flags.c_contiguous
 
     def test_pooling_then_rectifying_naively_misroutes_ties(self):
         # relu(max_pool(f)) has the same values, but a cell whose max is 0
@@ -407,6 +403,24 @@ class TestActPool:
         want = _output_and_grads(
             lambda t, a: chain_act_pool(t, pool, a, cap=6.0), [f, alpha], g)
         _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trainable_threshold_on_batch_and_channel_input(self, seed):
+        # act_pool's input gradient is the chain's to the bit, but in the
+        # channel-first frame, so alpha's gradient sums it in another order
+        # than over the chain's batch-major one: equal in value, not always
+        # in the last bits
+        rng = ad.make_rng(seed)
+        pool = POOLS[seed % 2]
+        f = rng.normal(size=(8, 6, 10, 10))
+        g = rng.normal(size=(8, 6) + pool.out_extent((10, 10)))
+        alpha = np.asarray(rng.normal(scale=0.5))
+        got = _output_and_grads(
+            lambda t, a: mo.act_pool(t, pool, a, cap=6.0), [f, alpha], g)
+        want = _output_and_grads(
+            lambda t, a: chain_act_pool(t, pool, a, cap=6.0), [f, alpha], g)
+        _assert_same_bytes(got[:2], want[:2])
+        npt.assert_allclose(got[2], want[2], rtol=1e-12)
 
     @pytest.mark.parametrize("f,pool,cap,out,grad", [
         # the window [3, nan] takes nothing, nor closes 3, the winner of
@@ -467,7 +481,7 @@ class TestActPool:
             hit = rng.random(f.shape) < 0.15
             f[hit] = rng.choice(special, size=int(hit.sum()))
             if rng.random() < 0.5:
-                f = _channel_major(f)
+                f = channel_major(f)
             out_shape = (b, c) + pool.out_extent((h, w))
             g = rng.integers(-3, 4, size=out_shape).astype(np.float64)
             got = _output_and_grads(lambda t: mo.act_pool(t, pool, cap=cap),
@@ -503,7 +517,7 @@ class TestActPool:
             pool = POOLS[int(rng.integers(len(POOLS)))]
             f = rng.choice(values, size=(2, 3, 7, 7))
             if layout == "channel-major":
-                f = _channel_major(f)
+                f = channel_major(f)
             with ad.no_grad():
                 got = mo.act_pool(Tensor(f), pool, cap=cap)
                 want = chain_act_pool(Tensor(f), pool, cap=cap)

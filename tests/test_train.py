@@ -9,7 +9,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import oracle_conv2d, oracle_conv2d_gemm, synth_classification
+from _oracles import (channel_major, oracle_conv2d, oracle_conv2d_gemm,
+                      synth_classification)
 
 from morphnn import autodiff as ad
 from morphnn import data as md
@@ -280,6 +281,21 @@ class TestModel:
         loss = tr.cross_entropy(model.forward(x, train=True, rng=make_rng(2)),
                                 np.zeros(4, dtype=np.int64))
         assert len(ad._toposort(loss._node)) == nodes
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_stage_gradient_is_channel_major(self, variant):
+        # every stage hands a conv-like channel-major input its gradient
+        # channel-major, so conv1's back_w takes it as a view, not a copy
+        model = build_model(small_spec(variant), make_rng(0))
+        rng = make_rng(77)
+        x = Tensor(channel_major(rng.normal(size=(3, 6, 8, 8))),
+                   requires_grad=True)
+        out = model.stage1(x)
+        g = Tensor(rng.normal(size=out.data.shape))
+        ad.mul(out, g).sum().backward()
+        assert x.grad.swapaxes(0, 1).flags.c_contiguous
+        gmat = x.grad.transpose(1, 0, 2, 3).reshape(6, -1)
+        assert np.shares_memory(gmat, x.grad)
 
     def test_default_feature_dim(self):
         model = build_model(ModelSpec(), make_rng(0))

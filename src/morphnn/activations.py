@@ -31,20 +31,26 @@ affine piece at a window offset, and under grad (only then) the forward pass
 records it as one integer code in the smallest signed dtype that holds it:
 ``inner * len(bank offsets) + bank position``, the bank position naming both
 the offset and its member, the outer branch; -1 where no offset lands.  Form
-1's pool carries each source's code from the cell's winning source.  The
-backward pass is one ``morphops.routed_node`` on the forward pass's blocks,
-whose route decodes a block's codes through two lookup tables into sources
-and parameter indices and returns its gradients: g times the winning slope
-for x (and form 2's weights), g times the winning piece's input for beta, g
-for alpha; the node scatters and sums them in cell order, the same to the
-bit as one ``bincount`` over every cell.  The output and x gradient are
-returned as swapped views: channel-major again for a conv2d.  Summed
-gradients of parameters shared across channels (the structuring weights)
-accumulate channel by channel.  Tie rules, as for the pools: the inner max
-keeps the lowest index, the window its first offset in row-major order, and
-the outer min the lowest branch.  A cell whose window lies wholly outside
-the input holds -inf and takes no gradient, nor does a NaN cell: the
-forward pass marks both dead in the code (``morphops._mark_dead``).
+1's pool carries each source's code from the cell's winning source.  When
+beta also takes a gradient, each block then writes x at every cell's winning
+source, the winning piece's input, into one output-sized array, so the graph
+keeps that array and the codes, never the input: a conv2d output dies once
+its stage has run.  The backward pass is one ``morphops.routed_node`` on the
+forward pass's blocks, whose route decodes a block's codes through two
+lookup tables into sources and parameter indices and returns its gradients:
+g times the winning slope for x (and form 2's weights), g times the piece
+input for beta (plus the winning weight for form 2, whose piece input is the
+pooled value), g for alpha; the node scatters and sums them in cell order,
+the same to the bit as one ``bincount`` over every cell.  The output and x
+gradient are returned as swapped views: channel-major again for a conv2d.
+Summed gradients of parameters shared across channels (the structuring
+weights) accumulate channel by channel.  Tie rules, as for the pools: the
+inner max keeps the lowest index, the window its first offset in row-major
+order, and the outer min the lowest branch.  A pool starts at -inf and a
+candidate must beat it, so a cell whose winning window lies wholly outside
+the input, or holds only -inf candidates, has no winner and takes no
+gradient, nor does a NaN cell: the forward pass marks both dead in the code
+(``morphops._mark_dead``).
 """
 
 from __future__ import annotations
@@ -220,32 +226,59 @@ def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
     return axis, beta, alpha
 
 
-def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
-                params: MorphoActivationParams,
+def _bank(structuring: list[StructuringFunction], n_inner: int, x_shape,
+          stride):
+    """Two decoders of a layer form's winner codes, over its bank offsets
+    laid end to end: the table from a code to its bank position (a dead
+    cell's -1 reads the last entry, which its liveness then drops), and
+    ``sources(code)``, the flat index of each cell's winning source in its
+    block of the frame ``x_shape``, from a table of each code's offset
+    shift and the block's window anchors, built once per block shape.  A
+    dead cell's source is meaningless and may lie outside x."""
+    offsets = [y for sf in structuring for y in sf.offsets]
+    bank_of = np.tile(np.arange(len(offsets)), n_inner)
+    shift_of = mo._shifts(x_shape, offsets)[bank_of]
+    rank, anchors = len(stride), {}
+
+    def sources(code: Array) -> Array:
+        anchor = anchors.get(code.shape)
+        if anchor is None:
+            anchor = anchors[code.shape] = mo._anchors(
+                code.shape[:-rank] + tuple(x_shape[-rank:]), stride,
+                code.shape)
+        src = np.take(shift_of, code)
+        return np.subtract(anchor, src, out=src)
+
+    return bank_of, sources
+
+
+def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
+                x: Tensor, axis: int, params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
                 pool_first: bool) -> Tensor:
     """One graph node for a layer form, from its winner code (see the
     module docstring), C-contiguous like ``out`` in the frame that swaps
-    ``axis`` of x to the front.  Its route decodes a block's codes through
-    two tables built once, code to bank position and code to flat (j, i),
-    so no array spans every cell but the gradients.  A dead code, -1, takes
-    no gradient (``morphops._live``).  The route reads x at each winning
-    source (d out / d beta is the winning piece's input), so the node keeps
-    the input's array alive until it has run; it does not hold ``out``.
+    ``axis`` of x to the front, and ``piece``, each live cell's winning
+    piece input x(src) in the same frame (None for a frozen beta).  Its
+    route decodes a block's codes through two lookup tables built once,
+    code to bank position and code to flat (j, i), so no array spans every
+    cell but the gradients.  A dead code, -1, takes no gradient
+    (``morphops._live``).  The node reads only x's shape: it holds neither
+    the input's array nor ``out``.
     """
-    xf = x.data.swapaxes(0, axis)
-    offsets = [y for sf in structuring for y in sf.offsets]
+    x_shape = x.data.swapaxes(0, axis).shape
+    bank_of, sources = _bank(structuring, params.m_terms if pool_first
+                             else params.n_terms, x_shape, pool.stride)
     sizes = [len(sf.offsets) for sf in structuring]
     beta = params.beta.data.reshape(-1)
     per_channel = params.beta.data.ndim == 3
     m, n = params.m_terms, params.n_terms
-    channels = np.arange(len(xf)).reshape((-1,) + (1,) * (xf.ndim - 1))
+    channels = np.arange(x_shape[0]).reshape(
+        (-1,) + (1,) * (len(x_shape) - 1))
     weights = np.concatenate([sf.weights.data for sf in structuring])
-    # code -> bank position and code -> flat (j, i); a dead cell's -1 reads
-    # the last entry of each, which its liveness then drops
+    # code -> flat (j, i), from the inner index and the bank member
     inner = np.arange(m if pool_first else n)[:, None]
     member = np.repeat(np.arange(len(structuring)), sizes)
-    bank_of = np.tile(np.arange(len(offsets)), len(inner))
     cell_of = (inner * n + member if pool_first
                else member * n + inner).ravel()
 
@@ -257,8 +290,7 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
         cb = code[block]
         live = mo._live(cb)
         bank = bank_of[cb]
-        xb = xf[block]
-        src = mo._sources(xb.shape, pool.stride, offsets, bank).ravel()[live]
+        src = sources(cb).ravel()[live] if takes_x else None
         bank = bank.ravel()[live]
         # flat (channel, j, i) parameter index; shared ones have no channel
         cell = cell_of[cb]
@@ -272,9 +304,9 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
         if takes_beta:
             # d out / d beta is the winning piece's input: x at the source,
             # or for variant 2 the pooled value x + w there
-            piece_input = xb.ravel()[src]
+            piece_input = piece[block].ravel()[live]
             if pool_first:
-                piece_input += weights[bank]
+                piece_input = piece_input + weights[bank]
             parts.append((0, cell, gb * piece_input))
         if takes_alpha:
             parts.append((1, cell, gb))
@@ -282,7 +314,7 @@ def _layer_node(out: Array, code: Array, x: Tensor, axis: int,
             parts.append((2, bank, gs if pool_first else gb))
         return src, gs if takes_x else None, None, parts
 
-    return mo.routed_node(out, mo._blocks(xf, pool.rank), route, x,
+    return mo.routed_node(out, blocks, route, x,
                           [params.beta, params.alpha]
                           + [sf.weights for sf in structuring], axis)
 
@@ -303,8 +335,10 @@ def _layer(x, params: MorphoActivationParams,
     out_ext = pool.out_extent(x.data.shape[-pool.rank:])
     axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
     xf = x.data.swapaxes(0, axis)
+    blocks = mo._blocks(xf, pool.rank)
     track = ad.is_grad_enabled()
     codes = [None] * len(structuring)
+    piece = None
     if track:
         # member k's piece codes: inner * len(bank offsets) + k's start
         n_inner = params.m_terms if pool_first else params.n_terms
@@ -312,6 +346,9 @@ def _layer(x, params: MorphoActivationParams,
         dtype = mo._index_dtype(n_inner * sum(sizes))
         codes = [(np.arange(n_inner) * sum(sizes) + start).astype(dtype)
                  for start in np.cumsum([0] + sizes[:-1])]
+        if params.beta.requires_grad:
+            _, sources = _bank(structuring, n_inner, xf.shape, pool.stride)
+            piece = np.empty(xf.shape[:-pool.rank] + out_ext)
 
     def run(block):
         pb, pa = ((beta, alpha) if len(beta) == 1
@@ -338,13 +375,18 @@ def _layer(x, params: MorphoActivationParams,
         out, code = _outer_min(branches())
         if code is not None:
             mo._mark_dead(code, out)
+        if piece is not None:
+            # x at each cell's winning source; a dead cell's source may lie
+            # outside x, so it is clipped, and its entry is never read
+            np.take(xb.reshape(-1), sources(code), out=piece[block],
+                    mode="clip")
         return out, code
 
-    out, code = mo._join(xf.shape, mo._blocks(xf, pool.rank), run)
+    out, code = mo._join(xf.shape, blocks, run)
     if not track:
         return Tensor(out.swapaxes(0, axis))
-    return _layer_node(out, code, x, axis, params, structuring, pool,
-                       pool_first)
+    return _layer_node(out, code, piece, blocks, x, axis, params,
+                       structuring, pool, pool_first)
 
 
 def morpho_act1_forward(x, params: MorphoActivationParams,

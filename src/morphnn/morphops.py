@@ -11,7 +11,8 @@ Conventions shared by every op here:
   carried through untouched;
 * offsets falling outside the input are ignored (-inf padding in the sup,
   +inf in the inf); a position whose window lies entirely outside evaluates
-  to the lattice bottom -inf and carries zero gradient;
+  to the lattice bottom -inf and carries zero gradient, as does one whose
+  every candidate is -inf, since a winner must beat the -inf it starts at;
 * on ties the subgradient routes to the lowest offset index, which for pool
   windows is the first position in row-major window order;
 * a NaN output cell (a window holding NaN) takes no gradient, wherever
@@ -23,8 +24,9 @@ Conventions shared by every op here:
   windowed backward here is one ``routed_node``, whose route returns each
   cell's gradient for that winner alone (``relu``, elementwise, is a plain
   node);
-* a backward rule reads the winner record and the input's shape, never
-  the input or the output, so a stage holds neither of them alive.
+* a backward rule reads the winner record and the input's shape (the
+  layer forms also read the winning piece inputs they recorded), never the
+  input or the output, so a stage holds neither of them alive.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
@@ -228,21 +230,37 @@ def _live(index: Array):
     return np.flatnonzero(~dead) if dead.any() else slice(None)
 
 
+def _element_strides(shape) -> list:
+    """Element strides of a C-contiguous array of ``shape``."""
+    return list(np.cumprod((1,) + tuple(shape[:0:-1]))[::-1])
+
+
+def _anchors(x_shape, stride, out_shape) -> Array:
+    """Flat index into a C-contiguous array of ``x_shape`` of the window
+    anchor ``K*p`` of each cell p of an output of ``out_shape`` in the same
+    frame, summed from per-axis grids."""
+    lead = len(x_shape) - len(stride)
+    strides = _element_strides(x_shape)
+    steps = strides[:lead] + [s * k for s, k in zip(strides[lead:], stride)]
+    return sum((np.arange(size, dtype=np.int64) * step).reshape(
+        (size,) + (1,) * (len(out_shape) - ax - 1))
+        for ax, (size, step) in enumerate(zip(out_shape, steps)))
+
+
+def _shifts(x_shape, offsets) -> Array:
+    """Flat shift of each offset y in a C-contiguous array of ``x_shape``:
+    the source ``K*p - y`` lies at ``anchor - shift``."""
+    strides = _element_strides(x_shape)[len(x_shape) - len(offsets[0]):]
+    return np.array([np.dot(y, strides) for y in offsets], dtype=np.int64)
+
+
 def _sources(x_shape, stride, offsets, index: Array) -> Array:
     """Flat index into a C-contiguous array of ``x_shape`` of each output
     cell's winning source ``K*p - y``, where ``index``, shaped like the
     output in the same frame, picks y among ``offsets``.  A cell whose
     index is -1 gets a meaningless source."""
-    lead = len(x_shape) - len(stride)
-    strides = list(np.cumprod((1,) + tuple(x_shape[:0:-1]))[::-1])
-    steps = strides[:lead] + [s * k for s, k in zip(strides[lead:], stride)]
-    # flat index of each window's anchor K*p, summed from per-axis grids
-    anchor = sum((np.arange(size, dtype=np.int64) * step).reshape(
-        (size,) + (1,) * (index.ndim - ax - 1))
-        for ax, (size, step) in enumerate(zip(index.shape, steps)))
-    shifts = np.array([np.dot(y, strides[lead:]) for y in offsets],
-                      dtype=np.int64)
-    return anchor - shifts[index]
+    return (_anchors(x_shape, stride, index.shape)
+            - _shifts(x_shape, offsets)[index])
 
 
 # the block of a single-block partition: every cell of an array of any rank

@@ -142,14 +142,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         dx = np.zeros((c, bsz, h, wd))
         per_image = wmat.itemsize * c * kh * kw * oh * ow
         step = max(1, _BACK_X_BYTES // per_image)
+        # weight rows in (kh, kw, C) order, so each tap's slice of the GEMM
+        # result is contiguous; each entry is the same dot product
+        wtap = wmat.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, f)
         for start in range(0, bsz, step):
             gs = g[start:start + step]
             gmat = gs.transpose(1, 0, 2, 3).reshape(f, -1)
-            d6 = (wmat.T @ gmat).reshape(c, kh, kw, len(gs), oh, ow)
+            d6 = (wtap @ gmat).reshape(kh, kw, c, len(gs), oh, ow)
             dxs = dx[:, start:start + step]
             for i in range(kh):
                 for j in range(kw):
-                    dxs[:, :, i:i + oh, j:j + ow] += d6[:, i, j]
+                    dxs[:, :, i:i + oh, j:j + ow] += d6[i, j]
         return dx.transpose(1, 0, 2, 3)
 
     def back_w(g: Array) -> Array:

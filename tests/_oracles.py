@@ -4,18 +4,21 @@ Everything here is deliberately written as plain nested loops over output
 positions, independent of the library's vectorized kernels.
 """
 
+from functools import reduce
+
 import numpy as np
 
 
 def oracle_sup_conv(f, offsets, w, stride, out_extent):
-    """out(x) = max_y f(K*x - y) + w(y); offsets outside f are skipped."""
+    """out(x) = max_y f(K*x - y) + w(y); offsets outside f are skipped.
+    The max is ``np.maximum``'s, so a NaN in the window makes the cell NaN."""
     out = np.empty(out_extent)
     for x in np.ndindex(*out_extent):
         best = -np.inf
         for o, y in enumerate(offsets):
             src = tuple(k * xi - yi for xi, k, yi in zip(x, stride, y))
             if all(0 <= s < n for s, n in zip(src, f.shape)):
-                best = max(best, f[src] + w[o])
+                best = np.maximum(best, f[src] + w[o])
         out[x] = best
     return out
 
@@ -77,13 +80,15 @@ def chain_posneg_pool_param(f, pool, beta_pos, beta_neg):
 
 
 def oracle_pl(x, beta, alpha):
-    """Elementwise min_j max_i beta[j,i] * x + alpha[j,i]; beta is [m, n]."""
+    """Elementwise min_j max_i beta[j,i] * x + alpha[j,i]; beta is [m, n].
+    The max and min fold ``np.maximum`` and ``np.minimum`` in index order,
+    so NaN propagates."""
     m, n = beta.shape
     out = np.empty_like(x)
     for pos in np.ndindex(x.shape):
-        rows = [max(beta[j, i] * x[pos] + alpha[j, i] for i in range(n))
-                for j in range(m)]
-        out[pos] = min(rows)
+        rows = [reduce(np.maximum, [beta[j, i] * x[pos] + alpha[j, i]
+                                    for i in range(n)]) for j in range(m)]
+        out[pos] = reduce(np.minimum, rows)
     return out
 
 
@@ -126,7 +131,7 @@ def oracle_morpho1(x, beta, alpha, sf_list, stride, out_extent):
         branches.append(oracle_sup_conv(inner, sf_list[j].offsets,
                                         sf_list[j].weights.data, stride,
                                         out_extent))
-    return np.minimum.reduce(branches)
+    return reduce(np.minimum, branches)
 
 
 def oracle_morpho2(x, beta, alpha, sf_list, stride, out_extent):
@@ -138,10 +143,10 @@ def oracle_morpho2(x, beta, alpha, sf_list, stride, out_extent):
                                  sf_list[i].weights.data, stride, out_extent)
         vals = np.empty_like(pooled)
         for pos in np.ndindex(pooled.shape):
-            vals[pos] = max(beta[j, i] * pooled[pos] + alpha[j, i]
-                            for j in range(m))
+            vals[pos] = reduce(np.maximum, [beta[j, i] * pooled[pos]
+                                            + alpha[j, i] for j in range(m)])
         branches.append(vals)
-    return np.minimum.reduce(branches)
+    return reduce(np.minimum, branches)
 
 
 def oracle_layer_grads(x, beta, alpha, sf_list, stride, g, variant):
@@ -151,50 +156,61 @@ def oracle_layer_grads(x, beta, alpha, sf_list, stride, g, variant):
     Every output cell is visited in the logical (batch, channel, position)
     order of g; its winner follows the documented tie rules (lowest inner
     index, first window offset, lowest outer branch), and each sum is
-    accumulated in that order.
+    accumulated in that order.  Each max and min folds ``np.maximum`` or
+    ``np.minimum``, and a candidate wins only by beating the value so far
+    strictly; a pool starts at -inf, the lattice bottom.  The dead-cell
+    rule: a cell takes no gradient where its value is NaN, or where the
+    winning branch's pool has no winner (a window wholly outside x, or one
+    whose every candidate is -inf).
     """
     m, n = beta.shape[1:]
     rank = len(stride)
     dx, db, da = np.zeros(x.shape), np.zeros(beta.shape), np.zeros(beta.shape)
     dw = [np.zeros(len(sf.offsets)) for sf in sf_list]
 
-    def sources(sf, lead, p):
-        # (offset index, source) of each window offset inside x
+    def affine_max(c, value, pieces):
+        # max over the (j, i) pieces of beta * value + alpha, and its piece
+        best, arg = None, None
+        for j, i in pieces:
+            v = beta[c, j, i] * value + alpha[c, j, i]
+            if best is None or v > best:
+                arg = (j, i)
+            best = v if best is None else np.maximum(best, v)
+        return best, arg
+
+    def pool(sf, lead, p, value):
+        # max over the window of value(src) + w, and its (offset, source,
+        # what value(src) carries) winner, None if nothing beats -inf
+        best, arg = -np.inf, None
         for o, y in enumerate(sf.offsets):
             src = tuple(k * pi - yi for pi, k, yi in zip(p, stride, y))
             if all(0 <= s < e for s, e in zip(src, x.shape[-rank:])):
-                yield o, lead + src
+                v, carried = value(lead + src)
+                cand = v + sf.weights.data[o]
+                if cand > best:
+                    arg = (o, lead + src, carried)
+                best = np.maximum(best, cand)
+        return best, arg
 
     for cell in np.ndindex(*g.shape):
         lead, p = cell[:-rank], cell[-rank:]
         c = lead[1]
-        best = None  # (value, j, i, offset, source, piece input)
+        out, best = None, None  # best: (offset, source, (j, i), piece input)
         for k, sf in enumerate(sf_list):
-            branch = None
-            for o, src in sources(sf, lead, p):
-                if variant == 1:  # the bank member is row j = k
-                    inner = [beta[c, k, i] * x[src] + alpha[c, k, i]
-                             for i in range(n)]
-                    i = int(np.argmax(inner))
-                    cand = (inner[i] + sf.weights.data[o], k, i, o, src,
-                            x[src])
-                else:
-                    cand = (x[src] + sf.weights.data[o], o, src)
-                if branch is None or cand[0] > branch[0]:
-                    branch = cand
-            if branch is None:
-                continue
-            if variant == 2:  # the bank member is column i = k
-                pooled, o, src = branch
-                vals = [beta[c, j, k] * pooled + alpha[c, j, k]
-                        for j in range(m)]
-                j = int(np.argmax(vals))
-                branch = (vals[j], j, k, o, src, pooled)
-            if best is None or branch[0] < best[0]:
+            if variant == 1:  # the bank member is row j = k
+                val, won = pool(sf, lead, p, lambda src: affine_max(
+                    c, x[src], [(k, i) for i in range(n)]))
+                branch = won and won + (x[won[1]],)
+            else:  # the bank member is column i = k
+                pooled, won = pool(sf, lead, p, lambda src: (x[src], None))
+                val, piece = affine_max(c, pooled, [(j, k) for j in range(m)])
+                branch = won and won[:2] + (piece, pooled)
+            if out is None or val < out:
                 best = branch
-        if best is None:
+            out = val if out is None else np.minimum(out, val)
+        if best is None or np.isnan(out):
             continue
-        _, j, i, o, src, piece_input = best
+        o, src, (j, i), piece_input = best
         gv = g[cell]
         dx[src] += gv * beta[c, j, i]
         db[c, j, i] += gv * piece_input
@@ -391,15 +407,16 @@ def oracle_backward(root):
                            else parent.grad + contrib)
 
 
-def full_size_layer_node(out, code, x, axis, params, structuring, pool,
-                         pool_first):
+def full_size_layer_node(out, code, piece, blocks, x, axis, params,
+                         structuring, pool, pool_first):
     """A layer form's graph node (same arguments as
     ``activations._layer_node``) whose backward routes every output cell at
     once: full-size source, cell, bank, piece-input and slope arrays, and
     one ``np.bincount`` over all of them per edge, each sum taken in the
     frame's cell order.  The winner code is split with ``np.divmod`` into
     the inner index and the bank position, whose member is the outer
-    branch.
+    branch.  It reads the piece inputs from x itself, not from ``piece``,
+    and ignores ``blocks``.
     """
     from morphnn import autodiff as ad
     from morphnn import morphops as mo

@@ -16,6 +16,7 @@ from morphnn import morphops as mo
 from morphnn.activations import MorphoActivationParams, MorphoLayerParams
 from morphnn.autodiff import Tensor
 from morphnn.morphops import PoolSpec, StructuringFunction
+from morphnn.representation import PLFunction, pl_eval
 
 
 class TestClampInit:
@@ -730,49 +731,69 @@ class TestDifferential:
     def test_layer_forms(self, monkeypatch, variant, fwd):
         rng = ad.make_rng(97 + variant)
         for _ in range(self.CASES):
-            monkeypatch.setattr(mo, "_BLOCK_BYTES",
-                                int(rng.choice([1 << 20, 300])))
-            b, c, m, n = (int(k) for k in rng.integers(1, [3, 4, 5, 5]))
-            window, stride = (tuple(int(k) for k in rng.integers(1, 4, 2))
-                              for _ in range(2))
-            pool = PoolSpec(window, stride)
-            spatial = tuple(r + k * int(rng.integers(0, 3))
-                            for r, k in zip(window, stride))
-            x = self._ints(rng, -3, 3, (b, c) + spatial)
-            if rng.random() < 0.5:
-                x = channel_major(x)
-            shared = rng.random() < 0.5
-            pshape = (m, n) if shared else (c, m, n)
-            beta, alpha = (self._ints(rng, lo, -lo, pshape)
-                           for lo in (-2, -3))
-            offsets = StructuringFunction.pool_window(window).offsets
-            bank = [StructuringFunction(
-                offsets, self._ints(rng, -2, 0, len(offsets)), learnable=True)
-                for _ in range(m if variant == 1 else n)]
-            params = MorphoActivationParams(Tensor(beta, requires_grad=True),
-                                            Tensor(alpha, requires_grad=True))
-            xt = Tensor(x, requires_grad=True)
-            out = fwd(xt, params, bank, pool, channel_axis=1)
-            g = self._ints(rng, -3, 3, out.shape)
-            ad.mul(out, Tensor(g)).sum().backward()
+            self._check_layer_form(monkeypatch, rng, variant, fwd)
 
-            per_c = np.broadcast_to(beta, (c, m, n)), np.broadcast_to(
-                alpha, (c, m, n))
-            oracle = oracle_morpho1 if variant == 1 else oracle_morpho2
-            out_ext = pool.out_extent(spatial)
-            for bi, ci in np.ndindex(b, c):
-                npt.assert_array_equal(out.data[bi, ci], oracle(
-                    x[bi, ci], per_c[0][ci], per_c[1][ci], bank, stride,
-                    out_ext))
-            dx, db, da, dw = oracle_layer_grads(x, *per_c, bank, stride, g,
-                                                variant)
-            if shared:
-                db, da = db.sum(axis=0), da.sum(axis=0)
-            for got, want in zip([xt.grad, params.beta.grad,
-                                  params.alpha.grad]
-                                 + [sf.weights.grad for sf in bank],
-                                 [dx, db, da] + dw):
-                npt.assert_array_equal(got, want)
+    @pytest.mark.parametrize("variant,fwd", FORMS)
+    def test_layer_forms_nonfinite(self, monkeypatch, variant, fwd):
+        # NaN and +-inf in x, with zero slopes among the pieces (0 * inf is
+        # NaN): NaN output cells, -inf pools and inf piece inputs, under
+        # the dead-cell rule
+        rng = ad.make_rng(197 + variant)
+        for _ in range(self.CASES):
+            with np.errstate(invalid="ignore"):
+                self._check_layer_form(monkeypatch, rng, variant, fwd,
+                                       nonfinite=True)
+
+    def _check_layer_form(self, monkeypatch, rng, variant, fwd,
+                          nonfinite=False):
+        """One drawn case: values byte for byte, gradients equal."""
+        monkeypatch.setattr(mo, "_BLOCK_BYTES",
+                            int(rng.choice([1 << 20, 300])))
+        b, c, m, n = (int(k) for k in rng.integers(1, [3, 4, 5, 5]))
+        window, stride = (tuple(int(k) for k in rng.integers(1, 4, 2))
+                          for _ in range(2))
+        pool = PoolSpec(window, stride)
+        spatial = tuple(r + k * int(rng.integers(0, 3))
+                        for r, k in zip(window, stride))
+        x = self._ints(rng, -3, 3, (b, c) + spatial)
+        if nonfinite:
+            seeded = rng.random(x.shape) < rng.choice([0.05, 0.2, 0.5])
+            x[seeded] = rng.choice([np.nan, np.inf, -np.inf],
+                                   seeded.sum())
+        if rng.random() < 0.5:
+            x = channel_major(x)
+        shared = rng.random() < 0.5
+        pshape = (m, n) if shared else (c, m, n)
+        beta, alpha = (self._ints(rng, lo, -lo, pshape)
+                       for lo in (-2, -3))
+        offsets = StructuringFunction.pool_window(window).offsets
+        bank = [StructuringFunction(
+            offsets, self._ints(rng, -2, 0, len(offsets)), learnable=True)
+            for _ in range(m if variant == 1 else n)]
+        params = MorphoActivationParams(Tensor(beta, requires_grad=True),
+                                        Tensor(alpha, requires_grad=True))
+        xt = Tensor(x, requires_grad=True)
+        out = fwd(xt, params, bank, pool, channel_axis=1)
+        g = self._ints(rng, -3, 3, out.shape)
+        ad.mul(out, Tensor(g)).sum().backward()
+
+        per_c = np.broadcast_to(beta, (c, m, n)), np.broadcast_to(
+            alpha, (c, m, n))
+        oracle = oracle_morpho1 if variant == 1 else oracle_morpho2
+        out_ext = pool.out_extent(spatial)
+        for bi, ci in np.ndindex(b, c):
+            assert out.data[bi, ci].tobytes() == oracle(
+                x[bi, ci], per_c[0][ci], per_c[1][ci], bank, stride,
+                out_ext).tobytes()
+        dx, db, da, dw = oracle_layer_grads(x, *per_c, bank, stride, g,
+                                            variant)
+        if shared:
+            db, da = db.sum(axis=0), da.sum(axis=0)
+        for got, want in zip([xt.grad, params.beta.grad,
+                              params.alpha.grad]
+                             + [sf.weights.grad for sf in bank],
+                             [dx, db, da] + dw):
+            npt.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("variant,m,n", [(1, 4, 1), (1, 4, 2),
                                              (2, 1, 4), (2, 2, 4)])
@@ -808,6 +829,24 @@ class TestDifferential:
             axis = None if rng.random() < 0.4 else int(
                 rng.integers(-ndim, ndim))
             _check_pl_with_ties(rng, shape, axis)
+
+    def test_pl_activation_against_pl_eval(self):
+        # across kernels: pl_eval is a max over families of a min over
+        # members, so min_j max_i (beta x + alpha) is -pl_eval of the
+        # negated pieces with one family per row j; equal in value, while
+        # the sign of a zero may differ
+        rng = np.random.default_rng(301)
+        for _ in range(self.CASES):
+            m, n = (int(k) for k in rng.integers(1, 5, 2))
+            beta, alpha = rng.normal(size=(2, m, n)) * [[[2.0]], [[3.0]]]
+            x = rng.normal(size=int(rng.integers(1, 40))) * 4
+            if rng.random() < 0.5:  # small integers tie pieces
+                beta, alpha, x = np.round(beta), np.round(alpha), np.round(x)
+            rows = tuple(tuple(range(j * n, j * n + n)) for j in range(m))
+            f = PLFunction(-beta.reshape(-1, 1), -alpha.reshape(-1), rows)
+            got = act.pl_activation(x, MorphoActivationParams(
+                Tensor(beta), Tensor(alpha)))
+            npt.assert_array_equal(got.data, -pl_eval(f, x[:, None]))
 
 
 class TestActivationCurve:

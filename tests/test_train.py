@@ -14,6 +14,7 @@ from _oracles import (channel_major, oracle_conv2d, oracle_conv2d_gemm,
 
 from morphnn import autodiff as ad
 from morphnn import data as md
+from morphnn import morphops as mo
 from morphnn import train as tr
 from morphnn.autodiff import Tensor, make_rng
 from morphnn.train import Adam, Model, ModelSpec, TrainConfig, build_model
@@ -370,17 +371,27 @@ class TestSavedArrays:
         h.sum().backward()
         assert all(w.grad is not None for w in weights)
 
-    def test_morpho1_stage_keeps_its_input_until_backward(self):
-        # d out / d beta is the winning piece's input, x at the winning
-        # source, so _layer_node holds x until its rule has run
-        model = build_model(small_spec("morpho1"), make_rng(0))
+    @pytest.mark.parametrize("block_bytes", [mo._BLOCK_BYTES, 300])
+    @pytest.mark.parametrize("variant", ["morpho1", "morpho2"])
+    def test_morpho_stage_inputs_die_once_their_stage_has_run(
+            self, monkeypatch, variant, block_bytes):
+        # a layer form keeps each cell's winning piece input, not its
+        # stage input, so conv1's and conv2's outputs die as soon as their
+        # stage has run, on one block or on many
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
+        model = build_model(small_spec(variant), make_rng(0))
+        trained = [model.conv1.w, model.conv2.w] + model.stage_parameters()
         refs = {}
-        self._watched(model, ["conv1"], refs)
+        self._watched(model, ["conv1", "conv2"], refs)
         x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
         h = model.stage1(model.conv1(x))
-        assert refs["conv1"]() is not None
-        h.sum().backward()
         assert refs["conv1"]() is None
+        h = model.conv2(h)
+        assert refs["conv2"]() is not None
+        h = model.stage2(h)
+        assert refs["conv2"]() is None
+        h.sum().backward()
+        assert all(t.grad is not None for t in trained)
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
     def test_no_rule_reads_a_tensor_lazily(self, monkeypatch, variant):

@@ -55,16 +55,16 @@ class DivergenceError(RuntimeError):
 # parameter hashes pin these slices
 _BACK_X_BYTES = 1 << 24
 
-# bytes of im2col columns that conv2d's no-grad forward holds at a time: it
-# fills one buffer of whole images' columns per slice of the batch instead
-# of the whole im2col (571 MB at conv2 at batch 512); smaller slices run
-# slower inside evaluate(), where each copy follows a multithreaded GEMM
-_NO_GRAD_COLS_BYTES = 1 << 26
+# bytes of the stack's largest per-image array (conv2's im2col, 1.1 MB an
+# image at 128 filters) in one batch slice of Model.features' no-grad pass,
+# instead of the whole batch's (conv1's output is 354 MB at batch 512)
+_NO_GRAD_SLICE_BYTES = 1 << 26
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
 # when the slice starts and ends on a multiple of this many columns, the
 # group OpenBLAS's Haswell dgemm kernel computes together; a slice ending
-# elsewhere differed in the last bit in its last columns
+# elsewhere differed in the last bit in its last columns.  A slice of a
+# multiple of this many images starts both convs on such a multiple.
 _GEMM_COLUMN_GROUP = 8
 
 
@@ -82,30 +82,6 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
     return win.reshape(math.prod(win.shape[:3]), -1)
 
 
-def _conv_no_grad(x: Array, wmat: Array, kh: int, kw: int) -> Array:
-    """``wmat @ _im2col(x, kh, kw)`` a slice of whole images at a time
-    (``_NO_GRAD_COLS_BYTES``), each slice's columns filled into one reused
-    buffer and its GEMM written into its columns of the result.  Each
-    slice holds a multiple of ``_GEMM_COLUMN_GROUP`` columns (the last may
-    end the batch), so the result is the whole GEMM's."""
-    bsz, c, h, w = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    rows, cells = c * kh * kw, oh * ow
-    unit = _GEMM_COLUMN_GROUP // math.gcd(cells, _GEMM_COLUMN_GROUP)
-    fits = _NO_GRAD_COLS_BYTES // (wmat.itemsize * rows * cells)
-    step = min(bsz, max(unit, fits - fits % unit))
-    buf = np.empty(rows * step * cells)
-    out = np.empty((len(wmat), bsz * cells))
-    for start in range(0, bsz, step):
-        xs = x[start:start + step]
-        n = len(xs) * cells
-        cols = buf[:rows * n].reshape(rows, n)
-        np.copyto(cols.reshape(c, kh, kw, len(xs), oh, ow),
-                  _windows(xs, kh, kw))
-        np.matmul(wmat, cols, out=out[:, start * cells:start * cells + n])
-    return out
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.].
 
@@ -113,10 +89,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
     output gradient, as every stage returns, reaches both GEMMs of the
     backward pass as a view, and the bias adds its images in batch order,
-    to the bit as for a batch-major one.  The no-grad forward pass runs a
-    batch slice at a time (``_conv_no_grad``), and its output is the whole
-    GEMM's to the bit.  The x gradient is computed a batch slice at a time
-    too (``_BACK_X_BYTES``); those slices are not aligned to
+    to the bit as for a batch-major one.  The forward pass is one GEMM over
+    x's whole im2col, with or without grad (``Model.features`` passes
+    slices of the batch under no_grad).  The x gradient is computed a batch
+    slice at a time (``_BACK_X_BYTES``); those slices are not aligned to
     ``_GEMM_COLUMN_GROUP`` (15 images, 1,815 columns at conv2), so it may
     differ from one unsliced GEMM's in the last bit.  Under grad the rules
     keep the im2col columns (for the w gradient) and the weight matrix (for
@@ -128,14 +104,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         raise ValueError("channel mismatch")
     oh, ow = h - kh + 1, wd - kw + 1
     wmat = w.data.reshape(f, -1)
-    track = ad.is_grad_enabled()
-    cols = _im2col(x.data, kh, kw) if track else None  # [C*kh*kw, B*OH*OW]
-    gemm = wmat @ cols if track else _conv_no_grad(x.data, wmat, kh, kw)
-    out = gemm.reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
+    cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
+    out = (wmat @ cols).reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data.reshape(1, f, 1, 1)
-    if not track:
-        return Tensor(out)
     w_shape = w.data.shape
 
     def back_x(g: Array) -> Array:
@@ -330,16 +302,39 @@ class Model:
         self.conv2 = Conv2dLayer(f, f, k, rng, bias)
         self.stage2 = Stage(spec, pool)
         h, w = spec.image_size
-        for _ in range(2):  # valid conv, then pool
-            h, w = pool.out_extent((h - k + 1, w - k + 1))
+        c, largest = spec.in_channels, 0  # elements per image
+        for _ in range(2):  # valid conv (im2col and output), then pool
+            h, w = h - k + 1, w - k + 1
+            largest = max(largest, c * k * k * h * w, f * h * w)
+            h, w, c = *pool.out_extent((h, w)), f
         self.feature_dim = f * h * w
+        self._image_bytes = 8 * largest  # float64
         self.dense = DenseLayer(self.feature_dim, spec.n_classes, rng)
 
-    def features(self, x: Tensor) -> Tensor:
+    def _stack(self, x: Tensor) -> Tensor:
         # nested, so each stage's input dies as soon as its consumer has
         # run unless a backward rule keeps it
-        h = self.stage2(self.conv2(self.stage1(self.conv1(x))))
-        return ad.reshape(h, (h.data.shape[0], self.feature_dim))
+        return self.stage2(self.conv2(self.stage1(self.conv1(x))))
+
+    def features(self, x: Tensor) -> Tensor:
+        """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].
+
+        Under no_grad the stack runs on consecutive slices of whole images,
+        so conv1's output is never whole: as many as ``_NO_GRAD_SLICE_BYTES``
+        holds, in multiples of ``_GEMM_COLUMN_GROUP``.  The stages work on
+        each image alone, so the features are the whole batch's to the bit.
+        """
+        if ad.is_grad_enabled():
+            h = self._stack(x)
+            return ad.reshape(h, (h.data.shape[0], self.feature_dim))
+        out = np.empty((len(x.data), self.feature_dim))
+        fits = _NO_GRAD_SLICE_BYTES // self._image_bytes
+        step = max(_GEMM_COLUMN_GROUP, fits - fits % _GEMM_COLUMN_GROUP)
+        for start in range(0, len(out), step):
+            h = self._stack(Tensor(x.data[start:start + step])).data
+            np.copyto(out[start:start + len(h)].reshape(h.shape), h)
+            del h  # not held while the next slice runs
+        return Tensor(out)
 
     def forward(self, x: Tensor, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -503,9 +498,11 @@ class TrainConfig:
         # a NaN or infinite rate makes Adam's last update NaN everywhere
         if not 0 <= self.lr < np.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got "
-                             f"{self.max_epochs}")
+        # else patience 0 acts as 1, eval_batch_size 0 fails after an epoch
+        for name in ("max_epochs", "patience", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass
@@ -520,7 +517,9 @@ class Metrics:
 
 
 def evaluate(model: Model, ds: Dataset, batch_size: int = 512) -> float:
-    """Top-1 accuracy under no_grad."""
+    """Top-1 accuracy under no_grad; ValueError on an empty dataset."""
+    if len(ds) == 0:
+        raise ValueError("evaluate() needs images; the dataset is empty")
     correct = 0
     with ad.no_grad():
         for images, labels in batches(ds, batch_size):

@@ -27,8 +27,12 @@ def oracle_sup_conv_grads(f, offsets, w, stride, g):
     """Gradients of ``sum(g * sup_conv(f, w))`` for f and w.
 
     f may carry leading axes before the offsets' rank.  Each output cell
-    sends its g to the source and the weight of its first attaining
-    offset; a cell whose window lies wholly outside f sends nothing.
+    sends its g to the source and the weight of its winner: the first
+    offset whose candidate beats every earlier one strictly, starting from
+    -inf, the lattice bottom, as ``np.maximum`` folds the value.  The
+    dead-cell rule of ``oracle_layer_grads``: a cell sends nothing where
+    its value is NaN or it has no winner (a window wholly outside f, or
+    one whose every candidate is -inf).
     """
     rank = len(offsets[0])
     df, dw = np.zeros(f.shape), np.zeros(len(offsets))
@@ -37,10 +41,12 @@ def oracle_sup_conv_grads(f, offsets, w, stride, g):
         best, winner = -np.inf, None
         for o, y in enumerate(offsets):
             src = tuple(k * xi - yi for xi, k, yi in zip(x, stride, y))
-            inside = all(0 <= s < n for s, n in zip(src, f.shape[-rank:]))
-            if inside and (winner is None or f[lead + src] + w[o] > best):
-                best, winner = f[lead + src] + w[o], (o, lead + src)
-        if winner is not None:
+            if all(0 <= s < n for s, n in zip(src, f.shape[-rank:])):
+                cand = f[lead + src] + w[o]
+                if cand > best:
+                    winner = (o, lead + src)
+                best = np.maximum(best, cand)
+        if winner is not None and not np.isnan(best):
             df[winner[1]] += g[cell]
             dw[winner[0]] += g[cell]
     return df, dw

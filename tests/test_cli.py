@@ -87,9 +87,12 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
     ("--lr", "nan", "lr must be finite and >= 0, got nan"),
     ("--lr", "inf", "lr must be finite and >= 0, got inf"),
     ("--lr", "-0.1", "lr must be finite and >= 0, got -0.1"),
-    ("--epochs", "0", "max_epochs must be >= 1, got 0")],
+    ("--epochs", "0", "max_epochs must be >= 1, got 0"),
+    ("--patience", "0", "patience must be >= 1, got 0"),
+    ("--patience", "-5", "patience must be >= 1, got -5")],
     ids=["filters", "dropout-high", "dropout-negative", "pool-size", "stride",
-         "batch-size", "lr-nan", "lr-inf", "lr-negative", "epochs"])
+         "batch-size", "lr-nan", "lr-inf", "lr-negative", "epochs",
+         "patience-zero", "patience-negative"])
 def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,
                                                      capsys, flag, value,
                                                      message):

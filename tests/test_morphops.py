@@ -284,11 +284,13 @@ def _sup_conv_values(f, offsets, w, stride, out_extent):
 class TestSingleBlockDifferential:
     """Seeded differential for the routed ops that run as one block:
     ``max_pool``, ``dilate_pool``, ``dilate`` and ``erode`` against the loop
-    oracles, which never call ``_sup_max``.  Random normal data (no ties,
-    no zeros), random shapes with 1 or 2 spatial axes and up to two leading
-    axes, extents, strides, offsets and weights, C-contiguous or a
-    channel-major view; values and the f and weight gradients are compared
-    byte for byte (both sums add in cell order)."""
+    oracles, which never call ``_sup_max``.  Random normal data, in half
+    the cases with about a quarter of it -inf, +inf or NaN (so whole
+    windows of -inf, ties at +inf and NaN cells occur), random shapes with
+    1 or 2 spatial axes and up to two leading axes, extents, strides,
+    offsets and weights, C-contiguous or a channel-major view; values and
+    the f and weight gradients are compared byte for byte (both sums add
+    in cell order)."""
 
     CASES = 200
 
@@ -301,6 +303,11 @@ class TestSingleBlockDifferential:
         stride = tuple(int(k) for k in rng.integers(1, 4, rank))
         n = tuple(r + int(k) for r, k in zip(extent, rng.integers(0, 5, rank)))
         f = rng.normal(size=lead + n)
+        if rng.random() < 0.5:
+            u = rng.random(f.shape)
+            f[u < 0.25] = np.nan
+            f[u < 0.2] = np.inf
+            f[u < 0.15] = -np.inf
         by_channel = f.ndim >= 2 and rng.random() < 0.5
         return (channel_major(f) if by_channel else f,
                 PoolSpec(extent, stride), by_channel)

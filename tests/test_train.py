@@ -103,55 +103,6 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak <= dx.nbytes + 2 * tr._BACK_X_BYTES
 
-    @pytest.mark.parametrize("shape,fits,slices", [
-        # 5 x 4 = 20 cells an image: two images fill the column group
-        ((7, 4, 7, 6), 3, [2, 2, 2, 1]),
-        # 5 x 5 = 25 cells: only eight do, more than the budget holds
-        ((11, 3, 7, 7), 3, [8, 3]),
-        ((6, 2, 5, 5), 100, [6])])
-    def test_no_grad_forward_in_slices(self, monkeypatch, shape, fits,
-                                       slices):
-        # the no-grad forward fills the columns of whole images a slice at
-        # a time; each slice spans whole column groups, so the output is
-        # that of the whole GEMM under grad, to the bit
-        rng = make_rng(75)
-        x = rng.normal(size=shape)
-        w = rng.normal(size=(5, shape[1], 3, 3))
-        b = rng.normal(size=5)
-        cells = (shape[2] - 2) * (shape[3] - 2)
-        monkeypatch.setattr(tr, "_NO_GRAD_COLS_BYTES",
-                            fits * 8 * shape[1] * 9 * cells)
-        want = tr.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-        seen = []
-        windows = tr._windows
-        monkeypatch.setattr(tr, "_windows",
-                            lambda xs, kh, kw: seen.append(len(xs))
-                            or windows(xs, kh, kw))
-        with ad.no_grad():
-            got = tr.conv2d(Tensor(x), Tensor(w), Tensor(b))
-        assert seen == slices
-        assert not got._parents
-        assert got.data.shape == want.shape
-        assert got.data.transpose(1, 0, 2, 3).flags.c_contiguous
-        assert (np.ascontiguousarray(got.data).tobytes()
-                == np.ascontiguousarray(want).tobytes())
-
-    def test_no_grad_forward_memory_is_the_output_and_one_slice(
-            self, monkeypatch):
-        # the whole im2col would be 7.4 MB, 7 budgets
-        monkeypatch.setattr(tr, "_NO_GRAD_COLS_BYTES", 1 << 20)
-        rng = make_rng(76)
-        x = Tensor(rng.normal(size=(64, 16, 12, 12)))
-        w = Tensor(rng.normal(size=(16, 16, 3, 3)))
-        with ad.no_grad():
-            tracemalloc.start()
-            try:
-                out = tr.conv2d(x, w, None)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert peak <= out.data.nbytes + tr._NO_GRAD_COLS_BYTES
-
     def test_gradients(self):
         rng = make_rng(71)
         x = rng.normal(size=(2, 2, 5, 5))
@@ -332,6 +283,91 @@ class TestModel:
             npt.assert_array_equal(clone.forward(x).data, want, variant)
 
 
+def _traced_peak(call) -> int:
+    """tracemalloc peak of ``call()``, in bytes above what was allocated
+    when it started."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+class TestNoGradFeatures:
+    """Under no_grad ``Model.features`` runs the conv/stage stack on slices
+    of whole images, each a multiple of ``_GEMM_COLUMN_GROUP`` images, and
+    writes their features into one array."""
+
+    # conv1's im2col, 9 x 8 x 8 elements, is the largest per-image array
+    # of small_spec's stack (conv1's output is 6 x 64, conv2's im2col 54 x 4)
+    IMAGE_BYTES = 8 * 9 * 8 * 8
+
+    @staticmethod
+    def _spy_windows(monkeypatch) -> list:
+        # the batch length of every im2col: two per slice, conv1's, conv2's
+        seen = []
+        windows = tr._windows
+        monkeypatch.setattr(tr, "_windows",
+                            lambda xs, kh, kw: seen.append(len(xs))
+                            or windows(xs, kh, kw))
+        return seen
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_byte_equal_to_the_grad_forward(self, monkeypatch, variant):
+        # a budget of 12 images rounds down to slices of 8; every slice
+        # starts both convs' GEMMs on a column group, so features and
+        # logits are those of the whole batch under grad, to the bit
+        monkeypatch.setattr(tr, "_NO_GRAD_SLICE_BYTES", 12 * self.IMAGE_BYTES)
+        model = build_model(small_spec(variant), make_rng(3))
+        rng = make_rng(90)
+        for p in model.parameters():
+            p.data = p.data + rng.normal(scale=0.1, size=p.data.shape)
+        seen = self._spy_windows(monkeypatch)
+        for slices in ([1], [7], [8], [8, 3], [8, 8, 8, 5]):
+            x = Tensor(rng.normal(size=(sum(slices), 1, 10, 10)))
+            want = [model.features(x).data, model.forward(x).data]
+            seen.clear()
+            with ad.no_grad():
+                got = [model.features(x), model.forward(x)]
+            assert seen == 2 * [n for n in slices for _ in "12"]
+            for have, ref in zip(got, want):
+                assert not have._parents
+                assert have.data.shape == ref.shape
+                assert have.data.tobytes() == ref.tobytes()
+
+    def test_default_slice_is_56_images(self, monkeypatch):
+        # 64 MiB holds 60 images of conv2's 1.1 MB im2col; 56 is the
+        # multiple of 8 below
+        model = build_model(ModelSpec(), make_rng(0))
+        seen = self._spy_windows(monkeypatch)
+        x = Tensor(make_rng(92).random((57, 1, 28, 28)))
+        with ad.no_grad():
+            assert model.features(x).data.shape == (57, 128 * 5 * 5)
+        assert seen == [56, 56, 1, 1]
+
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_memory_is_the_features_and_one_slice(self, monkeypatch,
+                                                  variant):
+        # 16 slices of 8 images; the bound is below the whole batch's
+        # conv1 output, so the forward never holds one
+        model = build_model(small_spec(variant, filters=16,
+                                       image_size=(28, 28)), make_rng(4))
+        # conv2's im2col, 16 x 9 x 11 x 11 elements, is the largest here
+        monkeypatch.setattr(tr, "_NO_GRAD_SLICE_BYTES", 8 * 8 * 16 * 9 * 121)
+        x = make_rng(91).random((128, 1, 28, 28))
+        feats = []
+        with ad.no_grad():
+            one_slice = _traced_peak(lambda: model.features(Tensor(x[:8])))
+            peak = _traced_peak(
+                lambda: feats.append(model.features(Tensor(x)).data))
+        # plus 16 KiB for the interpreter's and numpy's small objects
+        bound = feats[0].nbytes + one_slice + (1 << 14)
+        assert peak <= bound < 128 * 16 * 26 * 26 * 8  # conv1's output
+
+
 def _buffer(a):
     """The array that owns the memory of ``a``, a view or not."""
     while a.base is not None:
@@ -463,6 +499,21 @@ class TestTrainLoop:
         metrics = tr.train(model, ds, ds, cfg)
         assert len(metrics.epochs) == 2  # epoch 0 is best, epoch 1 stalls
         assert metrics.best_epoch == 0
+
+    @pytest.mark.parametrize("name,value", [
+        ("patience", 0), ("patience", -5), ("eval_batch_size", 0)])
+    def test_config_rejects_counts_below_one(self, name, value):
+        # refused up front: patience 0 used to stop as 1 does, and an eval
+        # batch of 0 failed only after a whole epoch had trained
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be >= 1, got {value}$"):
+            TrainConfig(**{name: value})
+
+    def test_evaluate_refuses_an_empty_dataset(self):
+        model = build_model(small_spec(), make_rng(0))
+        empty = md.Dataset(np.zeros((0, 10, 10)), np.zeros(0, np.int64))
+        with pytest.raises(ValueError, match="the dataset is empty"):
+            tr.evaluate(model, empty)
 
     def test_previous_graph_freed_before_next_forward(self, monkeypatch):
         # a step's logits, and the graph behind them, must be gone when the

@@ -55,10 +55,11 @@ class DivergenceError(RuntimeError):
 # parameter hashes pin these slices
 _BACK_X_BYTES = 1 << 24
 
-# bytes of the stack's largest per-image array (conv2's im2col, 1.1 MB an
-# image at 128 filters) in one batch slice of Model.features' no-grad pass,
-# instead of the whole batch's (conv1's output is 354 MB at batch 512)
-_NO_GRAD_SLICE_BYTES = 1 << 26
+# bytes of the largest per-image array in one _batch_slices slice: conv2d's
+# grad forward holds one slice's im2col, not the whole (272 MB at conv2 at
+# batch 256), and Model.features' no-grad pass one slice of the stack
+# (conv1's whole output is 354 MB at eval batch 512)
+_SLICE_BYTES = 1 << 26
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
 # when the slice starts and ends on a multiple of this many columns, the
@@ -66,6 +67,15 @@ _NO_GRAD_SLICE_BYTES = 1 << 26
 # elsewhere differed in the last bit in its last columns.  A slice of a
 # multiple of this many images starts both convs on such a multiple.
 _GEMM_COLUMN_GROUP = 8
+
+
+def _batch_slices(n: int, image_bytes: int) -> list[slice]:
+    """Consecutive slices of n images, each as many as ``_SLICE_BYTES``
+    holds of ``image_bytes`` an image, rounded down to a multiple of
+    ``_GEMM_COLUMN_GROUP`` (one group at least); the last may be shorter."""
+    fits = _SLICE_BYTES // image_bytes
+    step = max(_GEMM_COLUMN_GROUP, fits - fits % _GEMM_COLUMN_GROUP)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _windows(x: Array, kh: int, kw: int) -> Array:
@@ -85,18 +95,28 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.].
 
-    The output is the transposed view of one GEMM result, so its memory is
-    channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
+    The output is the transposed view of an [F, B*OH*OW] GEMM result, so its
+    memory is channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
     output gradient, as every stage returns, reaches both GEMMs of the
     backward pass as a view, and the bias adds its images in batch order,
-    to the bit as for a batch-major one.  The forward pass is one GEMM over
-    x's whole im2col, with or without grad (``Model.features`` passes
-    slices of the batch under no_grad).  The x gradient is computed a batch
-    slice at a time (``_BACK_X_BYTES``); those slices are not aligned to
-    ``_GEMM_COLUMN_GROUP`` (15 images, 1,815 columns at conv2), so it may
-    differ from one unsliced GEMM's in the last bit.  Under grad the rules
-    keep the im2col columns (for the w gradient) and the weight matrix (for
-    the x gradient), never x or the output.
+    to the bit as for a batch-major one.  The x gradient is computed a
+    batch slice at a time (``_BACK_X_BYTES``, 15 images at conv2, not whole
+    ``_GEMM_COLUMN_GROUP``s), so it may differ from one unsliced GEMM's in
+    the last bit.  The rules never keep the output.
+
+    With one channel (conv1) or under no_grad, the forward pass is one GEMM
+    over x's whole im2col, which the w gradient reuses: with one channel
+    its tap GEMMs would be matrix-vector products, not bit-equal to it.
+    With more channels under grad the rules keep x (44 MB at conv2, batch
+    256), not its im2col (272 MB): the forward GEMM runs on
+    ``_batch_slices`` of the im2col, and the w gradient is one GEMM per
+    kernel tap, ``dw[:, :, i, j] = gmat @ x_tap.T``, each tap's window of x
+    copied into one reused [C,B,OH,OW] buffer.  Both give the whole GEMM's
+    bytes, an OpenBLAS property that tests pin at (B, C, F) = (256, 128,
+    128) and (16, 128, 128) (conv2 of the paper's protocol and its 10k
+    run's last batch), (256, 16, 16) (the parameter hashes), (3, 4, 5) and
+    (5, 4, 5); at (37, 24, 16) on 2 BLAS threads the taps differ from it in
+    the last bit.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -104,16 +124,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         raise ValueError("channel mismatch")
     oh, ow = h - kh + 1, wd - kw + 1
     wmat = w.data.reshape(f, -1)
-    cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
-    out = (wmat @ cols).reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
+    w_shape = w.data.shape
+    image_bytes = wmat.nbytes // f * oh * ow  # one image's im2col
+    if c == 1 or not ad.is_grad_enabled():
+        cols, win = _im2col(x.data, kh, kw), None  # [C*kh*kw, B*OH*OW]
+        out = wmat @ cols
+    else:
+        cols, n = None, oh * ow
+        out = np.empty((f, bsz * n))
+        for s in _batch_slices(bsz, image_bytes):
+            np.matmul(wmat, _im2col(x.data[s], kh, kw),
+                      out=out[:, s.start * n:s.stop * n])
+        win = _windows(x.data, kh, kw)  # a view: keeps x, not an im2col
+    out = out.reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data.reshape(1, f, 1, 1)
-    w_shape = w.data.shape
+
+    def back_w(g: Array) -> Array:
+        gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
+        if cols is not None:
+            return (gmat @ cols.T).reshape(w_shape)
+        dw, tap = np.empty(w_shape), np.empty((c, bsz, oh, ow))
+        for i in range(kh):
+            for j in range(kw):
+                np.copyto(tap, win[:, i, j])
+                dw[:, :, i, j] = gmat @ tap.reshape(c, -1).T
+        return dw
 
     def back_x(g: Array) -> Array:
         dx = np.zeros((c, bsz, h, wd))
-        per_image = wmat.itemsize * c * kh * kw * oh * ow
-        step = max(1, _BACK_X_BYTES // per_image)
+        step = max(1, _BACK_X_BYTES // image_bytes)
         # weight rows in (kh, kw, C) order, so each tap's slice of the GEMM
         # result is contiguous; each entry is the same dot product
         wtap = wmat.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, f)
@@ -127,12 +167,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
                     dxs[:, :, i:i + oh, j:j + ow] += d6[i, j]
         return dx.transpose(1, 0, 2, 3)
 
-    def back_w(g: Array) -> Array:
-        gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
-        return (gmat @ cols.T).reshape(w_shape)
-
-    # back_w runs first: backward drops it, and cols with it, before
-    # back_x runs (back_x must not hold cols)
+    # back_w runs first: backward drops it, and cols or x with it, before
+    # back_x runs (back_x must not hold them)
     parents = [(w, back_w), (x, back_x)]
     if b is not None:
         parents.append((b, lambda g: np.ascontiguousarray(
@@ -319,20 +355,17 @@ class Model:
     def features(self, x: Tensor) -> Tensor:
         """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].
 
-        Under no_grad the stack runs on consecutive slices of whole images,
-        so conv1's output is never whole: as many as ``_NO_GRAD_SLICE_BYTES``
-        holds, in multiples of ``_GEMM_COLUMN_GROUP``.  The stages work on
+        Under no_grad the stack runs on consecutive ``_batch_slices`` of
+        whole images, so conv1's output is never whole.  The stages work on
         each image alone, so the features are the whole batch's to the bit.
         """
         if ad.is_grad_enabled():
             h = self._stack(x)
             return ad.reshape(h, (h.data.shape[0], self.feature_dim))
         out = np.empty((len(x.data), self.feature_dim))
-        fits = _NO_GRAD_SLICE_BYTES // self._image_bytes
-        step = max(_GEMM_COLUMN_GROUP, fits - fits % _GEMM_COLUMN_GROUP)
-        for start in range(0, len(out), step):
-            h = self._stack(Tensor(x.data[start:start + step])).data
-            np.copyto(out[start:start + len(h)].reshape(h.shape), h)
+        for s in _batch_slices(len(out), self._image_bytes):
+            h = self._stack(Tensor(x.data[s])).data
+            np.copyto(out[s].reshape(h.shape), h)
             del h  # not held while the next slice runs
         return Tensor(out)
 

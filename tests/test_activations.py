@@ -680,6 +680,116 @@ class TestReluMaxPoolReduction:
         assert d_layer.tolist() == [[0.0, 0.0]]
 
 
+class TestPaperReductions:
+    """Seeded differentials of the paper's reductions, a fixed budget of
+    40 cases each.  Small integers tie pieces and window cells everywhere
+    and make every sum exact in any order, so values must match byte for
+    byte and gradients by value.
+
+    - The split pools are differences of two form-1 layers with one flat
+      window, each ``max(s * x + 0, 0 * x + 0)`` pooled:
+      ``posneg(f) = L(f; s = beta_neg) - L(f; s = -beta_pos)``, and
+      ``selfdual`` is posneg at ``beta_pos = beta_neg = 1``.
+    - Form 2 on a unit window is ``pl_activation`` with the transposed
+      matrices: ``min_i max_j beta[j, i] x + alpha[j, i]`` either way.
+    """
+
+    CASES = 40
+    POOL = PoolSpec((2, 2), (2, 2))
+
+    @classmethod
+    def _relu_pool_layer(cls, slope: float):
+        """Form 1 with the one row ``[slope, 0]`` (slope trainable), zero
+        intercepts and one flat window: ``max(slope * x, 0)`` pooled."""
+        params = MorphoActivationParams(
+            Tensor(np.array([[slope, 0.0]]), requires_grad=True),
+            Tensor(np.zeros((1, 2))))
+        bank = [StructuringFunction.pool_window(cls.POOL.extent)]
+        return (lambda t: act.morpho_act1_forward(t, params, bank, cls.POOL),
+                params.beta)
+
+    @pytest.mark.parametrize("stage", ["selfdual", "posneg"])
+    def test_split_pool_is_two_form1_layers(self, stage):
+        rng = ad.make_rng(113 if stage == "posneg" else 112)
+        negative_zeros = 0
+        for _ in range(self.CASES):
+            b, c, h, w = (int(k) for k in rng.integers([1, 1, 2, 2],
+                                                       [4, 4, 9, 9]))
+            x = rng.integers(-3, 4, size=(b, c, h, w)).astype(np.float64)
+            if rng.random() < 0.5:
+                x = channel_major(x)
+            g = rng.integers(-3, 4, size=(b, c) + self.POOL.out_extent(
+                (h, w))).astype(np.float64)
+            beta_pos, beta_neg = ((1.0, 1.0) if stage == "selfdual" else
+                                  (float(k) for k in rng.integers(1, 4, 2)))
+            xs = Tensor(x, requires_grad=True)
+            slopes = [Tensor(beta_pos, requires_grad=True),
+                      Tensor(beta_neg, requires_grad=True)]
+            out = (mo.selfdual_pool(xs, self.POOL) if stage == "selfdual"
+                   else mo.posneg_pool_param(xs, self.POOL, *slopes))
+            ad.mul(out, Tensor(g)).sum().backward()
+            xl = Tensor(x, requires_grad=True)
+            (pos, s_neg), (neg, s_pos) = (self._relu_pool_layer(beta_neg),
+                                          self._relu_pool_layer(-beta_pos))
+            layers = ad.sub(pos(xl), neg(xl))
+            ad.mul(layers, Tensor(g)).sum().backward()
+            assert out.data.tobytes() == layers.data.tobytes()
+            npt.assert_array_equal(xs.grad, xl.grad)
+            if stage == "posneg":
+                # d/d beta_pos through the slope -beta_pos
+                assert slopes[0].grad == -s_pos.grad[0, 0]
+                assert slopes[1].grad == s_neg.grad[0, 0]
+            # signed zeros: every value zero is +0.0 on both sides; the
+            # layers' x gradient is a sum of bincounts, so its zeros are
+            # +0.0, while act_pool gives a closed winner g * 0, -0.0 for
+            # a negative g, which the difference of the two pools keeps
+            # in some cells
+            assert not np.signbit(out.data[out.data == 0]).any()
+            assert not np.signbit(xl.grad[xl.grad == 0]).any()
+            negative_zeros += int(np.signbit(xs.grad[xs.grad == 0]).sum())
+        assert negative_zeros
+
+    def test_form2_on_a_unit_window_is_pl_activation_transposed(self):
+        rng = ad.make_rng(114)
+        unit, unit_pool = StructuringFunction([(0,)]), PoolSpec((1,), (1,))
+        for _ in range(self.CASES):
+            shape = tuple(int(k) for k in rng.integers(
+                1, 5, size=int(rng.integers(2, 4))))
+            axis = (None if rng.random() < 0.25
+                    else int(rng.integers(0, len(shape))))
+            m, n = (int(k) for k in rng.integers(1, 5, size=2))
+            pshape = (m, n) if axis is None else (shape[axis], m, n)
+            x, g = (rng.integers(-3, 4, size=shape).astype(np.float64)
+                    for _ in range(2))
+            beta, alpha = (rng.integers(-2, 3, size=pshape).astype(np.float64)
+                           for _ in range(2))
+            # form 2: x gains a trailing axis of extent 1, pooled by one
+            # frozen zero-weight offset at stride 1, as pl_activation does
+            x2 = Tensor(x, requires_grad=True)
+            p2 = MorphoActivationParams(Tensor(beta, requires_grad=True),
+                                        Tensor(alpha, requires_grad=True))
+            out2 = ad.reshape(act.morpho_act2_forward(
+                ad.reshape(x2, shape + (1,)), p2, [unit] * n, unit_pool,
+                axis), shape)
+            ad.mul(out2, Tensor(g)).sum().backward()
+            xp = Tensor(x, requires_grad=True)
+            pp = MorphoActivationParams(
+                *(Tensor(np.ascontiguousarray(a.swapaxes(-1, -2)),
+                         requires_grad=True) for a in (beta, alpha)))
+            outp = act.pl_activation(xp, pp, axis)
+            ad.mul(outp, Tensor(g)).sum().backward()
+            assert out2.data.tobytes() == outp.data.tobytes()
+            npt.assert_array_equal(x2.grad, xp.grad)
+            npt.assert_array_equal(p2.beta.grad,
+                                   pp.beta.grad.swapaxes(-1, -2))
+            npt.assert_array_equal(p2.alpha.grad,
+                                   pp.alpha.grad.swapaxes(-1, -2))
+            # signed zeros: both x gradients are bincounts, so every zero
+            # is +0.0 on both sides
+            for grad in (x2.grad, xp.grad):
+                assert not np.signbit(grad[grad == 0]).any()
+
+
 _NAN_POOL = PoolSpec((1, 2), (1, 1))
 
 

@@ -52,6 +52,26 @@ def test_step_memory_reports_every_variant(tmp_path):
         assert all(v > 0 for v in row.values())
 
 
+def test_criterion9_timing_writes_its_bench_file(tmp_path):
+    out = tmp_path / "BENCH_criterion9.json"
+    done = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "criterion9_timing.py"),
+                           "--epochs", "2", "--n-train", "20", "--n-test",
+                           "6", "--filters", "3", "--out", str(out)],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(out.read_text())
+    assert json.loads(lines[0]) == doc
+    assert doc["config"]["variant"] == "morpho1"
+    assert (doc["config"]["n_train"], doc["config"]["n_test"]) == (20, 6)
+    assert 0 < doc["wall_seconds"] < doc["gate_seconds"] == 900.0
+    assert [row["epoch"] for row in doc["epochs"]] == [0, 1]
+    assert all(row["peak_rss_mb"] > 0 for row in doc["epochs"])
+
+
 def test_line_count_counts_every_src_file(tmp_path):
     done = subprocess.run([sys.executable,
                            str(ROOT / "scripts" / "line_count.py")],

@@ -58,7 +58,8 @@ def _resolve_idx(explicit: str | None, data_dir: str, stem: str) -> str:
         f"(set --data-dir or MORPHNN_DATA_DIR, or pass the path explicitly)")
 
 
-def _load_split(args, split: str) -> tuple[Dataset, dict]:
+def _load_split(args, split: str,
+                size: tuple[int, int]) -> tuple[Dataset, dict]:
     img = _resolve_idx(getattr(args, f"{split}_images"), args.data_dir,
                        IMAGE_FILES[split])
     lbl = _resolve_idx(getattr(args, f"{split}_labels"), args.data_dir,
@@ -69,6 +70,10 @@ def _load_split(args, split: str) -> tuple[Dataset, dict]:
         ds = subset(ds, want, make_rng(args.subset_seed))
     if not len(ds):
         raise ValueError(f"{img}: the {split} split holds no images")
+    if ds.images.shape[1:] != size:
+        raise ValueError(f"{img}: the {split} images are "
+                         f"{'x'.join(map(str, ds.images.shape[1:]))}, the "
+                         f"model takes {size[0]}x{size[1]}")
     return ds, {"images": img, "labels": lbl, "examples": len(ds)}
 
 
@@ -83,8 +88,9 @@ def _prepare_run(args, variants) -> tuple:
     cfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                       max_epochs=args.epochs, patience=args.patience,
                       seed=args.seed, trainable_scope=args.trainable_scope)
-    train_ds, train_info = _load_split(args, "train")
-    test_ds, test_info = _load_split(args, "test")
+    size = specs[variants[0]].image_size  # every variant's
+    train_ds, train_info = _load_split(args, "train", size)
+    test_ds, test_info = _load_split(args, "test", size)
     data = {"train": train_info, "test": test_info,
             "subset_seed": args.subset_seed}
     out = Path(args.out)

@@ -47,18 +47,11 @@ class DivergenceError(RuntimeError):
 # -- graph ops used only by the net ------------------------------------------
 
 
-# bytes of the im2col-shaped x gradient that conv2d's backward holds at a
-# time: it runs the GEMM and the shifted adds one slice of the batch at a
-# time instead of on the whole (272 MB at conv2 at batch 256); a slice
-# there is 15 images, 1,815 columns, not whole _GEMM_COLUMN_GROUPs, so the
-# x gradient may differ from one unsliced GEMM's in the last bit, and the
-# parameter hashes pin these slices
-_BACK_X_BYTES = 1 << 24
-
-# bytes of the largest per-image array in one _batch_slices slice: conv2d's
-# grad forward holds one slice's im2col, not the whole (272 MB at conv2 at
-# batch 256), and Model.features' no-grad pass one slice of the stack
-# (conv1's whole output is 354 MB at eval batch 512)
+# bytes of the largest per-image array in one _batch_slices slice: conv2d
+# holds one slice's im2col in its forward and one slice's im2col-shaped x
+# gradient in back_x, not the whole (272 MB at conv2 at batch 256), and
+# Model.features' no-grad pass one slice of the stack (conv1's whole output
+# is 354 MB at eval batch 512)
 _SLICE_BYTES = 1 << 26
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
@@ -99,43 +92,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     memory is channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
     output gradient, as every stage returns, reaches both GEMMs of the
     backward pass as a view, and the bias adds its images in batch order,
-    to the bit as for a batch-major one.  The x gradient is computed a
-    batch slice at a time (``_BACK_X_BYTES``, 15 images at conv2, not whole
-    ``_GEMM_COLUMN_GROUP``s), so it may differ from one unsliced GEMM's in
-    the last bit.  The rules never keep the output.
+    to the bit as for a batch-major one.  The rules never keep the output.
 
-    With one channel (conv1) or under no_grad, the forward pass is one GEMM
-    over x's whole im2col, which the w gradient reuses: with one channel
-    its tap GEMMs would be matrix-vector products, not bit-equal to it.
-    With more channels under grad the rules keep x (44 MB at conv2, batch
-    256), not its im2col (272 MB): the forward GEMM runs on
-    ``_batch_slices`` of the im2col, and the w gradient is one GEMM per
+    One rule, under grad or not: the forward GEMM and the x gradient's GEMM
+    run on ``_batch_slices`` of the batch, so no call holds a whole im2col
+    beyond what its w gradient keeps.  With one channel (conv1) the rules
+    keep x's whole im2col (12 MB at batch 256) and the forward slices are
+    column views of it: its tap GEMMs would be matrix-vector products, not
+    bit-equal to the whole GEMM.  With more channels they keep x (44 MB at
+    conv2), not its im2col (272 MB), and the w gradient is one GEMM per
     kernel tap, ``dw[:, :, i, j] = gmat @ x_tap.T``, each tap's window of x
-    copied into one reused [C,B,OH,OW] buffer.  Both give the whole GEMM's
-    bytes, an OpenBLAS property that tests pin at (B, C, F) = (256, 128,
-    128) and (16, 128, 128) (conv2 of the paper's protocol and its 10k
-    run's last batch), (256, 16, 16) (the parameter hashes), (3, 4, 5) and
-    (5, 4, 5); at (37, 24, 16) on 2 BLAS threads the taps differ from it in
-    the last bit.
+    copied into one reused [C,B,OH,OW] buffer.  Each slice starts and ends
+    on whole ``_GEMM_COLUMN_GROUP``s or at the batch's end, so every result
+    is the unsliced GEMM's bytes, an OpenBLAS property that tests pin at
+    (B, C, F) = (256, 128, 128) and (16, 128, 128) (conv2 of the paper's
+    protocol and its 10k run's last batch), (256, 16, 16) (the parameter
+    hashes), (3, 4, 5) and (5, 4, 5); at (37, 24, 16) on 2 BLAS threads the
+    taps differ from it in the last bit.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError("channel mismatch")
     oh, ow = h - kh + 1, wd - kw + 1
+    n = oh * ow
     wmat = w.data.reshape(f, -1)
-    w_shape = w.data.shape
-    image_bytes = wmat.nbytes // f * oh * ow  # one image's im2col
-    if c == 1 or not ad.is_grad_enabled():
-        cols, win = _im2col(x.data, kh, kw), None  # [C*kh*kw, B*OH*OW]
-        out = wmat @ cols
-    else:
-        cols, n = None, oh * ow
-        out = np.empty((f, bsz * n))
-        for s in _batch_slices(bsz, image_bytes):
-            np.matmul(wmat, _im2col(x.data[s], kh, kw),
-                      out=out[:, s.start * n:s.stop * n])
-        win = _windows(x.data, kh, kw)  # a view: keeps x, not an im2col
+    w_shape, xd = w.data.shape, x.data
+    slices = _batch_slices(bsz, wmat.nbytes // f * n)  # one image's im2col
+    cols = _im2col(xd, kh, kw) if c == 1 else None  # [C*kh*kw, B*OH*OW]
+    out = np.empty((f, bsz * n))
+    for s in slices:
+        cs = slice(s.start * n, s.stop * n)
+        np.matmul(wmat, _im2col(xd[s], kh, kw) if cols is None
+                  else cols[:, cs], out=out[:, cs])
     out = out.reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data.reshape(1, f, 1, 1)
@@ -144,6 +133,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
         if cols is not None:
             return (gmat @ cols.T).reshape(w_shape)
+        win = _windows(xd, kh, kw)
         dw, tap = np.empty(w_shape), np.empty((c, bsz, oh, ow))
         for i in range(kh):
             for j in range(kw):
@@ -153,18 +143,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
     def back_x(g: Array) -> Array:
         dx = np.zeros((c, bsz, h, wd))
-        step = max(1, _BACK_X_BYTES // image_bytes)
         # weight rows in (kh, kw, C) order, so each tap's slice of the GEMM
         # result is contiguous; each entry is the same dot product
         wtap = wmat.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, f)
-        for start in range(0, bsz, step):
-            gs = g[start:start + step]
-            gmat = gs.transpose(1, 0, 2, 3).reshape(f, -1)
-            d6 = (wtap @ gmat).reshape(kh, kw, c, len(gs), oh, ow)
-            dxs = dx[:, start:start + step]
+        for s in slices:
+            dxs = dx[:, s]
+            gmat = g[s].transpose(1, 0, 2, 3).reshape(f, -1)
+            d6 = (wtap @ gmat).reshape(kh, kw, *dxs.shape[:2], oh, ow)
             for i in range(kh):
                 for j in range(kw):
                     dxs[:, :, i:i + oh, j:j + ow] += d6[i, j]
+            del d6  # not held while the next slice's GEMM runs
         return dx.transpose(1, 0, 2, 3)
 
     # back_w runs first: backward drops it, and cols or x with it, before
@@ -318,10 +307,19 @@ class ModelSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"choose from {VARIANTS}")
-        if self.n_terms < 1 or self.m_terms < 1:
-            raise ValueError("n_terms and m_terms must be >= 1")
-        for name in ("filters", "kernel_size", "pool_extent", "pool_stride"):
-            if getattr(self, name) < 1:
+        if len(self.image_size) != 2:
+            raise ValueError(f"image_size must be (height, width), got "
+                             f"{self.image_size!r}")
+        sizes = {name: getattr(self, name) for name in (
+            "n_terms", "m_terms", "filters", "kernel_size", "pool_extent",
+            "pool_stride", "n_classes", "in_channels")}
+        sizes |= {"image_size[0]": self.image_size[0],
+                  "image_size[1]": self.image_size[1]}
+        for name, value in sizes.items():
+            # a float or a bool would build a model that fails later
+            if type(value) is bool or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -434,9 +432,9 @@ def load_model(path) -> Model:
     """The model ``save_model`` wrote to ``path``, parameters matched by
     name.  Raises ValueError, naming the problem, on a file of another
     format version (an older file's positional ``param_{i}`` keys
-    included), on a missing or unexpected entry, or on a parameter whose
-    shape does not match the spec, and on a damaged file (empty or
-    truncated)."""
+    included), on a spec that ``ModelSpec`` refuses, on a missing or
+    unexpected entry, on a parameter whose shape does not match the spec
+    or that is not float64, and on a damaged file (empty or truncated)."""
     try:  # from memory: a failed np.load(path) leaves the file open
         blob = np.load(io.BytesIO(Path(path).read_bytes()))
     except (EOFError, zipfile.BadZipFile) as e:
@@ -460,7 +458,7 @@ def load_model(path) -> Model:
         try:
             cfg["image_size"] = tuple(cfg["image_size"])
             spec = ModelSpec(**cfg)
-        except (TypeError, KeyError) as e:
+        except (TypeError, KeyError, ValueError) as e:
             raise ValueError(f"{path}: spec_json is not a model spec ({e!r})"
                              ) from e
         model = Model(spec, make_rng(0))
@@ -475,6 +473,9 @@ def load_model(path) -> Model:
             if stored.shape != p.data.shape:
                 raise ValueError(f"{name} shape {stored.shape} does not "
                                  f"match the spec ({p.data.shape})")
+            if stored.dtype != np.float64:
+                raise ValueError(f"{path}: {name} is {stored.dtype}, not "
+                                 "float64")
             p.data = stored.copy()
     return model
 

@@ -27,6 +27,10 @@ def data_dir(tmp_path_factory):
     # one split compressed, to exercise the .gz fallback lookup
     write_idx(root / "t10k-images-idx3-ubyte.gz", imgs, compress=True)
     write_idx(root / "t10k-labels-idx1-ubyte.gz", labels, compress=True)
+    # each split's count of images, but 16x16: not the model's size
+    for split, n in (("train", 192), ("t10k", 64)):
+        write_idx(root / f"{split}-images-16x16", np.zeros((n, 16, 16),
+                                                           np.uint8))
     return root
 
 
@@ -89,15 +93,21 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
     ("--lr", "-0.1", "lr must be finite and >= 0, got -0.1"),
     ("--epochs", "0", "max_epochs must be >= 1, got 0"),
     ("--patience", "0", "patience must be >= 1, got 0"),
-    ("--patience", "-5", "patience must be >= 1, got -5")],
+    ("--patience", "-5", "patience must be >= 1, got -5"),
+    ("--train-images", "<data>/train-images-16x16", "<data>/train-images-"
+     "16x16: the train images are 16x16, the model takes 28x28"),
+    ("--test-images", "<data>/t10k-images-16x16", "<data>/t10k-images-"
+     "16x16: the test images are 16x16, the model takes 28x28")],
     ids=["filters", "dropout-high", "dropout-negative", "pool-size", "stride",
          "batch-size", "lr-nan", "lr-inf", "lr-negative", "epochs",
-         "patience-zero", "patience-negative"])
+         "patience-zero", "patience-negative", "train-16x16", "test-16x16"])
 def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,
                                                      capsys, flag, value,
                                                      message):
     # a usage error exits 2 with a message, not a traceback or a failed
     # run, and is caught before anything is written
+    value, message = (s.replace("<data>", str(data_dir))
+                      for s in (value, message))
     table1 = ["table1", "--data-dir", str(data_dir), "--seeds", "0",
               "--variants", "relu-maxpool", "--epochs", "1", "--quiet"]
     for argv in (_train_args(data_dir, tmp_path / "t"),
@@ -366,16 +376,30 @@ def test_export_activation_usage_errors(data_dir, tmp_path, capsys):
     err = export_error("extra", arrays | {"stage1.beta": params[0]})
     assert "'stage1.beta'" in err
     # valid JSON that is not a model spec: an unknown key, a missing
-    # image_size, a list
+    # image_size, a list, and a size that is not an int of at least 1
     spec = json.loads(arrays["spec_json"].tobytes())
+    sizes = ("n_terms", "m_terms", "filters", "kernel_size", "pool_extent",
+             "pool_stride", "n_classes", "in_channels")
+    bad_sizes = [(f"{key}_{value}", spec | {key: value}) for key in sizes
+                 for value in (0, 2.5, 3.0, True)]
+    bad_sizes += [(f"image_size_{size}", spec | {"image_size": size})
+                  for size in ([0, 28], [28, 2.5], [28, True], [28],
+                               [28, 28, 1])]
     for name, bad in (("unknown_key", spec | {"colour": 1}),
                       ("no_image_size", {k: v for k, v in spec.items()
                                          if k != "image_size"}),
-                      ("list", [spec])):
+                      ("list", [spec]), *bad_sizes):
         path = tmp_path / f"{name}.npz"
         err = export_error(name, arrays | {"spec_json": np.frombuffer(
             json.dumps(bad).encode(), np.uint8)})
         assert err.startswith(f"error: {path}: spec_json is not a model spec")
+    # a parameter stored in another dtype is refused, not loaded as it is
+    for dtype in (np.float32, np.complex128, np.int64):
+        path = tmp_path / f"{np.dtype(dtype).name}.npz"
+        err = export_error(path.stem, arrays | {
+            "conv1.b": arrays["conv1.b"].astype(dtype)})
+        assert err == (f"error: {path}: conv1.b is {np.dtype(dtype)}, not "
+                       "float64\n")
 
     # an empty or a truncated file is an input error naming the file
     whole = (run / "model.npz").read_bytes()

@@ -28,6 +28,11 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     hashes = doc["params"]
     assert list(hashes) == list(VARIANTS)
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in hashes.values())
+    # one step at the benchmark's 128 filters, where conv2 runs in slices
+    steps = doc["step128"]
+    assert list(steps) == ["relu-maxpool", "morpho1"]
+    assert all(re.fullmatch("[0-9a-f]{64}", h) for h in steps.values())
+    assert doc["config"]["step_filters"] == 128
     # and the hash of the seed-0 gradcheck report, as run in process
     report = json.dumps(run_gradcheck(seed=0)).encode()
     assert doc["gradcheck"] == hashlib.sha256(report).hexdigest()

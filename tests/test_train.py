@@ -68,40 +68,55 @@ class TestConv2d:
         assert got[1].transpose(1, 0, 2, 3).flags.c_contiguous
 
     def test_x_gradient_in_batch_slices(self, monkeypatch):
-        # a budget of two images' columns: slices of 2, 2 and 1 image; two
-        # images are 40 columns, whole groups of tr._GEMM_COLUMN_GROUP, and
+        # a budget of 8 images' im2col: slices of 8, 8 and 3 images; 8
+        # images are 160 columns, whole groups of tr._GEMM_COLUMN_GROUP, and
         # the last slice ends the batch, so each slice's GEMM groups its
         # columns as the whole GEMM does: that is why the bytes agree
         rng = make_rng(73)
-        x = rng.normal(size=(5, 4, 7, 6))
+        x = rng.normal(size=(19, 4, 7, 6))
         w = rng.normal(size=(5, 4, 3, 3))
         b = rng.normal(size=5)
-        g = rng.normal(size=(5, 5, 5, 4))
-        monkeypatch.setattr(tr, "_BACK_X_BYTES", 2 * 8 * (4 * 3 * 3) * 5 * 4)
-        for layout in (g, np.ascontiguousarray(g.transpose(1, 0, 2, 3))
-                       .transpose(1, 0, 2, 3)):
+        g = rng.normal(size=(19, 5, 5, 4))
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * (4 * 3 * 3) * 5 * 4)
+        seen = TestNoGradFeatures._spy_windows(monkeypatch)
+        want = oracle_conv2d_gemm(x, w, b, g)
+        for layout in (g, channel_major(g)):
+            seen.clear()
             xt = Tensor(x, requires_grad=True)
             out = tr.conv2d(xt, Tensor(w), Tensor(b))
+            assert seen == [8, 8, 3]  # the forward's im2col slices
             dx = out._parents[0][1](layout)
-            want = oracle_conv2d_gemm(x, w, b, g)[1]
-            assert dx.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert out.data.tobytes() == np.ascontiguousarray(want[0]).tobytes()
+            assert dx.tobytes() == np.ascontiguousarray(want[1]).tobytes()
 
     def test_x_gradient_memory_is_dx_and_one_slice(self, monkeypatch):
-        # the whole im2col-shaped gradient would be 7.4 MB, 7 budgets
-        monkeypatch.setattr(tr, "_BACK_X_BYTES", 1 << 20)
+        # slices of 8 images; the whole im2col-shaped gradient would be
+        # 7.4 MB, 7 budgets
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 1 << 20)
         rng = make_rng(74)
         x = rng.normal(size=(64, 16, 12, 12))
         g = np.ascontiguousarray(rng.normal(size=(16, 64, 10, 10)))
         xt = Tensor(x, requires_grad=True)
         out = tr.conv2d(xt, Tensor(rng.normal(size=(16, 16, 3, 3))), None)
         back_x = out._parents[0][1]
-        tracemalloc.start()
-        try:
-            dx = back_x(g.transpose(1, 0, 2, 3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= dx.nbytes + 2 * tr._BACK_X_BYTES
+        dx = []
+        peak = _traced_peak(lambda: dx.append(back_x(g.transpose(1, 0, 2, 3))))
+        # plus 256 KiB: numpy buffers a strided in-place add (128 KiB), and
+        # the interpreter's small objects; two slices would not fit
+        assert peak <= dx[0].nbytes + tr._SLICE_BYTES + (1 << 18)
+
+    def test_no_grad_memory_is_the_output_and_one_slice(self, monkeypatch):
+        # the same slices of 8 images; the whole im2col would be 7.4 MB
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 1 << 20)
+        rng = make_rng(76)
+        x = Tensor(rng.normal(size=(64, 16, 12, 12)))
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)))
+        out = []
+        with ad.no_grad():
+            peak = _traced_peak(lambda: out.append(tr.conv2d(x, w, None)))
+        one_slice = 8 * 8 * (16 * 3 * 3) * 10 * 10
+        # plus 16 KiB for the interpreter's and numpy's small objects
+        assert peak <= out[0].data.nbytes + one_slice + (1 << 14)
 
     @pytest.mark.parametrize("slice_images", [None, 8])
     @pytest.mark.parametrize("bsz,c,f,hw", [
@@ -114,47 +129,58 @@ class TestConv2d:
     def test_grad_path_gives_the_whole_gemms_bytes(self, monkeypatch, bsz,
                                                    c, f, hw, slice_images):
         # with more than one channel the grad path never holds x's whole
-        # im2col: the forward GEMM runs on batch slices of it (the module's
-        # budget, or 8 images) and the w gradient is one GEMM per tap.
-        # Equal bytes are an OpenBLAS property, not a theorem: pinned here
-        # at every shape the hashes and the benchmark run
+        # im2col: the forward GEMM and the x gradient run on batch slices
+        # of it (the module's budget, or 8 images) and the w gradient is
+        # one GEMM per tap.  Equal bytes are an OpenBLAS property, not a
+        # theorem: pinned here at every shape the hashes and the benchmark
+        # run
         if slice_images:
             monkeypatch.setattr(tr, "_SLICE_BYTES",
                                 slice_images * 8 * c * 9 * (hw[0] - 2)
                                 * (hw[1] - 2))
-        out, dw, want_out, want_dw = self._grad_path_and_whole_gemms(
-            bsz, c, f, hw)
-        assert out.tobytes() == want_out.tobytes()
-        assert dw.tobytes() == want_dw.tobytes()
+        got, want = self._grad_path_and_whole_gemms(bsz, c, f, hw)
+        for have, ref in zip(got, want):
+            assert have.tobytes() == ref.tobytes()
 
     def test_per_tap_w_gradient_may_differ_in_the_last_bit(self):
         # at this shape, with 2 BLAS threads, the tap GEMMs and the whole
-        # GEMM split their work differently and differ in the last bit;
-        # with OPENBLAS_NUM_THREADS=1 they are equal to the byte
-        out, dw, want_out, want_dw = self._grad_path_and_whole_gemms(
+        # GEMM split their work differently and differ in the last bit, and
+        # so do the x gradient's tap-major weight rows and the oracle's
+        # channel-major ones; with OPENBLAS_NUM_THREADS=1 both are equal to
+        # the byte
+        (out, dx, dw), want = self._grad_path_and_whole_gemms(
             37, 24, 16, (13, 13))
-        assert out.tobytes() == want_out.tobytes()
-        npt.assert_allclose(dw, want_dw, rtol=1e-12, atol=1e-12)
+        assert out.tobytes() == want[0].tobytes()
+        npt.assert_allclose(dx, want[1], rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(dw, want[2], rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def _grad_path_and_whole_gemms(bsz, c, f, hw):
-        """conv2d's output and w gradient under grad on channel-major x
-        and g, as the stages give them, and the same from one GEMM over
-        x's whole im2col each."""
+        """conv2d's output, x gradient and w gradient under grad on
+        channel-major x and g, as the stages give them, and the same from
+        one GEMM over x's whole im2col each."""
         rng = make_rng(75)
         oh, ow = hw[0] - 2, hw[1] - 2
         x = channel_major(rng.normal(size=(bsz, c) + hw))
         w = rng.normal(size=(f, c, 3, 3))
         g = channel_major(rng.normal(size=(bsz, f, oh, ow)))
-        wt = Tensor(w, requires_grad=True)
-        out = tr.conv2d(Tensor(x, requires_grad=True), wt, None)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = tr.conv2d(xt, wt, None)
         rules = {id(parent): rule for parent, rule in out._parents}
-        dw = rules[id(wt._node)](g)
+        got = [out.data] + [rules[id(t._node)](g) for t in (xt, wt)]
         cols = tr._im2col(x, 3, 3)
-        want_out = (w.reshape(f, -1) @ cols).reshape(f, bsz, oh, ow)
+        wmat = w.reshape(f, -1)
+        want_out = (wmat @ cols).reshape(f, bsz, oh, ow)
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
         want_dw = (gmat @ cols.T).reshape(w.shape)
-        return (out.data, dw, want_out.transpose(1, 0, 2, 3), want_dw)
+        del cols
+        d6 = (wmat.T @ gmat).reshape(c, 3, 3, bsz, oh, ow)
+        want_dx = np.zeros((c, bsz) + hw)
+        for i in range(3):
+            for j in range(3):
+                want_dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j]
+        return got, [want_out.transpose(1, 0, 2, 3),
+                     want_dx.transpose(1, 0, 2, 3), want_dw]
 
     def test_gradients(self):
         rng = make_rng(71)
@@ -269,9 +295,16 @@ class TestModel:
             assert model.conv1.b is None and model.conv2.b is None
 
     def test_spec_rejects_empty_layers(self):
-        for name in ("filters", "kernel_size"):
+        for name in ("filters", "kernel_size", "in_channels", "n_classes"):
             with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
                 ModelSpec(**{name: 0})
+            for value in (2.5, 3.0, True):
+                with pytest.raises(ValueError, match=f"^{name} must be an "
+                                   f"int, got {value}$"):
+                    ModelSpec(**{name: value})
+        for size in ((28, 0), (28,), (28, 28, 1)):
+            with pytest.raises(ValueError, match="^image_size"):
+                ModelSpec(image_size=size)
 
     @pytest.mark.parametrize("variant,nodes", [
         ("relu-maxpool", 15), ("relu6-maxpool", 15), ("selfdual", 21),

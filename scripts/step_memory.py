@@ -10,7 +10,10 @@ seeded images, then one ``evaluate()``-style forward under ``no_grad`` on
 ``--eval-batch`` images.  Each figure is the tracemalloc peak of that call
 in MiB, counted from what was allocated when it started, so the model, its
 optimizer state and the inputs do not count.  The output is one JSON line:
-``config`` and, per variant, ``train_step_mb`` and ``eval_batch_mb``.
+``config`` and, per variant, ``train_step_mb`` and ``eval_batch_mb``, and
+the step's two halves, each counted from the step's start: ``forward_mb``
+(the forward pass and the loss) and ``backward_mb`` (``backward()`` and
+Adam).  ``train_step_mb`` is the larger of the two.
 numpy reports its array buffers to tracemalloc, so the figures count every
 array a step holds at once; they leave out the interpreter and the
 allocator's own overhead, which ``peak_rss_mb`` sees.
@@ -34,17 +37,22 @@ SEED = 0
 MB = float(1 << 20)
 
 
-def peak_mb(call) -> float:
-    """tracemalloc peak of ``call()`` above what was allocated before it."""
+def peak_mb(*calls) -> list[float]:
+    """tracemalloc peak of each of ``calls``, run in turn, above what was
+    allocated before the first."""
     gc.collect()
     tracemalloc.start()
+    peaks = []
     try:
         base, _ = tracemalloc.get_traced_memory()
-        call()
-        _, peak = tracemalloc.get_traced_memory()
+        for call in calls:
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(round((tracemalloc.get_traced_memory()[1] - base)
+                               / MB, 1))
     finally:
         tracemalloc.stop()
-    return round((peak - base) / MB, 1)
+    return peaks
 
 
 def measure(variant: str, args) -> dict:
@@ -54,19 +62,26 @@ def measure(variant: str, args) -> dict:
     rng = ad.make_rng(SEED + 1)
     images = rng.random((max(args.batch, args.eval_batch), 1, 28, 28))
     labels = rng.integers(0, spec.n_classes, args.batch)
+    step = []
 
-    def step():
+    def forward():
         x = ad.Tensor(images[:args.batch])
-        loss = tr.cross_entropy(model.forward(x, train=True, rng=rng), labels)
+        step.append(tr.cross_entropy(model.forward(x, train=True, rng=rng),
+                                     labels))
+
+    def backward():
         opt.zero_grad()
-        loss.backward()
+        step.pop().backward()
         opt.step()
 
     def eval_batch():
         with ad.no_grad():
             model.forward(ad.Tensor(images[:args.eval_batch]))
 
-    return {"train_step_mb": peak_mb(step), "eval_batch_mb": peak_mb(eval_batch)}
+    forward_mb, backward_mb = peak_mb(forward, backward)
+    return {"train_step_mb": max(forward_mb, backward_mb),
+            "forward_mb": forward_mb, "backward_mb": backward_mb,
+            "eval_batch_mb": peak_mb(eval_batch)[0]}
 
 
 def main(argv=None) -> int:

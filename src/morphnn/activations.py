@@ -34,8 +34,11 @@ the offset and its member, the outer branch; -1 where no offset lands.  Form
 1's pool carries each source's code from the cell's winning source.  When
 beta also takes a gradient, each block then writes x at every cell's winning
 source, the winning piece's input, into one output-sized array, so the graph
-keeps that array and the codes, never the input: a conv2d output dies once
-its stage has run.  The backward pass is one ``morphops.routed_node`` on the
+keeps that array and the codes, never the input: conv2's output dies once
+its stage has run.  conv1's output is never whole: the model hands stage 1
+a ``morphops.Feed`` (``train.conv_feed``), which makes it one group of whole
+filters at a time and takes its gradient the same way, each group a run of
+the blocks.  The backward pass is one ``morphops.routed_node`` on the
 forward pass's blocks, whose route decodes a block's codes through two
 lookup tables into sources and parameter indices and returns its gradients:
 g times the winning slope for x (and form 2's weights), g times the piece
@@ -207,21 +210,22 @@ def pl_activation(x, params: MorphoActivationParams,
 # -- the two layer forms ---------------------------------------------------
 
 
-def _frame(x: Array, params: MorphoActivationParams, pool: PoolSpec,
+def _frame(shape, params: MorphoActivationParams, pool: PoolSpec,
            channel_axis: int | None) -> tuple[int, Array, Array]:
-    """A layer form's frame: the axis of x it swaps to the front, and beta,
-    alpha as [k, m, n] along that axis.  Per-channel parameters swap the
-    channel axis, which must not be pooled; shared ones keep x as it is
-    (axis 0) and get a unit leading axis (k = 1)."""
+    """A layer form's frame for an input of ``shape``: the axis it swaps
+    to the front, and beta, alpha as [k, m, n] along that axis.
+    Per-channel parameters swap the channel axis, which must not be
+    pooled; shared ones keep x as it is (axis 0) and get a unit leading
+    axis (k = 1)."""
     beta, alpha = params.beta.data, params.alpha.data
     if beta.ndim == 2:
         return 0, beta[None], alpha[None]
     if channel_axis is None:
         raise ValueError("channel_axis required for per-channel parameters")
-    axis = channel_axis % x.ndim
-    if x.shape[axis] != len(beta):
+    axis = channel_axis % len(shape)
+    if shape[axis] != len(beta):
         raise ValueError("channel extent mismatch")
-    if axis >= x.ndim - pool.rank:
+    if axis >= len(shape) - pool.rank:
         raise ValueError("channel_axis must not be a pooled axis")
     return axis, beta, alpha
 
@@ -253,7 +257,7 @@ def _bank(structuring: list[StructuringFunction], n_inner: int, x_shape,
 
 
 def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
-                x: Tensor, axis: int, params: MorphoActivationParams,
+                x: Tensor | mo.Feed, axis: int, params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
                 pool_first: bool) -> Tensor:
     """One graph node for a layer form, from its winner code (see the
@@ -266,7 +270,7 @@ def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
     (``morphops._live``).  The node reads only x's shape: it holds neither
     the input's array nor ``out``.
     """
-    x_shape = x.data.swapaxes(0, axis).shape
+    x_shape = mo._swap(x.shape, axis)
     bank_of, sources = _bank(structuring, params.m_terms if pool_first
                              else params.n_terms, x_shape, pool.stride)
     sizes = [len(sf.offsets) for sf in structuring]
@@ -329,16 +333,21 @@ def _layer(x, params: MorphoActivationParams,
     pool carries the code of each source's inner index and member and adds
     the offset; form 2 adds the pooled offset to the code of the inner
     index and member.  A block's pieces ``b[j][i]`` are ``beta[c, j, i]``
-    shaped (channels, 1, ...): a scalar for one channel.
+    shaped (channels, 1, ...): a scalar for one channel.  ``x`` may be a
+    ``Feed`` (per-channel parameters, ``channel_axis`` 1): its groups run
+    in channel order, each on its own blocks.
     """
-    x = ad.lift(x)
-    out_ext = pool.out_extent(x.data.shape[-pool.rank:])
-    axis, beta, alpha = _frame(x.data, params, pool, channel_axis)
-    xf = x.data.swapaxes(0, axis)
-    blocks = mo._blocks(xf, pool.rank)
+    x = x if isinstance(x, mo.Feed) else ad.lift(x)
+    out_ext = pool.out_extent(x.shape[-pool.rank:])
+    axis, beta, alpha = _frame(x.shape, params, pool, channel_axis)
+    feed = x if isinstance(x, mo.Feed) else mo.Feed.of(x, axis)
+    if feed is x and axis != 1:
+        raise ValueError("a Feed takes per-channel parameters on axis 1")
+    frame = mo._swap(x.shape, axis)
+    out = np.empty(frame[:-pool.rank] + out_ext)
     track = ad.is_grad_enabled()
     codes = [None] * len(structuring)
-    piece = None
+    code = piece = None
     if track:
         # member k's piece codes: inner * len(bank offsets) + k's start
         n_inner = params.m_terms if pool_first else params.n_terms
@@ -346,15 +355,16 @@ def _layer(x, params: MorphoActivationParams,
         dtype = mo._index_dtype(n_inner * sum(sizes))
         codes = [(np.arange(n_inner) * sum(sizes) + start).astype(dtype)
                  for start in np.cumsum([0] + sizes[:-1])]
+        code = np.empty(out.shape, dtype)
         if params.beta.requires_grad:
-            _, sources = _bank(structuring, n_inner, xf.shape, pool.stride)
-            piece = np.empty(xf.shape[:-pool.rank] + out_ext)
+            _, sources = _bank(structuring, n_inner, frame, pool.stride)
+            piece = np.empty(out.shape)
 
-    def run(block):
+    def run(block, xb):
         pb, pa = ((beta, alpha) if len(beta) == 1
                   else (beta[block[0]], alpha[block[0]]))
-        shape = (len(pb),) + (1,) * (xf.ndim - 1)
-        xb, b, a = xf[block], _pieces(pb, shape), _pieces(pa, shape)
+        shape = (len(pb),) + (1,) * (len(frame) - 1)
+        b, a = _pieces(pb, shape), _pieces(pa, shape)
 
         def branches():
             for k, sf in enumerate(structuring):
@@ -362,27 +372,32 @@ def _layer(x, params: MorphoActivationParams,
                 if pool_first:
                     pooled, off = mo._sup_max(xb, sf.offsets, w, pool.stride,
                                               out_ext, track)
-                    val, code = _affine_max(pooled, [bj[k] for bj in b],
-                                            [aj[k] for aj in a], codes[k])
+                    val, win = _affine_max(pooled, [bj[k] for bj in b],
+                                           [aj[k] for aj in a], codes[k])
                     # in the code's dtype, not the offset's, which may wrap
                     yield val, off if off is None else np.where(
-                        off < 0, -1, code + off)
+                        off < 0, -1, win + off)
                 else:
-                    inner, code = _affine_max(xb, b[k], a[k], codes[k])
+                    inner, win = _affine_max(xb, b[k], a[k], codes[k])
                     yield mo._sup_max(inner, sf.offsets, w, pool.stride,
-                                      out_ext, track, code)
+                                      out_ext, track, win)
 
-        out, code = _outer_min(branches())
-        if code is not None:
-            mo._mark_dead(code, out)
+        out[block], win = _outer_min(branches())
+        if win is not None:
+            mo._mark_dead(win, out[block])
+            code[block] = win
         if piece is not None:
             # x at each cell's winning source; a dead cell's source may lie
             # outside x, so it is clipped, and its entry is never read
-            np.take(xb.reshape(-1), sources(code), out=piece[block],
+            np.take(xb.reshape(-1), sources(win), out=piece[block],
                     mode="clip")
-        return out, code
 
-    out, code = mo._join(xf.shape, blocks, run)
+    blocks = []
+    for sl in feed.groups:
+        xg = feed.take(sl)
+        for block in mo._blocks(xg, pool.rank, sl.start):
+            run(block, xg[mo._shift(block, -sl.start)])
+            blocks.append(block)
     if not track:
         return Tensor(out.swapaxes(0, axis))
     return _layer_node(out, code, piece, blocks, x, axis, params,

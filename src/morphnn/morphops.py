@@ -273,42 +273,52 @@ WHOLE = (Ellipsis,)
 _BLOCK_BYTES = 1 << 20
 
 
-def _blocks(xf: Array, rank: int) -> list[tuple]:
+def _blocks(xf: Array, rank: int, start: int = 0) -> list[tuple]:
     """The blocks a blockwise op runs on, over the frame ``xf`` whose
     leading axis holds the channels and whose last ``rank`` axes are
     pooled: runs of whole channels of at most ``_BLOCK_BYTES``, or, for a
     channel bigger than that, even cuts of the channel along its next axis,
     unless that axis is pooled.  No block cuts a pooled axis, so each
-    output block's winners lie in the same block of the input.  ``[WHOLE]``
-    when that gives fewer than two blocks.
+    output block's winners lie in the same block of the input.  Channels
+    are numbered from ``start``, for a group of a larger frame's channels
+    (``Feed``).  ``[WHOLE]`` for a frame with no leading axis.
     """
     lead = xf.ndim - rank
     size = xf[0].nbytes if lead and len(xf) else 0
+    stop = start + (len(xf) if lead else 0)
     if size > _BLOCK_BYTES and lead > 1:
         rows = xf.shape[1]
         cuts = -(-size // _BLOCK_BYTES)
         step = -(-rows // cuts)
         blocks = [(slice(c, c + 1), slice(s, s + step))
-                  for c in range(len(xf)) for s in range(0, rows, step)]
-    elif lead:
-        step = max(1, _BLOCK_BYTES // max(size, 1))
-        blocks = [(slice(c, c + step),) for c in range(0, len(xf), step)]
+                  for c in range(start, stop) for s in range(0, rows, step)]
     else:
-        blocks = []
-    return blocks if len(blocks) > 1 else [WHOLE]
+        step = max(1, _BLOCK_BYTES // max(size, 1))
+        blocks = [(slice(c, min(c + step, stop)),)
+                  for c in range(start, stop, step)]
+    return blocks or [WHOLE]
 
 
-def _join(shape, blocks, run) -> list[Array]:
+def _shift(block: tuple, by: int) -> tuple:
+    """``block`` with its channels moved by ``by``."""
+    if not by:
+        return block
+    return (slice(block[0].start + by, block[0].stop + by), *block[1:])
+
+
+def _join(shape, blocks, run, start: int = 0, reuse=None) -> list[Array]:
     """Run ``run(block)`` on each block and join the arrays it returns.
 
-    ``blocks`` index leading axes of ``shape`` and take whole trailing
-    axes; each joined array has ``shape``'s leading axes and its part's
-    trailing ones, and a None part joins to None.  A single block's parts
-    are returned as they are.
+    ``blocks`` index leading axes of ``shape``, its first axis counted from
+    ``start``, and take whole trailing axes; each joined array has
+    ``shape``'s leading axes and its part's trailing ones, and a None part
+    joins to None.  A single block's parts are returned as they are.  With
+    ``reuse``, arrays that an earlier call joined, at least ``shape[0]``
+    long, the parts are joined into their leading rows instead.
     """
-    if len(blocks) == 1:
+    if len(blocks) == 1 and reuse is None:
         return list(run(blocks[0]))
-    joined = None
+    joined = None if reuse is None else [a[:shape[0]] for a in reuse]
     for block in blocks:
         parts = run(block)
         if joined is None:
@@ -317,11 +327,54 @@ def _join(shape, blocks, run) -> list[Array]:
                 tuple(shape[:lead]) + p.shape[lead:], p.dtype) for p in parts]
         for whole, part in zip(joined, parts):
             if part is not None:
-                whole[block] = part
+                whole[_shift(block, -start)] = part
     return joined
 
 
-def routed_node(out: Array, blocks, route, x: Tensor, params=(),
+class Feed:
+    """The input of a blockwise op, made by the op before it one group of
+    whole channels at a time, and differentiated the same way, so that
+    neither the input nor its gradient is ever whole: that op fused with
+    the blockwise one (conv1 with a layer form, ``train.conv_feed``).
+
+    ``tensor`` is the leaf the input is made from and ``shape`` the shape
+    the input would have; ``groups`` are consecutive slices of its
+    channels, axis 1, which the op's frame swaps to the front.
+    ``take(sl)`` returns channels ``sl`` in that frame, and ``give(sl,
+    gx)`` takes their gradient in that frame and returns ``tensor``'s
+    gradient so far, whole once every group is given.  Each hands over a
+    buffer that the next group may reuse.  ``Feed.of`` makes any tensor one
+    group.
+    """
+
+    __slots__ = ("tensor", "shape", "groups", "take", "give")
+
+    def __init__(self, tensor: Tensor, shape: tuple[int, ...],
+                 groups: list[slice], take, give):
+        self.tensor, self.shape, self.groups = tensor, shape, groups
+        self.take, self.give = take, give
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.tensor.requires_grad
+
+    @classmethod
+    def of(cls, x: Tensor, axis: int) -> "Feed":
+        """A plain tensor as one group: its frame swaps ``axis`` to the
+        front."""
+        xf = x.data.swapaxes(0, axis)
+        return cls(x, x.shape, [slice(0, len(xf))], lambda sl: xf,
+                   lambda sl, gx: gx.swapaxes(0, axis))
+
+
+def _swap(shape, axis: int) -> tuple[int, ...]:
+    """``shape`` with axes 0 and ``axis`` swapped."""
+    shape = list(shape)
+    shape[0], shape[axis] = shape[axis], shape[0]
+    return tuple(shape)
+
+
+def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
                 axis: int = 0) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
@@ -332,7 +385,8 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
     x's gradient, in the output's frame.  ``blocks`` cuts the frame into
     index tuples over its leading axes, in C order, such that each block of
     the output takes its winners from the same block of the input (no
-    block cuts a pooled axis); ``WHOLE`` alone is one block.
+    block cuts a pooled axis); ``WHOLE`` alone is one block.  A ``Feed`` x
+    (``axis`` 1) cuts the frame into groups, each a run of whole blocks.
 
     ``route(block, g)`` gets the block's output gradient in the frame and
     returns its gradients as ``(src, gx, closed, parts)``: each live cell's
@@ -342,16 +396,20 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
     values)``, added at ``index`` into ``params`` laid end to end from
     ``params[k]`` on.  A route captures what it reads and skips the work of
     a frozen leaf; the node keeps shapes and ``requires_grad`` flags, never
-    a tensor.  The first backward rule runs the blocks: a block-local
-    ``np.bincount`` fills the block's slice of an x gradient C-contiguous in
-    the frame, and ``np.add.at`` adds the parts into one running sum in
+    a tensor.  The first backward rule runs the blocks, group by group: a
+    block-local ``np.bincount`` fills the block's slice of the group's x
+    gradient, C-contiguous in the frame, which ``Feed.give`` takes once the
+    group is done; ``np.add.at`` adds the parts into one running sum in
     cell order, the same to the bit as one ``bincount`` over every cell.
     Later rules hand out the stored gradients.
     """
-    x_shape = x.data.swapaxes(0, axis).shape
+    feed = x if isinstance(x, Feed) else Feed.of(x, axis)
+    x_shape, groups = _swap(feed.shape, axis), feed.groups
     shapes = [p.data.shape for p in params]
     starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-    takes = [t.requires_grad for t in (x, *params)]
+    takes = [t.requires_grad for t in (feed, *params)]
+    # a frozen x keeps no give, nor what it holds (conv1's im2col)
+    give = feed.give if takes[0] else None
     grads: dict[int, Array] = {}
 
     def backward_pass(g: Array) -> None:
@@ -376,9 +434,13 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
                 gl[closed] *= 0.0
             return [gl.reshape(xb.shape)]
 
-        joined = _join(x_shape, blocks, run)
-        if takes[0]:
-            grads[0] = joined[0].swapaxes(0, axis)
+        joined = None  # reused by each group after the first
+        for sl in groups:
+            group = blocks if len(groups) == 1 else [
+                b for b in blocks if sl.start <= b[0].start < sl.stop]
+            joined = _join(xf[sl].shape, group, run, sl.start, joined)
+            if takes[0]:
+                grads[0] = give(sl, joined[0])
         for k, shape in enumerate(shapes):
             if takes[k + 1]:
                 grads[k + 1] = total[starts[k]:starts[k + 1]].reshape(shape)
@@ -391,7 +453,7 @@ def routed_node(out: Array, blocks, route, x: Tensor, params=(),
         return back
 
     return ad.make_node(out.swapaxes(0, axis), [
-        (t, rule(k)) for k, t in enumerate((x, *params))])
+        (t, rule(k)) for k, t in enumerate((feed.tensor, *params))])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,

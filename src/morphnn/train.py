@@ -51,7 +51,8 @@ class DivergenceError(RuntimeError):
 # holds one slice's im2col in its forward and one slice's im2col-shaped x
 # gradient in back_x, not the whole (272 MB at conv2 at batch 256), and
 # Model.features' no-grad pass one slice of the stack (conv1's whole output
-# is 354 MB at eval batch 512)
+# is 354 MB at eval batch 512); conv_feed, slicing filters, holds one group
+# of conv1's output and one of its gradient (each 177 MB whole at batch 256)
 _SLICE_BYTES = 1 << 26
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
@@ -63,12 +64,13 @@ _GEMM_COLUMN_GROUP = 8
 
 
 def _batch_slices(n: int, image_bytes: int) -> list[slice]:
-    """Consecutive slices of n images, each as many as ``_SLICE_BYTES``
-    holds of ``image_bytes`` an image, rounded down to a multiple of
-    ``_GEMM_COLUMN_GROUP`` (one group at least); the last may be shorter."""
+    """Consecutive slices of n images (or filters), each as many as
+    ``_SLICE_BYTES`` holds of ``image_bytes`` an image, rounded down to a
+    multiple of ``_GEMM_COLUMN_GROUP`` (one group at least); the last may be
+    shorter."""
     fits = _SLICE_BYTES // image_bytes
     step = max(_GEMM_COLUMN_GROUP, fits - fits % _GEMM_COLUMN_GROUP)
-    return [slice(start, start + step) for start in range(0, n, step)]
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _windows(x: Array, kh: int, kw: int) -> Array:
@@ -87,6 +89,9 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.].
+
+    conv2, and conv1 of the rectifier variants; conv1 of a layer-form model
+    is ``conv_feed`` instead, fused with its stage.
 
     The output is the transposed view of an [F, B*OH*OW] GEMM result, so its
     memory is channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
@@ -163,6 +168,49 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         parents.append((b, lambda g: np.ascontiguousarray(
             g.sum(axis=(2, 3))).sum(axis=0)))
     return ad.make_node(out, parents)
+
+
+def conv_feed(x: Tensor, w: Tensor) -> mo.Feed:
+    """``conv2d(x, w, None)`` as a ``morphops.Feed``: the conv fused with
+    the layer form after it, which takes its output, channel-major, one
+    group of whole filters at a time and hands back their gradient the same
+    way.  No array holds the whole output (177 MB for conv1 at batch 256)
+    or its whole gradient; the op keeps x's im2col (12 MB), one group's
+    output and one group's gradient.
+
+    The groups are ``_batch_slices`` of the filters, each holding at most
+    ``_SLICE_BYTES`` of output, a multiple of ``_GEMM_COLUMN_GROUP`` filters
+    but the last.  A group's output is ``wmat[g] @ cols`` and its share of
+    the w gradient ``dw[g] = gx.reshape(G, -1) @ cols.T``.  Both are the
+    whole GEMM's rows to the bit at the shapes tests pin, (B, F) = (256,
+    128) (48-filter groups), (16, 128) and (256, 16) (one group each), for
+    one input channel, 28x28 images and 3x3 kernels.  Row groups are an
+    OpenBLAS property, not a theorem: on 2 BLAS threads, 128 filters and an
+    odd batch above 96 images, the forward rows differed from the whole
+    GEMM's in the last bit, as did the w gradient at some even batches (102
+    and 214 images).
+    """
+    bsz, c, h, wd = x.data.shape
+    f, c2, kh, kw = w.data.shape
+    if c != c2:
+        raise ValueError("channel mismatch")
+    oh, ow = h - kh + 1, wd - kw + 1
+    wmat, w_shape = w.data.reshape(f, -1), w.data.shape
+    cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
+    groups = _batch_slices(f, 8 * bsz * oh * ow)
+    buf = np.empty((groups[0].stop, cols.shape[1]))
+    dw = np.empty(wmat.shape)
+
+    def take(sl: slice) -> Array:
+        xg = buf[:sl.stop - sl.start]
+        np.matmul(wmat[sl], cols, out=xg)
+        return xg.reshape(-1, bsz, oh, ow)
+
+    def give(sl: slice, gx: Array) -> Array:
+        np.matmul(gx.reshape(len(gx), -1), cols.T, out=dw[sl])
+        return dw.reshape(w_shape)
+
+    return mo.Feed(w, (bsz, f, oh, ow), groups, take, give)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -323,6 +371,23 @@ class ModelSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        h, w = self.image_size
+        c, k, f, largest = self.in_channels, self.kernel_size, self.filters, 0
+        for stage in (1, 2):  # valid conv (im2col and output), then pool
+            h, w = h - k + 1, w - k + 1
+            if min(h, w) < self.pool_extent:
+                raise ValueError(
+                    f"image_size {self.image_size} leaves conv{stage} a "
+                    f"{max(h, 0)}x{max(w, 0)} output, smaller than the "
+                    f"{self.pool_extent}x{self.pool_extent} pool window")
+            largest = max(largest, c * k * k * h * w, f * h * w)
+            h = (h - self.pool_extent) // self.pool_stride + 1
+            w = (w - self.pool_extent) // self.pool_stride + 1
+            c = f
+        # derived, not fields: asdict() and the saved spec leave them out
+        object.__setattr__(self, "feature_dim", c * h * w)
+        # bytes of the largest per-image array of the stack, float64
+        object.__setattr__(self, "image_bytes", 8 * largest)
 
 
 class Model:
@@ -335,20 +400,16 @@ class Model:
         self.stage1 = Stage(spec, pool)
         self.conv2 = Conv2dLayer(f, f, k, rng, bias)
         self.stage2 = Stage(spec, pool)
-        h, w = spec.image_size
-        c, largest = spec.in_channels, 0  # elements per image
-        for _ in range(2):  # valid conv (im2col and output), then pool
-            h, w = h - k + 1, w - k + 1
-            largest = max(largest, c * k * k * h * w, f * h * w)
-            h, w, c = *pool.out_extent((h, w)), f
-        self.feature_dim = f * h * w
-        self._image_bytes = 8 * largest  # float64
+        self.feature_dim = spec.feature_dim
         self.dense = DenseLayer(self.feature_dim, spec.n_classes, rng)
 
     def _stack(self, x: Tensor) -> Tensor:
         # nested, so each stage's input dies as soon as its consumer has
-        # run unless a backward rule keeps it
-        return self.stage2(self.conv2(self.stage1(self.conv1(x))))
+        # run unless a backward rule keeps it; a layer form takes conv1
+        # fused, its output a group of filters at a time
+        fused = isinstance(self.stage1.layer, MorphoLayerParams)
+        return self.stage2(self.conv2(self.stage1(
+            conv_feed(x, self.conv1.w) if fused else self.conv1(x))))
 
     def features(self, x: Tensor) -> Tensor:
         """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].
@@ -361,7 +422,7 @@ class Model:
             h = self._stack(x)
             return ad.reshape(h, (h.data.shape[0], self.feature_dim))
         out = np.empty((len(x.data), self.feature_dim))
-        for s in _batch_slices(len(out), self._image_bytes):
+        for s in _batch_slices(len(out), self.spec.image_bytes):
             h = self._stack(Tensor(x.data[s])).data
             np.copyto(out[s].reshape(h.shape), h)
             del h  # not held while the next slice runs

@@ -86,6 +86,8 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
     ("--dropout", "1.5", "dropout must be in [0, 1), got 1.5"),
     ("--dropout", "-0.1", "dropout must be in [0, 1), got -0.1"),
     ("--pool-size", "0", "pool_extent must be >= 1"),
+    ("--pool-size", "20", "image_size (28, 28) leaves conv2 a 2x2 output, "
+     "smaller than the 20x20 pool window"),
     ("--stride", "0", "pool_stride must be >= 1"),
     ("--batch-size", "0", "batch_size must be >= 1"),
     ("--lr", "nan", "lr must be finite and >= 0, got nan"),
@@ -98,7 +100,8 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
      "16x16: the train images are 16x16, the model takes 28x28"),
     ("--test-images", "<data>/t10k-images-16x16", "<data>/t10k-images-"
      "16x16: the test images are 16x16, the model takes 28x28")],
-    ids=["filters", "dropout-high", "dropout-negative", "pool-size", "stride",
+    ids=["filters", "dropout-high", "dropout-negative", "pool-size",
+         "pool-size-no-room", "stride",
          "batch-size", "lr-nan", "lr-inf", "lr-negative", "epochs",
          "patience-zero", "patience-negative", "train-16x16", "test-16x16"])
 def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,

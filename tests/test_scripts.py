@@ -53,8 +53,12 @@ def test_step_memory_reports_every_variant(tmp_path):
     assert report["config"]["eval_batch"] == 6
     assert list(report["variants"]) == list(VARIANTS)
     for row in report["variants"].values():
-        assert set(row) == {"train_step_mb", "eval_batch_mb"}
+        assert set(row) == {"train_step_mb", "forward_mb", "backward_mb",
+                            "eval_batch_mb"}
         assert all(v > 0 for v in row.values())
+        # each half counted from the step's start; the step is the larger
+        assert row["train_step_mb"] == max(row["forward_mb"],
+                                           row["backward_mb"])
 
 
 def test_criterion9_timing_writes_its_bench_file(tmp_path):

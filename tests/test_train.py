@@ -1,6 +1,7 @@
 """Training harness: ops vs oracles, model wiring, optimization, protocols."""
 
 import json
+import re
 import tracemalloc
 import weakref
 from dataclasses import asdict
@@ -12,10 +13,13 @@ import pytest
 from _oracles import (channel_major, oracle_conv2d, oracle_conv2d_gemm,
                       synth_classification)
 
+from morphnn import activations as act
 from morphnn import autodiff as ad
 from morphnn import data as md
 from morphnn import morphops as mo
 from morphnn import train as tr
+from morphnn.activations import (MorphoLayerParams, morpho_act1_forward,
+                                 morpho_act2_forward)
 from morphnn.autodiff import Tensor, make_rng
 from morphnn.train import Adam, Model, ModelSpec, TrainConfig, build_model
 
@@ -208,6 +212,175 @@ class TestConv2d:
         npt.assert_allclose(bt.grad, fd_b, atol=1e-6)
 
 
+def _perturbed_layer(variant: int, filters: int, rng) -> MorphoLayerParams:
+    """A clamp-initialized n=3, m=2 layer, every parameter moved off its
+    init so that winners spread over pieces, branches and offsets."""
+    layer = MorphoLayerParams.init(variant, 2, 3, POOL, channels=filters)
+    for t in layer.named_tensors().values():
+        t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+    return layer
+
+
+POOL = mo.PoolSpec((2, 2), (2, 2))
+FORWARDS = {1: morpho_act1_forward, 2: morpho_act2_forward}
+
+
+class TestConvFeed:
+    """conv1 fused with a layer form (``conv_feed``) against the unfused
+    chain ``conv2d`` -> ``morpho_act{1,2}_forward``: values and every
+    gradient byte for byte."""
+
+    @staticmethod
+    def _run(fused, x, w, layer, variant, g):
+        leaves = [w] + list(layer.named_tensors().values())
+        for t in leaves:
+            t.grad = None
+        h = tr.conv_feed(x, w) if fused else tr.conv2d(x, w, None)
+        out = FORWARDS[variant](h, layer.activation, layer.structuring, POOL,
+                                channel_axis=1)
+        ad.mul(out, Tensor(g)).sum().backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    def _compare(self, bsz, filters, hw, variant, seed=0, frozen=(),
+                 images=None):
+        rng = make_rng(600 + seed)
+        x = Tensor(rng.random((bsz, 1) + hw) if images is None else images)
+        w = Tensor(rng.uniform(-1 / 3, 1 / 3, (filters, 1, 3, 3)),
+                   requires_grad=True)
+        layer = _perturbed_layer(variant, filters, rng)
+        for name in frozen:
+            (w if name == "w" else layer.named_tensors()[name]
+             ).requires_grad = False
+        oh, ow = hw[0] - 2, hw[1] - 2
+        g = rng.normal(size=(bsz, filters) + POOL.out_extent((oh, ow)))
+        got = self._run(True, x, w, layer, variant, g)
+        want = self._run(False, x, w, layer, variant, g)
+        for have, ref in zip(got, want):
+            assert (have is None) == (ref is None)
+            if ref is not None:
+                assert have.shape == ref.shape
+                assert have.tobytes() == ref.tobytes()
+        return got
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("bsz,filters,hw", [
+        (256, 128, (28, 28)),  # the paper's protocol: 48-filter groups
+        (16, 128, (28, 28)),  # its 10k run's last batch: one group
+        (256, 16, (28, 28)),  # scripts/param_hash.py: one group
+        (5, 12, (9, 11)),
+        (3, 5, (8, 7)),
+    ])
+    def test_byte_equal_to_the_unfused_chain(self, bsz, filters, hw,
+                                             variant):
+        got = self._compare(bsz, filters, hw, variant)
+        assert all(t is not None for t in got)
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_groups_at_a_small_budget(self, monkeypatch, variant):
+        # 8-filter groups of 20 filters: 8, 8 and 4, each a run of blocks
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", 600)
+        x = Tensor(np.zeros((6, 1, 9, 7)))
+        assert tr.conv_feed(x, Tensor(np.zeros((20, 1, 3, 3)))).groups == [
+            slice(0, 8), slice(8, 16), slice(16, 20)]
+        self._compare(6, 20, (9, 7), variant, seed=1)
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_activations_only_runs_no_x_gradient(self, monkeypatch,
+                                                 variant):
+        # conv1.w frozen: no route makes an x gradient and no group's w
+        # gradient GEMM runs
+        routes, gives = [], []
+        routed_node, conv_feed = mo.routed_node, tr.conv_feed
+
+        def spy_node(out, blocks, route, *args, **kwargs):
+            def recorded(block, g):
+                got = route(block, g)
+                routes.append(got[1] is not None)
+                return got
+            return routed_node(out, blocks, recorded, *args, **kwargs)
+
+        def spy_feed(x, w):
+            feed = conv_feed(x, w)
+            return mo.Feed(feed.tensor, feed.shape, feed.groups, feed.take,
+                           lambda sl, gx: gives.append(sl)
+                           or feed.give(sl, gx))
+
+        monkeypatch.setattr(mo, "routed_node", spy_node)
+        monkeypatch.setattr(tr, "conv_feed", spy_feed)
+        got = self._compare(7, 16, (12, 12), variant, seed=2, frozen=["w"])
+        assert got[1] is None and all(t is not None for t in got[2:])
+        assert routes and not any(routes) and not gives
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_frozen_beta_records_no_piece(self, monkeypatch, variant):
+        pieces = []
+        layer_node = act._layer_node
+
+        def spy(out, code, piece, *args):
+            pieces.append(piece)
+            return layer_node(out, code, piece, *args)
+
+        monkeypatch.setattr(act, "_layer_node", spy)
+        got = self._compare(9, 10, (10, 12), variant, seed=3,
+                            frozen=["beta"])
+        assert got[2] is None and pieces == [None, None]
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_non_finite_images(self, variant):
+        rng = make_rng(610)
+        images = rng.random((11, 1, 12, 12))
+        cells = rng.random(images.shape)
+        images[cells < 0.03] = np.nan
+        images[(cells >= 0.03) & (cells < 0.06)] = np.inf
+        images[(cells >= 0.06) & (cells < 0.09)] = -np.inf
+        # inf - inf and inf * 0 in the GEMMs and the affine pieces
+        with np.errstate(invalid="ignore"):
+            got = self._compare(11, 16, (12, 12), variant, seed=4,
+                                images=images)
+        assert np.isnan(got[0]).any() and np.isinf(got[0]).any()
+
+    def test_feed_needs_per_channel_parameters(self):
+        x, w = Tensor(np.zeros((2, 1, 8, 8))), Tensor(np.zeros((4, 1, 3, 3)))
+        shared = MorphoLayerParams.init(1, 2, 2, POOL)
+        with pytest.raises(ValueError, match="per-channel parameters on "
+                           "axis 1"):
+            morpho_act1_forward(tr.conv_feed(x, w), shared.activation,
+                                shared.structuring, POOL)
+
+    def test_step_never_holds_conv1s_whole_output(self, monkeypatch):
+        # a morpho1 step with 8-filter groups: neither the forward pass
+        # nor the backward pass, each counted from the step's start, holds
+        # as much as conv1's whole output (or its whole gradient), which
+        # the unfused chain allocates, next to x's im2col, in each pass
+        spec = ModelSpec(variant="morpho1", filters=64, pool_extent=3,
+                         pool_stride=3)
+        bsz = 16
+        conv1_bytes = 8 * bsz * 64 * 26 * 26
+        monkeypatch.setattr(tr, "_SLICE_BYTES", conv1_bytes // 8)
+        # blocks of half a channel, so their scratch arrays stay small
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", 1 << 16)
+        model = build_model(spec, make_rng(5))
+        rng = make_rng(6)
+        x = Tensor(rng.random((bsz, 1, 28, 28)))
+        labels = rng.integers(0, 10, bsz)
+        assert len(tr.conv_feed(x, model.conv1.w).groups) == 8
+        loss = []
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            loss.append(tr.cross_entropy(
+                model.forward(x, train=True, rng=rng), labels))
+            forward = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            loss.pop().backward()
+            backward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert model.conv1.w.grad is not None
+        assert max(forward, backward) < conv1_bytes
+
+
 class TestCrossEntropy:
     def test_matches_log_softmax(self):
         rng = make_rng(72)
@@ -305,6 +478,32 @@ class TestModel:
         for size in ((28, 0), (28,), (28, 28, 1)):
             with pytest.raises(ValueError, match="^image_size"):
                 ModelSpec(image_size=size)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(filters=2, image_size=(4, 4)),
+         "image_size (4, 4) leaves conv2 a 0x0 output"),
+        (dict(kernel_size=30), "image_size (28, 28) leaves conv1 a 0x0 "
+         "output"),
+        (dict(pool_extent=20), "image_size (28, 28) leaves conv2 a 2x2 "
+         "output"),
+        (dict(image_size=(28, 9)), "image_size (28, 9) leaves conv2 a 11x1 "
+         "output")])
+    def test_spec_rejects_sizes_with_no_room_for_two_stages(self, kw,
+                                                            message):
+        # refused when the spec is made, not when a model is built from it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, "
+                           "smaller than the"):
+            ModelSpec(**kw)
+
+    def test_spec_geometry(self):
+        # 28 -> conv 26 -> pool 13 -> conv 11 -> pool 5; conv2's im2col,
+        # 128 x 9 x 11 x 11, is the largest per-image array
+        spec = ModelSpec()
+        assert spec.feature_dim == 128 * 5 * 5
+        assert spec.image_bytes == 8 * 128 * 9 * 11 * 11
+        assert "feature_dim" not in asdict(spec)
+        # a 2x2 conv2 output still pools, to 1x1
+        assert ModelSpec(image_size=(12, 12), filters=3).feature_dim == 3
 
     @pytest.mark.parametrize("variant,nodes", [
         ("relu-maxpool", 15), ("relu6-maxpool", 15), ("selfdual", 21),

@@ -23,10 +23,11 @@ Both layer forms run one driver, ``_layer``; each is one graph node and works
 in a channel-first frame: ``x.swapaxes(0, channel_axis)``, or x itself for
 shared parameters.  A conv2d output is channel-major in memory ([C, B, H, W]
 seen as [B, C, H, W]), so its frame is C-contiguous and no pass reorders it.
-The forward pass runs on ``morphops._blocks``, whole channels or one channel
-cut along its next axis, small enough to stay in cache; each block takes its
-channels' slopes and intercepts as pieces shaped (channels, 1, ...), a scalar
-for one channel.  Every output cell has exactly one subgradient winner, an
+The forward pass is a kernel of ``morphops._blockwise``, the routed ops' one
+forward loop, which runs it on ``morphops._blocks``, whole channels or one
+channel cut along its next axis, small enough to stay in cache; each block
+takes its channels' slopes and intercepts as pieces shaped (channels, 1, ...),
+a scalar for one channel.  Every output cell has exactly one subgradient winner, an
 affine piece at a window offset, and under grad (only then) the forward pass
 records it as one integer code in the smallest signed dtype that holds it:
 ``inner * len(bank offsets) + bank position``, the bank position naming both
@@ -39,8 +40,9 @@ its stage has run.  conv1's output is never whole: the model hands stage 1
 a ``morphops.Feed`` (``train.conv_feed``), which makes it one group of whole
 filters at a time and takes its gradient the same way, each group a run of
 the blocks.  The backward pass is one ``morphops.routed_node`` on the
-forward pass's blocks, whose route decodes a block's codes through two
-lookup tables into sources and parameter indices and returns its gradients:
+forward pass's blocks, whose route decodes a block's codes into sources
+(``morphops._decoder``, over the bank offsets repeated once per inner index)
+and, through lookup tables, parameter indices, and returns its gradients:
 g times the winning slope for x (and form 2's weights), g times the piece
 input for beta (plus the winning weight for form 2, whose piece input is the
 pooled value), g for alpha; the node scatters and sums them in cell order,
@@ -230,32 +232,6 @@ def _frame(shape, params: MorphoActivationParams, pool: PoolSpec,
     return axis, beta, alpha
 
 
-def _bank(structuring: list[StructuringFunction], n_inner: int, x_shape,
-          stride):
-    """Two decoders of a layer form's winner codes, over its bank offsets
-    laid end to end: the table from a code to its bank position (a dead
-    cell's -1 reads the last entry, which its liveness then drops), and
-    ``sources(code)``, the flat index of each cell's winning source in its
-    block of the frame ``x_shape``, from a table of each code's offset
-    shift and the block's window anchors, built once per block shape.  A
-    dead cell's source is meaningless and may lie outside x."""
-    offsets = [y for sf in structuring for y in sf.offsets]
-    bank_of = np.tile(np.arange(len(offsets)), n_inner)
-    shift_of = mo._shifts(x_shape, offsets)[bank_of]
-    rank, anchors = len(stride), {}
-
-    def sources(code: Array) -> Array:
-        anchor = anchors.get(code.shape)
-        if anchor is None:
-            anchor = anchors[code.shape] = mo._anchors(
-                code.shape[:-rank] + tuple(x_shape[-rank:]), stride,
-                code.shape)
-        src = np.take(shift_of, code)
-        return np.subtract(anchor, src, out=src)
-
-    return bank_of, sources
-
-
 def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
                 x: Tensor | mo.Feed, axis: int, params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
@@ -264,25 +240,29 @@ def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
     module docstring), C-contiguous like ``out`` in the frame that swaps
     ``axis`` of x to the front, and ``piece``, each live cell's winning
     piece input x(src) in the same frame (None for a frozen beta).  Its
-    route decodes a block's codes through two lookup tables built once,
-    code to bank position and code to flat (j, i), so no array spans every
-    cell but the gradients.  A dead code, -1, takes no gradient
+    route decodes a block's codes into sources (``morphops._decoder``) and
+    through two lookup tables built once, code to bank position and code to
+    flat (j, i), so no array spans every cell but the gradients.  A dead code, -1, takes no gradient
     (``morphops._live``).  The node reads only x's shape: it holds neither
     the input's array nor ``out``.
     """
     x_shape = mo._swap(x.shape, axis)
-    bank_of, sources = _bank(structuring, params.m_terms if pool_first
-                             else params.n_terms, x_shape, pool.stride)
-    sizes = [len(sf.offsets) for sf in structuring]
+    m, n = params.m_terms, params.n_terms
+    n_inner = m if pool_first else n
+    offsets = [y for sf in structuring for y in sf.offsets]
+    sources = mo._decoder(x_shape, pool.stride, offsets * n_inner)
+    # code -> bank position; a dead cell's -1 reads the last entry, which
+    # its liveness then drops
+    bank_of = np.tile(np.arange(len(offsets)), n_inner)
     beta = params.beta.data.reshape(-1)
     per_channel = params.beta.data.ndim == 3
-    m, n = params.m_terms, params.n_terms
     channels = np.arange(x_shape[0]).reshape(
         (-1,) + (1,) * (len(x_shape) - 1))
     weights = np.concatenate([sf.weights.data for sf in structuring])
     # code -> flat (j, i), from the inner index and the bank member
-    inner = np.arange(m if pool_first else n)[:, None]
-    member = np.repeat(np.arange(len(structuring)), sizes)
+    inner = np.arange(n_inner)[:, None]
+    member = np.repeat(np.arange(len(structuring)),
+                       [len(sf.offsets) for sf in structuring])
     cell_of = (inner * n + member if pool_first
                else member * n + inner).ravel()
 
@@ -334,33 +314,31 @@ def _layer(x, params: MorphoActivationParams,
     the offset; form 2 adds the pooled offset to the code of the inner
     index and member.  A block's pieces ``b[j][i]`` are ``beta[c, j, i]``
     shaped (channels, 1, ...): a scalar for one channel.  ``x`` may be a
-    ``Feed`` (per-channel parameters, ``channel_axis`` 1): its groups run
-    in channel order, each on its own blocks.
+    ``Feed`` (per-channel parameters, ``channel_axis`` 1), which
+    ``morphops._blockwise`` runs group by group in channel order.
     """
     x = x if isinstance(x, mo.Feed) else ad.lift(x)
     out_ext = pool.out_extent(x.shape[-pool.rank:])
     axis, beta, alpha = _frame(x.shape, params, pool, channel_axis)
-    feed = x if isinstance(x, mo.Feed) else mo.Feed.of(x, axis)
-    if feed is x and axis != 1:
+    if isinstance(x, mo.Feed) and axis != 1:
         raise ValueError("a Feed takes per-channel parameters on axis 1")
     frame = mo._swap(x.shape, axis)
-    out = np.empty(frame[:-pool.rank] + out_ext)
     track = ad.is_grad_enabled()
     codes = [None] * len(structuring)
-    code = piece = None
+    dtype = piece = None
     if track:
-        # member k's piece codes: inner * len(bank offsets) + k's start
         n_inner = params.m_terms if pool_first else params.n_terms
+        # member k's piece codes: inner * len(bank offsets) + k's start
         sizes = [len(sf.offsets) for sf in structuring]
         dtype = mo._index_dtype(n_inner * sum(sizes))
         codes = [(np.arange(n_inner) * sum(sizes) + start).astype(dtype)
                  for start in np.cumsum([0] + sizes[:-1])]
-        code = np.empty(out.shape, dtype)
         if params.beta.requires_grad:
-            _, sources = _bank(structuring, n_inner, frame, pool.stride)
-            piece = np.empty(out.shape)
+            sources = mo._decoder(frame, pool.stride, [
+                y for sf in structuring for y in sf.offsets] * n_inner)
+            piece = np.empty(frame[:-pool.rank] + out_ext)
 
-    def run(block, xb):
+    def kernel(block, xb):
         pb, pa = ((beta, alpha) if len(beta) == 1
                   else (beta[block[0]], alpha[block[0]]))
         shape = (len(pb),) + (1,) * (len(frame) - 1)
@@ -382,22 +360,16 @@ def _layer(x, params: MorphoActivationParams,
                     yield mo._sup_max(inner, sf.offsets, w, pool.stride,
                                       out_ext, track, win)
 
-        out[block], win = _outer_min(branches())
-        if win is not None:
-            mo._mark_dead(win, out[block])
-            code[block] = win
+        val, win = _outer_min(branches())
         if piece is not None:
             # x at each cell's winning source; a dead cell's source may lie
             # outside x, so it is clipped, and its entry is never read
             np.take(xb.reshape(-1), sources(win), out=piece[block],
                     mode="clip")
+        return val, win
 
-    blocks = []
-    for sl in feed.groups:
-        xg = feed.take(sl)
-        for block in mo._blocks(xg, pool.rank, sl.start):
-            run(block, xg[mo._shift(block, -sl.start)])
-            blocks.append(block)
+    out, code, blocks = mo._blockwise(x, axis, out_ext, pool.rank, kernel,
+                                      dtype)
     if not track:
         return Tensor(out.swapaxes(0, axis))
     return _layer_node(out, code, piece, blocks, x, axis, params,

@@ -148,16 +148,13 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--tolerance must be finite and >= 0, got "
                          f"{args.tolerance}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    names = [case["name"] for case in build_cases(sizes)]
-    if args.corrupt not in (None, *names):
-        raise ValueError(f"unknown case {args.corrupt!r}; known: {names}")
+    build_cases(sizes)  # refuses a size below 1 before --out is made
     Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_gradcheck(seed=args.seed, tolerance=args.tolerance,
-                           h=args.step, sizes=sizes,
-                           corrupt_case=args.corrupt)
+                           h=args.step, sizes=sizes)
     doc = {"config": {"command": "gradcheck", "seed": args.seed,
                       "tolerance": args.tolerance, "step": args.step,
-                      "sizes": list(sizes), "corrupt": args.corrupt},
+                      "sizes": list(sizes)},
            "report": report}
     _emit(doc, Path(args.out), "gradcheck.json")
     return 0 if report["pass"] else 1
@@ -403,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--sizes", default="1,2,3,4",
                    help="comma list of term counts for the size grid")
-    p.add_argument("--corrupt", default=None,
-                   help="testing hook: corrupt the named case's gradient")
     p.add_argument("--out", default="out/gradcheck")
     p.set_defaults(func=cmd_gradcheck)
 

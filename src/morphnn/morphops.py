@@ -20,10 +20,13 @@ Conventions shared by every op here:
   record (``_mark_dead``), as a window wholly outside the input is, and
   ``_live``, which every route calls, drops the dead cells;
 * each output cell copies one winner, recorded as one integer code (the
-  offset, plus what ``_sup_max`` carries from the winning source), so every
-  windowed backward here is one ``routed_node``, whose route returns each
-  cell's gradient for that winner alone (``relu``, elementwise, is a plain
-  node);
+  offset, plus what ``_sup_max`` carries from the winning source); every
+  windowed op (the pools, ``dilate``, ``act_pool``, both layer forms) runs
+  its forward pass in one loop, ``_blockwise``, over cache-sized blocks of
+  its frame (``_blocks``), decodes its codes with one ``_decoder``, and
+  routes its backward on the same blocks through one ``routed_node``, whose
+  route returns each cell's gradient for that winner alone (``relu``,
+  elementwise, is a plain node);
 * a backward rule reads the winner record and the input's shape (the
   layer forms also read the winning piece inputs they recorded), never the
   input or the output, so a stage holds neither of them alive.
@@ -247,24 +250,32 @@ def _anchors(x_shape, stride, out_shape) -> Array:
         for ax, (size, step) in enumerate(zip(out_shape, steps)))
 
 
-def _shifts(x_shape, offsets) -> Array:
-    """Flat shift of each offset y in a C-contiguous array of ``x_shape``:
-    the source ``K*p - y`` lies at ``anchor - shift``."""
-    strides = _element_strides(x_shape)[len(x_shape) - len(offsets[0]):]
-    return np.array([np.dot(y, strides) for y in offsets], dtype=np.int64)
+def _decoder(x_shape, stride, offsets):
+    """The one decoder of winner codes: ``sources(code)``, the flat index
+    of each output cell's winning source ``K*p - y`` in its block of a
+    C-contiguous frame with ``x_shape``'s trailing axes, where ``code``, one
+    block of the output in that frame, picks y among ``offsets``.  A code
+    that carries more than its offset indexes the offsets repeated (an
+    op's ``offsets * 2`` for a flag, a layer form's ``offsets * n_inner``).
+    The block's window anchors are built once per block shape.  A dead
+    code's source (-1 reads the last offset) is meaningless and may lie
+    outside the block."""
+    rank = len(stride)
+    trail = tuple(x_shape[-rank:])
+    strides = _element_strides(trail)
+    shift_of = np.array([np.dot(y, strides) for y in offsets], dtype=np.int64)
+    anchors = {}
 
+    def sources(code: Array) -> Array:
+        anchor = anchors.get(code.shape)
+        if anchor is None:
+            anchor = anchors[code.shape] = _anchors(
+                code.shape[:-rank] + trail, stride, code.shape)
+        src = np.take(shift_of, code)
+        return np.subtract(anchor, src, out=src)
 
-def _sources(x_shape, stride, offsets, index: Array) -> Array:
-    """Flat index into a C-contiguous array of ``x_shape`` of each output
-    cell's winning source ``K*p - y``, where ``index``, shaped like the
-    output in the same frame, picks y among ``offsets``.  A cell whose
-    index is -1 gets a meaningless source."""
-    return (_anchors(x_shape, stride, index.shape)
-            - _shifts(x_shape, offsets)[index])
+    return sources
 
-
-# the block of a single-block partition: every cell of an array of any rank
-WHOLE = (Ellipsis,)
 
 # input bytes per block: the block's working set (its input, two scratch
 # arrays of the same size and the pooled outputs) stays in a core's L2 cache
@@ -281,7 +292,8 @@ def _blocks(xf: Array, rank: int, start: int = 0) -> list[tuple]:
     unless that axis is pooled.  No block cuts a pooled axis, so each
     output block's winners lie in the same block of the input.  Channels
     are numbered from ``start``, for a group of a larger frame's channels
-    (``Feed``).  ``[WHOLE]`` for a frame with no leading axis.
+    (``Feed``).  One block of every cell, ``(...,)``, for a frame with no
+    leading axis or no channels.
     """
     lead = xf.ndim - rank
     size = xf[0].nbytes if lead and len(xf) else 0
@@ -296,7 +308,7 @@ def _blocks(xf: Array, rank: int, start: int = 0) -> list[tuple]:
         step = max(1, _BLOCK_BYTES // max(size, 1))
         blocks = [(slice(c, min(c + step, stop)),)
                   for c in range(start, stop, step)]
-    return blocks or [WHOLE]
+    return blocks or [(...,)]
 
 
 def _shift(block: tuple, by: int) -> tuple:
@@ -304,31 +316,6 @@ def _shift(block: tuple, by: int) -> tuple:
     if not by:
         return block
     return (slice(block[0].start + by, block[0].stop + by), *block[1:])
-
-
-def _join(shape, blocks, run, start: int = 0, reuse=None) -> list[Array]:
-    """Run ``run(block)`` on each block and join the arrays it returns.
-
-    ``blocks`` index leading axes of ``shape``, its first axis counted from
-    ``start``, and take whole trailing axes; each joined array has
-    ``shape``'s leading axes and its part's trailing ones, and a None part
-    joins to None.  A single block's parts are returned as they are.  With
-    ``reuse``, arrays that an earlier call joined, at least ``shape[0]``
-    long, the parts are joined into their leading rows instead.
-    """
-    if len(blocks) == 1 and reuse is None:
-        return list(run(blocks[0]))
-    joined = None if reuse is None else [a[:shape[0]] for a in reuse]
-    for block in blocks:
-        parts = run(block)
-        if joined is None:
-            lead = len(block)
-            joined = [p if p is None else np.empty(
-                tuple(shape[:lead]) + p.shape[lead:], p.dtype) for p in parts]
-        for whole, part in zip(joined, parts):
-            if part is not None:
-                whole[_shift(block, -start)] = part
-    return joined
 
 
 class Feed:
@@ -374,6 +361,33 @@ def _swap(shape, axis: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+def _blockwise(x: Tensor | Feed, axis: int, out_ext, rank: int, kernel,
+               dtype) -> tuple[Array, Array | None, list[tuple]]:
+    """The one forward loop of the routed ops.  It works in the frame that
+    swaps ``axis`` of x to the front: a ``Feed``'s groups in channel order,
+    a tensor as one group, each cut into ``_blocks``.  ``kernel(block,
+    xb)`` gets a block's index in the frame and its input and returns the
+    block's output and winner code (None without a ``dtype``), which go in
+    place into the frame's output, its leading axes and ``out_ext``, and
+    one code array of ``dtype``; the block's NaN cells are then marked dead
+    (``_mark_dead``).  Returns ``(out, code, blocks)``, code None without a
+    ``dtype``.
+    """
+    feed = x if isinstance(x, Feed) else Feed.of(x, axis)
+    out = np.empty(_swap(feed.shape, axis)[:-rank] + tuple(out_ext))
+    code = None if dtype is None else np.empty(out.shape, dtype)
+    blocks = []
+    for sl in feed.groups:
+        xg = feed.take(sl)
+        for block in _blocks(xg, rank, sl.start):
+            out[block], win = kernel(block, xg[_shift(block, -sl.start)])
+            if code is not None:
+                code[block] = win
+                _mark_dead(code[block], out[block])
+            blocks.append(block)
+    return out, code, blocks
+
+
 def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
                 axis: int = 0) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
@@ -382,10 +396,10 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
     The node works in one frame: ``out`` is C-contiguous with ``axis`` of
     the node's output swapped to the front (0 leaves it as it is), the node
     holds the swapped-back view, and it sees its input ``x``, and returns
-    x's gradient, in the output's frame.  ``blocks`` cuts the frame into
-    index tuples over its leading axes, in C order, such that each block of
-    the output takes its winners from the same block of the input (no
-    block cuts a pooled axis); ``WHOLE`` alone is one block.  A ``Feed`` x
+    x's gradient, in the output's frame.  ``blocks`` are the forward pass's
+    (``_blockwise``): index tuples over the frame's leading axes, in C
+    order, such that each block of the output takes its winners from the
+    same block of the input (no block cuts a pooled axis).  A ``Feed`` x
     (``axis`` 1) cuts the frame into groups, each a run of whole blocks.
 
     ``route(block, g)`` gets the block's output gradient in the frame and
@@ -398,10 +412,11 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
     a frozen leaf; the node keeps shapes and ``requires_grad`` flags, never
     a tensor.  The first backward rule runs the blocks, group by group: a
     block-local ``np.bincount`` fills the block's slice of the group's x
-    gradient, C-contiguous in the frame, which ``Feed.give`` takes once the
-    group is done; ``np.add.at`` adds the parts into one running sum in
-    cell order, the same to the bit as one ``bincount`` over every cell.
-    Later rules hand out the stored gradients.
+    gradient, one C-contiguous buffer in the frame that every group reuses,
+    which ``Feed.give`` takes once the group is done; ``np.add.at`` adds the
+    parts into one running sum in cell order, the same to the bit as one
+    ``bincount`` over every cell.  Later rules hand out the stored
+    gradients.
     """
     feed = x if isinstance(x, Feed) else Feed.of(x, axis)
     x_shape, groups = _swap(feed.shape, axis), feed.groups
@@ -414,33 +429,28 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
 
     def backward_pass(g: Array) -> None:
         gf = g.swapaxes(0, axis)
-        # a zero-stride stand-in for the x frame, of which only the shapes
-        # of its blocks are read; built here rather than with the node, as
-        # an allocation made then shifts the allocator's layout enough to
-        # move a training step's peak RSS
-        xf = np.broadcast_to(0.0, x_shape)
         total = np.zeros(starts[-1])
-
-        def run(block):
-            src, gx, closed, parts = route(block, gf[block])
-            for k, index, values in parts:
-                np.add.at(total[starts[k]:], index, values)
-            if not takes[0]:
-                return []
-            xb = xf[block]
-            # float64 even with no live cell, where bincount is int64
-            gl = np.bincount(src, gx, xb.size).astype(float, copy=False)
-            if closed is not None:
-                gl[closed] *= 0.0
-            return [gl.reshape(xb.shape)]
-
-        joined = None  # reused by each group after the first
+        buf = None  # the first group's x gradient, reused by the others
         for sl in groups:
-            group = blocks if len(groups) == 1 else [
-                b for b in blocks if sl.start <= b[0].start < sl.stop]
-            joined = _join(xf[sl].shape, group, run, sl.start, joined)
             if takes[0]:
-                grads[0] = give(sl, joined[0])
+                if buf is None:
+                    buf = np.empty((sl.stop - sl.start,) + x_shape[1:])
+                gxg = buf[:sl.stop - sl.start]
+            for block in (blocks if len(groups) == 1 else [
+                    b for b in blocks if sl.start <= b[0].start < sl.stop]):
+                src, gx, closed, parts = route(block, gf[block])
+                for k, index, values in parts:
+                    np.add.at(total[starts[k]:], index, values)
+                if takes[0]:
+                    dst = gxg[_shift(block, -sl.start)]
+                    # float64 even with no live cell, where bincount is int64
+                    gl = np.bincount(src, gx, dst.size).astype(float,
+                                                               copy=False)
+                    if closed is not None:
+                        gl[closed] *= 0.0
+                    dst[...] = gl.reshape(dst.shape)
+            if takes[0]:
+                grads[0] = give(sl, gxg)
         for k, shape in enumerate(shapes):
             if takes[k + 1]:
                 grads[k + 1] = total[starts[k]:starts[k + 1]].reshape(shape)
@@ -461,26 +471,28 @@ def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
     """Strided sup-convolution op over ``_sup_max``, routing each cell's
     gradient to its first attaining offset."""
     track = ad.is_grad_enabled()
-    out, idx = _sup_max(f.data, offsets,
-                        None if weights is None else weights.data, stride,
-                        out_extent, track)
+    wdat = None if weights is None else weights.data
+    out, idx, blocks = _blockwise(
+        f, 0, out_extent, len(offsets[0]),
+        lambda block, xb: _sup_max(xb, offsets, wdat, stride, out_extent,
+                                   track),
+        _index_dtype(len(offsets)) if track else None)
     if not track:
         return Tensor(out)
-    _mark_dead(idx, out)
-    shape = f.data.shape
+    sources = _decoder(f.data.shape, stride, offsets)
     params = () if weights is None else (weights,)
     takes_f = f.requires_grad
     takes_w = weights is not None and weights.requires_grad
 
     def route(block, g):
-        live = _live(idx)
-        src = (_sources(shape, stride, offsets, idx).ravel()[live]
-               if takes_f else None)
+        ib = idx[block]
+        live = _live(ib)
+        src = sources(ib).ravel()[live] if takes_f else None
         gb = g.ravel()[live]
         return (src, gb if takes_f else None, None,
-                [(0, idx.ravel()[live], gb)] if takes_w else [])
+                [(0, ib.ravel()[live], gb)] if takes_w else [])
 
-    return routed_node(out, [WHOLE], route, f, params)
+    return routed_node(out, blocks, route, f, params)
 
 
 # -- stride-1 operators ----------------------------------------------------
@@ -557,41 +569,39 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     if isinstance(alpha, Tensor) or alpha != 0.0:
         f = ad.add(f, alpha)
     axis = 1 if f.data.ndim >= pool.rank + 2 else 0
-    xf = f.data.swapaxes(0, axis)
-    out_ext = pool.out_extent(xf.shape[-pool.rank:])
+    out_ext = pool.out_extent(f.data.shape[-pool.rank:])
     offsets = StructuringFunction.pool_window(pool.extent).offsets
     track = ad.is_grad_enabled()
     flag = len(offsets)
+    dtype = _index_dtype(2 * flag) if track else None
 
     def clamp(a: Array, out: Array | None = None) -> Array:
         a = np.maximum(a, 0.0, out=out)
         return a if cap is None else np.minimum(a, cap, out=a)
 
-    def run(block):
-        xb = xf[block]
+    def kernel(block, xb):
         if not track:
             pooled, _ = _sup_max(xb, offsets, None, pool.stride, out_ext,
                                  False)
             return clamp(pooled, pooled), None
         clamped = clamp(xb)
-        carry = np.multiply(clamped != xb, flag, dtype=_index_dtype(2 * flag))
-        pooled, idx = _sup_max(clamped, offsets, None, pool.stride, out_ext,
-                               True, carry)
-        _mark_dead(idx, pooled)
-        return pooled, idx
+        carry = np.multiply(clamped != xb, flag, dtype=dtype)
+        return _sup_max(clamped, offsets, None, pool.stride, out_ext, True,
+                        carry)
 
-    out, idx = _join(xf.shape, _blocks(xf, pool.rank), run)
+    out, idx, blocks = _blockwise(f, axis, out_ext, pool.rank, kernel, dtype)
     if not track:
         return Tensor(out.swapaxes(0, axis))
-    shape = xf.shape
+    sources = _decoder(f.data.shape, pool.stride, offsets * 2)
 
     def route(block, g):
-        live = _live(idx)
-        src = _sources(shape, pool.stride, offsets * 2, idx).ravel()[live]
-        closed = src[idx.ravel()[live] >= flag]
+        ib = idx[block]
+        live = _live(ib)
+        src = sources(ib).ravel()[live]
+        closed = src[ib.ravel()[live] >= flag]
         return src, g.ravel()[live], closed, []
 
-    return routed_node(out, [WHOLE], route, f, axis=axis)
+    return routed_node(out, blocks, route, f, axis=axis)
 
 
 # -- two-slope activations and self-dual pooling -----------------------------

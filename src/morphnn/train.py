@@ -68,7 +68,7 @@ def _batch_slices(n: int, image_bytes: int) -> list[slice]:
     ``_SLICE_BYTES`` holds of ``image_bytes`` an image, rounded down to a
     multiple of ``_GEMM_COLUMN_GROUP`` (one group at least); the last may be
     shorter."""
-    fits = _SLICE_BYTES // image_bytes
+    fits = _SLICE_BYTES // max(image_bytes, 1)  # an empty batch fits
     step = max(_GEMM_COLUMN_GROUP, fits - fits % _GEMM_COLUMN_GROUP)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
@@ -204,7 +204,7 @@ def conv_feed(x: Tensor, w: Tensor) -> mo.Feed:
     def take(sl: slice) -> Array:
         xg = buf[:sl.stop - sl.start]
         np.matmul(wmat[sl], cols, out=xg)
-        return xg.reshape(-1, bsz, oh, ow)
+        return xg.reshape(len(xg), bsz, oh, ow)
 
     def give(sl: slice, gx: Array) -> Array:
         np.matmul(gx.reshape(len(gx), -1), cols.T, out=dw[sl])
@@ -657,8 +657,11 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     Each epoch appends one row to ``metrics.epochs`` and to the JSONL file:
     loss, accuracies, the epoch's ``seconds``, the mean ``step_seconds``
     and the ``examples_per_second`` of its training steps (evaluation
-    excluded), and the process's ``peak_rss_mb`` so far.
+    excluded), and the process's ``peak_rss_mb`` so far.  ValueError on an
+    empty training set, before any file is opened.
     """
+    if len(train_ds) == 0:
+        raise ValueError("train() needs images; the training set is empty")
     rng = make_rng(cfg.seed)
     live = model.set_trainable_scope(cfg.trainable_scope)
     opt = Adam(live, lr=cfg.lr)

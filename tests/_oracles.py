@@ -422,10 +422,10 @@ def full_size_layer_node(out, code, piece, blocks, x, axis, params,
     frame's cell order.  The winner code is split with ``np.divmod`` into
     the inner index and the bank position, whose member is the outer
     branch.  It reads the piece inputs from x itself, not from ``piece``,
-    and ignores ``blocks``.
+    and ignores ``blocks``.  It finds each cell's source from the cell's
+    coordinates, not through ``morphops._decoder``.
     """
     from morphnn import autodiff as ad
-    from morphnn import morphops as mo
 
     xf = x.data.swapaxes(0, axis)
     sizes = [len(sf.offsets) for sf in structuring]
@@ -434,8 +434,15 @@ def full_size_layer_node(out, code, piece, blocks, x, axis, params,
     dead = (code < 0) | np.isnan(out)
     live = np.flatnonzero(~dead) if dead.any() else slice(None)
     inner, bank = np.divmod(code.astype(np.int64), len(offsets))
-    src = mo._sources(xf.shape, pool.stride, offsets, bank).ravel()[live]
     bank = bank.ravel()[live]
+    # each live cell's source K*p - y
+    cells = np.indices(code.shape).reshape(code.ndim, -1)[:, live]
+    lead = xf.ndim - pool.rank
+    ys = np.asarray(offsets)[bank]
+    src = np.ravel_multi_index(
+        tuple(cells[:lead]) + tuple(k * cells[lead + a] - ys[:, a]
+                                    for a, k in enumerate(pool.stride)),
+        xf.shape)
     member = np.searchsorted(starts, bank, side="right") - 1
     inner = inner.ravel()[live]
     rows, cols = (inner, member) if pool_first else (member, inner)
@@ -473,3 +480,23 @@ def full_size_layer_node(out, code, piece, blocks, x, axis, params,
     return ad.make_node(out.swapaxes(0, axis),
                         [(p, rule(p, key, start, factor, k == 0))
                          for k, (p, key, start, factor) in enumerate(edges)])
+
+
+def add_wrong_backward_case(monkeypatch, name="wrong_backward"):
+    """Make ``gradcheck.build_cases`` append a case whose backward is
+    deliberately wrong: the node computes 3x but hands back 2g, so the
+    checker's failure path runs on a real wrong gradient."""
+    from morphnn import autodiff as ad
+    from morphnn import gradcheck as gc
+
+    real = gc.build_cases
+
+    def build(lv):
+        x = lv["x"]
+        return lambda: ad.make_node(x.data * 3.0, [(x, lambda g: g * 2.0)])
+
+    def cases(sizes=(1, 2, 3, 4)):
+        return real(sizes) + [{"name": name, "build": build,
+                               "draw": lambda rng: {"x": rng.normal(size=4)}}]
+
+    monkeypatch.setattr(gc, "build_cases", cases)

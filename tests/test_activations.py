@@ -501,10 +501,14 @@ class TestBlockwiseBackward:
             assert got[0].tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("variant,fwd", FORMS)
+    @pytest.mark.parametrize("variant,fwd", FORMS + [
+        pytest.param(1, lambda x, params, bank, pool, channel_axis:
+                     mo.act_pool(x, pool, cap=cap), id=f"act_pool-cap{cap}")
+        for cap in (None, 6.0)])
     def test_backward_memory_is_the_gradient_and_a_few_blocks(
             self, frozen, variant, fwd):
-        # 9 MB of channel-major input, as a conv2d output, over 16 blocks
+        # 9 MB of channel-major input, as a conv2d output, over 16 blocks;
+        # act_pool reads x and the pool alone
         rng = ad.make_rng(95)
         params, bank, x, g = _layer_case(rng, (128, 16, 24, 24), 2, 3,
                                          variant)
@@ -517,7 +521,8 @@ class TestBlockwiseBackward:
         finally:
             tracemalloc.stop()
         assert (id(xt._node) in grads) != frozen
-        # the full-size route arrays alone took 1.4 x.nbytes
+        # the full-size route arrays alone took 1.4 x.nbytes, and
+        # act_pool's whole-frame sources and anchors half of x.nbytes
         assert peak <= (0 if frozen else x.nbytes) + 4 * mo._BLOCK_BYTES
 
 

@@ -13,7 +13,7 @@ from morphnn.cli import _emit, main
 from morphnn.data import write_idx
 from morphnn.train import build_model, load_model, ModelSpec
 
-from _oracles import synth_classification
+from _oracles import add_wrong_backward_case, synth_classification
 
 
 @pytest.fixture(scope="module")
@@ -180,30 +180,28 @@ def test_activations_only_leaves_conv_untouched(data_dir, tmp_path, capsys):
     assert any(not np.array_equal(a, b) for a, b in zip(moved, init))
 
 
-def test_gradcheck_cli_pass_and_fail(tmp_path, capsys):
+def test_gradcheck_cli_pass_and_fail(tmp_path, capsys, monkeypatch):
     code = main(["gradcheck", "--sizes", "1", "--out", str(tmp_path / "g")])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["pass"] is True
     assert doc["config"]["sizes"] == [1]
 
-    code = main(["gradcheck", "--sizes", "1", "--corrupt", "selfdual_pool",
-                 "--out", str(tmp_path / "g2")])
+    add_wrong_backward_case(monkeypatch)
+    code = main(["gradcheck", "--sizes", "1", "--out", str(tmp_path / "g2")])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["report"]["failures"] == ["selfdual_pool"]
+    assert doc["report"]["failures"] == ["wrong_backward"]
     detail = doc["report"]["failure_detail"][0]
-    assert detail["layer"] == "selfdual_pool"
-    assert detail["parameter"] is not None
+    assert detail["layer"] == "wrong_backward"
+    assert detail["parameter"] == "x"
 
-    # a zero term count or probe step, an unknown case to corrupt, or a
-    # tolerance that is not a finite number >= 0 (inf passes even a
-    # corrupted case) is a usage error, not a crash, a failed check or a
-    # vacuous pass
+    # a zero term count or probe step, or a tolerance that is not a finite
+    # number >= 0 (inf passes even a wrong gradient) is a usage error, not
+    # a crash, a failed check or a vacuous pass
     for bad in (["--sizes", "0"], ["--step", "0"],
-                ["--sizes", "1", "--corrupt", "nosuchcase"],
                 ["--tolerance", "nan"], ["--tolerance=-1e-4"],
-                ["--tolerance", "inf", "--corrupt", "selfdual_pool"]):
+                ["--tolerance", "inf"]):
         out = tmp_path / "g3"
         assert main(["gradcheck", "--out", str(out), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")

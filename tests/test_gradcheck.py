@@ -1,4 +1,4 @@
-"""The gradient checker itself needs checking: screened kinks, corrupt
+"""The gradient checker itself needs checking: screened kinks, wrong
 gradients, and a clean pass over a reduced size grid."""
 
 import json
@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import add_wrong_backward_case
 from morphnn import gradcheck as gc
 from morphnn import autodiff as ad
 from morphnn.autodiff import make_rng
@@ -28,23 +29,16 @@ def test_every_case_mostly_checkable():
         assert row["checked"] > 0
 
 
-def test_corrupt_case_fails_by_name():
-    report = gc.run_gradcheck(seed=0, sizes=(1,),
-                              corrupt_case="selfdual_pool")
+def test_corrupt_case_fails_by_name(monkeypatch):
+    add_wrong_backward_case(monkeypatch)
+    report = gc.run_gradcheck(seed=0, sizes=(1,))
     assert report["pass"] is False
-    assert report["failures"] == ["selfdual_pool"]
+    assert report["failures"] == ["wrong_backward"]
+    (detail,) = report["failure_detail"]
+    assert (detail["layer"], detail["parameter"]) == ("wrong_backward", "x")
+    assert detail["max_rel_err"] > report["tolerance"]
     for row in report["cases"]:
-        assert row["pass"] is (row["name"] != "selfdual_pool")
-
-
-def test_unknown_corrupt_case_is_rejected():
-    # a mistyped name would corrupt nothing and pass vacuously
-    with pytest.raises(ValueError) as exc:
-        gc.run_gradcheck(seed=0, sizes=(1,), corrupt_case="nosuchcase")
-    message = str(exc.value)
-    assert "'nosuchcase'" in message
-    for case in gc.build_cases((1,)):
-        assert case["name"] in message
+        assert row["pass"] is (row["name"] != "wrong_backward")
 
 
 def test_kink_at_probe_point_is_screened():

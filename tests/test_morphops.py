@@ -282,7 +282,8 @@ def _sup_conv_values(f, offsets, w, stride, out_extent):
 
 
 class TestSingleBlockDifferential:
-    """Seeded differential for the routed ops that run as one block:
+    """Seeded differential for the ops over ``_sup_conv``, each on one
+    block at the default block size and on several with tiny blocks:
     ``max_pool``, ``dilate_pool``, ``dilate`` and ``erode`` against the loop
     oracles, which never call ``_sup_max``.  Random normal data, in half
     the cases with about a quarter of it -inf, +inf or NaN (so whole
@@ -361,6 +362,12 @@ class TestSingleBlockDifferential:
                 [f, w], g)
             _assert_same_bytes(got, want + [-dh, dw])
         assert layouts == {False, True}
+
+    def test_against_loop_oracles_over_blocks(self, monkeypatch):
+        # 16-byte blocks: a frame of several channels, or of one channel
+        # of several rows, runs as several blocks
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", 16)
+        self.test_against_loop_oracles()
 
 
 class TestActPool:

@@ -461,6 +461,14 @@ class TestModel:
             assert out.data.shape == (3, 10)
             assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_zero_image_batch_under_grad(self, variant):
+        # the layer forms' conv1 groups divided by the batch size
+        model = build_model(small_spec(variant), make_rng(1))
+        out = model.forward(Tensor(np.zeros((0, 1, 10, 10))), train=True,
+                            rng=make_rng(2))
+        assert out.data.shape == (0, 10)
+
     def test_conv_bias_dropped_for_morpho(self):
         assert build_model(small_spec("relu-maxpool"), make_rng(0)).conv1.b is not None
         for variant in ("morpho1", "morpho2"):
@@ -818,6 +826,17 @@ class TestTrainLoop:
         empty = md.Dataset(np.zeros((0, 10, 10)), np.zeros(0, np.int64))
         with pytest.raises(ValueError, match="the dataset is empty"):
             tr.evaluate(model, empty)
+
+    def test_train_refuses_an_empty_training_set(self, tmp_path):
+        # refused before the metrics file is opened, not after truncating
+        # it and running a whole evaluate()
+        model = build_model(small_spec(), make_rng(0))
+        empty = md.Dataset(np.zeros((0, 10, 10)), np.zeros(0, np.int64))
+        jsonl = tmp_path / "metrics.jsonl"
+        with pytest.raises(ValueError, match="the training set is empty"):
+            tr.train(model, empty, synth_ds(seed=86, n=8), TrainConfig(),
+                     metrics_jsonl=jsonl)
+        assert not jsonl.exists()
 
     def test_previous_graph_freed_before_next_forward(self, monkeypatch):
         # a step's logits, and the graph behind them, must be gone when the

@@ -232,17 +232,19 @@ def _frame(shape, params: MorphoActivationParams, pool: PoolSpec,
     return axis, beta, alpha
 
 
-def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
-                x: Tensor | mo.Feed, axis: int, params: MorphoActivationParams,
+def _layer_node(out: Array, code: Array, piece: Array | None, sources,
+                blocks, x: Tensor | mo.Feed, axis: int,
+                params: MorphoActivationParams,
                 structuring: list[StructuringFunction], pool: PoolSpec,
                 pool_first: bool) -> Tensor:
     """One graph node for a layer form, from its winner code (see the
     module docstring), C-contiguous like ``out`` in the frame that swaps
     ``axis`` of x to the front, and ``piece``, each live cell's winning
     piece input x(src) in the same frame (None for a frozen beta).  Its
-    route decodes a block's codes into sources (``morphops._decoder``) and
-    through two lookup tables built once, code to bank position and code to
-    flat (j, i), so no array spans every cell but the gradients.  A dead code, -1, takes no gradient
+    route decodes a block's codes into sources (``sources``, the forward
+    pass's ``morphops._decoder``) and through two lookup tables built once,
+    code to bank position and code to flat (j, i), so no array spans every
+    cell but the gradients.  A dead code, -1, takes no gradient
     (``morphops._live``).  The node reads only x's shape: it holds neither
     the input's array nor ``out``.
     """
@@ -250,7 +252,6 @@ def _layer_node(out: Array, code: Array, piece: Array | None, blocks,
     m, n = params.m_terms, params.n_terms
     n_inner = m if pool_first else n
     offsets = [y for sf in structuring for y in sf.offsets]
-    sources = mo._decoder(x_shape, pool.stride, offsets * n_inner)
     # code -> bank position; a dead cell's -1 reads the last entry, which
     # its liveness then drops
     bank_of = np.tile(np.arange(len(offsets)), n_inner)
@@ -325,7 +326,7 @@ def _layer(x, params: MorphoActivationParams,
     frame = mo._swap(x.shape, axis)
     track = ad.is_grad_enabled()
     codes = [None] * len(structuring)
-    dtype = piece = None
+    dtype = piece = sources = None
     if track:
         n_inner = params.m_terms if pool_first else params.n_terms
         # member k's piece codes: inner * len(bank offsets) + k's start
@@ -333,9 +334,9 @@ def _layer(x, params: MorphoActivationParams,
         dtype = mo._index_dtype(n_inner * sum(sizes))
         codes = [(np.arange(n_inner) * sum(sizes) + start).astype(dtype)
                  for start in np.cumsum([0] + sizes[:-1])]
+        sources = mo._decoder(frame, pool.stride, [
+            y for sf in structuring for y in sf.offsets] * n_inner)
         if params.beta.requires_grad:
-            sources = mo._decoder(frame, pool.stride, [
-                y for sf in structuring for y in sf.offsets] * n_inner)
             piece = np.empty(frame[:-pool.rank] + out_ext)
 
     def kernel(block, xb):
@@ -372,7 +373,7 @@ def _layer(x, params: MorphoActivationParams,
                                       dtype)
     if not track:
         return Tensor(out.swapaxes(0, axis))
-    return _layer_node(out, code, piece, blocks, x, axis, params,
+    return _layer_node(out, code, piece, sources, blocks, x, axis, params,
                        structuring, pool, pool_first)
 
 

@@ -34,7 +34,8 @@ Conventions shared by every op here:
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
 cache-sized block of the channel-first frame (``_blocks``), in which a conv2d
-output is contiguous, at a time, and its code flags a closed rectifier.
+output is contiguous, at a time, and its code flags a closed rectifier.  Like
+the layer forms it takes conv1 fused, as a ``Feed`` (``train.conv_feed``).
 Min-pooling is the negation dual of max-pooling, so ``selfdual_pool`` and
 ``posneg_pool_param`` are each a difference of two ``act_pool``s.  No
 stage calls ``relu``, ``max_pool`` or ``min_pool``; they keep their own
@@ -322,36 +323,36 @@ class Feed:
     """The input of a blockwise op, made by the op before it one group of
     whole channels at a time, and differentiated the same way, so that
     neither the input nor its gradient is ever whole: that op fused with
-    the blockwise one (conv1 with a layer form, ``train.conv_feed``).
+    the blockwise one (conv1 with its stage, ``train.conv_feed``).
 
-    ``tensor`` is the leaf the input is made from and ``shape`` the shape
-    the input would have; ``groups`` are consecutive slices of its
-    channels, axis 1, which the op's frame swaps to the front.
-    ``take(sl)`` returns channels ``sl`` in that frame, and ``give(sl,
-    gx)`` takes their gradient in that frame and returns ``tensor``'s
-    gradient so far, whole once every group is given.  Each hands over a
-    buffer that the next group may reuse.  ``Feed.of`` makes any tensor one
-    group.
+    ``tensors`` are the leaves the input is made from (a conv's w and b)
+    and ``shape`` the shape the input would have; ``groups`` are
+    consecutive slices of its channels, axis 1, which the op's frame swaps
+    to the front.  ``take(sl)`` returns channels ``sl`` in that frame, and
+    ``give(sl, gx)`` takes their gradient in that frame and returns each
+    tensor's gradient so far, None for a frozen one, whole once every group
+    is given.  Each hands over a buffer that the next group may reuse.
+    ``Feed.of`` makes any tensor one group.
     """
 
-    __slots__ = ("tensor", "shape", "groups", "take", "give")
+    __slots__ = ("tensors", "shape", "groups", "take", "give")
 
-    def __init__(self, tensor: Tensor, shape: tuple[int, ...],
+    def __init__(self, tensors: tuple[Tensor, ...], shape: tuple[int, ...],
                  groups: list[slice], take, give):
-        self.tensor, self.shape, self.groups = tensor, shape, groups
+        self.tensors, self.shape, self.groups = tensors, shape, groups
         self.take, self.give = take, give
 
     @property
     def requires_grad(self) -> bool:
-        return self.tensor.requires_grad
+        return any(t.requires_grad for t in self.tensors)
 
     @classmethod
     def of(cls, x: Tensor, axis: int) -> "Feed":
         """A plain tensor as one group: its frame swaps ``axis`` to the
         front."""
         xf = x.data.swapaxes(0, axis)
-        return cls(x, x.shape, [slice(0, len(xf))], lambda sl: xf,
-                   lambda sl, gx: gx.swapaxes(0, axis))
+        return cls((x,), x.shape, [slice(0, len(xf))], lambda sl: xf,
+                   lambda sl, gx: (gx.swapaxes(0, axis),))
 
 
 def _swap(shape, axis: int) -> tuple[int, ...]:
@@ -413,16 +414,17 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
     a tensor.  The first backward rule runs the blocks, group by group: a
     block-local ``np.bincount`` fills the block's slice of the group's x
     gradient, one C-contiguous buffer in the frame that every group reuses,
-    which ``Feed.give`` takes once the group is done; ``np.add.at`` adds the
-    parts into one running sum in cell order, the same to the bit as one
-    ``bincount`` over every cell.  Later rules hand out the stored
-    gradients.
+    which ``Feed.give`` takes once the group is done (each of the feed's
+    tensors has its own edge); ``np.add.at`` adds the parts into one
+    running sum in cell order, the same to the bit as one ``bincount`` over
+    every cell.  Later rules hand out the stored gradients.
     """
     feed = x if isinstance(x, Feed) else Feed.of(x, axis)
     x_shape, groups = _swap(feed.shape, axis), feed.groups
     shapes = [p.data.shape for p in params]
     starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
     takes = [t.requires_grad for t in (feed, *params)]
+    leaves, lead = (*feed.tensors, *params), len(feed.tensors)
     # a frozen x keeps no give, nor what it holds (conv1's im2col)
     give = feed.give if takes[0] else None
     grads: dict[int, Array] = {}
@@ -450,10 +452,11 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
                         gl[closed] *= 0.0
                     dst[...] = gl.reshape(dst.shape)
             if takes[0]:
-                grads[0] = give(sl, gxg)
+                grads.update((k, gk) for k, gk in enumerate(give(sl, gxg))
+                             if gk is not None)
         for k, shape in enumerate(shapes):
             if takes[k + 1]:
-                grads[k + 1] = total[starts[k]:starts[k + 1]].reshape(shape)
+                grads[lead + k] = total[starts[k]:starts[k + 1]].reshape(shape)
 
     def rule(k: int):
         def back(g: Array) -> Array:
@@ -463,7 +466,7 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
         return back
 
     return ad.make_node(out.swapaxes(0, axis), [
-        (t, rule(k)) for k, t in enumerate((feed.tensor, *params))])
+        (t, rule(k)) for k, t in enumerate(leaves)])
 
 
 def _sup_conv(f: Tensor, offsets, weights: Tensor | None, stride,
@@ -561,15 +564,18 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     holding NaN) takes no gradient and closes no source.  The input's
     gradient is the chain's, in the frame, so a ``Tensor`` ``alpha`` on
     batch-and-channel input sums it in the frame's order: equal in value
-    to the chain's, not always to the bit.  A cap below 0 is refused.
+    to the chain's, not always to the bit.  A cap below 0 is refused.  f
+    may be a ``Feed`` (alpha 0): conv1 fused, ``train.conv_feed``.
     """
     if cap is not None and not cap >= 0.0:
         raise ValueError(f"act_pool needs cap >= 0, got {cap}")
-    f = lift(f)
+    f = f if isinstance(f, Feed) else lift(f)
     if isinstance(alpha, Tensor) or alpha != 0.0:
+        if isinstance(f, Feed):
+            raise ValueError("act_pool takes no alpha with a Feed")
         f = ad.add(f, alpha)
-    axis = 1 if f.data.ndim >= pool.rank + 2 else 0
-    out_ext = pool.out_extent(f.data.shape[-pool.rank:])
+    axis = 1 if len(f.shape) >= pool.rank + 2 else 0
+    out_ext = pool.out_extent(f.shape[-pool.rank:])
     offsets = StructuringFunction.pool_window(pool.extent).offsets
     track = ad.is_grad_enabled()
     flag = len(offsets)
@@ -592,7 +598,7 @@ def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     out, idx, blocks = _blockwise(f, axis, out_ext, pool.rank, kernel, dtype)
     if not track:
         return Tensor(out.swapaxes(0, axis))
-    sources = _decoder(f.data.shape, pool.stride, offsets * 2)
+    sources = _decoder(f.shape, pool.stride, offsets * 2)
 
     def route(block, g):
         ib = idx[block]

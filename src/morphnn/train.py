@@ -90,8 +90,9 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.].
 
-    conv2, and conv1 of the rectifier variants; conv1 of a layer-form model
-    is ``conv_feed`` instead, fused with its stage.
+    conv2, and conv1 of selfdual and posneg, whose stages are two
+    ``act_pool``s; every other stage takes conv1 fused (``conv_feed``), as
+    ``Model._stack`` decides, unless the images take a gradient.
 
     The output is the transposed view of an [F, B*OH*OW] GEMM result, so its
     memory is channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
@@ -170,25 +171,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return ad.make_node(out, parents)
 
 
-def conv_feed(x: Tensor, w: Tensor) -> mo.Feed:
-    """``conv2d(x, w, None)`` as a ``morphops.Feed``: the conv fused with
-    the layer form after it, which takes its output, channel-major, one
-    group of whole filters at a time and hands back their gradient the same
-    way.  No array holds the whole output (177 MB for conv1 at batch 256)
-    or its whole gradient; the op keeps x's im2col (12 MB), one group's
-    output and one group's gradient.
+def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
+    """``conv2d(x, w, b)`` as a ``morphops.Feed``: the conv fused with the
+    blockwise stage after it (a layer form or ``act_pool``), which takes its
+    output, channel-major, one group of whole filters at a time and hands
+    back their gradient the same way.  No array holds the whole output (177
+    MB for conv1 at batch 256) or its whole gradient; the op keeps x's
+    im2col (12 MB), one group's output and one group's gradient.  x takes
+    no gradient.
 
     The groups are ``_batch_slices`` of the filters, each holding at most
     ``_SLICE_BYTES`` of output, a multiple of ``_GEMM_COLUMN_GROUP`` filters
-    but the last.  A group's output is ``wmat[g] @ cols`` and its share of
-    the w gradient ``dw[g] = gx.reshape(G, -1) @ cols.T``.  Both are the
-    whole GEMM's rows to the bit at the shapes tests pin, (B, F) = (256,
-    128) (48-filter groups), (16, 128) and (256, 16) (one group each), for
-    one input channel, 28x28 images and 3x3 kernels.  Row groups are an
-    OpenBLAS property, not a theorem: on 2 BLAS threads, 128 filters and an
-    odd batch above 96 images, the forward rows differed from the whole
-    GEMM's in the last bit, as did the w gradient at some even batches (102
-    and 214 images).
+    but the last.  A group's output is ``wmat[g] @ cols`` plus its rows of
+    b, its share of the w gradient ``dw[g] = gx.reshape(G, -1) @ cols.T``
+    and of b's its images summed in batch order, as in ``conv2d``.  The
+    GEMMs are the whole GEMM's rows to the bit at the shapes tests pin, (B,
+    F) = (256, 128) (48-filter groups), (16, 128) and (256, 16) (one group
+    each), for one input channel, 28x28 images and 3x3 kernels.  Row groups
+    are an OpenBLAS property, not a theorem: on 2 BLAS threads, 128 filters
+    and an odd batch above 96 images, the forward rows differed from the
+    whole GEMM's in the last bit, as did the w gradient at batches 102 and
+    214, so batches of 97 or more images may train differently in the last
+    bit than through ``conv2d``, for every variant that takes conv1 fused.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -199,18 +203,26 @@ def conv_feed(x: Tensor, w: Tensor) -> mo.Feed:
     cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
     groups = _batch_slices(f, 8 * bsz * oh * ow)
     buf = np.empty((groups[0].stop, cols.shape[1]))
-    dw = np.empty(wmat.shape)
+    tensors = (w,) if b is None else (w, b)
+    dw = np.empty(w_shape) if w.requires_grad else None
+    db = np.empty(f) if b is not None and b.requires_grad else None
 
     def take(sl: slice) -> Array:
         xg = buf[:sl.stop - sl.start]
         np.matmul(wmat[sl], cols, out=xg)
+        if b is not None:
+            xg += b.data[sl, None]
         return xg.reshape(len(xg), bsz, oh, ow)
 
-    def give(sl: slice, gx: Array) -> Array:
-        np.matmul(gx.reshape(len(gx), -1), cols.T, out=dw[sl])
-        return dw.reshape(w_shape)
+    def give(sl: slice, gx: Array) -> tuple:
+        if dw is not None:
+            np.matmul(gx.reshape(len(gx), -1), cols.T,
+                      out=dw.reshape(f, -1)[sl])
+        if db is not None:
+            db[sl] = np.ascontiguousarray(gx.sum(axis=(2, 3)).T).sum(axis=0)
+        return (dw, db)[:len(tensors)]
 
-    return mo.Feed(w, (bsz, f, oh, ow), groups, take, give)
+    return mo.Feed(tensors, (bsz, f, oh, ow), groups, take, give)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -226,6 +238,8 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """Mean categorical cross-entropy from raw logits (fused log-softmax)."""
     z = logits.data
     n = z.shape[0]
+    if n == 0:  # the mean of no rows is undefined
+        raise ValueError(f"cross_entropy got logits with no rows: {z.shape}")
     shift = z - z.max(axis=1, keepdims=True)
     expz = np.exp(shift)
     sumexp = expz.sum(axis=1, keepdims=True)
@@ -405,11 +419,13 @@ class Model:
 
     def _stack(self, x: Tensor) -> Tensor:
         # nested, so each stage's input dies as soon as its consumer has
-        # run unless a backward rule keeps it; a layer form takes conv1
-        # fused, its output a group of filters at a time
-        fused = isinstance(self.stage1.layer, MorphoLayerParams)
-        return self.stage2(self.conv2(self.stage1(
-            conv_feed(x, self.conv1.w) if fused else self.conv1(x))))
+        # run unless a backward rule keeps it; a stage that is one blockwise
+        # op takes conv1 fused (a Feed), unless x takes a gradient: a Feed
+        # gives x none
+        fused = not x.requires_grad and self.spec.variant in (
+            "relu-maxpool", "relu6-maxpool", "morpho1", "morpho2")
+        return self.stage2(self.conv2(self.stage1(conv_feed(
+            x, self.conv1.w, self.conv1.b) if fused else self.conv1(x))))
 
     def features(self, x: Tensor) -> Tensor:
         """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].

@@ -413,7 +413,7 @@ def oracle_backward(root):
                            else parent.grad + contrib)
 
 
-def full_size_layer_node(out, code, piece, blocks, x, axis, params,
+def full_size_layer_node(out, code, piece, sources, blocks, x, axis, params,
                          structuring, pool, pool_first):
     """A layer form's graph node (same arguments as
     ``activations._layer_node``) whose backward routes every output cell at
@@ -423,7 +423,7 @@ def full_size_layer_node(out, code, piece, blocks, x, axis, params,
     the inner index and the bank position, whose member is the outer
     branch.  It reads the piece inputs from x itself, not from ``piece``,
     and ignores ``blocks``.  It finds each cell's source from the cell's
-    coordinates, not through ``morphops._decoder``.
+    coordinates, not through ``morphops._decoder``: it ignores ``sources``.
     """
     from morphnn import autodiff as ad
 

@@ -223,21 +223,28 @@ def _perturbed_layer(variant: int, filters: int, rng) -> MorphoLayerParams:
 
 POOL = mo.PoolSpec((2, 2), (2, 2))
 FORWARDS = {1: morpho_act1_forward, 2: morpho_act2_forward}
+# the rectifier stages: act_pool's cap, by name
+CAPS = {"relu": None, "relu6": 6.0}
 
 
 class TestConvFeed:
-    """conv1 fused with a layer form (``conv_feed``) against the unfused
-    chain ``conv2d`` -> ``morpho_act{1,2}_forward``: values and every
-    gradient byte for byte."""
+    """conv1 fused with a layer form or ``act_pool`` (``conv_feed``)
+    against the unfused chain ``conv2d`` -> ``morpho_act{1,2}_forward`` or
+    ``act_pool``: values and every gradient byte for byte.  The rectifier
+    stages' conv1 has a bias, the layer forms' has none."""
 
     @staticmethod
-    def _run(fused, x, w, layer, variant, g):
-        leaves = [w] + list(layer.named_tensors().values())
+    def _run(fused, x, w, b, layer, variant, g):
+        leaves = [w] + ([b] if layer is None
+                        else list(layer.named_tensors().values()))
         for t in leaves:
             t.grad = None
-        h = tr.conv_feed(x, w) if fused else tr.conv2d(x, w, None)
-        out = FORWARDS[variant](h, layer.activation, layer.structuring, POOL,
-                                channel_axis=1)
+        h = tr.conv_feed(x, w, b) if fused else tr.conv2d(x, w, b)
+        if layer is None:
+            out = mo.act_pool(h, POOL, cap=CAPS[variant])
+        else:
+            out = FORWARDS[variant](h, layer.activation, layer.structuring,
+                                    POOL, channel_axis=1)
         ad.mul(out, Tensor(g)).sum().backward()
         return [out.data] + [t.grad for t in leaves]
 
@@ -247,14 +254,20 @@ class TestConvFeed:
         x = Tensor(rng.random((bsz, 1) + hw) if images is None else images)
         w = Tensor(rng.uniform(-1 / 3, 1 / 3, (filters, 1, 3, 3)),
                    requires_grad=True)
-        layer = _perturbed_layer(variant, filters, rng)
+        if variant in CAPS:
+            # filters wholly closed, open, and some past the cap of 6
+            b = Tensor(rng.permutation(np.linspace(-2, 7, filters)),
+                       requires_grad=True)
+            layer, named = None, {"w": w, "b": b}
+        else:
+            b, layer = None, _perturbed_layer(variant, filters, rng)
+            named = {"w": w} | layer.named_tensors()
         for name in frozen:
-            (w if name == "w" else layer.named_tensors()[name]
-             ).requires_grad = False
+            named[name].requires_grad = False
         oh, ow = hw[0] - 2, hw[1] - 2
         g = rng.normal(size=(bsz, filters) + POOL.out_extent((oh, ow)))
-        got = self._run(True, x, w, layer, variant, g)
-        want = self._run(False, x, w, layer, variant, g)
+        got = self._run(True, x, w, b, layer, variant, g)
+        want = self._run(False, x, w, b, layer, variant, g)
         for have, ref in zip(got, want):
             assert (have is None) == (ref is None)
             if ref is not None:
@@ -262,7 +275,7 @@ class TestConvFeed:
                 assert have.tobytes() == ref.tobytes()
         return got
 
-    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
     @pytest.mark.parametrize("bsz,filters,hw", [
         (256, 128, (28, 28)),  # the paper's protocol: 48-filter groups
         (16, 128, (28, 28)),  # its 10k run's last batch: one group
@@ -274,8 +287,10 @@ class TestConvFeed:
                                              variant):
         got = self._compare(bsz, filters, hw, variant)
         assert all(t is not None for t in got)
+        if variant == "relu6":
+            assert (got[0] == 6.0).any() and (got[0] < 6.0).any()
 
-    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
     def test_groups_at_a_small_budget(self, monkeypatch, variant):
         # 8-filter groups of 20 filters: 8, 8 and 4, each a run of blocks
         monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
@@ -285,11 +300,11 @@ class TestConvFeed:
             slice(0, 8), slice(8, 16), slice(16, 20)]
         self._compare(6, 20, (9, 7), variant, seed=1)
 
-    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
     def test_activations_only_runs_no_x_gradient(self, monkeypatch,
                                                  variant):
-        # conv1.w frozen: no route makes an x gradient and no group's w
-        # gradient GEMM runs
+        # conv1 frozen: no route makes an x gradient and no group's w
+        # gradient GEMM runs; act_pool, with no parameter, builds no node
         routes, gives = [], []
         routed_node, conv_feed = mo.routed_node, tr.conv_feed
 
@@ -300,17 +315,31 @@ class TestConvFeed:
                 return got
             return routed_node(out, blocks, recorded, *args, **kwargs)
 
-        def spy_feed(x, w):
-            feed = conv_feed(x, w)
-            return mo.Feed(feed.tensor, feed.shape, feed.groups, feed.take,
+        def spy_feed(x, w, b=None):
+            feed = conv_feed(x, w, b)
+            return mo.Feed(feed.tensors, feed.shape, feed.groups, feed.take,
                            lambda sl, gx: gives.append(sl)
                            or feed.give(sl, gx))
 
         monkeypatch.setattr(mo, "routed_node", spy_node)
         monkeypatch.setattr(tr, "conv_feed", spy_feed)
-        got = self._compare(7, 16, (12, 12), variant, seed=2, frozen=["w"])
-        assert got[1] is None and all(t is not None for t in got[2:])
-        assert routes and not any(routes) and not gives
+        rectifier = variant in CAPS
+        got = self._compare(7, 16, (12, 12), variant, seed=2,
+                            frozen=["w", "b"] if rectifier else ["w"])
+        if rectifier:
+            assert got[1] is None and got[2] is None and not routes
+        else:
+            assert got[1] is None and all(t is not None for t in got[2:])
+            assert routes and not any(routes)
+        assert not gives
+
+    @pytest.mark.parametrize("variant", ["relu", "relu6"])
+    @pytest.mark.parametrize("frozen", ["w", "b"])
+    def test_one_of_w_and_b_frozen(self, variant, frozen):
+        got = self._compare(12, 20, (11, 13), variant, seed=5,
+                            frozen=[frozen])
+        assert (got[1] is None) == (frozen == "w")
+        assert (got[2] is None) == (frozen == "b")
 
     @pytest.mark.parametrize("variant", [1, 2])
     def test_frozen_beta_records_no_piece(self, monkeypatch, variant):
@@ -326,7 +355,7 @@ class TestConvFeed:
                             frozen=["beta"])
         assert got[2] is None and pieces == [None, None]
 
-    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
     def test_non_finite_images(self, variant):
         rng = make_rng(610)
         images = rng.random((11, 1, 12, 12))
@@ -338,7 +367,9 @@ class TestConvFeed:
         with np.errstate(invalid="ignore"):
             got = self._compare(11, 16, (12, 12), variant, seed=4,
                                 images=images)
-        assert np.isnan(got[0]).any() and np.isinf(got[0]).any()
+        assert np.isnan(got[0]).any()
+        # the cap of 6 clamps +inf
+        assert np.isinf(got[0]).any() == (variant != "relu6")
 
     def test_feed_needs_per_channel_parameters(self):
         x, w = Tensor(np.zeros((2, 1, 8, 8))), Tensor(np.zeros((4, 1, 3, 3)))
@@ -380,6 +411,45 @@ class TestConvFeed:
         assert model.conv1.w.grad is not None
         assert max(forward, backward) < conv1_bytes
 
+    @pytest.mark.parametrize("cap", [None, 6.0])
+    def test_rectifier_stage1_never_holds_conv1s_whole_output(
+            self, monkeypatch, cap):
+        # conv1 fused into act_pool with 8-filter groups: neither the
+        # forward pass nor the node's backward rules, each counted from the
+        # start, hold as much as conv1's whole output or its whole gradient
+        bsz, filters = 16, 64
+        conv1_bytes = 8 * bsz * filters * 26 * 26
+        monkeypatch.setattr(tr, "_SLICE_BYTES", conv1_bytes // 8)
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", 1 << 16)
+        rng = make_rng(620)
+        x = Tensor(rng.random((bsz, 1, 28, 28)))
+        w = Tensor(rng.uniform(-1 / 3, 1 / 3, (filters, 1, 3, 3)),
+                   requires_grad=True)
+        b = Tensor(rng.uniform(-2, 7, filters), requires_grad=True)
+        g = rng.normal(size=(bsz, filters, 13, 13))
+        out = []
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            feed = tr.conv_feed(x, w, b)
+            assert len(feed.groups) == 8
+            out.append(mo.act_pool(feed, POOL, cap=cap))
+            del feed
+            forward = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            grads = [rule(g) for _, rule in out.pop()._parents]
+            backward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [d.shape for d in grads] == [w.shape, b.shape]
+        assert max(forward, backward) < conv1_bytes
+
+    def test_act_pool_takes_no_alpha_with_a_feed(self):
+        feed = tr.conv_feed(Tensor(np.zeros((2, 1, 8, 8))),
+                            Tensor(np.zeros((4, 1, 3, 3))))
+        with pytest.raises(ValueError, match="no alpha with a Feed"):
+            mo.act_pool(feed, POOL, alpha=0.5)
+
 
 class TestCrossEntropy:
     def test_matches_log_softmax(self):
@@ -405,6 +475,13 @@ class TestCrossEntropy:
         z = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
         out = tr.cross_entropy(Tensor(z), np.array([0, 0]))
         assert np.isfinite(out.data)
+
+    def test_refuses_logits_with_no_rows(self):
+        # refused before numpy warns of an empty mean (warnings are errors)
+        z = Tensor(np.zeros((0, 10)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"logits with no rows: "
+                           r"\(0, 10\)"):
+            tr.cross_entropy(z, np.zeros(0, dtype=np.int64))
 
 
 class TestDropout:
@@ -469,6 +546,22 @@ class TestModel:
                             rng=make_rng(2))
         assert out.data.shape == (0, 10)
 
+    @pytest.mark.parametrize("variant", tr.VARIANTS)
+    def test_images_that_take_a_gradient_get_one(self, variant):
+        # a fused conv1 hands back no gradient to the images, so images that
+        # take one run the unfused chain, conv1 -> stage 1 -> ...
+        model = build_model(small_spec(variant), make_rng(0))
+        rng = make_rng(78)
+        images = rng.normal(size=(4, 1, 10, 10))
+        g = Tensor(rng.normal(size=(4, 10)))
+        x, x_ref = (Tensor(images, requires_grad=True) for _ in "12")
+        ad.mul(model.forward(x), g).sum().backward()
+        h = model.stage2(model.conv2(model.stage1(model.conv1(x_ref))))
+        logits = model.dense(ad.reshape(h, (4, model.feature_dim)))
+        ad.mul(logits, g).sum().backward()
+        assert x.grad is not None
+        npt.assert_array_equal(x.grad, x_ref.grad)
+
     def test_conv_bias_dropped_for_morpho(self):
         assert build_model(small_spec("relu-maxpool"), make_rng(0)).conv1.b is not None
         for variant in ("morpho1", "morpho2"):
@@ -514,11 +607,12 @@ class TestModel:
         assert ModelSpec(image_size=(12, 12), filters=3).feature_dim == 3
 
     @pytest.mark.parametrize("variant,nodes", [
-        ("relu-maxpool", 15), ("relu6-maxpool", 15), ("selfdual", 21),
+        ("relu-maxpool", 14), ("relu6-maxpool", 14), ("selfdual", 21),
         ("posneg", 29)])
     def test_rectifier_stage_is_one_node(self, variant, nodes):
-        # conv, stage, conv, stage, reshape, dropout, matmul, bias,
-        # cross-entropy and the six parameters; a selfdual stage adds -x,
+        # conv1 fused with stage 1, conv, stage, reshape, dropout, matmul,
+        # bias, cross-entropy and the six parameters; selfdual and posneg
+        # take conv1 unfused (one node more), and a selfdual stage adds -x,
         # a second act_pool and a sub (3 nodes), a posneg stage a second
         # act_pool, a sub, two products, -beta_pos and both slopes (7)
         model = build_model(small_spec(variant), make_rng(0))

@@ -6,9 +6,11 @@ and of the gradcheck report.
 
 Each variant of ``train.STAGES`` is built and trained with seed 0 for two
 epochs on the benchmark's seeded synthetic MNIST-shaped data (no files needed).
-The output is one JSON line: ``config``, per variant the SHA-256 of its trained
-parameters' shapes and bytes (``params``), and the SHA-256 of
-``run_gradcheck(seed=0)``'s report as JSON (``gradcheck``).  ``step128`` hashes
+The output is one JSON line: ``config`` (with the BLAS build and
+``OPENBLAS_NUM_THREADS``, on which the hashes may depend), per variant the
+SHA-256 of its trained parameters' shapes and bytes (``params``), and the
+SHA-256 of ``run_gradcheck(seed=0)``'s report as JSON (``gradcheck``).
+``step128`` hashes
 relu-maxpool and morpho1 after one training step at the benchmark's shape (128
 filters, batch 256), where conv2's GEMMs run on several batch slices; the
 16-filter runs fit each in one.  It hashes the step's gradients with the
@@ -32,6 +34,7 @@ import numpy as np  # noqa: E402
 
 from morphnn import data, train as tr  # noqa: E402
 from morphnn.autodiff import make_rng  # noqa: E402
+from morphnn.cli import blas_config  # noqa: E402
 from morphnn.gradcheck import run_gradcheck  # noqa: E402
 from workloads import make_split  # noqa: E402
 
@@ -81,7 +84,8 @@ def main() -> int:
         step_hashes[variant] = param_hash(model, grads=True)
     config = {"seed": SEED, "epochs": EPOCHS, "filters": FILTERS,
               "n_train": N_TRAIN, "n_test": N_TEST, "batch": BATCH,
-              "step_filters": STEP_FILTERS, "numpy": np.__version__}
+              "step_filters": STEP_FILTERS, "numpy": np.__version__,
+              **blas_config()}
     report = json.dumps(run_gradcheck(seed=SEED)).encode()
     print(json.dumps({"config": config, "params": hashes,
                       "step128": step_hashes,

@@ -10,10 +10,11 @@ seeded images, then one ``evaluate()``-style forward under ``no_grad`` on
 ``--eval-batch`` images.  Each figure is the tracemalloc peak of that call
 in MiB, counted from what was allocated when it started, so the model, its
 optimizer state and the inputs do not count.  The output is one JSON line:
-``config`` and, per variant, ``train_step_mb`` and ``eval_batch_mb``, and
-the step's two halves, each counted from the step's start: ``forward_mb``
-(the forward pass and the loss) and ``backward_mb`` (``backward()`` and
-Adam).  ``train_step_mb`` is the larger of the two.
+``config`` (with the BLAS build and ``OPENBLAS_NUM_THREADS``) and, per
+variant, ``train_step_mb`` and ``eval_batch_mb``, and the step's two
+halves, each counted from the step's start: ``forward_mb`` (the forward
+pass and the loss) and ``backward_mb`` (``backward()`` and Adam).
+``train_step_mb`` is the larger of the two.
 numpy reports its array buffers to tracemalloc, so the figures count every
 array a step holds at once; they leave out the interpreter and the
 allocator's own overhead, which ``peak_rss_mb`` sees.
@@ -32,6 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from morphnn import autodiff as ad, train as tr  # noqa: E402
+from morphnn.cli import blas_config  # noqa: E402
 
 SEED = 0
 MB = float(1 << 20)
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
         p.error("--batch, --eval-batch and --filters must be >= 1")
     config = {"seed": SEED, "batch": args.batch,
               "eval_batch": args.eval_batch, "filters": args.filters,
-              "numpy": np.__version__}
+              "numpy": np.__version__, **blas_config()}
     variants = {v: measure(v, args) for v in tr.VARIANTS}
     print(json.dumps({"config": config, "variants": variants}))
     return 0

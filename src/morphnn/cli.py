@@ -98,6 +98,17 @@ def _prepare_run(args, variants) -> tuple:
     return specs, cfg, train_ds, test_ds, data, out
 
 
+def blas_config() -> dict:
+    """The BLAS numpy was built with, as ``np.show_config`` names it (its
+    version, and its build configuration, which names the OpenBLAS core),
+    and ``OPENBLAS_NUM_THREADS`` (None when unset): a GEMM's last bits may
+    depend on both."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "config": blas.get("openblas configuration")},
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def _emit(doc: dict, out_dir: Path, name: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     # no indent: an indented dump runs the pure-Python encoder, about 8x
@@ -115,7 +126,7 @@ def cmd_train(args) -> int:
                                                             [args.variant])
     spec = specs[args.variant]
     config = {"command": "train", "spec": asdict(spec), "train": asdict(cfg),
-              "data": data, "out": str(out)}
+              "data": data, "out": str(out), **blas_config()}
     model = build_model(spec, make_rng(args.seed))
     metrics_path = args.metrics or str(out / "metrics.jsonl")
     verbose = None if args.quiet else (lambda s: print(s, file=sys.stderr))

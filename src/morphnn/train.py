@@ -52,8 +52,12 @@ class DivergenceError(RuntimeError):
 # gradient in back_x, not the whole (272 MB at conv2 at batch 256), and
 # Model.features' no-grad pass one slice of the stack (conv1's whole output
 # is 354 MB at eval batch 512); conv_feed, slicing filters, holds one group
-# of conv1's output and one of its gradient (each 177 MB whole at batch 256)
-_SLICE_BYTES = 1 << 26
+# of conv1's output and one of its gradient (each 177 MB whole at batch 256).
+# 16 MiB, by measurement: at the paper's shapes it cuts conv2 slices and
+# no-grad slices of 8 images and conv1 groups of 8 filters at batch 256;
+# 8 MiB cuts the same (no slice is less than one column group) and 32 MiB
+# raised an eval batch's peak RSS by half
+_SLICE_BYTES = 1 << 24
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
 # when the slice starts and ends on a multiple of this many columns, the
@@ -112,9 +116,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     on whole ``_GEMM_COLUMN_GROUP``s or at the batch's end, so every result
     is the unsliced GEMM's bytes, an OpenBLAS property that tests pin at
     (B, C, F) = (256, 128, 128) and (16, 128, 128) (conv2 of the paper's
-    protocol and its 10k run's last batch), (256, 16, 16) (the parameter
-    hashes), (3, 4, 5) and (5, 4, 5); at (37, 24, 16) on 2 BLAS threads the
-    taps differ from it in the last bit.
+    protocol and its 10k run's last batch, in 32 and 2 slices of 8 images),
+    (256, 16, 16) (the parameter hashes), (3, 4, 5) and (5, 4, 5); at (37,
+    24, 16) on 2 BLAS threads the taps differ from it in the last bit.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -186,13 +190,17 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     b, its share of the w gradient ``dw[g] = gx.reshape(G, -1) @ cols.T``
     and of b's its images summed in batch order, as in ``conv2d``.  The
     GEMMs are the whole GEMM's rows to the bit at the shapes tests pin, (B,
-    F) = (256, 128) (48-filter groups), (16, 128) and (256, 16) (one group
-    each), for one input channel, 28x28 images and 3x3 kernels.  Row groups
-    are an OpenBLAS property, not a theorem: on 2 BLAS threads, 128 filters
-    and an odd batch above 96 images, the forward rows differed from the
-    whole GEMM's in the last bit, as did the w gradient at batches 102 and
-    214, so batches of 97 or more images may train differently in the last
-    bit than through ``conv2d``, for every variant that takes conv1 fused.
+    F) = (256, 128) (16 groups of 8 filters), (104, 128) (6 groups), (28,
+    128) (2 groups), (16, 128) and (256, 16) (one group each), for one input
+    channel, 28x28 images and 3x3 kernels.  Row groups are an OpenBLAS
+    property, not a theorem.  At 128 filters a batch of 25 or more images
+    takes several groups; from 25 to 256 images, every multiple of 8 was
+    byte-equal on 1 and on 2 BLAS threads, but every odd batch differed on 2
+    threads (the forward rows, on 1 thread too for most), as did the w
+    gradient at most even batches that are no multiple of 8 (26, 50, 98,
+    102, ...) on 2 threads.  So a batch of 25 or more images that is no
+    multiple of 8 may train differently in the last bit than through
+    ``conv2d``, for every variant that takes conv1 fused.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -431,8 +439,9 @@ class Model:
         """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].
 
         Under no_grad the stack runs on consecutive ``_batch_slices`` of
-        whole images, so conv1's output is never whole.  The stages work on
-        each image alone, so the features are the whole batch's to the bit.
+        whole images (8 at 128 filters, sized by conv2's 1.1 MB im2col an
+        image), so conv1's output is never whole.  The stages work on each
+        image alone, so the features are the whole batch's to the bit.
         """
         if ad.is_grad_enabled():
             h = self._stack(x)

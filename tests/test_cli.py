@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,13 @@ def test_train_runs_and_writes_everything(data_dir, tmp_path, capsys):
     assert doc["config"]["data"]["train"]["examples"] == 192
     # echoed paths are the resolved ones, including the .gz fallback
     assert doc["config"]["data"]["test"]["images"].endswith(".gz")
+    # the BLAS build and thread count, on which a GEMM's last bits may depend
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert doc["config"]["blas"] == {
+        "name": blas["name"], "version": blas["version"],
+        "config": blas.get("openblas configuration")}
+    assert doc["config"]["openblas_num_threads"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
     assert doc["result"]["epochs_run"] == 2
     assert 0.0 <= doc["result"]["best_test_acc"] <= 1.0
     with open(out / "metrics.jsonl") as fh:

@@ -4,10 +4,13 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from morphnn.gradcheck import run_gradcheck
 from morphnn.train import VARIANTS
@@ -33,6 +36,9 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     assert list(steps) == ["relu-maxpool", "morpho1"]
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in steps.values())
     assert doc["config"]["step_filters"] == 128
+    assert set(doc["config"]["blas"]) == {"name", "version", "config"}
+    assert doc["config"]["openblas_num_threads"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
     # and the hash of the seed-0 gradcheck report, as run in process
     report = json.dumps(run_gradcheck(seed=0)).encode()
     assert doc["gradcheck"] == hashlib.sha256(report).hexdigest()
@@ -44,13 +50,17 @@ def test_step_memory_reports_every_variant(tmp_path):
                            "--batch", "4", "--eval-batch", "6",
                            "--filters", "3"],
                           cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120,
+                          env=os.environ | {"OPENBLAS_NUM_THREADS": "1"})
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     report = json.loads(lines[0])
     assert report["config"]["batch"] == 4
     assert report["config"]["eval_batch"] == 6
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert report["config"]["blas"]["version"] == blas["version"]
+    assert report["config"]["openblas_num_threads"] == "1"
     assert list(report["variants"]) == list(VARIANTS)
     for row in report["variants"].values():
         assert set(row) == {"train_step_mb", "forward_mb", "backward_mb",

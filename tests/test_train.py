@@ -277,7 +277,9 @@ class TestConvFeed:
 
     @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
     @pytest.mark.parametrize("bsz,filters,hw", [
-        (256, 128, (28, 28)),  # the paper's protocol: 48-filter groups
+        (256, 128, (28, 28)),  # the paper's protocol: 16 8-filter groups
+        (104, 128, (28, 28)),  # 5 groups of 24 filters and one of 8
+        (28, 128, (28, 28)),  # 104 filters and 24
         (16, 128, (28, 28)),  # its 10k run's last batch: one group
         (256, 16, (28, 28)),  # scripts/param_hash.py: one group
         (5, 12, (9, 11)),
@@ -725,15 +727,27 @@ class TestNoGradFeatures:
                 assert have.data.shape == ref.shape
                 assert have.data.tobytes() == ref.tobytes()
 
-    def test_default_slice_is_56_images(self, monkeypatch):
-        # 64 MiB holds 60 images of conv2's 1.1 MB im2col; 56 is the
-        # multiple of 8 below
-        model = build_model(ModelSpec(), make_rng(0))
+    def test_default_budget_at_the_protocol_shapes(self, monkeypatch):
+        # 16 MiB holds 15 images of conv2's 1.1 MB im2col, and 12 filters
+        # of conv1's output at batch 256 (1.4 MB a filter) but 193 at
+        # batch 16, each rounded down to a multiple of 8
         seen = self._spy_windows(monkeypatch)
-        x = Tensor(make_rng(92).random((57, 1, 28, 28)))
+        w2 = Tensor(np.zeros((128, 128, 3, 3)))
+        for bsz in (256, 16):
+            seen.clear()
+            tr.conv2d(Tensor(np.zeros((bsz, 128, 13, 13))), w2, None)
+            assert seen == bsz // 8 * [8]
+        w1 = Tensor(np.zeros((128, 1, 3, 3)))
+        for bsz, sizes in ((256, 16 * [8]), (16, [128]), (8, [128])):
+            feed = tr.conv_feed(Tensor(np.zeros((bsz, 1, 28, 28))), w1)
+            assert [g.stop - g.start for g in feed.groups] == sizes
+        # an eval batch of 512 runs 64 slices of 8 images, each two im2cols
+        model = build_model(ModelSpec(), make_rng(0))
+        x = Tensor(make_rng(92).random((512, 1, 28, 28)))
+        seen.clear()
         with ad.no_grad():
-            assert model.features(x).data.shape == (57, 128 * 5 * 5)
-        assert seen == [56, 56, 1, 1]
+            assert model.features(x).data.shape == (512, 128 * 5 * 5)
+        assert seen == 128 * [8]
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
     def test_memory_is_the_features_and_one_slice(self, monkeypatch,

@@ -12,11 +12,12 @@ This script runs that protocol without the MNIST files: it writes seeded
 plus uniform noise, 10k training and 2k test images) to a temporary
 directory, reads them back with ``data.load_dataset``, builds the seed-0
 model and trains it with ``train()``.  It writes one JSON document to
-``--out``: ``config`` (sizes, seed, numpy, BLAS threads, cores, CPU),
-``wall_seconds`` (``Metrics.wall_seconds``) against ``gate_seconds``, and
-per epoch the row ``train()`` records (``seconds``, ``step_seconds``,
-``peak_rss_mb``, ...).  The same document is printed as one line.  It
-exits 0 when the run finishes inside the gate and 1 otherwise.
+``--out``: ``config`` (sizes, seed, numpy, the BLAS build and
+``OPENBLAS_NUM_THREADS``, cores, CPU), ``wall_seconds``
+(``Metrics.wall_seconds``) against ``gate_seconds``, and per epoch the row
+``train()`` records (``seconds``, ``step_seconds``, ``peak_rss_mb``, ...).
+The same document is printed as one line.  It exits 0 when the run
+finishes inside the gate and 1 otherwise.
 """
 
 import argparse
@@ -34,6 +35,7 @@ import numpy as np  # noqa: E402
 
 from morphnn import data, train as tr  # noqa: E402
 from morphnn.autodiff import make_rng  # noqa: E402
+from morphnn.cli import blas_config  # noqa: E402
 
 SEED = 0
 GATE_SECONDS = 900.0
@@ -90,9 +92,7 @@ def main(argv=None) -> int:
               "m_terms": spec.m_terms, "filters": spec.filters,
               "epochs": args.epochs, "n_train": args.n_train,
               "n_test": args.n_test, "batch": cfg.batch_size,
-              "seed": SEED, "numpy": np.__version__,
-              "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
-                                                 "unset"),
+              "seed": SEED, "numpy": np.__version__, **blas_config(),
               "cores": len(os.sched_getaffinity(0)),
               "cpu": cpu_model()}
     doc = {"config": config, "wall_seconds": metrics.wall_seconds,

@@ -18,7 +18,8 @@ parameters: Adam's first step moves each parameter by about lr * sign(g), which
 hides a last-bit change in g.  Two checkouts that print the same line train
 bit for bit alike on it and check every gradient alike; run it on both sides of
 a change that must not move a bit.  It runs in seconds; at batch 256 a stage-1
-channel is bigger than the layer forms' block, so both block shapes run.
+channel is bigger than a block and is a block of its own, while stage 2's
+blocks are runs of 4 channels, so both block shapes run.
 """
 
 import hashlib

@@ -24,14 +24,15 @@ in a channel-first frame: ``x.swapaxes(0, channel_axis)``, or x itself for
 shared parameters.  A conv2d output is channel-major in memory ([C, B, H, W]
 seen as [B, C, H, W]), so its frame is C-contiguous and no pass reorders it.
 The forward pass is a kernel of ``morphops._blockwise``, the routed ops' one
-forward loop, which runs it on ``morphops._blocks``, whole channels or one
-channel cut along its next axis, small enough to stay in cache; each block
-takes its channels' slopes and intercepts as pieces shaped (channels, 1, ...),
-a scalar for one channel.  Every output cell has exactly one subgradient winner, an
-affine piece at a window offset, and under grad (only then) the forward pass
-records it as one integer code in the smallest signed dtype that holds it:
-``inner * len(bank offsets) + bank position``, the bank position naming both
-the offset and its member, the outer branch; -1 where no offset lands.  Form
+forward loop, which runs it on ``morphops._blocks``, runs of whole channels
+small enough to stay in cache, or one bigger channel; each block takes its
+channels' slopes and intercepts as pieces shaped (channels, 1, ...), a
+scalar for one channel.  Every output cell has exactly one subgradient
+winner, an affine piece at a window offset, and under grad (only then) the
+forward pass records it as one integer code in the smallest signed dtype
+that holds it: ``inner * len(bank offsets) + bank position``, the bank
+position naming both the offset and its member, the outer branch; -1 where
+no offset lands.  Form
 1's pool carries each source's code from the cell's winning source.  When
 beta also takes a gradient, each block then writes x at every cell's winning
 source, the winning piece's input, into one output-sized array, so the graph
@@ -280,7 +281,7 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
         # flat (channel, j, i) parameter index; shared ones have no channel
         cell = cell_of[cb]
         if per_channel:
-            cell += channels[block[0]] * (m * n)
+            cell += channels[block] * (m * n)
         cell = cell.ravel()[live]
         gb = g.ravel()[live]
         # d out / d x (and, for variant 2, d out / d w) is the winning slope
@@ -341,7 +342,7 @@ def _layer(x, params: MorphoActivationParams,
 
     def kernel(block, xb):
         pb, pa = ((beta, alpha) if len(beta) == 1
-                  else (beta[block[0]], alpha[block[0]]))
+                  else (beta[block], alpha[block]))
         shape = (len(pb),) + (1,) * (len(frame) - 1)
         b, a = _pieces(pb, shape), _pieces(pa, shape)
 

@@ -102,7 +102,8 @@ def blas_config() -> dict:
     """The BLAS numpy was built with, as ``np.show_config`` names it (its
     version, and its build configuration, which names the OpenBLAS core),
     and ``OPENBLAS_NUM_THREADS`` (None when unset): a GEMM's last bits may
-    depend on both."""
+    depend on both.  The configuration string names the build host's core,
+    not the kernel OpenBLAS picks at run time."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "config": blas.get("openblas configuration")},

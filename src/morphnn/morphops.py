@@ -22,19 +22,19 @@ Conventions shared by every op here:
 * each output cell copies one winner, recorded as one integer code (the
   offset, plus what ``_sup_max`` carries from the winning source); every
   windowed op (the pools, ``dilate``, ``act_pool``, both layer forms) runs
-  its forward pass in one loop, ``_blockwise``, over cache-sized blocks of
-  its frame (``_blocks``), decodes its codes with one ``_decoder``, and
-  routes its backward on the same blocks through one ``routed_node``, whose
-  route returns each cell's gradient for that winner alone (``relu``,
-  elementwise, is a plain node);
+  its forward pass in one loop, ``_blockwise``, over blocks of its frame,
+  runs of whole channels (``_blocks``), decodes its codes with one
+  ``_decoder``, and routes its backward on the same blocks through one
+  ``routed_node``, whose route returns each cell's gradient for that
+  winner alone (``relu``, elementwise, is a plain node);
 * a backward rule reads the winner record and the input's shape (the
   layer forms also read the winning piece inputs they recorded), never the
   input or the output, so a stage holds neither of them alive.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
-cache-sized block of the channel-first frame (``_blocks``), in which a conv2d
-output is contiguous, at a time, and its code flags a closed rectifier.  Like
+block of the channel-first frame (``_blocks``), in which a conv2d output is
+contiguous, at a time, and its code flags a closed rectifier.  Like
 the layer forms it takes conv1 fused, as a ``Feed`` (``train.conv_feed``).
 Min-pooling is the negation dual of max-pooling, so ``selfdual_pool`` and
 ``posneg_pool_param`` are each a difference of two ``act_pool``s.  No
@@ -278,45 +278,33 @@ def _decoder(x_shape, stride, offsets):
     return sources
 
 
-# input bytes per block: the block's working set (its input, two scratch
-# arrays of the same size and the pooled outputs) stays in a core's L2 cache
-# across the chain of elementwise passes instead of streaming each pass
-# through memory
+# input bytes per block: a run of channels of at most this size keeps its
+# working set (its input, two scratch arrays of the same size and the pooled
+# outputs) in a core's L2 cache across the chain of elementwise passes; a
+# bigger channel is one block of its own and streams through memory
 _BLOCK_BYTES = 1 << 20
 
 
-def _blocks(xf: Array, rank: int, start: int = 0) -> list[tuple]:
+def _blocks(xf: Array, rank: int, start: int = 0) -> list[slice]:
     """The blocks a blockwise op runs on, over the frame ``xf`` whose
     leading axis holds the channels and whose last ``rank`` axes are
-    pooled: runs of whole channels of at most ``_BLOCK_BYTES``, or, for a
-    channel bigger than that, even cuts of the channel along its next axis,
-    unless that axis is pooled.  No block cuts a pooled axis, so each
-    output block's winners lie in the same block of the input.  Channels
-    are numbered from ``start``, for a group of a larger frame's channels
-    (``Feed``).  One block of every cell, ``(...,)``, for a frame with no
-    leading axis or no channels.
+    pooled: slices of runs of whole channels, as many as fit
+    ``_BLOCK_BYTES`` (one channel at least), in order.  No block cuts a
+    channel, so each output block's winners lie in the same block of the
+    input.  Channels are numbered from ``start``, for a group of a larger
+    frame's channels (``Feed``).  One block of every cell, ``slice(None)``,
+    for a frame with no leading axis or no channels.
     """
-    lead = xf.ndim - rank
-    size = xf[0].nbytes if lead and len(xf) else 0
-    stop = start + (len(xf) if lead else 0)
-    if size > _BLOCK_BYTES and lead > 1:
-        rows = xf.shape[1]
-        cuts = -(-size // _BLOCK_BYTES)
-        step = -(-rows // cuts)
-        blocks = [(slice(c, c + 1), slice(s, s + step))
-                  for c in range(start, stop) for s in range(0, rows, step)]
-    else:
-        step = max(1, _BLOCK_BYTES // max(size, 1))
-        blocks = [(slice(c, min(c + step, stop)),)
-                  for c in range(start, stop, step)]
-    return blocks or [(...,)]
+    stop = start + (len(xf) if xf.ndim > rank else 0)
+    size = xf[0].nbytes if stop > start else 0
+    step = max(1, _BLOCK_BYTES // max(size, 1))
+    return [slice(c, min(c + step, stop))
+            for c in range(start, stop, step)] or [slice(None)]
 
 
-def _shift(block: tuple, by: int) -> tuple:
+def _shift(block: slice, by: int) -> slice:
     """``block`` with its channels moved by ``by``."""
-    if not by:
-        return block
-    return (slice(block[0].start + by, block[0].stop + by), *block[1:])
+    return slice(block.start + by, block.stop + by) if by else block
 
 
 class Feed:
@@ -363,7 +351,7 @@ def _swap(shape, axis: int) -> tuple[int, ...]:
 
 
 def _blockwise(x: Tensor | Feed, axis: int, out_ext, rank: int, kernel,
-               dtype) -> tuple[Array, Array | None, list[tuple]]:
+               dtype) -> tuple[Array, Array | None, list[list[slice]]]:
     """The one forward loop of the routed ops.  It works in the frame that
     swaps ``axis`` of x to the front: a ``Feed``'s groups in channel order,
     a tensor as one group, each cut into ``_blocks``.  ``kernel(block,
@@ -372,7 +360,7 @@ def _blockwise(x: Tensor | Feed, axis: int, out_ext, rank: int, kernel,
     place into the frame's output, its leading axes and ``out_ext``, and
     one code array of ``dtype``; the block's NaN cells are then marked dead
     (``_mark_dead``).  Returns ``(out, code, blocks)``, code None without a
-    ``dtype``.
+    ``dtype`` and ``blocks`` each group's blocks.
     """
     feed = x if isinstance(x, Feed) else Feed.of(x, axis)
     out = np.empty(_swap(feed.shape, axis)[:-rank] + tuple(out_ext))
@@ -380,12 +368,12 @@ def _blockwise(x: Tensor | Feed, axis: int, out_ext, rank: int, kernel,
     blocks = []
     for sl in feed.groups:
         xg = feed.take(sl)
-        for block in _blocks(xg, rank, sl.start):
+        blocks.append(_blocks(xg, rank, sl.start))
+        for block in blocks[-1]:
             out[block], win = kernel(block, xg[_shift(block, -sl.start)])
             if code is not None:
                 code[block] = win
                 _mark_dead(code[block], out[block])
-            blocks.append(block)
     return out, code, blocks
 
 
@@ -398,10 +386,10 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
     the node's output swapped to the front (0 leaves it as it is), the node
     holds the swapped-back view, and it sees its input ``x``, and returns
     x's gradient, in the output's frame.  ``blocks`` are the forward pass's
-    (``_blockwise``): index tuples over the frame's leading axes, in C
-    order, such that each block of the output takes its winners from the
-    same block of the input (no block cuts a pooled axis).  A ``Feed`` x
-    (``axis`` 1) cuts the frame into groups, each a run of whole blocks.
+    (``_blockwise``), one list per group of a ``Feed`` x (``axis`` 1; a
+    tensor is one group): slices of the frame's channels, in order, such
+    that each block of the output takes its winners from the same block of
+    the input (no block cuts a channel).
 
     ``route(block, g)`` gets the block's output gradient in the frame and
     returns its gradients as ``(src, gx, closed, parts)``: each live cell's
@@ -433,13 +421,12 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
         gf = g.swapaxes(0, axis)
         total = np.zeros(starts[-1])
         buf = None  # the first group's x gradient, reused by the others
-        for sl in groups:
+        for sl, group_blocks in zip(groups, blocks):
             if takes[0]:
                 if buf is None:
                     buf = np.empty((sl.stop - sl.start,) + x_shape[1:])
                 gxg = buf[:sl.stop - sl.start]
-            for block in (blocks if len(groups) == 1 else [
-                    b for b in blocks if sl.start <= b[0].start < sl.stop]):
+            for block in group_blocks:
                 src, gx, closed, parts = route(block, gf[block])
                 for k, index, values in parts:
                     np.add.at(total[starts[k]:], index, values)

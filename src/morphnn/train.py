@@ -61,9 +61,10 @@ _SLICE_BYTES = 1 << 24
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
 # when the slice starts and ends on a multiple of this many columns, the
-# group OpenBLAS's Haswell dgemm kernel computes together; a slice ending
-# elsewhere differed in the last bit in its last columns.  A slice of a
-# multiple of this many images starts both convs on such a multiple.
+# group that the dgemm kernel OpenBLAS picks at run time (SkylakeX on an
+# AVX-512 AMD EPYC) computes together; a slice ending elsewhere differed in
+# the last bit in its last columns.  A slice of a multiple of this many
+# images starts both convs on such a multiple.
 _GEMM_COLUMN_GROUP = 8
 
 

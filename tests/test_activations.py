@@ -368,9 +368,9 @@ class TestChannelMajorFrame:
     memory is read, and the output and x gradient written, without a
     reordering copy, and the result does not depend on the layout."""
 
-    # (batch, channels) of 12x12 images: one channel bigger than a block,
-    # so it is cut along the batch; many channels per block over several
-    # blocks; one channel with per-channel parameters, cut as well
+    # (batch, channels) of 12x12 images: channels bigger than a block, one
+    # block each; runs of many channels over several blocks; one channel
+    # with per-channel parameters, bigger than a block, as one block
     ROWS = mo._BLOCK_BYTES // (8 * 12 * 12)
     SHAPES = [(ROWS + 5, 2), (ROWS // 20 + 1, 48), (ROWS + 5, 1)]
 
@@ -396,7 +396,7 @@ class TestChannelMajorFrame:
     def test_gradients_match_logical_order_oracle(self, monkeypatch,
                                                   block_bytes, variant, fwd):
         # each channel holds 864 bytes: one block, two blocks of two
-        # channels, or each channel cut in two
+        # channels, or one-channel blocks
         monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
         rng = ad.make_rng(64 + variant)
         params, bank, x, g = _layer_case(rng, (3, 4, 6, 6), 3, 2, variant)
@@ -437,7 +437,7 @@ def _blockwise_case(kind, variant):
     rng = ad.make_rng(90 + variant)
     m, n = 2, 3
     window, pool, axis = (2, 2), PoolSpec((2, 2), (2, 2)), 1
-    if kind == "shared":  # [m, n] parameters; the frame is x, cut by batch
+    if kind == "shared":  # [m, n] parameters; the frame is x, runs of images
         shape, pshape, axis = (80, 2, 32, 32), (m, n), None
     elif kind == "overlap":
         shape, pshape = (5, 4, 9, 9), (4, m, n)

@@ -364,10 +364,40 @@ class TestSingleBlockDifferential:
         assert layouts == {False, True}
 
     def test_against_loop_oracles_over_blocks(self, monkeypatch):
-        # 16-byte blocks: a frame of several channels, or of one channel
-        # of several rows, runs as several blocks
+        # 16-byte blocks: a frame of several channels runs as one-channel
+        # blocks
         monkeypatch.setattr(mo, "_BLOCK_BYTES", 16)
         self.test_against_loop_oracles()
+
+
+def test_blocks_are_runs_of_whole_channels():
+    # frames as read-only broadcasts, which hold no memory: the protocol's
+    # frames under grad, stage 1 ([128, 256, 26, 26]: a 1.38 MB channel)
+    # and stage 2 ([128, 256, 11, 11]), each also as a Feed group's
+    # channels from 40 on, and small channels
+    def frame(*shape):
+        return np.broadcast_to(np.float64(0), shape)
+
+    runs = {(128, 256, 26, 26): 1, (128, 256, 11, 11): 4, (7, 3, 4, 4): 7}
+    for shape, run in runs.items():
+        xf = frame(*shape)
+        for start in (0, 40):
+            blocks = mo._blocks(xf, 2, start)
+            assert all(isinstance(b, slice) and b.step is None
+                       for b in blocks)
+            assert [b.start for b in blocks] == [
+                start] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == start + len(xf)
+            sizes = [b.stop - b.start for b in blocks]
+            assert all(k == 1 or k * xf[0].nbytes <= mo._BLOCK_BYTES
+                       for k in sizes)
+            assert sizes[:-1] == [run] * (len(sizes) - 1)
+            assert 0 < sizes[-1] <= run
+    assert len(mo._blocks(frame(128, 256, 26, 26), 2)) == 128
+    # no leading axis, or no channels: one block of every cell
+    for xf in (frame(6, 6), frame(0, 3, 6, 6)):
+        blocks = mo._blocks(xf, 2)
+        assert len(blocks) == 1 and xf[blocks[0]].shape == xf.shape
 
 
 class TestActPool:
@@ -480,7 +510,7 @@ class TestActPool:
     def test_seeded_differential_over_blocks(self, monkeypatch, block_bytes):
         # random sizes, windows, strides and caps, both layouts, integers
         # among NaN, +-inf, +-0.0, 1 and 6; small blocks cut the
-        # channel-first frame into runs of channels or cut one channel
+        # channel-first frame into runs of channels or one-channel blocks
         monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
         rng = ad.make_rng(45)
         special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 6.0])

@@ -85,6 +85,9 @@ def test_criterion9_timing_writes_its_bench_file(tmp_path):
     doc = json.loads(out.read_text())
     assert json.loads(lines[0]) == doc
     assert doc["config"]["variant"] == "morpho1"
+    assert set(doc["config"]["blas"]) == {"name", "version", "config"}
+    assert doc["config"]["openblas_num_threads"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
     assert (doc["config"]["n_train"], doc["config"]["n_test"]) == (20, 6)
     assert 0 < doc["wall_seconds"] < doc["gate_seconds"] == 900.0
     assert [row["epoch"] for row in doc["epochs"]] == [0, 1]

@@ -391,7 +391,7 @@ class TestConvFeed:
         bsz = 16
         conv1_bytes = 8 * bsz * 64 * 26 * 26
         monkeypatch.setattr(tr, "_SLICE_BYTES", conv1_bytes // 8)
-        # blocks of half a channel, so their scratch arrays stay small
+        # one-channel blocks, so their scratch arrays stay small
         monkeypatch.setattr(mo, "_BLOCK_BYTES", 1 << 16)
         model = build_model(spec, make_rng(5))
         rng = make_rng(6)

@@ -34,13 +34,16 @@ that holds it: ``inner * len(bank offsets) + bank position``, the bank
 position naming both the offset and its member, the outer branch; -1 where
 no offset lands.  Form
 1's pool carries each source's code from the cell's winning source.  When
-beta also takes a gradient, each block then writes x at every cell's winning
-source, the winning piece's input, into one output-sized array, so the graph
-keeps that array and the codes, never the input: conv2's output dies once
-its stage has run.  conv1's output is never whole: the model hands stage 1
-a ``morphops.Feed`` (``train.conv_feed``), which makes it one group of whole
-filters at a time and takes its gradient the same way, each group a run of
-the blocks.  The backward pass is one ``morphops.routed_node`` on the
+beta also takes a gradient and x is a tensor, each block then writes x at
+every cell's winning source, the winning piece's input, into one
+output-sized array, so the graph keeps that array and the codes, never the
+input: conv2's output dies once its stage has run.  conv1's output is never
+whole: the model hands stage 1 a ``morphops.Feed`` (``train.conv_feed``),
+which makes it one group of whole filters at a time and takes its gradient
+the same way, each group a run of the blocks.  A Feed records no piece
+inputs: the backward pass rebuilds each group once, the forward pass's
+bytes, and reads x at the winning sources there.  The backward pass is one
+``morphops.routed_node`` on the
 forward pass's blocks, whose route decodes a block's codes into sources
 (``morphops._decoder``, over the bank offsets repeated once per inner index)
 and, through lookup tables, parameter indices, and returns its gradients:
@@ -241,13 +244,17 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
     """One graph node for a layer form, from its winner code (see the
     module docstring), C-contiguous like ``out`` in the frame that swaps
     ``axis`` of x to the front, and ``piece``, each live cell's winning
-    piece input x(src) in the same frame (None for a frozen beta).  Its
-    route decodes a block's codes into sources (``sources``, the forward
-    pass's ``morphops._decoder``) and through two lookup tables built once,
-    code to bank position and code to flat (j, i), so no array spans every
-    cell but the gradients.  A dead code, -1, takes no gradient
-    (``morphops._live``).  The node reads only x's shape: it holds neither
-    the input's array nor ``out``.
+    piece input x(src) in the same frame, or None: for a frozen beta, and
+    for a trainable one on a ``Feed`` x, whose route rebuilds each group
+    with ``take`` at the group's first block, reads x at the sources there
+    and drops the group after its last block.  Its route decodes a block's
+    codes into sources (``sources``, the forward pass's
+    ``morphops._decoder``) and through two lookup tables built once, code
+    to bank position and code to flat (j, i), so no array spans every cell
+    but the gradients.  A dead code, -1, takes no gradient
+    (``morphops._live``).  The node holds neither the input's array nor
+    ``out``; a Feed's route holds what its ``take`` reads (conv1's im2col
+    and weights), not a group of its output.
     """
     x_shape = mo._swap(x.shape, axis)
     m, n = params.m_terms, params.n_terms
@@ -271,12 +278,16 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
     takes_x, takes_beta, takes_alpha = (
         t.requires_grad for t in (x, params.beta, params.alpha))
     takes_w = any(sf.weights.requires_grad for sf in structuring)
+    rebuild = takes_beta and piece is None  # a Feed: no piece recorded
+    # not x itself: the route would keep a tensor's array alive
+    take, groups = (x.take, x.groups) if rebuild else (None, None)
+    held = []  # the Feed group being routed and its input, rebuilt once
 
     def route(block, g):
         cb = code[block]
         live = mo._live(cb)
         bank = bank_of[cb]
-        src = sources(cb).ravel()[live] if takes_x else None
+        src = sources(cb).ravel()[live] if takes_x or rebuild else None
         bank = bank.ravel()[live]
         # flat (channel, j, i) parameter index; shared ones have no channel
         cell = cell_of[cb]
@@ -290,7 +301,16 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
         if takes_beta:
             # d out / d beta is the winning piece's input: x at the source,
             # or for variant 2 the pooled value x + w there
-            piece_input = piece[block].ravel()[live]
+            if rebuild:  # at a group's first block; dropped after its last
+                if not held:
+                    sl = next(s for s in groups if block.start < s.stop)
+                    held[:] = sl, take(sl)
+                sl, xg = held
+                piece_input = xg[mo._shift(block, -sl.start)].reshape(-1)[src]
+                if block.stop == sl.stop:
+                    held.clear()
+            else:
+                piece_input = piece[block].ravel()[live]
             if pool_first:
                 piece_input = piece_input + weights[bank]
             parts.append((0, cell, gb * piece_input))
@@ -317,7 +337,9 @@ def _layer(x, params: MorphoActivationParams,
     index and member.  A block's pieces ``b[j][i]`` are ``beta[c, j, i]``
     shaped (channels, 1, ...): a scalar for one channel.  ``x`` may be a
     ``Feed`` (per-channel parameters, ``channel_axis`` 1), which
-    ``morphops._blockwise`` runs group by group in channel order.
+    ``morphops._blockwise`` runs group by group in channel order; for a
+    Feed no block writes the winning piece inputs, which the backward pass
+    reads from each group rebuilt.
     """
     x = x if isinstance(x, mo.Feed) else ad.lift(x)
     out_ext = pool.out_extent(x.shape[-pool.rank:])
@@ -337,7 +359,7 @@ def _layer(x, params: MorphoActivationParams,
                  for start in np.cumsum([0] + sizes[:-1])]
         sources = mo._decoder(frame, pool.stride, [
             y for sf in structuring for y in sf.offsets] * n_inner)
-        if params.beta.requires_grad:
+        if params.beta.requires_grad and not isinstance(x, mo.Feed):
             piece = np.empty(frame[:-pool.rank] + out_ext)
 
     def kernel(block, xb):

@@ -27,9 +27,10 @@ Conventions shared by every op here:
   ``_decoder``, and routes its backward on the same blocks through one
   ``routed_node``, whose route returns each cell's gradient for that
   winner alone (``relu``, elementwise, is a plain node);
-* a backward rule reads the winner record and the input's shape (the
-  layer forms also read the winning piece inputs they recorded), never the
-  input or the output, so a stage holds neither of them alive.
+* a backward rule reads the winner record and the input's shape (a layer
+  form also reads the winning piece inputs it recorded on a tensor, or on
+  a ``Feed`` rebuilds one group of the input at a time), never the input
+  or the output, so a stage holds neither of them alive.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
@@ -319,7 +320,9 @@ class Feed:
     to the front.  ``take(sl)`` returns channels ``sl`` in that frame, and
     ``give(sl, gx)`` takes their gradient in that frame and returns each
     tensor's gradient so far, None for a frozen one, whole once every group
-    is given.  Each hands over a buffer that the next group may reuse.
+    is given.  ``take`` gives the same bytes on every call and hands over
+    no buffer that it reuses, so a backward pass may rebuild a group rather
+    than keep it; ``give`` gets a buffer that the next group reuses.
     ``Feed.of`` makes any tensor one group.
     """
 
@@ -393,9 +396,10 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
 
     ``route(block, g)`` gets the block's output gradient in the frame and
     returns its gradients as ``(src, gx, closed, parts)``: each live cell's
-    (``_live``) source in the frame's input block and x gradient, None for a
-    frozen x; sources whose summed gradient is then times 0, signed zero
-    included (a closed rectifier), or None; and parts ``(k, index,
+    (``_live``) source in the frame's input block and x gradient (None for
+    a frozen x, whose sources are then not read); sources whose summed
+    gradient is then times 0, signed zero included (a closed rectifier), or
+    None; and parts ``(k, index,
     values)``, added at ``index`` into ``params`` laid end to end from
     ``params[k]`` on.  A route captures what it reads and skips the work of
     a frozen leaf; the node keeps shapes and ``requires_grad`` flags, never

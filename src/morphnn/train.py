@@ -182,8 +182,11 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     output, channel-major, one group of whole filters at a time and hands
     back their gradient the same way.  No array holds the whole output (177
     MB for conv1 at batch 256) or its whole gradient; the op keeps x's
-    im2col (12 MB), one group's output and one group's gradient.  x takes
-    no gradient.
+    im2col (12 MB) and a copy of w's rows and of b, taken when it runs, and
+    makes each group's output as a new array from them.  So a layer form's
+    backward pass rebuilds a group (one GEMM of 8 filters at batch 256)
+    rather than keep its winning piece inputs, and sees the forward pass's
+    bytes even if w changes in place in between.  x takes no gradient.
 
     The groups are ``_batch_slices`` of the filters, each holding at most
     ``_SLICE_BYTES`` of output, a multiple of ``_GEMM_COLUMN_GROUP`` filters
@@ -208,19 +211,19 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     if c != c2:
         raise ValueError("channel mismatch")
     oh, ow = h - kh + 1, wd - kw + 1
-    wmat, w_shape = w.data.reshape(f, -1), w.data.shape
+    # copies, so a group rebuilt in the backward pass is the forward's
+    wmat, w_shape = w.data.reshape(f, -1).copy(), w.data.shape
+    bias = None if b is None else b.data.copy()
     cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
     groups = _batch_slices(f, 8 * bsz * oh * ow)
-    buf = np.empty((groups[0].stop, cols.shape[1]))
     tensors = (w,) if b is None else (w, b)
     dw = np.empty(w_shape) if w.requires_grad else None
     db = np.empty(f) if b is not None and b.requires_grad else None
 
     def take(sl: slice) -> Array:
-        xg = buf[:sl.stop - sl.start]
-        np.matmul(wmat[sl], cols, out=xg)
-        if b is not None:
-            xg += b.data[sl, None]
+        xg = wmat[sl] @ cols
+        if bias is not None:
+            xg += bias[sl, None]
         return xg.reshape(len(xg), bsz, oh, ow)
 
     def give(sl: slice, gx: Array) -> tuple:

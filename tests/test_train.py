@@ -1,7 +1,10 @@
 """Training harness: ops vs oracles, model wiring, optimization, protocols."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import asdict
@@ -413,6 +416,67 @@ class TestConvFeed:
         assert model.conv1.w.grad is not None
         assert max(forward, backward) < conv1_bytes
 
+    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("conv1_trains", [True, False])
+    def test_fused_layer_form_keeps_no_piece_array(self, monkeypatch,
+                                                   variant, conv1_trains):
+        # with a trainable beta a layer form on a Feed records no winning
+        # piece inputs: after the forward pass the node holds its output
+        # and its codes, less than one more output-sized float64 array,
+        # and the backward pass rebuilds each group from the feed
+        bsz, filters = 16, 64
+        conv1_bytes = 8 * bsz * filters * 26 * 26
+        monkeypatch.setattr(tr, "_SLICE_BYTES", conv1_bytes // 8)
+        monkeypatch.setattr(mo, "_BLOCK_BYTES", 1 << 16)
+        pool = mo.PoolSpec((3, 3), (3, 3))
+        rng = make_rng(630)
+        x = Tensor(rng.random((bsz, 1, 28, 28)))
+        w = Tensor(rng.uniform(-1 / 3, 1 / 3, (filters, 1, 3, 3)),
+                   requires_grad=conv1_trains)
+        layer = MorphoLayerParams.init(variant, 2, 3, pool, channels=filters)
+        feed = tr.conv_feed(x, w)
+        assert len(feed.groups) == 8 and layer.activation.beta.requires_grad
+        out = []
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            out.append(FORWARDS[variant](feed, layer.activation,
+                                         layer.structuring, pool,
+                                         channel_axis=1))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        out_bytes = out[0].data.nbytes
+        assert held - out_bytes < out_bytes
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_rebuild_reads_the_forward_passs_weights(self, monkeypatch,
+                                                     variant):
+        # the backward pass rebuilds each group of conv1's output from the
+        # weights the forward pass read: overwriting w in place in between
+        # moves no gradient
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
+
+        def grads(overwrite):
+            rng = make_rng(640)
+            x = Tensor(rng.random((6, 1, 9, 7)))
+            w = Tensor(rng.uniform(-1 / 3, 1 / 3, (20, 1, 3, 3)),
+                       requires_grad=True)
+            layer = _perturbed_layer(variant, 20, rng)
+            g = rng.normal(size=(6, 20) + POOL.out_extent((7, 5)))
+            feed = tr.conv_feed(x, w)
+            assert len(feed.groups) == 3
+            out = FORWARDS[variant](feed, layer.activation,
+                                    layer.structuring, POOL, channel_axis=1)
+            if overwrite:
+                w.data[...] = np.nan
+            ad.mul(out, Tensor(g)).sum().backward()
+            return [w.grad] + [t.grad for t in
+                               layer.named_tensors().values()]
+
+        for have, ref in zip(grads(True), grads(False), strict=True):
+            assert have.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("cap", [None, 6.0])
     def test_rectifier_stage1_never_holds_conv1s_whole_output(
             self, monkeypatch, cap):
@@ -767,6 +831,58 @@ class TestNoGradFeatures:
         # plus 16 KiB for the interpreter's and numpy's small objects
         bound = feats[0].nbytes + one_slice + (1 << 14)
         assert peak <= bound < 128 * 16 * 26 * 26 * 8  # conv1's output
+
+
+# one forward and backward pass of Model.features, seeded, with the stage
+# parameters moved off their clamp init; prints the SHA-256 of the features
+# under grad and under no_grad and of every gradient below the dense head
+_THREAD_PROBE = """
+import hashlib, json
+from morphnn import autodiff as ad, train as tr
+from morphnn.autodiff import Tensor, make_rng
+hashes = {}
+for variant, filters in [("morpho1", 128), ("morpho1", 16), ("morpho2", 16)]:
+    model = tr.build_model(tr.ModelSpec(variant=variant, filters=filters,
+                                        n_terms=3, m_terms=2), make_rng(0))
+    rng = make_rng(1)
+    for p in model.stage_parameters():
+        p.data = p.data + rng.normal(scale=0.3, size=p.data.shape)
+    x = Tensor(rng.random((256, 1, 28, 28)))
+    h = model.features(x)
+    ad.mul(h, Tensor(rng.normal(size=h.data.shape))).sum().backward()
+    with ad.no_grad():
+        h0 = model.features(x).data
+    below = [p.grad for name, p in model.named_parameters().items()
+             if not name.startswith("dense")]
+    hashes[f"{variant}/{filters}"] = [
+        hashlib.sha256(a.tobytes()).hexdigest() for a in [h.data, h0] + below]
+print(json.dumps(hashes))
+"""
+
+
+def test_features_and_gradients_do_not_depend_on_blas_threads():
+    # the features, with and without grad, and every gradient below the
+    # dense head are the same bytes on 1, 2 and 4 OpenBLAS threads, at the
+    # benchmark's shape (morpho1, 128 filters, batch 256: 16 conv1 groups,
+    # 32 conv2 slices) and at the parameter hashes' 16 filters; a fused
+    # layer form's backward pass rebuilds conv1's groups and relies on it.
+    # The dense head is left out: its GEMM, [256, 400] @ [400, 10] at 16
+    # filters, is known to give other last bits on other thread counts.
+    # The variable must be set before numpy loads, so each count runs in
+    # its own process; a gradient that is None fails the probe.  OpenBLAS
+    # runs at most one thread per core, so 4 may run as fewer
+    src = str(os.path.dirname(os.path.dirname(tr.__file__)))
+    runs = {}
+    for threads in ("1", "2", "4"):
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True,
+            text=True, timeout=120,
+            env=os.environ | {"OPENBLAS_NUM_THREADS": threads,
+                              "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout)
+    assert runs["2"] == runs["1"]
+    assert runs["4"] == runs["1"]
 
 
 def _buffer(a):

@@ -188,6 +188,11 @@ def _outer_min(branches) -> tuple[Array, Array | None]:
     return out, record
 
 
+# pl_activation's unit window: one frozen zero-weight offset at stride 1
+_UNIT = StructuringFunction([(0,)])
+_UNIT_POOL = PoolSpec((1,), (1,))
+
+
 def pl_activation(x, params: MorphoActivationParams,
                   channel_axis: int | None = None) -> Tensor:
     """Elementwise min over j of max over i of beta[j,i] * x + alpha[j,i].
@@ -206,9 +211,8 @@ def pl_activation(x, params: MorphoActivationParams,
     x = ad.lift(x)
     if channel_axis is not None:
         channel_axis %= x.ndim
-    unit = StructuringFunction([(0,)])
     out = morpho_act1_forward(ad.reshape(x, x.shape + (1,)), params,
-                              [unit] * params.m_terms, PoolSpec((1,), (1,)),
+                              [_UNIT] * params.m_terms, _UNIT_POOL,
                               channel_axis)
     return ad.reshape(out, x.shape)
 

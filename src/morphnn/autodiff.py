@@ -30,6 +30,11 @@ BackwardRule = Callable[[Array], Array]
 
 _grad_enabled = True
 
+# the one slice budget, in bytes: the largest array that a loop over slices
+# builds at a time (a chunk of ``probe_losses``' probe rows here; train's
+# slices of images and filters, where the measurement that set it is told)
+_SLICE_BYTES = 1 << 24
+
 
 def is_grad_enabled() -> bool:
     return _grad_enabled
@@ -365,30 +370,41 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
 # -- numerical check -------------------------------------------------------
 
 
-def probe_losses(loss: Callable[[], float], x: Array,
+def probe_losses(losses: Callable[[Array], Iterable[float]], x: Array,
                  h: float) -> tuple[Array, Array]:
-    """``loss()`` with each coordinate of ``x`` moved to x+h and to x-h.
+    """Losses at x with each coordinate moved to x+h and to x-h.
 
-    ``x`` is probed in place, one coordinate at a time, and each coordinate
-    is restored after its probe; ``loss`` must read ``x`` when called.
-    Runs under ``no_grad``.  Returns the two losses as arrays shaped like x.
+    The probes are the rows of a stack shaped ``(2 * x.size,) + x.shape``:
+    row i is x with its i-th coordinate (row-major) at ``x[i] + h``, row
+    ``x.size + i`` has it at ``x[i] - h``.  ``losses(stack)`` returns one
+    loss per row.  The stack is handed out in consecutive chunks of rows,
+    each at most ``_SLICE_BYTES`` (one row at least), so a large x never
+    builds the whole 2N x N stack.  ``losses`` runs under ``no_grad`` and
+    must not keep a chunk: the next chunk reuses its buffer.  Returns the
+    x+h and the x-h losses, each an array shaped like x.
     """
-    hi = np.empty(x.shape)
-    lo = np.empty(x.shape)
-    with no_grad():
-        for i in np.ndindex(x.shape):
-            saved = x[i]
-            x[i] = saved + h
-            hi[i] = loss()
-            x[i] = saved - h
-            lo[i] = loss()
-            x[i] = saved
-    return hi, lo
+    n = x.size
+    flat = x.reshape(-1)
+    step = max(1, _SLICE_BYTES // max(x.nbytes, 1))
+    out = np.empty(2 * n)
+    buf = np.empty((min(step, 2 * n), n))
+    for start in range(0, 2 * n, step):
+        rows = np.arange(start, min(start + step, 2 * n))
+        i = rows % n
+        stack = buf[:len(rows)]
+        stack[...] = flat
+        stack[np.arange(len(rows)), i] = np.where(rows < n, flat[i] + h,
+                                                  flat[i] - h)
+        with no_grad():
+            out[rows] = list(losses(stack.reshape((len(rows),) + x.shape)))
+    return out[:n].reshape(x.shape), out[n:].reshape(x.shape)
 
 
 def finite_difference_grad(fn: Callable[[Tensor], Tensor], x: Tensor,
                            h: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar-valued ``fn`` at ``x``."""
-    probe = x.data.copy()
-    hi, lo = probe_losses(lambda: float(fn(Tensor(probe)).data), probe, h)
+    """Central-difference gradient of a scalar-valued ``fn`` at ``x``:
+    ``probe_losses`` with one call of ``fn`` per probe row."""
+    hi, lo = probe_losses(
+        lambda stack: [float(fn(Tensor(row)).data) for row in stack],
+        x.data, h)
     return (hi - lo) / (2.0 * h)

@@ -154,8 +154,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not args.step > 0:
-        raise ValueError(f"--step must be positive, got {args.step}")
+    if not 0 < args.step < np.inf:
+        raise ValueError(f"--step must be finite and positive, got "
+                         f"{args.step}")
     if not 0 <= args.tolerance < np.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got "
                          f"{args.tolerance}")

@@ -2,7 +2,13 @@
 
 Each case builds a random instance of one layer, projects the output onto a
 fixed random direction to get a scalar loss, and compares reverse-mode
-gradients against central differences, one leaf coordinate at a time.
+gradients against central differences at every leaf coordinate, probed by
+``autodiff.probe_losses``.  A built-in case names its input leaf
+(``"batch"``): that leaf's probes run as one batch along axis 0 in one
+forward pass, which gives each probe's output to the bit, since every
+built-in layer treats each axis-0 input apart from the rest.  Parameter
+leaves, and cases that name no batched leaf, take one forward pass per
+probe.
 
 Every loss here is piecewise linear in each coordinate, so one-sided and
 central differences agree to rounding error unless a kink sits within the
@@ -38,18 +44,31 @@ _MIN_FRACTION = 0.9
 
 
 def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
-                rng: np.random.Generator, h: float, kink_tol: float) -> dict:
-    """Compare analytic and numeric gradients for one layer instance."""
+                rng: np.random.Generator, h: float, kink_tol: float,
+                batch: str | None = None) -> dict:
+    """Compare analytic and numeric gradients for one layer instance; the
+    leaf named ``batch`` takes all its probes in one forward pass."""
     best = None
     for _ in range(_RESAMPLES):
         arrays = draw(rng)
-        # constant leaves wrap ``arrays`` themselves, which the probes
-        # move in place, so the forward built here serves every probe
-        forward = builder({k: Tensor(v) for k, v in arrays.items()})
+        # constant leaves wrap ``arrays`` themselves, which the unbatched
+        # probes move in place, so the forward built here serves them all
+        consts = {k: Tensor(v) for k, v in arrays.items()}
+        forward = builder(consts)
         proj = rng.normal(size=forward().data.shape)
 
-        def loss_np() -> float:
-            return float((forward().data * proj).sum())
+        def losses(stack, name, arr) -> list[float]:
+            if name == batch:  # the stack joined along axis 0, one pass
+                joined = Tensor(stack.reshape((-1,) + stack.shape[2:]))
+                out = builder({**consts, name: joined})().data
+                return [float((chunk * proj).sum())
+                        for chunk in np.split(out, len(stack))]
+            saved, out = arr.copy(), []
+            for row in stack:
+                arr[...] = row
+                out.append(float((forward().data * proj).sum()))
+            arr[...] = saved
+            return out
 
         leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         loss = ad.mul(builder(leaves)(), Tensor(proj)).sum()
@@ -65,7 +84,8 @@ def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
             analytic = leaves[name].grad
             if analytic is None:
                 analytic = np.zeros_like(arr)
-            hi, lo = ad.probe_losses(loss_np, arr, h)
+            hi, lo = ad.probe_losses(
+                lambda stack: losses(stack, name, arr), arr, h)
             central = (hi - lo) / (2 * h)
             # piecewise-linear losses: the one-sided slopes differ only
             # when a kink lies inside [x-h, x+h]
@@ -105,10 +125,6 @@ def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
     return best
 
 
-def _pool() -> PoolSpec:
-    return PoolSpec((2, 2), (2, 2))
-
-
 def _sf_bank(leaves: dict[str, Tensor], count: int) -> list[StructuringFunction]:
     window = StructuringFunction.pool_window((2, 2)).offsets
     return [StructuringFunction(window, weights=leaves[f"w{j}"])
@@ -117,11 +133,13 @@ def _sf_bank(leaves: dict[str, Tensor], count: int) -> list[StructuringFunction]
 
 def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
     """Case table: two-slope rectifier, self-dual and parametric pooling,
-    threshold pooling, and the activation families over the size grid.  A
-    size below 1 raises ``ValueError``."""
+    threshold pooling, and the activation families over the size grid,
+    each with its batched input leaf.  A size below 1 raises
+    ``ValueError``."""
     if min(sizes) < 1:
         raise ValueError(f"term counts must be >= 1, got sizes {sizes}")
     cases: list[dict] = []
+    pool = PoolSpec((2, 2), (2, 2))
 
     def draw_two_slope(rng):
         return {"f": rng.normal(size=(7,)) * 2,
@@ -133,15 +151,14 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                                  lv["beta_neg"])
 
     cases.append({"name": "two_slope_rectifier", "build": build_two_slope,
-                  "draw": draw_two_slope})
+                  "draw": draw_two_slope, "batch": "f"})
 
     def draw_field(rng):
         return {"f": rng.normal(size=(1, 2, 6, 6)) * 2}
 
     cases.append({"name": "selfdual_pool",
-                  "build": lambda lv: lambda: mo.selfdual_pool(lv["f"],
-                                                               _pool()),
-                  "draw": draw_field})
+                  "build": lambda lv: lambda: mo.selfdual_pool(lv["f"], pool),
+                  "draw": draw_field, "batch": "f"})
 
     def draw_posneg(rng):
         d = draw_field(rng)
@@ -151,8 +168,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
 
     cases.append({"name": "posneg_pool_param",
                   "build": lambda lv: lambda: mo.posneg_pool_param(
-                      lv["f"], _pool(), lv["beta_pos"], lv["beta_neg"]),
-                  "draw": draw_posneg})
+                      lv["f"], pool, lv["beta_pos"], lv["beta_neg"]),
+                  "draw": draw_posneg, "batch": "f"})
 
     def draw_actpool(rng):
         d = draw_field(rng)
@@ -161,8 +178,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
 
     cases.append({"name": "act_pool",
                   "build": lambda lv: lambda: mo.act_pool(
-                      lv["f"], _pool(), lv["alpha"]),
-                  "draw": draw_actpool})
+                      lv["f"], pool, lv["alpha"]),
+                  "draw": draw_actpool, "batch": "f"})
 
     for m, n in itertools.product(sizes, sizes):
         def draw_pl(rng, m=m, n=n):
@@ -175,7 +192,7 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
             return lambda: pl_activation(lv["x"], params)
 
         cases.append({"name": f"pl_activation_m{m}_n{n}", "build": build_pl,
-                      "draw": draw_pl})
+                      "draw": draw_pl, "batch": "x"})
 
     for m, n in itertools.product(sizes, sizes):
         for form, fwd, bank in (("morpho1", morpho_act1_forward, m),
@@ -191,23 +208,26 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
             def build_layer(lv, fwd=fwd, bank=bank):
                 params = MorphoActivationParams(lv["beta"], lv["alpha"])
                 sfs = _sf_bank(lv, bank)
-                return lambda: fwd(lv["x"], params, sfs, _pool(),
+                return lambda: fwd(lv["x"], params, sfs, pool,
                                    channel_axis=1)
 
             cases.append({"name": f"{form}_m{m}_n{n}", "build": build_layer,
-                          "draw": draw_layer})
+                          "draw": draw_layer, "batch": "x"})
 
     return cases
 
 
 def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, h: float = 1e-5,
                   sizes=(1, 2, 3, 4), kink_tol: float = 1e-6) -> dict:
-    """Run the whole suite; returns a JSON-ready report."""
+    """Run the whole suite; returns a JSON-ready report.  The rng draws
+    each case's leaves and projection in case order, so the report
+    depends only on the arguments, not on how the probes are batched."""
     cases = build_cases(sizes)
     rng = make_rng(seed)
     rows = []
     for case in cases:
-        row = _check_case(case["build"], case["draw"], rng, h, kink_tol)
+        row = _check_case(case["build"], case["draw"], rng, h, kink_tol,
+                          case.get("batch"))
         row["name"] = case["name"]
         row["pass"] = (row["max_rel_err"] <= tolerance
                        and row["fraction_checked"] >= _MIN_FRACTION)

@@ -47,6 +47,7 @@ reference for its own tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,8 +150,10 @@ class PoolSpec:
         return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _offset_slices(y, stride, n_in, n_out):
-    """Output/source slice pair where offset y lands inside the input."""
+    """Output/source slice pair where offset y lands inside the input.
+    Cached: it depends on shapes only, so its arguments are tuples."""
     outs, srcs = [], []
     for ya, ka, na, ma in zip(y, stride, n_in, n_out):
         lo = max(0, -((-ya) // ka))

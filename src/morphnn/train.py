@@ -57,7 +57,7 @@ class DivergenceError(RuntimeError):
 # no-grad slices of 8 images and conv1 groups of 8 filters at batch 256;
 # 8 MiB cuts the same (no slice is less than one column group) and 32 MiB
 # raised an eval batch's peak RSS by half
-_SLICE_BYTES = 1 << 24
+_SLICE_BYTES = ad._SLICE_BYTES
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
 # when the slice starts and ends on a multiple of this many columns, the

@@ -500,3 +500,18 @@ def add_wrong_backward_case(monkeypatch, name="wrong_backward"):
                                "draw": lambda rng: {"x": rng.normal(size=4)}}]
 
     monkeypatch.setattr(gc, "build_cases", cases)
+
+
+def oracle_probe_losses(loss, x, h):
+    """``autodiff.probe_losses`` as the per-coordinate loop it replaced:
+    each coordinate of ``x`` is moved in place to x+h, then x-h, then
+    restored, and ``loss()``, which reads x, is called at each probe."""
+    hi, lo = np.empty(x.shape), np.empty(x.shape)
+    for i in np.ndindex(x.shape):
+        saved = x[i]
+        x[i] = saved + h
+        hi[i] = loss()
+        x[i] = saved - h
+        lo[i] = loss()
+        x[i] = saved
+    return hi, lo

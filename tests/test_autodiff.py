@@ -1,12 +1,13 @@
 """Tests for the reverse-mode engine: values, gradients, graph mechanics."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import oracle_backward
+from _oracles import oracle_backward, oracle_probe_losses
 
 from morphnn import autodiff as ad
 from morphnn import train as tr
@@ -308,6 +309,54 @@ class TestAgainstFiniteDifferences:
         t = Tensor(x, requires_grad=True)
         ad.reshape(t, (6, 4)).mean().backward()
         npt.assert_allclose(t.grad, np.full_like(x, 1.0 / 24.0))
+
+
+class TestProbeLosses:
+    @staticmethod
+    def _loss(x, w):
+        # smooth and nonlinear, so each probe's loss differs in its last bits
+        return float((np.sin(x) * w).sum())
+
+    @pytest.mark.parametrize("shape", [(), (5,), (1, 2, 3, 3)])
+    def test_stack_matches_per_coordinate_oracle(self, shape):
+        rng = ad.make_rng(11)
+        x, w = rng.normal(size=shape), rng.normal(size=shape)
+        hi, lo = ad.probe_losses(
+            lambda stack: [self._loss(row, w) for row in stack], x.copy(),
+            1e-5)
+        probe = x.copy()
+        want_hi, want_lo = oracle_probe_losses(
+            lambda: self._loss(probe, w), probe, 1e-5)
+        assert hi.shape == lo.shape == shape
+        assert hi.tobytes() == want_hi.tobytes()
+        assert lo.tobytes() == want_lo.tobytes()
+        npt.assert_array_equal(probe, x)
+
+    def test_one_call_for_a_gradcheck_sized_leaf(self):
+        # the largest gradcheck leaf: a (1, 2, 6, 6) pooling field
+        x = ad.make_rng(12).normal(size=(1, 2, 6, 6))
+        shapes = []
+
+        def losses(stack):
+            shapes.append(stack.shape)
+            assert not ad.is_grad_enabled()
+            return stack.reshape(len(stack), -1).sum(axis=1)
+
+        ad.probe_losses(losses, x, 1e-5)
+        assert shapes == [(144, 1, 2, 6, 6)]
+
+    def test_large_leaf_never_builds_the_whole_stack(self):
+        # 4,096 coordinates: the whole 2N x N stack would be 268 MB
+        x = Tensor(ad.make_rng(13).normal(size=(64, 64)))
+        whole = 2 * x.size * x.data.nbytes
+        tracemalloc.start()
+        try:
+            fd = ad.finite_difference_grad(lambda t: ad.tsum(t), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 8
+        npt.assert_allclose(fd, np.ones(x.shape), rtol=1e-6)
 
 
 class TestRng:

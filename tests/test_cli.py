@@ -204,10 +204,10 @@ def test_gradcheck_cli_pass_and_fail(tmp_path, capsys, monkeypatch):
     assert detail["layer"] == "wrong_backward"
     assert detail["parameter"] == "x"
 
-    # a zero term count or probe step, or a tolerance that is not a finite
+    # a zero term count, a zero or infinite probe step, or a tolerance that is not a finite
     # number >= 0 (inf passes even a wrong gradient) is a usage error, not
     # a crash, a failed check or a vacuous pass
-    for bad in (["--sizes", "0"], ["--step", "0"],
+    for bad in (["--sizes", "0"], ["--step", "0"], ["--step", "inf"],
                 ["--tolerance", "nan"], ["--tolerance=-1e-4"],
                 ["--tolerance", "inf"]):
         out = tmp_path / "g3"

@@ -87,3 +87,63 @@ def test_same_seed_same_report():
     a = gc.run_gradcheck(seed=5, sizes=(2,))
     b = gc.run_gradcheck(seed=5, sizes=(2,))
     assert a == b
+
+
+def _count_forwards(build, counter):
+    """``build`` with every forward pass it returns counted in
+    ``counter[0]``."""
+    def counted_build(lv):
+        forward = build(lv)
+
+        def counted():
+            counter[0] += 1
+            return forward()
+        return counted
+    return counted_build
+
+
+def _probe_records(monkeypatch, case, batch):
+    """Each leaf's (hi, lo) bytes, in leaf order, from one ``_check_case``
+    run of ``case`` at seed 6, and the forward passes it ran."""
+    records, passes = [], [0]
+    real = ad.probe_losses
+
+    def spy(losses, x, h):
+        hi, lo = real(losses, x, h)
+        records.append((hi.tobytes(), lo.tobytes()))
+        return hi, lo
+
+    monkeypatch.setattr(ad, "probe_losses", spy)
+    gc._check_case(_count_forwards(case["build"], passes), case["draw"],
+                   make_rng(6), h=1e-5, kink_tol=1e-6, batch=batch)
+    monkeypatch.setattr(ad, "probe_losses", real)
+    return records, passes[0]
+
+
+@pytest.mark.parametrize("name", [
+    "two_slope_rectifier", "selfdual_pool", "posneg_pool_param", "act_pool",
+    "pl_activation_m1_n2", "morpho1_m2_n1", "morpho2_m1_n2"])
+def test_batched_input_leaf_matches_one_forward_per_probe(monkeypatch, name):
+    (case,) = [c for c in gc.build_cases(sizes=(1, 2)) if c["name"] == name]
+    assert case["batch"] in ("f", "x")
+    batched, batched_passes = _probe_records(monkeypatch, case,
+                                             case["batch"])
+    one_by_one, passes = _probe_records(monkeypatch, case, None)
+    assert batched == one_by_one
+    # per resample, the batched leaf's 2N probes take one pass, not 2N
+    size = case["draw"](make_rng(0))[case["batch"]].size
+    saved = passes - batched_passes
+    assert saved > 0 and saved % (2 * size - 1) == 0
+
+
+def test_default_suite_forward_pass_count(monkeypatch):
+    real, passes = gc.build_cases, [0]
+
+    def counted_cases(sizes=(1, 2, 3, 4)):
+        return [{**c, "build": _count_forwards(c["build"], passes)}
+                for c in real(sizes)]
+
+    monkeypatch.setattr(gc, "build_cases", counted_cases)
+    assert gc.run_gradcheck(seed=0)["pass"] is True
+    # 7,072 with one forward pass per probe of every leaf
+    assert passes[0] == 2806

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Count the lines of every Python file under ``src``.
+"""Count the lines of every Python file under ``src`` and ``perfbench``.
 
     python3 scripts/line_count.py
 
 The output is one JSON line: ``config`` and, per file (its path from the
-repository root), its physical lines and its code lines, plus the totals.
+repository root), its physical lines and its code lines, plus the totals
+of each of the two trees.
 A code line holds some token that is not a comment or a docstring; blank
 lines, comment lines and docstring lines do not count.
 """
@@ -17,6 +18,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TREES = ("src", "perfbench")
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -43,18 +45,20 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    files = {}
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        source = path.read_text()
-        files[path.relative_to(ROOT).as_posix()] = {
-            "lines": len(source.splitlines()), "code": code_lines(source)}
-    total = {key: sum(f[key] for f in files.values())
-             for key in ("lines", "code")}
-    config = {"root": "src",
+    files, total = {}, {}
+    for tree in TREES:
+        counts = {}
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            source = path.read_text()
+            counts[path.relative_to(ROOT).as_posix()] = {
+                "lines": len(source.splitlines()), "code": code_lines(source)}
+        files.update(counts)
+        total[tree] = {key: sum(f[key] for f in counts.values())
+                       for key in ("lines", "code")}
+    config = {"roots": list(TREES),
               "code": "lines with a token other than a comment or docstring"}
     print(json.dumps({"config": config, "files": files, "total": total}))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

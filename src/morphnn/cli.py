@@ -160,6 +160,8 @@ def cmd_gradcheck(args) -> int:
     if not 0 <= args.tolerance < np.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got "
                          f"{args.tolerance}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
     build_cases(sizes)  # refuses a size below 1 before --out is made
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -327,6 +329,8 @@ def cmd_table1(args) -> int:
     if args.baseline not in variants:
         raise ValueError(f"--variants must include the baseline "
                          f"{args.baseline!r}")
+    if min(seeds) < 0:
+        raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
     specs, cfg, train_ds, test_ds, data, out = _prepare_run(args, variants)
     config = {"command": "table1", "variants": variants, "seeds": list(seeds),
               "spec": {v: asdict(s) for v, s in specs.items()},

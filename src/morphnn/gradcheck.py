@@ -3,12 +3,19 @@
 Each case builds a random instance of one layer, projects the output onto a
 fixed random direction to get a scalar loss, and compares reverse-mode
 gradients against central differences at every leaf coordinate, probed by
-``autodiff.probe_losses``.  A built-in case names its input leaf
-(``"batch"``): that leaf's probes run as one batch along axis 0 in one
-forward pass, which gives each probe's output to the bit, since every
-built-in layer treats each axis-0 input apart from the rest.  Parameter
-leaves, and cases that name no batched leaf, take one forward pass per
-probe.
+``autodiff.probe_losses``.  A built-in case maps the leaves it batches
+(``"batch"``) to the axis their probes join along: the layer forms' input
+``x`` along its channel axis with their per-channel beta and alpha, the
+pooling and rectifier input ``f`` along its batch axis, and
+``pl_activation``'s leaves along a new leading axis (None), the channel
+axis of per-channel beta and alpha.  Each leaf in the map takes all its
+probes in one forward pass (see ``_check_case``), and each probe's chunk
+of the output holds the bytes a pass on that probe alone gives: every
+built-in layer computes each batch entry and each channel from its own
+input and parameters, plus the shared bank weights, by elementwise and
+windowed max/min arithmetic.  The bank weights ``w{j}``, which all
+channels share, and the pooling and rectifier scalars take one forward
+pass per probe.
 
 Every loss here is piecewise linear in each coordinate, so one-sided and
 central differences agree to rounding error unless a kink sits within the
@@ -43,11 +50,26 @@ _RESAMPLES = 3
 _MIN_FRACTION = 0.9
 
 
+def _join(rows, axis: int | None) -> np.ndarray:
+    """``rows`` as one array: joined along ``axis``, or stacked on a new
+    leading axis when ``axis`` is None."""
+    return np.stack(rows) if axis is None else np.concatenate(rows, axis)
+
+
 def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
                 rng: np.random.Generator, h: float, kink_tol: float,
-                batch: str | None = None) -> dict:
-    """Compare analytic and numeric gradients for one layer instance; the
-    leaf named ``batch`` takes all its probes in one forward pass."""
+                batch: dict[str, int | None] | None = None) -> dict:
+    """Compare analytic and numeric gradients for one layer instance.
+
+    ``batch`` maps leaves to the axis their probes join along (None: a new
+    leading axis), the input leaf first.  A leaf in it takes all its
+    probes in one forward pass: its probe rows joined, each other leaf in
+    it repeated once per probe, the output cut into one chunk per probe
+    along the input leaf's axis.  Every other leaf takes one forward pass
+    per probe, with its array probed in place."""
+    batch = batch or {}
+    # the input leaf's axis, where a new leading axis (None) is axis 0
+    out_axis = next(iter(batch.values()), None) or 0
     best = None
     for _ in range(_RESAMPLES):
         arrays = draw(rng)
@@ -58,11 +80,14 @@ def _check_case(builder: Builder, draw: Callable[[np.random.Generator], dict],
         proj = rng.normal(size=forward().data.shape)
 
         def losses(stack, name, arr) -> list[float]:
-            if name == batch:  # the stack joined along axis 0, one pass
-                joined = Tensor(stack.reshape((-1,) + stack.shape[2:]))
-                out = builder({**consts, name: joined})().data
+            if name in batch:  # every probe in one pass
+                k = len(stack)
+                joined = {leaf: Tensor(_join([arrays[leaf]] * k, axis))
+                          for leaf, axis in batch.items()}
+                joined[name] = Tensor(_join(stack, batch[name]))
+                out = builder({**consts, **joined})().data
                 return [float((chunk * proj).sum())
-                        for chunk in np.split(out, len(stack))]
+                        for chunk in np.split(out, k, out_axis)]
             saved, out = arr.copy(), []
             for row in stack:
                 arr[...] = row
@@ -134,7 +159,7 @@ def _sf_bank(leaves: dict[str, Tensor], count: int) -> list[StructuringFunction]
 def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
     """Case table: two-slope rectifier, self-dual and parametric pooling,
     threshold pooling, and the activation families over the size grid,
-    each with its batched input leaf.  A size below 1 raises
+    each with the axes its batched leaves join along.  A size below 1 raises
     ``ValueError``."""
     if min(sizes) < 1:
         raise ValueError(f"term counts must be >= 1, got sizes {sizes}")
@@ -151,14 +176,14 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                                  lv["beta_neg"])
 
     cases.append({"name": "two_slope_rectifier", "build": build_two_slope,
-                  "draw": draw_two_slope, "batch": "f"})
+                  "draw": draw_two_slope, "batch": {"f": 0}})
 
     def draw_field(rng):
         return {"f": rng.normal(size=(1, 2, 6, 6)) * 2}
 
     cases.append({"name": "selfdual_pool",
                   "build": lambda lv: lambda: mo.selfdual_pool(lv["f"], pool),
-                  "draw": draw_field, "batch": "f"})
+                  "draw": draw_field, "batch": {"f": 0}})
 
     def draw_posneg(rng):
         d = draw_field(rng)
@@ -169,7 +194,7 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
     cases.append({"name": "posneg_pool_param",
                   "build": lambda lv: lambda: mo.posneg_pool_param(
                       lv["f"], pool, lv["beta_pos"], lv["beta_neg"]),
-                  "draw": draw_posneg, "batch": "f"})
+                  "draw": draw_posneg, "batch": {"f": 0}})
 
     def draw_actpool(rng):
         d = draw_field(rng)
@@ -179,7 +204,7 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
     cases.append({"name": "act_pool",
                   "build": lambda lv: lambda: mo.act_pool(
                       lv["f"], pool, lv["alpha"]),
-                  "draw": draw_actpool, "batch": "f"})
+                  "draw": draw_actpool, "batch": {"f": 0}})
 
     for m, n in itertools.product(sizes, sizes):
         def draw_pl(rng, m=m, n=n):
@@ -189,10 +214,13 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
 
         def build_pl(lv):
             params = MorphoActivationParams(lv["beta"], lv["alpha"])
-            return lambda: pl_activation(lv["x"], params)
+            # shared [m, n] parameters ignore the channel axis; the
+            # stacked probes' [K, m, n] ones use x's new leading axis
+            return lambda: pl_activation(lv["x"], params, channel_axis=0)
 
         cases.append({"name": f"pl_activation_m{m}_n{n}", "build": build_pl,
-                      "draw": draw_pl, "batch": "x"})
+                      "draw": draw_pl,
+                      "batch": {"x": None, "beta": None, "alpha": None}})
 
     for m, n in itertools.product(sizes, sizes):
         for form, fwd, bank in (("morpho1", morpho_act1_forward, m),
@@ -212,7 +240,8 @@ def build_cases(sizes=(1, 2, 3, 4)) -> list[dict]:
                                    channel_axis=1)
 
             cases.append({"name": f"{form}_m{m}_n{n}", "build": build_layer,
-                          "draw": draw_layer, "batch": "x"})
+                          "draw": draw_layer,
+                          "batch": {"x": 1, "beta": 0, "alpha": 0}})
 
     return cases
 

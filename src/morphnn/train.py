@@ -619,6 +619,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # else make_rng fails after the CLI has made --out
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # a NaN or infinite rate makes Adam's last update NaN everywhere
         if not 0 <= self.lr < np.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")

@@ -104,6 +104,7 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
     ("--epochs", "0", "max_epochs must be >= 1, got 0"),
     ("--patience", "0", "patience must be >= 1, got 0"),
     ("--patience", "-5", "patience must be >= 1, got -5"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
     ("--train-images", "<data>/train-images-16x16", "<data>/train-images-"
      "16x16: the train images are 16x16, the model takes 28x28"),
     ("--test-images", "<data>/t10k-images-16x16", "<data>/t10k-images-"
@@ -111,7 +112,8 @@ def test_train_divergence_exits_1(data_dir, tmp_path, capsys):
     ids=["filters", "dropout-high", "dropout-negative", "pool-size",
          "pool-size-no-room", "stride",
          "batch-size", "lr-nan", "lr-inf", "lr-negative", "epochs",
-         "patience-zero", "patience-negative", "train-16x16", "test-16x16"])
+         "patience-zero", "patience-negative", "seed-negative",
+         "train-16x16", "test-16x16"])
 def test_train_and_table1_usage_errors_write_nothing(data_dir, tmp_path,
                                                      capsys, flag, value,
                                                      message):
@@ -136,6 +138,17 @@ def test_table1_without_its_baseline_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: --variants must include the "
                                        "baseline 'relu-maxpool'\n")
     assert not out.exists()
+
+
+def test_table1_negative_seed_writes_nothing(tmp_path, capsys):
+    # numpy would refuse it only after --out is made, naming no flag
+    out = tmp_path / "t"
+    for seeds in ("-1", "0,-1"):
+        assert main(["table1", "--data-dir", str(tmp_path / "nowhere"),
+                     f"--seeds={seeds}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: --seeds must be >= 0, "
+                                           f"got {seeds}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
@@ -204,12 +217,13 @@ def test_gradcheck_cli_pass_and_fail(tmp_path, capsys, monkeypatch):
     assert detail["layer"] == "wrong_backward"
     assert detail["parameter"] == "x"
 
-    # a zero term count, a zero or infinite probe step, or a tolerance that is not a finite
-    # number >= 0 (inf passes even a wrong gradient) is a usage error, not
-    # a crash, a failed check or a vacuous pass
+    # a zero term count, a zero or infinite probe step, a tolerance that
+    # is not a finite number >= 0 (inf passes even a wrong gradient), or a
+    # negative seed is a usage error, not a crash, a failed check or a
+    # vacuous pass
     for bad in (["--sizes", "0"], ["--step", "0"], ["--step", "inf"],
                 ["--tolerance", "nan"], ["--tolerance=-1e-4"],
-                ["--tolerance", "inf"]):
+                ["--tolerance", "inf"], ["--seed=-1"]):
         out = tmp_path / "g3"
         assert main(["gradcheck", "--out", str(out), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,7 @@
 """The gradient checker itself needs checking: screened kinks, wrong
 gradients, and a clean pass over a reduced size grid."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -103,8 +104,9 @@ def _count_forwards(build, counter):
 
 
 def _probe_records(monkeypatch, case, batch):
-    """Each leaf's (hi, lo) bytes, in leaf order, from one ``_check_case``
-    run of ``case`` at seed 6, and the forward passes it ran."""
+    """Each leaf's (hi, lo) bytes, in leaf order and once per resample,
+    from one ``_check_case`` run of ``case`` at seed 6, and the forward
+    passes it ran."""
     records, passes = [], [0]
     real = ad.probe_losses
 
@@ -125,15 +127,20 @@ def _probe_records(monkeypatch, case, batch):
     "pl_activation_m1_n2", "morpho1_m2_n1", "morpho2_m1_n2"])
 def test_batched_input_leaf_matches_one_forward_per_probe(monkeypatch, name):
     (case,) = [c for c in gc.build_cases(sizes=(1, 2)) if c["name"] == name]
-    assert case["batch"] in ("f", "x")
+    # the input leaf comes first; the activations stack beta and alpha too
+    batch = list(case["batch"])
+    assert batch[0] in ("f", "x")
+    if name.startswith(("pl_activation", "morpho")):
+        assert batch[1:] == ["beta", "alpha"]
     batched, batched_passes = _probe_records(monkeypatch, case,
                                              case["batch"])
     one_by_one, passes = _probe_records(monkeypatch, case, None)
     assert batched == one_by_one
-    # per resample, the batched leaf's 2N probes take one pass, not 2N
-    size = case["draw"](make_rng(0))[case["batch"]].size
-    saved = passes - batched_passes
-    assert saved > 0 and saved % (2 * size - 1) == 0
+    arrays = case["draw"](make_rng(0))
+    resamples = len(one_by_one) // len(arrays)
+    # per resample, each batched leaf's 2N probes take one pass, not 2N
+    saved = sum(2 * arrays[leaf].size - 1 for leaf in batch)
+    assert passes - batched_passes == resamples * saved
 
 
 def test_default_suite_forward_pass_count(monkeypatch):
@@ -145,5 +152,14 @@ def test_default_suite_forward_pass_count(monkeypatch):
 
     monkeypatch.setattr(gc, "build_cases", counted_cases)
     assert gc.run_gradcheck(seed=0)["pass"] is True
-    # 7,072 with one forward pass per probe of every leaf
-    assert passes[0] == 2806
+    # 7,072 with one forward pass per probe of every leaf; 2,806 with only
+    # the input leaves batched, before beta and alpha were stacked too
+    assert passes[0] == 902
+
+
+def test_default_report_hash():
+    # the seed-0 report to the byte, as scripts/param_hash.py hashes it;
+    # it does not depend on the BLAS thread count
+    report = json.dumps(gc.run_gradcheck(seed=0)).encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "f78018cc0fe6e124cff2933ed4dfc48b56baeb2cd9dc8ae9c3f8c64e67e4a361")

@@ -105,14 +105,20 @@ def test_line_count_counts_every_src_file(tmp_path):
     report = json.loads(lines[0])
     assert "config" in report
     files = report["files"]
+    trees = ("src", "perfbench")
     assert sorted(files) == sorted(p.relative_to(ROOT).as_posix()
-                                   for p in (ROOT / "src").rglob("*.py"))
+                                   for tree in trees
+                                   for p in (ROOT / tree).rglob("*.py"))
     for name, counts in files.items():
         physical = len((ROOT / name).read_text().splitlines())
         assert counts["lines"] == physical
         assert 0 < counts["code"] < physical
-    assert report["total"] == {key: sum(c[key] for c in files.values())
-                               for key in ("lines", "code")}
+    # each tree's totals, perfbench's next to src's
+    assert report["total"] == {
+        tree: {key: sum(c[key] for name, c in files.items()
+                        if name.startswith(tree + "/"))
+               for key in ("lines", "code")}
+        for tree in trees}
 
 
 def test_code_lines_skip_comments_docstrings_and_blanks():

@@ -12,8 +12,8 @@ This script runs that protocol without the MNIST files: it writes seeded
 plus uniform noise, 10k training and 2k test images) to a temporary
 directory, reads them back with ``data.load_dataset``, builds the seed-0
 model and trains it with ``train()``.  It writes one JSON document to
-``--out``: ``config`` (sizes, seed, numpy, the BLAS build and
-``OPENBLAS_NUM_THREADS``, cores, CPU), ``wall_seconds``
+``--out``: ``config`` (sizes, seed, numpy and ``cli.blas_config()``: the
+BLAS, ``OPENBLAS_NUM_THREADS`` and the host), ``wall_seconds``
 (``Metrics.wall_seconds``) against ``gate_seconds``, and per epoch the row
 ``train()`` records (``seconds``, ``step_seconds``, ``peak_rss_mb``, ...).
 The same document is printed as one line.  It exits 0 when the run
@@ -22,8 +22,6 @@ finishes inside the gate and 1 otherwise.
 
 import argparse
 import json
-import os
-import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -40,18 +38,6 @@ from morphnn.cli import blas_config  # noqa: E402
 SEED = 0
 GATE_SECONDS = 900.0
 SIDE = 28
-
-
-def cpu_model() -> str:
-    """The CPU's model name where Linux reports one, else its machine type."""
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.machine()
 
 
 def write_split(rng, templates, n: int, directory: Path, stem: str) -> None:
@@ -92,9 +78,7 @@ def main(argv=None) -> int:
               "m_terms": spec.m_terms, "filters": spec.filters,
               "epochs": args.epochs, "n_train": args.n_train,
               "n_test": args.n_test, "batch": cfg.batch_size,
-              "seed": SEED, "numpy": np.__version__, **blas_config(),
-              "cores": len(os.sched_getaffinity(0)),
-              "cpu": cpu_model()}
+              "seed": SEED, "numpy": np.__version__, **blas_config()}
     doc = {"config": config, "wall_seconds": metrics.wall_seconds,
            "gate_seconds": GATE_SECONDS, "epochs": metrics.epochs}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")

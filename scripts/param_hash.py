@@ -6,9 +6,9 @@ and of the gradcheck report.
 
 Each variant of ``train.STAGES`` is built and trained with seed 0 for two
 epochs on the benchmark's seeded synthetic MNIST-shaped data (no files needed).
-The output is one JSON line: ``config`` (with the BLAS build and
-``OPENBLAS_NUM_THREADS``, on which the hashes may depend), per variant the
-SHA-256 of its trained parameters' shapes and bytes (``params``), and the
+The output is one JSON line: ``config`` (with the BLAS, its threads and
+the host, on which the hashes may depend), per variant the SHA-256 of its
+trained parameters' shapes and bytes (``params``), and the
 SHA-256 of ``run_gradcheck(seed=0)``'s report as JSON (``gradcheck``).
 ``step128`` hashes
 relu-maxpool and morpho1 after one training step at the benchmark's shape (128

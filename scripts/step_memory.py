@@ -10,7 +10,7 @@ seeded images, then one ``evaluate()``-style forward under ``no_grad`` on
 ``--eval-batch`` images.  Each figure is the tracemalloc peak of that call
 in MiB, counted from what was allocated when it started, so the model, its
 optimizer state and the inputs do not count.  The output is one JSON line:
-``config`` (with the BLAS build and ``OPENBLAS_NUM_THREADS``) and, per
+``config`` (with the BLAS, its threads and the host) and, per
 variant, ``train_step_mb`` and ``eval_batch_mb``, and the step's two
 halves, each counted from the step's start: ``forward_mb`` (the forward
 pass and the loss) and ``backward_mb`` (``backward()`` and Adam).

@@ -19,47 +19,34 @@ Parameter layout: ``beta[..., j, i]`` where ``j`` indexes the outer min and
 ``i`` the inner max.  A leading channel axis is allowed; it must line up
 with a channel axis of the input (``channel_axis``).
 
-Both layer forms run one driver, ``_layer``; each is one graph node and works
-in a channel-first frame: ``x.swapaxes(0, channel_axis)``, or x itself for
-shared parameters.  A conv2d output is channel-major in memory ([C, B, H, W]
-seen as [B, C, H, W]), so its frame is C-contiguous and no pass reorders it.
-The forward pass is a kernel of ``morphops._blockwise``, the routed ops' one
-forward loop, which runs it on ``morphops._blocks``, runs of whole channels
-small enough to stay in cache, or one bigger channel; each block takes its
-channels' slopes and intercepts as pieces shaped (channels, 1, ...), a
-scalar for one channel.  Every output cell has exactly one subgradient
-winner, an affine piece at a window offset, and under grad (only then) the
-forward pass records it as one integer code in the smallest signed dtype
-that holds it: ``inner * len(bank offsets) + bank position``, the bank
-position naming both the offset and its member, the outer branch; -1 where
-no offset lands.  Form
+Both layer forms run one driver, ``_layer``, as one graph node in a
+channel-first frame, ``x.swapaxes(0, channel_axis)`` (x itself for shared
+parameters), in which a conv2d output, channel-major in memory, is
+C-contiguous.  The forward pass is a kernel of ``morphops._blockwise`` on
+``morphops._blocks``; each block takes its channels' slopes and intercepts
+as pieces shaped (channels, 1, ...), a scalar for one channel.  Every
+output cell has exactly one subgradient winner, an affine piece at a window
+offset, which under grad (only then) the forward pass records as one
+integer code in the smallest signed dtype that holds it: ``inner *
+len(bank offsets) + bank position``, the bank position naming both the
+offset and its member, the outer branch; -1 where no offset lands.  Form
 1's pool carries each source's code from the cell's winning source.  When
-beta also takes a gradient and x is a tensor, each block then writes x at
-every cell's winning source, the winning piece's input, into one
-output-sized array, so the graph keeps that array and the codes, never the
-input: conv2's output dies once its stage has run.  conv1's output is never
-whole: the model hands stage 1 a ``morphops.Feed`` (``train.conv_feed``),
-which makes it one group of whole filters at a time and takes its gradient
-the same way, each group a run of the blocks.  A Feed records no piece
-inputs: the backward pass rebuilds each group once, the forward pass's
-bytes, and reads x at the winning sources there.  The backward pass is one
-``morphops.routed_node`` on the
-forward pass's blocks, whose route decodes a block's codes into sources
-(``morphops._decoder``, over the bank offsets repeated once per inner index)
-and, through lookup tables, parameter indices, and returns its gradients:
+beta takes a gradient, a tensor x's blocks also write each cell's winning
+piece input into one output-sized array, which the graph keeps instead of
+the input; a ``morphops.Feed`` x (conv1, ``train.conv_feed``) records none,
+and the backward pass rebuilds each group once (``_layer_node``).  The
+backward pass is one ``morphops.routed_node`` on the forward pass's blocks:
 g times the winning slope for x (and form 2's weights), g times the piece
-input for beta (plus the winning weight for form 2, whose piece input is the
-pooled value), g for alpha; the node scatters and sums them in cell order,
-the same to the bit as one ``bincount`` over every cell.  The output and x
-gradient are returned as swapped views: channel-major again for a conv2d.
-Summed gradients of parameters shared across channels (the structuring
-weights) accumulate channel by channel.  Tie rules, as for the pools: the
-inner max keeps the lowest index, the window its first offset in row-major
-order, and the outer min the lowest branch.  A pool starts at -inf and a
-candidate must beat it, so a cell whose winning window lies wholly outside
-the input, or holds only -inf candidates, has no winner and takes no
-gradient, nor does a NaN cell: the forward pass marks both dead in the code
-(``morphops._mark_dead``).
+input for beta (plus the winning weight for form 2, whose piece input is
+the pooled value), g for alpha, summed in cell order, the same to the bit
+as one ``bincount`` over every cell; the structuring weights, shared
+across channels, accumulate channel by channel.  The output and x gradient
+are swapped views: channel-major again for a conv2d.  Tie rules, as for
+the pools: the inner max keeps the lowest index, the window its first
+offset in row-major order, and the outer min the lowest branch.  A cell
+whose winning window lies wholly outside the input, or holds only -inf
+candidates, has no winner and takes no gradient, nor does a NaN cell: the
+forward pass marks both dead in the code (``morphops._mark_dead``).
 """
 
 from __future__ import annotations
@@ -248,17 +235,14 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
     """One graph node for a layer form, from its winner code (see the
     module docstring), C-contiguous like ``out`` in the frame that swaps
     ``axis`` of x to the front, and ``piece``, each live cell's winning
-    piece input x(src) in the same frame, or None: for a frozen beta, and
-    for a trainable one on a ``Feed`` x, whose route rebuilds each group
-    with ``take`` at the group's first block, reads x at the sources there
-    and drops the group after its last block.  Its route decodes a block's
-    codes into sources (``sources``, the forward pass's
-    ``morphops._decoder``) and through two lookup tables built once, code
-    to bank position and code to flat (j, i), so no array spans every cell
-    but the gradients.  A dead code, -1, takes no gradient
-    (``morphops._live``).  The node holds neither the input's array nor
-    ``out``; a Feed's route holds what its ``take`` reads (conv1's im2col
-    and weights), not a group of its output.
+    piece input x(src) in that frame, or None: for a frozen beta, and for a
+    trainable one on a ``Feed`` x, whose route rebuilds each group with
+    ``take`` at its first block and drops it after its last.  The route
+    decodes a block's codes into sources (``sources``) and, through two
+    lookup tables built once, bank positions and flat (j, i) indices.  A
+    dead code, -1, takes no gradient (``morphops._live``).  The node holds
+    neither the input's array nor ``out``; a Feed's route holds what its
+    ``take`` reads, not a group of its output.
     """
     x_shape = mo._swap(x.shape, axis)
     m, n = params.m_terms, params.n_terms

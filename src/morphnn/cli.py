@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -98,16 +100,41 @@ def _prepare_run(args, variants) -> tuple:
     return specs, cfg, train_ds, test_ds, data, out
 
 
+def _cpu_model() -> str:
+    """The CPU's model name where Linux reports one, else its machine type."""
+    info = Path("/proc/cpuinfo")
+    names = [line.split(":", 1)[1].strip() for line in
+             (info.read_text().splitlines() if info.is_file() else [])
+             if line.startswith("model name")]
+    return names[0] if names else platform.machine()
+
+
+def _openblas_core() -> str | None:
+    """The kernel the OpenBLAS that numpy bundles picked at run time
+    (``scipy_openblas_get_corename64_``), or None where numpy bundles no
+    library exporting it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*scipy_openblas*")):
+        core = getattr(ctypes.CDLL(str(path)),
+                       "scipy_openblas_get_corename64_", None)
+        if core is not None:
+            core.restype = ctypes.c_char_p
+            return core().decode()
+    return None
+
+
 def blas_config() -> dict:
-    """The BLAS numpy was built with, as ``np.show_config`` names it (its
-    version, and its build configuration, which names the OpenBLAS core),
-    and ``OPENBLAS_NUM_THREADS`` (None when unset): a GEMM's last bits may
-    depend on both.  The configuration string names the build host's core,
-    not the kernel OpenBLAS picks at run time."""
+    """The host and its BLAS, on which a GEMM's last bits and its time may
+    depend: the BLAS numpy was built with (``np.show_config``'s name,
+    version and build configuration), the kernel OpenBLAS picked at run
+    time (None where unknown), ``OPENBLAS_NUM_THREADS`` (None when unset),
+    the CPU model and the cores this process may run on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "config": blas.get("openblas configuration")},
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "openblas_core": _openblas_core(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpu": _cpu_model(), "cores": len(os.sched_getaffinity(0))}
 
 
 def _emit(doc: dict, out_dir: Path, name: str) -> None:

@@ -3,19 +3,14 @@
 Each case builds a random instance of one layer, projects the output onto a
 fixed random direction to get a scalar loss, and compares reverse-mode
 gradients against central differences at every leaf coordinate, probed by
-``autodiff.probe_losses``.  A built-in case maps the leaves it batches
-(``"batch"``) to the axis their probes join along: the layer forms' input
-``x`` along its channel axis with their per-channel beta and alpha, the
-pooling and rectifier input ``f`` along its batch axis, and
-``pl_activation``'s leaves along a new leading axis (None), the channel
-axis of per-channel beta and alpha.  Each leaf in the map takes all its
-probes in one forward pass (see ``_check_case``), and each probe's chunk
-of the output holds the bytes a pass on that probe alone gives: every
-built-in layer computes each batch entry and each channel from its own
-input and parameters, plus the shared bank weights, by elementwise and
-windowed max/min arithmetic.  The bank weights ``w{j}``, which all
-channels share, and the pooling and rectifier scalars take one forward
-pass per probe.
+``autodiff.probe_losses``.  A built-in case maps each leaf it batches
+(``"batch"``) to the axis its probes join along (None: a new leading axis),
+and that leaf takes all its probes in one forward pass (``_check_case``):
+every built-in layer computes each batch entry and each channel from its
+own input and parameters, plus the shared bank weights, so each probe's
+chunk of the output holds the bytes a pass on that probe alone gives.  The
+bank weights ``w{j}`` and the pooling and rectifier scalars take one
+forward pass per probe.
 
 Every loss here is piecewise linear in each coordinate, so one-sided and
 central differences agree to rounding error unless a kink sits within the

@@ -10,39 +10,36 @@ Conventions shared by every op here:
 * spatial axes are the trailing axes; leading axes (batch, channel) are
   carried through untouched;
 * offsets falling outside the input are ignored (-inf padding in the sup,
-  +inf in the inf); a position whose window lies entirely outside evaluates
-  to the lattice bottom -inf and carries zero gradient, as does one whose
-  every candidate is -inf, since a winner must beat the -inf it starts at;
+  +inf in the inf); a cell whose window lies wholly outside, or whose
+  every candidate is -inf, evaluates to the lattice bottom -inf and takes
+  no gradient, since a winner must beat the -inf it starts at;
 * on ties the subgradient routes to the lowest offset index, which for pool
   windows is the first position in row-major window order;
-* a NaN output cell (a window holding NaN) takes no gradient, wherever
-  the NaN sits in its window: the forward pass marks it dead in the winner
-  record (``_mark_dead``), as a window wholly outside the input is, and
-  ``_live``, which every route calls, drops the dead cells;
+* a NaN output cell takes no gradient, wherever the NaN sits in its
+  window: the forward pass marks it dead in the winner record
+  (``_mark_dead``), and ``_live``, which every route calls, drops it;
 * each output cell copies one winner, recorded as one integer code (the
   offset, plus what ``_sup_max`` carries from the winning source); every
   windowed op (the pools, ``dilate``, ``act_pool``, both layer forms) runs
-  its forward pass in one loop, ``_blockwise``, over blocks of its frame,
-  runs of whole channels (``_blocks``), decodes its codes with one
-  ``_decoder``, and routes its backward on the same blocks through one
-  ``routed_node``, whose route returns each cell's gradient for that
-  winner alone (``relu``, elementwise, is a plain node);
+  its forward pass in one loop, ``_blockwise``, over runs of whole
+  channels (``_blocks``), decodes its codes with one ``_decoder``, and
+  routes its backward on the same blocks through one ``routed_node``
+  (``relu``, elementwise, is a plain node);
 * a backward rule reads the winner record and the input's shape (a layer
-  form also reads the winning piece inputs it recorded on a tensor, or on
-  a ``Feed`` rebuilds one group of the input at a time), never the input
-  or the output, so a stage holds neither of them alive.
+  form also reads the winning piece inputs it recorded, or rebuilds a
+  ``Feed``'s groups), never the input or the output, so a stage holds
+  neither alive.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
 block of the channel-first frame (``_blocks``), in which a conv2d output is
-contiguous, at a time, and its code flags a closed rectifier.  Like
-the layer forms it takes conv1 fused, as a ``Feed`` (``train.conv_feed``).
-Min-pooling is the negation dual of max-pooling, so ``selfdual_pool`` and
-``posneg_pool_param`` are each a difference of two ``act_pool``s.  No
-stage calls ``relu``, ``max_pool`` or ``min_pool``; they keep their own
-routing because the chain references in ``tests/_oracles.py`` are built
-from them, and routing them through ``act_pool`` would make it the
-reference for its own tests.
+contiguous, at a time, and its code flags a closed rectifier.  Min-pooling
+is the negation dual of max-pooling, so ``selfdual_pool`` and
+``posneg_pool_param`` are each a difference of two ``act_pool``s that read
+one ``Feed``, scaled (``Feed.scaled``).  Like the layer forms, every stage
+takes conv1 fused, as a ``Feed`` (``train.conv_feed``).  No stage calls
+``relu``, ``max_pool`` or ``min_pool``; the chain references in
+``tests/_oracles.py`` are built from them.
 """
 
 from __future__ import annotations
@@ -313,20 +310,18 @@ def _shift(block: slice, by: int) -> slice:
 
 class Feed:
     """The input of a blockwise op, made by the op before it one group of
-    whole channels at a time, and differentiated the same way, so that
-    neither the input nor its gradient is ever whole: that op fused with
-    the blockwise one (conv1 with its stage, ``train.conv_feed``).
-
-    ``tensors`` are the leaves the input is made from (a conv's w and b)
-    and ``shape`` the shape the input would have; ``groups`` are
-    consecutive slices of its channels, axis 1, which the op's frame swaps
-    to the front.  ``take(sl)`` returns channels ``sl`` in that frame, and
-    ``give(sl, gx)`` takes their gradient in that frame and returns each
-    tensor's gradient so far, None for a frozen one, whole once every group
-    is given.  ``take`` gives the same bytes on every call and hands over
-    no buffer that it reuses, so a backward pass may rebuild a group rather
-    than keep it; ``give`` gets a buffer that the next group reuses.
-    ``Feed.of`` makes any tensor one group.
+    whole channels at a time and differentiated the same way, so neither
+    the input nor its gradient is ever whole (conv1 fused with its stage,
+    ``train.conv_feed``).  ``tensors`` are the leaves the input is made
+    from, ``shape`` the shape it would have, ``groups`` consecutive slices
+    of its channels, axis 1, which the op's frame swaps to the front.
+    ``take(sl)`` returns channels ``sl`` in that frame: the same bytes on
+    every call, in no buffer it reuses, so a backward pass may rebuild a
+    group rather than keep it.  ``give(sl, gx)`` takes their gradient in a
+    buffer that the next group reuses (and may scale it in place), and
+    returns each tensor's gradient so far, None for a frozen one, whole
+    once every group is given; each reader gives every group in order,
+    once per backward pass.  ``Feed.of`` makes any tensor one group.
     """
 
     __slots__ = ("tensors", "shape", "groups", "take", "give")
@@ -347,6 +342,31 @@ class Feed:
         xf = x.data.swapaxes(0, axis)
         return cls((x,), x.shape, [slice(0, len(xf))], lambda sl: xf,
                    lambda sl, gx: (gx.swapaxes(0, axis),))
+
+    def scaled(self, s) -> "Feed":
+        """This input times ``s``, a number or a scalar tensor, read once,
+        now.  ``give`` scales gx in place and passes it on; a trainable s
+        joins ``tensors``, its gradient ``sum(gx * x)`` over the groups,
+        with x rebuilt by ``take``."""
+        s = lift(s)
+        if s.data.ndim:
+            raise ValueError(f"Feed.scaled needs a scalar, got {s.shape}")
+        value, take, give = float(s.data), self.take, self.give
+        if not s.requires_grad:
+            # captures give alone: Feed.of's take holds its input
+            return Feed(self.tensors, self.shape, self.groups,
+                        lambda sl: take(sl) * value,
+                        lambda sl, gx: give(sl, np.multiply(gx, value, gx)))
+        total = [0.0]
+
+        def give_scaled(sl: slice, gx: Array) -> tuple:
+            total[0] = (0.0 if sl.start == 0 else total[0]) + np.sum(
+                gx * take(sl))
+            return give(sl, np.multiply(gx, value, gx)) + (
+                np.asarray(total[0]),)
+
+        return Feed((*self.tensors, s), self.shape, self.groups,
+                    lambda sl: take(sl) * value, give_scaled)
 
 
 def _swap(shape, axis: int) -> tuple[int, ...]:
@@ -389,30 +409,25 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
     candidate (a source, an affine piece, a window offset).
 
     The node works in one frame: ``out`` is C-contiguous with ``axis`` of
-    the node's output swapped to the front (0 leaves it as it is), the node
-    holds the swapped-back view, and it sees its input ``x``, and returns
-    x's gradient, in the output's frame.  ``blocks`` are the forward pass's
-    (``_blockwise``), one list per group of a ``Feed`` x (``axis`` 1; a
-    tensor is one group): slices of the frame's channels, in order, such
-    that each block of the output takes its winners from the same block of
-    the input (no block cuts a channel).
+    the node's output swapped to the front, the node holds the swapped-back
+    view, and it sees ``x`` and returns x's gradient in that frame.
+    ``blocks`` are the forward pass's (``_blockwise``), one list per group
+    of a ``Feed`` x (a tensor is one group), runs of whole channels.
 
     ``route(block, g)`` gets the block's output gradient in the frame and
-    returns its gradients as ``(src, gx, closed, parts)``: each live cell's
-    (``_live``) source in the frame's input block and x gradient (None for
-    a frozen x, whose sources are then not read); sources whose summed
-    gradient is then times 0, signed zero included (a closed rectifier), or
-    None; and parts ``(k, index,
-    values)``, added at ``index`` into ``params`` laid end to end from
-    ``params[k]`` on.  A route captures what it reads and skips the work of
-    a frozen leaf; the node keeps shapes and ``requires_grad`` flags, never
-    a tensor.  The first backward rule runs the blocks, group by group: a
-    block-local ``np.bincount`` fills the block's slice of the group's x
-    gradient, one C-contiguous buffer in the frame that every group reuses,
-    which ``Feed.give`` takes once the group is done (each of the feed's
-    tensors has its own edge); ``np.add.at`` adds the parts into one
-    running sum in cell order, the same to the bit as one ``bincount`` over
-    every cell.  Later rules hand out the stored gradients.
+    returns ``(src, gx, closed, parts)``: each live cell's (``_live``)
+    source in the frame's input block and x gradient (None for a frozen
+    x); sources whose summed gradient is then times 0, signed zero included
+    (a closed rectifier), or None; and parts ``(k, index, values)``, added
+    at ``index`` into ``params`` laid end to end from ``params[k]`` on.  A
+    route captures what it reads; the node keeps no tensor.  The first
+    backward rule runs the blocks, group by group: a block-local
+    ``np.bincount`` fills the block's slice of the group's x gradient, one
+    buffer in the frame that every group reuses, which ``Feed.give`` takes
+    once the group is done (each of the feed's tensors has its own edge);
+    ``np.add.at`` adds the parts into one running sum in cell order, the
+    same to the bit as one ``bincount`` over every cell.  Later rules hand
+    out the stored gradients.
     """
     feed = x if isinstance(x, Feed) else Feed.of(x, axis)
     x_shape, groups = _swap(feed.shape, axis), feed.groups
@@ -540,26 +555,20 @@ def min_pool(f, pool: PoolSpec) -> Tensor:
 
 def act_pool(f, pool: PoolSpec, alpha=0.0, cap=None) -> Tensor:
     """Max over the window of min(max(0, f + alpha), cap) (no upper bound
-    when ``cap`` is None): ReLU, or ReLU6 with cap 6, and max-pooling as a
-    single dilation with a trainable threshold.
+    when ``cap`` is None): ReLU, or ReLU6 with cap 6, then max-pooling, as
+    one graph node with the chain's values and winners.
 
-    It is the chain ``max_pool(min(relu(f + alpha), cap))`` as one graph
-    node, run on ``_blocks`` of the channel-first frame (axis 1 of an input
-    with batch and channel axes), where a conv2d output is C-contiguous:
-    each block is clamped into a copy that stays in cache and pooled with
-    ``_sup_max``, so values and winners are the chain's.  Under no_grad,
-    where no winner is recorded, each block is pooled raw and only the
-    pooled cells are clamped: the clamp is monotone and turns every zero
-    into +0, so the values are still the chain's to the bit.  Under grad the
-    pool carries ``len(offsets)`` from every source whose rectifier is
-    closed (its clamped value differs from f), so each cell's winner code
-    is its offset plus that flag, and a closed winner's summed gradient is
-    times 0, signed zero included, as in the chain.  A NaN cell (a window
-    holding NaN) takes no gradient and closes no source.  The input's
-    gradient is the chain's, in the frame, so a ``Tensor`` ``alpha`` on
-    batch-and-channel input sums it in the frame's order: equal in value
-    to the chain's, not always to the bit.  A cap below 0 is refused.  f
-    may be a ``Feed`` (alpha 0): conv1 fused, ``train.conv_feed``.
+    It runs on ``_blocks`` of the channel-first frame (axis 1 of an input
+    with batch and channel axes), clamping each block into a copy that
+    stays in cache and pooling it with ``_sup_max``.  Under no_grad it
+    pools the raw block and clamps the pooled cells: the clamp is monotone
+    and makes every zero +0, so the bytes are the chain's.  Under grad each
+    source whose rectifier is closed carries ``len(offsets)`` into its
+    cell's winner code, and a closed winner's summed gradient is times 0,
+    signed zero included, as in the chain.  A NaN cell takes no gradient
+    and closes no source.  A ``Tensor`` alpha on batch-and-channel input
+    sums its gradient in the frame's order: the chain's value, not always
+    its bits.  A cap below 0 is refused.  f may be a ``Feed`` (alpha 0).
     """
     if cap is not None and not cap >= 0.0:
         raise ValueError(f"act_pool needs cap >= 0, got {cap}")
@@ -620,22 +629,30 @@ def prelu2(f, beta_pos, beta_neg) -> Tensor:
     return ad.maximum(ad.mul(f, beta_neg), ad.mul(f, beta_pos))
 
 
+def _feed(f, pool: PoolSpec) -> Feed:
+    """f, or a tensor f as one group in ``act_pool``'s frame."""
+    if isinstance(f, Feed):
+        return f
+    f = lift(f)
+    return Feed.of(f, 1 if f.data.ndim >= pool.rank + 2 else 0)
+
+
 def selfdual_pool(f, pool: PoolSpec) -> Tensor:
     """act_pool(f) - act_pool(-f): max-pools the positive and the negative
-    part; commutes with negation."""
-    f = lift(f)
-    return ad.sub(act_pool(f, pool), act_pool(ad.neg(f), pool))
+    part; commutes with negation.  f may be a ``Feed``; both halves read
+    it, the second ``scaled(-1)``."""
+    f = _feed(f, pool)
+    return ad.sub(act_pool(f, pool), act_pool(f.scaled(-1.0), pool))
 
 
 def posneg_pool_param(f, pool: PoolSpec, beta_pos, beta_neg) -> Tensor:
     """Parametric split pooling:
     max_pool(max(0, beta_neg * f)) + min_pool(min(0, beta_pos * f)).
 
-    Built as act_pool(beta_neg * f) - act_pool(-beta_pos * f), negating
-    the scalar slope rather than the product.  The slope pairing follows
-    the printed formula; with beta_pos = beta_neg = 1 it reduces exactly to
-    selfdual_pool.
+    Built as act_pool(beta_neg * f) - act_pool(-beta_pos * f), two readers
+    of one ``Feed`` (``Feed.scaled``).  The slope pairing follows the
+    printed formula; with beta_pos = beta_neg = 1 it is selfdual_pool.
     """
-    f = lift(f)
-    return ad.sub(act_pool(ad.mul(f, beta_neg), pool),
-                  act_pool(ad.mul(f, ad.neg(beta_pos)), pool))
+    f = _feed(f, pool)
+    return ad.sub(act_pool(f.scaled(beta_neg), pool),
+                  act_pool(f.scaled(ad.neg(beta_pos)), pool))

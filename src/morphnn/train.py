@@ -48,22 +48,16 @@ class DivergenceError(RuntimeError):
 
 
 # bytes of the largest per-image array in one _batch_slices slice: conv2d
-# holds one slice's im2col in its forward and one slice's im2col-shaped x
-# gradient in back_x, not the whole (272 MB at conv2 at batch 256), and
-# Model.features' no-grad pass one slice of the stack (conv1's whole output
-# is 354 MB at eval batch 512); conv_feed, slicing filters, holds one group
-# of conv1's output and one of its gradient (each 177 MB whole at batch 256).
-# 16 MiB, by measurement: at the paper's shapes it cuts conv2 slices and
-# no-grad slices of 8 images and conv1 groups of 8 filters at batch 256;
-# 8 MiB cuts the same (no slice is less than one column group) and 32 MiB
-# raised an eval batch's peak RSS by half
+# and Model.features' no-grad pass hold one slice's im2col, x gradient or
+# stack, and conv_feed one group of filters, not the whole batch's.  16 MiB,
+# by measurement: at the paper's shapes it cuts slices of 8 images and
+# groups of 8 filters; 32 MiB raised an eval batch's peak RSS by half
 _SLICE_BYTES = ad._SLICE_BYTES
 
 # a GEMM over a slice of columns gives the whole GEMM's columns bit for bit
 # when the slice starts and ends on a multiple of this many columns, the
-# group that the dgemm kernel OpenBLAS picks at run time (SkylakeX on an
-# AVX-512 AMD EPYC) computes together; a slice ending elsewhere differed in
-# the last bit in its last columns.  A slice of a multiple of this many
+# group that OpenBLAS's run-time dgemm kernel (``cli.blas_config``'s
+# ``openblas_core``) computes together; a slice of a multiple of this many
 # images starts both convs on such a multiple.
 _GEMM_COLUMN_GROUP = 8
 
@@ -93,33 +87,20 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.].
+    """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.]:
+    conv2, plus conv1 when the images take a gradient (``Model._stack``).
 
-    conv2, and conv1 of selfdual and posneg, whose stages are two
-    ``act_pool``s; every other stage takes conv1 fused (``conv_feed``), as
-    ``Model._stack`` decides, unless the images take a gradient.
-
-    The output is the transposed view of an [F, B*OH*OW] GEMM result, so its
-    memory is channel-major ([F,B,.,.]); so is the x gradient.  A channel-major
-    output gradient, as every stage returns, reaches both GEMMs of the
-    backward pass as a view, and the bias adds its images in batch order,
-    to the bit as for a batch-major one.  The rules never keep the output.
-
-    One rule, under grad or not: the forward GEMM and the x gradient's GEMM
-    run on ``_batch_slices`` of the batch, so no call holds a whole im2col
-    beyond what its w gradient keeps.  With one channel (conv1) the rules
-    keep x's whole im2col (12 MB at batch 256) and the forward slices are
-    column views of it: its tap GEMMs would be matrix-vector products, not
-    bit-equal to the whole GEMM.  With more channels they keep x (44 MB at
-    conv2), not its im2col (272 MB), and the w gradient is one GEMM per
-    kernel tap, ``dw[:, :, i, j] = gmat @ x_tap.T``, each tap's window of x
-    copied into one reused [C,B,OH,OW] buffer.  Each slice starts and ends
-    on whole ``_GEMM_COLUMN_GROUP``s or at the batch's end, so every result
-    is the unsliced GEMM's bytes, an OpenBLAS property that tests pin at
-    (B, C, F) = (256, 128, 128) and (16, 128, 128) (conv2 of the paper's
-    protocol and its 10k run's last batch, in 32 and 2 slices of 8 images),
-    (256, 16, 16) (the parameter hashes), (3, 4, 5) and (5, 4, 5); at (37,
-    24, 16) on 2 BLAS threads the taps differ from it in the last bit.
+    The output is the transposed view of an [F, B*OH*OW] GEMM result, so
+    its memory is channel-major, as is the x gradient; a channel-major
+    output gradient, as every stage returns, reaches both backward GEMMs as
+    a view.  The rules never keep the output.  The forward GEMM and the x
+    gradient's GEMM run on ``_batch_slices`` of the batch.  With one
+    channel the rules keep x's im2col and the forward slices are column
+    views of it (tap GEMMs would be matrix-vector products); with more they
+    keep x, and the w gradient is one GEMM per kernel tap.  Every result is
+    the unsliced GEMM's bytes, an OpenBLAS property that ``TestConv2d``
+    pins at the shapes the hashes and the benchmark run; at (37, 24, 16) on
+    2 BLAS threads the taps differ in the last bit.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -178,34 +159,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
 def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     """``conv2d(x, w, b)`` as a ``morphops.Feed``: the conv fused with the
-    blockwise stage after it (a layer form or ``act_pool``), which takes its
-    output, channel-major, one group of whole filters at a time and hands
-    back their gradient the same way.  No array holds the whole output (177
-    MB for conv1 at batch 256) or its whole gradient; the op keeps x's
-    im2col (12 MB) and a copy of w's rows and of b, taken when it runs, and
-    makes each group's output as a new array from them.  So a layer form's
-    backward pass rebuilds a group (one GEMM of 8 filters at batch 256)
-    rather than keep its winning piece inputs, and sees the forward pass's
-    bytes even if w changes in place in between.  x takes no gradient.
+    blockwise stage after it, which takes its output, channel-major, one
+    group of whole filters (``_batch_slices``) at a time and hands back
+    their gradient the same way, so neither is ever whole (177 MB for conv1
+    at batch 256).  The op keeps x's im2col and copies of w's rows and of
+    b, taken when it runs, so a backward pass that rebuilds a group sees
+    the forward pass's bytes even if w changes in place in between.  Each
+    backward pass makes its own w and b gradient arrays at its first group,
+    so a feed may have two readers (a split stage's two ``act_pool``s).  x
+    takes no gradient: an x that takes one is refused.
 
-    The groups are ``_batch_slices`` of the filters, each holding at most
-    ``_SLICE_BYTES`` of output, a multiple of ``_GEMM_COLUMN_GROUP`` filters
-    but the last.  A group's output is ``wmat[g] @ cols`` plus its rows of
-    b, its share of the w gradient ``dw[g] = gx.reshape(G, -1) @ cols.T``
-    and of b's its images summed in batch order, as in ``conv2d``.  The
-    GEMMs are the whole GEMM's rows to the bit at the shapes tests pin, (B,
-    F) = (256, 128) (16 groups of 8 filters), (104, 128) (6 groups), (28,
-    128) (2 groups), (16, 128) and (256, 16) (one group each), for one input
-    channel, 28x28 images and 3x3 kernels.  Row groups are an OpenBLAS
-    property, not a theorem.  At 128 filters a batch of 25 or more images
-    takes several groups; from 25 to 256 images, every multiple of 8 was
-    byte-equal on 1 and on 2 BLAS threads, but every odd batch differed on 2
-    threads (the forward rows, on 1 thread too for most), as did the w
-    gradient at most even batches that are no multiple of 8 (26, 50, 98,
-    102, ...) on 2 threads.  So a batch of 25 or more images that is no
-    multiple of 8 may train differently in the last bit than through
-    ``conv2d``, for every variant that takes conv1 fused.
+    A group's output is ``wmat[g] @ cols`` plus its rows of b, its share of
+    the w gradient ``gx.reshape(G, -1) @ cols.T`` and of b's its images
+    summed in batch order: the whole GEMM's rows to the bit at the shapes
+    ``TestConvFeed`` pins, an OpenBLAS property.  From 25 to 256 images at
+    128 filters, the forward rows of odd batches differed in the last bit
+    on 2 BLAS threads (most on 1 too), as did the w gradient at most even
+    batches that are no multiple of 8, so such a batch may train
+    differently from ``conv2d``.
     """
+    if x.requires_grad:
+        raise ValueError("conv_feed gives x no gradient; its x must take "
+                         "none")
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
@@ -217,8 +192,8 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
     groups = _batch_slices(f, 8 * bsz * oh * ow)
     tensors = (w,) if b is None else (w, b)
-    dw = np.empty(w_shape) if w.requires_grad else None
-    db = np.empty(f) if b is not None and b.requires_grad else None
+    takes_w, takes_b = w.requires_grad, b is not None and b.requires_grad
+    grads = []  # this backward pass's dw and db
 
     def take(sl: slice) -> Array:
         xg = wmat[sl] @ cols
@@ -227,12 +202,16 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
         return xg.reshape(len(xg), bsz, oh, ow)
 
     def give(sl: slice, gx: Array) -> tuple:
+        if sl.start == 0:  # new arrays per pass: a Feed may have two readers
+            grads[:] = [np.empty(w_shape) if takes_w else None,
+                        np.empty(f) if takes_b else None]
+        dw, db = grads
         if dw is not None:
             np.matmul(gx.reshape(len(gx), -1), cols.T,
                       out=dw.reshape(f, -1)[sl])
         if db is not None:
             db[sl] = np.ascontiguousarray(gx.sum(axis=(2, 3)).T).sum(axis=0)
-        return (dw, db)[:len(tensors)]
+        return tuple(grads[:len(tensors)])
 
     return mo.Feed(tensors, (bsz, f, oh, ow), groups, take, give)
 
@@ -431,13 +410,11 @@ class Model:
 
     def _stack(self, x: Tensor) -> Tensor:
         # nested, so each stage's input dies as soon as its consumer has
-        # run unless a backward rule keeps it; a stage that is one blockwise
-        # op takes conv1 fused (a Feed), unless x takes a gradient: a Feed
-        # gives x none
-        fused = not x.requires_grad and self.spec.variant in (
-            "relu-maxpool", "relu6-maxpool", "morpho1", "morpho2")
-        return self.stage2(self.conv2(self.stage1(conv_feed(
-            x, self.conv1.w, self.conv1.b) if fused else self.conv1(x))))
+        # run unless a backward rule keeps it; every stage takes conv1 fused
+        # (a Feed), unless x takes a gradient: a Feed gives x none
+        return self.stage2(self.conv2(self.stage1(
+            self.conv1(x) if x.requires_grad
+            else conv_feed(x, self.conv1.w, self.conv1.b))))
 
     def features(self, x: Tensor) -> Tensor:
         """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].

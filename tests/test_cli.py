@@ -62,6 +62,10 @@ def test_train_runs_and_writes_everything(data_dir, tmp_path, capsys):
         "config": blas.get("openblas configuration")}
     assert doc["config"]["openblas_num_threads"] == os.environ.get(
         "OPENBLAS_NUM_THREADS")
+    # and the host: its CPU, its cores and the kernel OpenBLAS picked
+    assert doc["config"]["cpu"] and doc["config"]["cores"] >= 1
+    assert doc["config"]["openblas_core"] == cli.blas_config()[
+        "openblas_core"]
     assert doc["result"]["epochs_run"] == 2
     assert 0.0 <= doc["result"]["best_test_acc"] <= 1.0
     with open(out / "metrics.jsonl") as fh:
@@ -70,6 +74,17 @@ def test_train_runs_and_writes_everything(data_dir, tmp_path, capsys):
     assert (out / "run.json").is_file()
     model = load_model(out / "model.npz")
     assert model.spec.filters == 4
+
+
+def test_blas_config_names_the_openblas_kernel(monkeypatch, tmp_path):
+    # the kernel numpy's bundled OpenBLAS picked at run time, or None
+    # where numpy bundles no such library
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if any(libs.glob("*scipy_openblas*")):
+        assert cli.blas_config()["openblas_core"]
+    monkeypatch.setattr(np, "__file__",
+                        str(tmp_path / "numpy" / "__init__.py"))
+    assert cli.blas_config()["openblas_core"] is None
 
 
 def test_train_missing_file_exits_2(tmp_path, capsys):

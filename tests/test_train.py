@@ -228,23 +228,36 @@ POOL = mo.PoolSpec((2, 2), (2, 2))
 FORWARDS = {1: morpho_act1_forward, 2: morpho_act2_forward}
 # the rectifier stages: act_pool's cap, by name
 CAPS = {"relu": None, "relu6": 6.0}
+# the split stages, two act_pools each, by name, and their slopes
+SPLITS = {"selfdual": lambda h, _: mo.selfdual_pool(h, POOL),
+          "posneg": lambda h, s: mo.posneg_pool_param(
+              h, POOL, s["beta_pos"], s["beta_neg"])}
+SLOPES = {"posneg": ("beta_pos", "beta_neg")}
 
 
 class TestConvFeed:
-    """conv1 fused with a layer form or ``act_pool`` (``conv_feed``)
-    against the unfused chain ``conv2d`` -> ``morpho_act{1,2}_forward`` or
-    ``act_pool``: values and every gradient byte for byte.  The rectifier
-    stages' conv1 has a bias, the layer forms' has none."""
+    """conv1 fused with a layer form, ``act_pool`` or a split stage
+    (``conv_feed``) against the unfused chain ``conv2d`` ->
+    ``morpho_act{1,2}_forward``, ``act_pool``, ``selfdual_pool`` or
+    ``posneg_pool_param``: values and every gradient byte for byte, but a
+    split stage's gradients by value: each of its two ``act_pool``s gives
+    conv1 its own w and b gradient GEMMs (and beta its own sum), which
+    backward then adds, where the chain runs one GEMM on the summed output
+    gradient.  The rectifier and split stages' conv1 has a bias, the layer
+    forms' has none."""
 
     @staticmethod
     def _run(fused, x, w, b, layer, variant, g):
-        leaves = [w] + ([b] if layer is None
-                        else list(layer.named_tensors().values()))
+        params = (layer if isinstance(layer, dict)
+                  else layer.named_tensors())
+        leaves = [w] + ([] if b is None else [b]) + list(params.values())
         for t in leaves:
             t.grad = None
         h = tr.conv_feed(x, w, b) if fused else tr.conv2d(x, w, b)
-        if layer is None:
+        if variant in CAPS:
             out = mo.act_pool(h, POOL, cap=CAPS[variant])
+        elif variant in SPLITS:
+            out = SPLITS[variant](h, layer)
         else:
             out = FORWARDS[variant](h, layer.activation, layer.structuring,
                                     POOL, channel_axis=1)
@@ -257,11 +270,13 @@ class TestConvFeed:
         x = Tensor(rng.random((bsz, 1) + hw) if images is None else images)
         w = Tensor(rng.uniform(-1 / 3, 1 / 3, (filters, 1, 3, 3)),
                    requires_grad=True)
-        if variant in CAPS:
+        if variant in CAPS or variant in SPLITS:
             # filters wholly closed, open, and some past the cap of 6
             b = Tensor(rng.permutation(np.linspace(-2, 7, filters)),
                        requires_grad=True)
-            layer, named = None, {"w": w, "b": b}
+            layer = {name: Tensor(rng.uniform(0.5, 1.5), requires_grad=True)
+                     for name in SLOPES.get(variant, ())}
+            named = {"w": w, "b": b} | layer
         else:
             b, layer = None, _perturbed_layer(variant, filters, rng)
             named = {"w": w} | layer.named_tensors()
@@ -271,14 +286,20 @@ class TestConvFeed:
         g = rng.normal(size=(bsz, filters) + POOL.out_extent((oh, ow)))
         got = self._run(True, x, w, b, layer, variant, g)
         want = self._run(False, x, w, b, layer, variant, g)
-        for have, ref in zip(got, want):
+        for k, (have, ref) in enumerate(zip(got, want, strict=True)):
             assert (have is None) == (ref is None)
-            if ref is not None:
-                assert have.shape == ref.shape
+            if ref is None:
+                continue
+            assert have.shape == ref.shape
+            if variant in SPLITS and k > 0:
+                npt.assert_allclose(have, ref, rtol=1e-12, atol=1e-12 * np.abs(
+                    ref[np.isfinite(ref)]).max(initial=0.0))
+            else:
                 assert have.tobytes() == ref.tobytes()
         return got
 
-    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6", "selfdual",
+                                         "posneg"])
     @pytest.mark.parametrize("bsz,filters,hw", [
         (256, 128, (28, 28)),  # the paper's protocol: 16 8-filter groups
         (104, 128, (28, 28)),  # 5 groups of 24 filters and one of 8
@@ -295,7 +316,8 @@ class TestConvFeed:
         if variant == "relu6":
             assert (got[0] == 6.0).any() and (got[0] < 6.0).any()
 
-    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6", "selfdual",
+                                         "posneg"])
     def test_groups_at_a_small_budget(self, monkeypatch, variant):
         # 8-filter groups of 20 filters: 8, 8 and 4, each a run of blocks
         monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
@@ -305,11 +327,12 @@ class TestConvFeed:
             slice(0, 8), slice(8, 16), slice(16, 20)]
         self._compare(6, 20, (9, 7), variant, seed=1)
 
-    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6", "selfdual"])
     def test_activations_only_runs_no_x_gradient(self, monkeypatch,
                                                  variant):
         # conv1 frozen: no route makes an x gradient and no group's w
-        # gradient GEMM runs; act_pool, with no parameter, builds no node
+        # gradient GEMM runs; act_pool, with no parameter, builds no node,
+        # nor do selfdual's two
         routes, gives = [], []
         routed_node, conv_feed = mo.routed_node, tr.conv_feed
 
@@ -328,7 +351,7 @@ class TestConvFeed:
 
         monkeypatch.setattr(mo, "routed_node", spy_node)
         monkeypatch.setattr(tr, "conv_feed", spy_feed)
-        rectifier = variant in CAPS
+        rectifier = variant in CAPS or variant in SPLITS
         got = self._compare(7, 16, (12, 12), variant, seed=2,
                             frozen=["w", "b"] if rectifier else ["w"])
         if rectifier:
@@ -338,7 +361,8 @@ class TestConvFeed:
             assert routes and not any(routes)
         assert not gives
 
-    @pytest.mark.parametrize("variant", ["relu", "relu6"])
+    @pytest.mark.parametrize("variant", ["relu", "relu6", "selfdual",
+                                         "posneg"])
     @pytest.mark.parametrize("frozen", ["w", "b"])
     def test_one_of_w_and_b_frozen(self, variant, frozen):
         got = self._compare(12, 20, (11, 13), variant, seed=5,
@@ -360,7 +384,8 @@ class TestConvFeed:
                             frozen=["beta"])
         assert got[2] is None and pieces == [None, None]
 
-    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6"])
+    @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6", "selfdual",
+                                         "posneg"])
     def test_non_finite_images(self, variant):
         rng = make_rng(610)
         images = rng.random((11, 1, 12, 12))
@@ -384,12 +409,15 @@ class TestConvFeed:
             morpho_act1_forward(tr.conv_feed(x, w), shared.activation,
                                 shared.structuring, POOL)
 
-    def test_step_never_holds_conv1s_whole_output(self, monkeypatch):
-        # a morpho1 step with 8-filter groups: neither the forward pass
-        # nor the backward pass, each counted from the step's start, holds
-        # as much as conv1's whole output (or its whole gradient), which
-        # the unfused chain allocates, next to x's im2col, in each pass
-        spec = ModelSpec(variant="morpho1", filters=64, pool_extent=3,
+    @pytest.mark.parametrize("variant", ["morpho1", "selfdual", "posneg"])
+    def test_step_never_holds_conv1s_whole_output(self, monkeypatch,
+                                                  variant):
+        # a step with 8-filter groups: neither the forward pass nor the
+        # backward pass, each counted from the step's start, holds as much
+        # as conv1's whole output (or its whole gradient), which the
+        # unfused chain allocates, next to x's im2col, in each pass; a
+        # split stage's second act_pool reads the same feed, scaled
+        spec = ModelSpec(variant=variant, filters=64, pool_extent=3,
                          pool_stride=3)
         bsz = 16
         conv1_bytes = 8 * bsz * 64 * 26 * 26
@@ -515,6 +543,71 @@ class TestConvFeed:
                             Tensor(np.zeros((4, 1, 3, 3))))
         with pytest.raises(ValueError, match="no alpha with a Feed"):
             mo.act_pool(feed, POOL, alpha=0.5)
+
+    def test_refuses_images_that_take_a_gradient(self):
+        x = Tensor(np.zeros((2, 1, 8, 8)), requires_grad=True)
+        with pytest.raises(ValueError, match="gives x no gradient"):
+            tr.conv_feed(x, Tensor(np.zeros((4, 1, 3, 3))))
+
+    def test_two_readers_of_one_feed(self, monkeypatch):
+        # two act_pools read one feed, each with its own output gradient:
+        # conv1's gradients are the sum of both readers' shares, as through
+        # conv2d, by value (two GEMMs sum where one did).  Each backward
+        # pass makes its own gradient arrays at its first group, so the
+        # second reader's pass does not overwrite what the first gave
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
+        rng = make_rng(650)
+        x = Tensor(rng.random((6, 1, 9, 7)))
+        w = Tensor(rng.uniform(-1 / 3, 1 / 3, (20, 1, 3, 3)),
+                   requires_grad=True)
+        b = Tensor(rng.uniform(-2, 7, 20), requires_grad=True)
+        gs = [Tensor(rng.normal(size=(6, 20) + POOL.out_extent((7, 5))))
+              for _ in "12"]
+
+        def grads(h):
+            w.grad = b.grad = None
+            outs = [mo.act_pool(h, POOL), mo.act_pool(h, POOL, cap=6.0)]
+            ad.add(*(ad.mul(o, g).sum() for o, g in zip(outs, gs))
+                   ).backward()
+            return w.grad, b.grad
+
+        feed = tr.conv_feed(x, w, b)
+        assert len(feed.groups) == 3
+        for have, ref in zip(grads(feed), grads(tr.conv2d(x, w, b))):
+            npt.assert_allclose(have, ref, rtol=1e-12,
+                                atol=1e-12 * np.abs(ref).max())
+
+    def test_scale_is_read_once(self, monkeypatch):
+        # Feed.scaled reads beta when the feed is made: overwriting it in
+        # place between the forward and the backward pass moves no
+        # gradient, conv1's and both slopes' included
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
+
+        def grads(overwrite):
+            rng = make_rng(660)
+            x = Tensor(rng.random((6, 1, 9, 7)))
+            w = Tensor(rng.uniform(-1 / 3, 1 / 3, (20, 1, 3, 3)),
+                       requires_grad=True)
+            b = Tensor(rng.uniform(-2, 7, 20), requires_grad=True)
+            slopes = {name: Tensor(rng.uniform(0.5, 1.5), requires_grad=True)
+                      for name in SLOPES["posneg"]}
+            g = rng.normal(size=(6, 20) + POOL.out_extent((7, 5)))
+            out = SPLITS["posneg"](tr.conv_feed(x, w, b), slopes)
+            if overwrite:
+                for t in slopes.values():
+                    t.data[...] = np.nan
+            ad.mul(out, Tensor(g)).sum().backward()
+            return [w.grad, b.grad] + [t.grad for t in slopes.values()]
+
+        for have, ref in zip(grads(True), grads(False), strict=True):
+            assert have.tobytes() == ref.tobytes()
+
+    def test_scaled_refuses_a_non_scalar(self):
+        feed = tr.conv_feed(Tensor(np.zeros((2, 1, 8, 8))),
+                            Tensor(np.zeros((4, 1, 3, 3))))
+        for s in (np.ones(2), [1.0, 2.0], Tensor(np.ones(1))):
+            with pytest.raises(ValueError, match="needs a scalar"):
+                feed.scaled(s)
 
 
 class TestCrossEntropy:
@@ -673,14 +766,14 @@ class TestModel:
         assert ModelSpec(image_size=(12, 12), filters=3).feature_dim == 3
 
     @pytest.mark.parametrize("variant,nodes", [
-        ("relu-maxpool", 14), ("relu6-maxpool", 14), ("selfdual", 21),
-        ("posneg", 29)])
+        ("relu-maxpool", 14), ("relu6-maxpool", 14), ("selfdual", 18),
+        ("posneg", 24)])
     def test_rectifier_stage_is_one_node(self, variant, nodes):
         # conv1 fused with stage 1, conv, stage, reshape, dropout, matmul,
-        # bias, cross-entropy and the six parameters; selfdual and posneg
-        # take conv1 unfused (one node more), and a selfdual stage adds -x,
-        # a second act_pool and a sub (3 nodes), a posneg stage a second
-        # act_pool, a sub, two products, -beta_pos and both slopes (7)
+        # bias, cross-entropy and the six parameters: 14; a selfdual stage
+        # adds a second act_pool and a sub (14 + 2 * 2 = 18), a posneg stage
+        # those, -beta_pos and both slopes (14 + 2 * 5 = 24); neither
+        # builds a -x node or a product, and both take conv1 fused
         model = build_model(small_spec(variant), make_rng(0))
         x = Tensor(make_rng(1).normal(size=(4, 1, 10, 10)))
         loss = tr.cross_entropy(model.forward(x, train=True, rng=make_rng(2)),
@@ -944,12 +1037,13 @@ class TestSavedArrays:
         assert all(w.grad is not None for w in weights)
 
     @pytest.mark.parametrize("block_bytes", [mo._BLOCK_BYTES, 300])
-    @pytest.mark.parametrize("variant", ["morpho1", "morpho2"])
+    @pytest.mark.parametrize("variant", ["morpho1", "morpho2", "selfdual"])
     def test_morpho_stage_inputs_die_once_their_stage_has_run(
             self, monkeypatch, variant, block_bytes):
         # a layer form keeps each cell's winning piece input, not its
-        # stage input, so conv1's and conv2's outputs die as soon as their
-        # stage has run, on one block or on many
+        # stage input, and selfdual's second act_pool keeps no take of the
+        # input it scales, so conv1's and conv2's outputs die as soon as
+        # their stage has run, on one block or on many
         monkeypatch.setattr(mo, "_BLOCK_BYTES", block_bytes)
         model = build_model(small_spec(variant), make_rng(0))
         trained = [model.conv1.w, model.conv2.w] + model.stage_parameters()

@@ -6,15 +6,16 @@
 
 For each variant of ``train.STAGES`` a seeded model (28x28 images) runs one
 training step (forward, cross-entropy, ``backward()``, Adam) on ``--batch``
-seeded images, then one ``evaluate()``-style forward under ``no_grad`` on
-``--eval-batch`` images.  Each figure is the tracemalloc peak of that call
-in MiB, counted from what was allocated when it started, so the model, its
-optimizer state and the inputs do not count.  The output is one JSON line:
-``config`` (with the BLAS, its threads and the host) and, per
-variant, ``train_step_mb`` and ``eval_batch_mb``, and the step's two
-halves, each counted from the step's start: ``forward_mb`` (the forward
-pass and the loss) and ``backward_mb`` (``backward()`` and Adam).
-``train_step_mb`` is the larger of the two.
+seeded images, as ``train()`` runs it (OpenBLAS held at one thread, the
+pooled loops on its pool), then one ``evaluate()``-style forward under
+``no_grad`` on ``--eval-batch`` images, serially.  Each figure is the
+tracemalloc peak of that call in MiB, counted from what was allocated when
+it started, so the model, its optimizer state and the inputs do not count.
+The output is one JSON line: ``config`` (with the BLAS, its threads, the
+pool's workers and the host) and, per variant, ``train_step_mb`` and
+``eval_batch_mb``, and the step's two halves, each counted from the step's
+start: ``forward_mb`` (the forward pass and the loss) and ``backward_mb``
+(``backward()`` and Adam).  ``train_step_mb`` is the larger of the two.
 numpy reports its array buffers to tracemalloc, so the figures count every
 array a step holds at once; they leave out the interpreter and the
 allocator's own overhead, which ``peak_rss_mb`` sees.
@@ -80,7 +81,8 @@ def measure(variant: str, args) -> dict:
         with ad.no_grad():
             model.forward(ad.Tensor(images[:args.eval_batch]))
 
-    forward_mb, backward_mb = peak_mb(forward, backward)
+    with tr._blas_held():  # the step as train() runs it, on its pool
+        forward_mb, backward_mb = peak_mb(forward, backward)
     return {"train_step_mb": max(forward_mb, backward_mb),
             "forward_mb": forward_mb, "backward_mb": backward_mb,
             "eval_batch_mb": peak_mb(eval_batch)[0]}

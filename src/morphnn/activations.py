@@ -236,8 +236,8 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
     module docstring), C-contiguous like ``out`` in the frame that swaps
     ``axis`` of x to the front, and ``piece``, each live cell's winning
     piece input x(src) in that frame, or None: for a frozen beta, and for a
-    trainable one on a ``Feed`` x, whose route rebuilds each group with
-    ``take`` at its first block and drops it after its last.  The route
+    trainable one on a ``Feed`` x, whose node rebuilds each group with
+    ``take`` before its blocks are routed and drops it after them.  The route
     decodes a block's codes into sources (``sources``) and, through two
     lookup tables built once, bank positions and flat (j, i) indices.  A
     dead code, -1, takes no gradient (``morphops._live``).  The node holds
@@ -268,8 +268,11 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
     takes_w = any(sf.weights.requires_grad for sf in structuring)
     rebuild = takes_beta and piece is None  # a Feed: no piece recorded
     # not x itself: the route would keep a tensor's array alive
-    take, groups = (x.take, x.groups) if rebuild else (None, None)
+    take = x.take if rebuild else None
     held = []  # the Feed group being routed and its input, rebuilt once
+
+    def each_group(sl):  # before a group's blocks are routed, and after
+        held[:] = () if sl is None else (sl, take(sl))
 
     def route(block, g):
         cb = code[block]
@@ -289,14 +292,9 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
         if takes_beta:
             # d out / d beta is the winning piece's input: x at the source,
             # or for variant 2 the pooled value x + w there
-            if rebuild:  # at a group's first block; dropped after its last
-                if not held:
-                    sl = next(s for s in groups if block.start < s.stop)
-                    held[:] = sl, take(sl)
+            if rebuild:
                 sl, xg = held
                 piece_input = xg[mo._shift(block, -sl.start)].reshape(-1)[src]
-                if block.stop == sl.stop:
-                    held.clear()
             else:
                 piece_input = piece[block].ravel()[live]
             if pool_first:
@@ -310,7 +308,8 @@ def _layer_node(out: Array, code: Array, piece: Array | None, sources,
 
     return mo.routed_node(out, blocks, route, x,
                           [params.beta, params.alpha]
-                          + [sf.weights for sf in structuring], axis)
+                          + [sf.weights for sf in structuring], axis,
+                          each_group if rebuild else None)
 
 
 def _layer(x, params: MorphoActivationParams,

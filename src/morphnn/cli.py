@@ -32,8 +32,8 @@ from .autodiff import make_rng
 from .data import Dataset, load_dataset, subset
 from .gradcheck import build_cases, run_gradcheck
 from .train import (DivergenceError, ModelSpec, TrainConfig, VARIANTS,
-                    build_model, load_model, run_table1_protocol, save_model,
-                    train)
+                    _openblas, _pool_workers, build_model, load_model,
+                    run_table1_protocol, save_model, train)
 
 IMAGE_FILES = {"train": "train-images-idx3-ubyte",
                "test": "t10k-images-idx3-ubyte"}
@@ -113,14 +113,8 @@ def _openblas_core() -> str | None:
     """The kernel the OpenBLAS that numpy bundles picked at run time
     (``scipy_openblas_get_corename64_``), or None where numpy bundles no
     library exporting it."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*scipy_openblas*")):
-        core = getattr(ctypes.CDLL(str(path)),
-                       "scipy_openblas_get_corename64_", None)
-        if core is not None:
-            core.restype = ctypes.c_char_p
-            return core().decode()
-    return None
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return None if core is None else core().decode()
 
 
 def blas_config() -> dict:
@@ -128,12 +122,14 @@ def blas_config() -> dict:
     depend: the BLAS numpy was built with (``np.show_config``'s name,
     version and build configuration), the kernel OpenBLAS picked at run
     time (None where unknown), ``OPENBLAS_NUM_THREADS`` (None when unset),
-    the CPU model and the cores this process may run on."""
+    the workers of ``train()``'s pool (``pool_workers``, its OpenBLAS
+    thread count), the CPU model and the cores this process may run on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "config": blas.get("openblas configuration")},
             "openblas_core": _openblas_core(),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "pool_workers": _pool_workers(),
             "cpu": _cpu_model(), "cores": len(os.sched_getaffinity(0))}
 
 

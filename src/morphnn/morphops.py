@@ -28,7 +28,12 @@ Conventions shared by every op here:
 * a backward rule reads the winner record and the input's shape (a layer
   form also reads the winning piece inputs it recorded, or rebuilds a
   ``Feed``'s groups), never the input or the output, so a stage holds
-  neither alive.
+  neither alive;
+* within ``train()`` a group's blocks run on a pool of threads
+  (``_pooled``, ``_imap``), forward and backward: each block writes only
+  its own part of the output, the code and the x gradient, and the caller
+  adds the parameter parts in block order, so the bytes are the serial
+  pass's.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
@@ -44,6 +49,7 @@ takes conv1 fused, as a ``Feed`` (``train.conv_feed``).  No stage calls
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -308,6 +314,143 @@ def _shift(block: slice, by: int) -> slice:
     return slice(block.start + by, block.stop + by) if by else block
 
 
+# -- the worker pool ----------------------------------------------------------
+
+
+class _Job:
+    """One map on a pool: its items, the next to hand out, the first the
+    caller has not taken (``base``), the results by index and the items
+    running."""
+
+    __slots__ = ("fn", "items", "ahead", "context", "next", "base", "done",
+                 "running")
+
+    def __init__(self, fn, items, ahead: int, context):
+        self.fn, self.items, self.ahead = fn, items, ahead
+        self.context = context
+        self.next = self.base = self.running = 0
+        self.done = {}
+
+    def claim(self) -> int | None:
+        """The next item to run, or None: none is left, or it lies
+        ``ahead`` items or more past the one the caller waits for."""
+        i = self.next
+        if i >= min(len(self.items), self.base + self.ahead):
+            return None
+        self.next, self.running = i + 1, self.running + 1
+        return i
+
+
+class _Pool:
+    """The caller of a map plus ``size - 1`` helper threads, which take the
+    map's items in turn, one each at a time; the caller takes the results
+    in order.  Idle helpers wait on a condition and take no core.  A helper
+    runs its item in a copy of the caller's ``contextvars`` context (numpy's
+    ``errstate`` lives there).  While the caller runs a map, any map it or
+    a helper starts runs serially."""
+
+    def __init__(self, size: int):
+        import contextvars
+        import threading
+        self.size, self.copy_context = size, contextvars.copy_context
+        self.cv, self.local = threading.Condition(), threading.local()
+        self.job = None
+        for _ in range(size - 1):
+            threading.Thread(target=self._serve, daemon=True).start()
+
+    def _run(self, job: _Job, i: int, run) -> None:
+        try:
+            result = True, run(job.fn, job.items[i])
+        except BaseException as e:  # raised in the caller, in its turn
+            result = False, e
+        with self.cv:
+            job.done[i] = result
+            job.running -= 1
+            self.cv.notify_all()
+
+    def _serve(self) -> None:
+        self.local.busy = True
+        while True:
+            with self.cv:
+                while (job := self.job) is None or (i := job.claim()) is None:
+                    job = None  # an idle helper holds no map's arrays
+                    self.cv.wait()
+            self._run(job, i, job.context.copy().run)
+
+    def imap(self, fn, items: list, ahead: int):
+        job = _Job(fn, items, ahead, self.copy_context())
+        self.local.busy = True
+        with self.cv:
+            self.job = job
+            self.cv.notify_all()
+        try:
+            for k in range(len(items)):
+                with self.cv:
+                    job.base = k
+                    self.cv.notify_all()
+                while True:
+                    with self.cv:
+                        while k not in job.done and (i := job.claim()) is None:
+                            self.cv.wait()
+                        if k in job.done:
+                            break
+                    self._run(job, i, lambda fn, item: fn(item))
+                ok, value = job.done.pop(k)
+                if not ok:
+                    raise value
+                yield value
+        finally:  # no item runs on once the caller has left
+            self.local.busy = False
+            with self.cv:
+                job.next, self.job = len(items), None
+                while job.running:
+                    self.cv.wait()
+
+
+_pools: dict[int, _Pool] = {}  # by size, each started at its first use
+_active: _Pool | None = None  # the pool the maps use now, or None
+
+
+@contextlib.contextmanager
+def _pooled(workers: int):
+    """For the span of the block, run the maps (``_imap``) on ``workers``
+    threads, the caller included; 1 runs them serially."""
+    global _active
+    prev = _active
+    if workers > 1 and workers not in _pools:
+        _pools[workers] = _Pool(workers)
+    _active = _pools[workers] if workers > 1 else None
+    try:
+        yield
+    finally:
+        _active = prev
+
+
+def _workers() -> int:
+    """The threads a map called here would run on: 1 when no pool is on,
+    and inside a pool's item."""
+    pool = _active
+    if pool is None or getattr(pool.local, "busy", False):
+        return 1
+    return pool.size
+
+
+def _imap(fn, items: list, ahead: int | None = None):
+    """``fn(item)`` for each of ``items``, yielded in order; on the pool,
+    at most ``ahead`` items (all, for None) are run or held at once,
+    counted from the one the caller takes next.  Each item runs alone on
+    one thread, so it must write only its own part of any shared array."""
+    if _workers() < 2 or len(items) < 2:
+        return map(fn, items)
+    return _active.imap(fn, items, ahead or len(items))
+
+
+def _each(fn, items: list) -> None:
+    """``fn(item)`` for each of ``items``, on the pool, for its effects."""
+    for _ in _imap(fn, items):
+        pass
+
+
 class Feed:
     """The input of a blockwise op, made by the op before it one group of
     whole channels at a time and differentiated the same way, so neither
@@ -380,31 +523,35 @@ def _blockwise(x: Tensor | Feed, axis: int, out_ext, rank: int, kernel,
                dtype) -> tuple[Array, Array | None, list[list[slice]]]:
     """The one forward loop of the routed ops.  It works in the frame that
     swaps ``axis`` of x to the front: a ``Feed``'s groups in channel order,
-    a tensor as one group, each cut into ``_blocks``.  ``kernel(block,
-    xb)`` gets a block's index in the frame and its input and returns the
-    block's output and winner code (None without a ``dtype``), which go in
-    place into the frame's output, its leading axes and ``out_ext``, and
-    one code array of ``dtype``; the block's NaN cells are then marked dead
-    (``_mark_dead``).  Returns ``(out, code, blocks)``, code None without a
-    ``dtype`` and ``blocks`` each group's blocks.
+    a tensor as one group, each cut into ``_blocks``, which run on the pool
+    (``_imap``).  ``kernel(block, xb)`` gets a block's index in the frame
+    and its input and returns the block's output and winner code (None
+    without a ``dtype``), which go in place into the frame's output, its
+    leading axes and ``out_ext``, and one code array of ``dtype``; the
+    block's NaN cells are then marked dead (``_mark_dead``).  Returns
+    ``(out, code, blocks)``, code None without a ``dtype`` and ``blocks``
+    each group's blocks.
     """
     feed = x if isinstance(x, Feed) else Feed.of(x, axis)
     out = np.empty(_swap(feed.shape, axis)[:-rank] + tuple(out_ext))
     code = None if dtype is None else np.empty(out.shape, dtype)
     blocks = []
+
+    def run(block):
+        out[block], win = kernel(block, xg[_shift(block, -sl.start)])
+        if code is not None:
+            code[block] = win
+            _mark_dead(code[block], out[block])
+
     for sl in feed.groups:
         xg = feed.take(sl)
         blocks.append(_blocks(xg, rank, sl.start))
-        for block in blocks[-1]:
-            out[block], win = kernel(block, xg[_shift(block, -sl.start)])
-            if code is not None:
-                code[block] = win
-                _mark_dead(code[block], out[block])
+        _each(run, blocks[-1])
     return out, code, blocks
 
 
 def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
-                axis: int = 0) -> Tensor:
+                axis: int = 0, each_group=None) -> Tensor:
     """Graph node for an op whose every output cell copies one winning
     candidate (a source, an affine piece, a window offset).
 
@@ -421,13 +568,15 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
     (a closed rectifier), or None; and parts ``(k, index, values)``, added
     at ``index`` into ``params`` laid end to end from ``params[k]`` on.  A
     route captures what it reads; the node keeps no tensor.  The first
-    backward rule runs the blocks, group by group: a block-local
-    ``np.bincount`` fills the block's slice of the group's x gradient, one
-    buffer in the frame that every group reuses, which ``Feed.give`` takes
-    once the group is done (each of the feed's tensors has its own edge);
-    ``np.add.at`` adds the parts into one running sum in cell order, the
-    same to the bit as one ``bincount`` over every cell.  Later rules hand
-    out the stored gradients.
+    backward rule runs the blocks, group by group, each group's on the pool
+    (``_imap``), ``each_group(sl)`` (if given) called before them and
+    ``each_group(None)`` after: a block-local ``np.bincount`` fills the
+    block's slice of the group's x gradient, one buffer in the frame that
+    every group reuses, which ``Feed.give`` takes once the group is done
+    (each of the feed's tensors has its own edge); the caller adds the
+    parts with ``np.add.at`` into one running sum in cell order, the same
+    to the bit as one ``bincount`` over every cell.  Later rules hand out
+    the stored gradients.
     """
     feed = x if isinstance(x, Feed) else Feed.of(x, axis)
     x_shape, groups = _swap(feed.shape, axis), feed.groups
@@ -443,23 +592,31 @@ def routed_node(out: Array, blocks, route, x: Tensor | Feed, params=(),
         gf = g.swapaxes(0, axis)
         total = np.zeros(starts[-1])
         buf = None  # the first group's x gradient, reused by the others
+
+        def run(block):  # a block's x gradient, in place, and its parts
+            src, gx, closed, parts = route(block, gf[block])
+            if takes[0]:
+                dst = gxg[_shift(block, -sl.start)]
+                # float64 even with no live cell, where bincount is int64
+                gl = np.bincount(src, gx, dst.size).astype(float, copy=False)
+                if closed is not None:
+                    gl[closed] *= 0.0
+                dst[...] = gl.reshape(dst.shape)
+            return parts
+
         for sl, group_blocks in zip(groups, blocks):
             if takes[0]:
                 if buf is None:
                     buf = np.empty((sl.stop - sl.start,) + x_shape[1:])
                 gxg = buf[:sl.stop - sl.start]
-            for block in group_blocks:
-                src, gx, closed, parts = route(block, gf[block])
+            if each_group is not None:
+                each_group(sl)
+            # the parts of at most one block per worker are held at once
+            for parts in _imap(run, group_blocks, _workers()):
                 for k, index, values in parts:
                     np.add.at(total[starts[k]:], index, values)
-                if takes[0]:
-                    dst = gxg[_shift(block, -sl.start)]
-                    # float64 even with no live cell, where bincount is int64
-                    gl = np.bincount(src, gx, dst.size).astype(float,
-                                                               copy=False)
-                    if closed is not None:
-                        gl[closed] *= 0.0
-                    dst[...] = gl.reshape(dst.shape)
+            if each_group is not None:
+                each_group(None)
             if takes[0]:
                 grads.update((k, gk) for k, gk in enumerate(give(sl, gxg))
                              if gk is not None)

@@ -10,7 +10,9 @@ reverse mode like any other parameter.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -72,6 +74,23 @@ def _batch_slices(n: int, image_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
+def _parts(n: int) -> list[slice]:
+    """n columns (or channels) cut into one run per pool worker, each but
+    the last a multiple of ``_GEMM_COLUMN_GROUP``: a GEMM over each run of
+    columns gives the whole GEMM's bytes."""
+    step = max(1, -(-n // mo._workers()))
+    step += -step % _GEMM_COLUMN_GROUP
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _gemm(a: Array, b: Array, out: Array) -> Array:
+    """``np.matmul(a, b, out=out)``, b's and out's columns cut into
+    ``_parts`` that run on the pool (``morphops._imap``)."""
+    mo._each(lambda cs: np.matmul(a, b[:, cs], out=out[:, cs]),
+             _parts(b.shape[1]))
+    return out
+
+
 def _windows(x: Array, kh: int, kw: int) -> Array:
     """Every kh x kw window of x [B,C,H,W] as a [C,kh,kw,B,OH,OW] view."""
     b, c, h, w = x.shape
@@ -82,8 +101,11 @@ def _windows(x: Array, kh: int, kw: int) -> Array:
 
 
 def _im2col(x: Array, kh: int, kw: int) -> Array:
+    """x's [C*kh*kw, B*OH*OW] im2col, its channels copied on the pool."""
     win = _windows(x, kh, kw)
-    return win.reshape(math.prod(win.shape[:3]), -1)
+    cols = np.empty(win.shape)
+    mo._each(lambda cs: np.copyto(cols[cs], win[cs]), _parts(len(win)))
+    return cols.reshape(math.prod(win.shape[:3]), -1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -97,10 +119,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     gradient's GEMM run on ``_batch_slices`` of the batch.  With one
     channel the rules keep x's im2col and the forward slices are column
     views of it (tap GEMMs would be matrix-vector products); with more they
-    keep x, and the w gradient is one GEMM per kernel tap.  Every result is
-    the unsliced GEMM's bytes, an OpenBLAS property that ``TestConv2d``
-    pins at the shapes the hashes and the benchmark run; at (37, 24, 16) on
-    2 BLAS threads the taps differ in the last bit.
+    keep x, and the w gradient is one GEMM per kernel tap.  On the pool
+    (``train()``) each GEMM runs in column parts (``_gemm``; a tap's in
+    runs of channels, each worker copying its own), as do the im2col copy
+    and ``back_x``'s scatter.  Every result is the unsliced GEMM's bytes,
+    an OpenBLAS property that ``TestConv2d`` pins at the shapes the hashes
+    and the benchmark run; at (37, 24, 16) on 2 BLAS threads the taps
+    differ in the last bit.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -115,8 +140,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     out = np.empty((f, bsz * n))
     for s in slices:
         cs = slice(s.start * n, s.stop * n)
-        np.matmul(wmat, _im2col(xd[s], kh, kw) if cols is None
-                  else cols[:, cs], out=out[:, cs])
+        _gemm(wmat, _im2col(xd[s], kh, kw) if cols is None else cols[:, cs],
+              out[:, cs])
     out = out.reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data.reshape(1, f, 1, 1)
@@ -127,10 +152,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
             return (gmat @ cols.T).reshape(w_shape)
         win = _windows(xd, kh, kw)
         dw, tap = np.empty(w_shape), np.empty((c, bsz, oh, ow))
+
+        def run(cs):  # one run of channels: its part of the tap, its columns
+            np.copyto(tap[cs], win[cs, i, j])
+            dw[:, cs, i, j] = gmat @ tap[cs].reshape(len(tap[cs]), -1).T
+
         for i in range(kh):
             for j in range(kw):
-                np.copyto(tap, win[:, i, j])
-                dw[:, :, i, j] = gmat @ tap.reshape(c, -1).T
+                mo._each(run, _parts(c))
         return dw
 
     def back_x(g: Array) -> Array:
@@ -138,13 +167,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         # weight rows in (kh, kw, C) order, so each tap's slice of the GEMM
         # result is contiguous; each entry is the same dot product
         wtap = wmat.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, f)
+
+        def scatter(cs):  # one run of channels, every tap in order
+            for i in range(kh):
+                for j in range(kw):
+                    dxs[cs, :, i:i + oh, j:j + ow] += d6[i, j, cs]
+
         for s in slices:
             dxs = dx[:, s]
             gmat = g[s].transpose(1, 0, 2, 3).reshape(f, -1)
-            d6 = (wtap @ gmat).reshape(kh, kw, *dxs.shape[:2], oh, ow)
-            for i in range(kh):
-                for j in range(kw):
-                    dxs[:, :, i:i + oh, j:j + ow] += d6[i, j]
+            d6 = _gemm(wtap, gmat, np.empty((len(wtap), gmat.shape[1])))
+            d6 = d6.reshape(kh, kw, *dxs.shape[:2], oh, ow)
+            mo._each(scatter, _parts(c))
             del d6  # not held while the next slice's GEMM runs
         return dx.transpose(1, 0, 2, 3)
 
@@ -169,13 +203,14 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     so a feed may have two readers (a split stage's two ``act_pool``s).  x
     takes no gradient: an x that takes one is refused.
 
-    A group's output is ``wmat[g] @ cols`` plus its rows of b, its share of
-    the w gradient ``gx.reshape(G, -1) @ cols.T`` and of b's its images
-    summed in batch order: the whole GEMM's rows to the bit at the shapes
-    ``TestConvFeed`` pins, an OpenBLAS property.  From 25 to 256 images at
-    128 filters, the forward rows of odd batches differed in the last bit
-    on 2 BLAS threads (most on 1 too), as did the w gradient at most even
-    batches that are no multiple of 8, so such a batch may train
+    A group's output is ``wmat[g] @ cols`` plus its rows of b (in column
+    parts on the pool, ``_parts``), its share of the w gradient
+    ``gx.reshape(G, -1) @ cols.T`` (one GEMM, in the caller) and of b's its
+    images summed in batch order: the whole GEMM's rows to the bit at the
+    shapes ``TestConvFeed`` pins, an OpenBLAS property.  From 25 to 256
+    images at 128 filters, the forward rows of odd batches differed in the
+    last bit on 2 BLAS threads (most on 1 too), as did the w gradient at
+    most even batches that are no multiple of 8, so such a batch may train
     differently from ``conv2d``.
     """
     if x.requires_grad:
@@ -196,9 +231,14 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     grads = []  # this backward pass's dw and db
 
     def take(sl: slice) -> Array:
-        xg = wmat[sl] @ cols
-        if bias is not None:
-            xg += bias[sl, None]
+        xg = np.empty((sl.stop - sl.start, cols.shape[1]))
+
+        def run(cs):
+            np.matmul(wmat[sl], cols[:, cs], out=xg[:, cs])
+            if bias is not None:
+                xg[:, cs] += bias[sl, None]
+
+        mo._each(run, _parts(cols.shape[1]))
         return xg.reshape(len(xg), bsz, oh, ow)
 
     def give(sl: slice, gx: Array) -> tuple:
@@ -621,11 +661,12 @@ class Metrics:
 
 
 def evaluate(model: Model, ds: Dataset, batch_size: int = 512) -> float:
-    """Top-1 accuracy under no_grad; ValueError on an empty dataset."""
+    """Top-1 accuracy under no_grad, serially (no pool, also inside
+    ``train()``); ValueError on an empty dataset."""
     if len(ds) == 0:
         raise ValueError("evaluate() needs images; the dataset is empty")
     correct = 0
-    with ad.no_grad():
+    with ad.no_grad(), mo._pooled(1):
         for images, labels in batches(ds, batch_size):
             x = Tensor(images[:, None, :, :])
             logits = model.forward(x, train=False)
@@ -653,6 +694,55 @@ def _non_finite(model: Model, grads: bool) -> str | None:
     return None
 
 
+def _openblas(symbol: str, restype, *argtypes):
+    """The function ``symbol`` of the OpenBLAS that numpy bundles, through
+    ctypes, typed ``restype(*argtypes)``, or None where numpy bundles no
+    library exporting it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*scipy_openblas*")):
+        fn = getattr(ctypes.CDLL(str(path)), symbol, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
+    return None
+
+
+def _blas_threads():
+    """OpenBLAS's thread count getter and setter, or None where numpy
+    bundles no OpenBLAS exporting both."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    put = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return None if get is None or put is None else (get, put)
+
+
+def _pool_workers() -> int:
+    """The workers ``train()``'s pool would have now: the threads numpy's
+    OpenBLAS runs (which OpenBLAS caps at the cores), 1 where its thread
+    count cannot be set."""
+    calls = _blas_threads()
+    return 1 if calls is None else max(1, calls[0]())
+
+
+@contextlib.contextmanager
+def _blas_held():
+    """For the span of the block, hold numpy's OpenBLAS at one thread and
+    run the pooled loops (``morphops._pooled``) on as many workers as it
+    ran threads; then give OpenBLAS its thread count back, also when the
+    block raises.  Where the count cannot be set, nothing changes."""
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    threads = get()
+    put(1)
+    try:
+        with mo._pooled(threads):
+            yield
+    finally:
+        put(threads)
+
+
 def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
           metrics_jsonl=None, summary_csv=None,
           log=None) -> Metrics:
@@ -668,6 +758,16 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     and the ``examples_per_second`` of its training steps (evaluation
     excluded), and the process's ``peak_rss_mb`` so far.  ValueError on an
     empty training set, before any file is opened.
+
+    For its span it holds numpy's OpenBLAS at one thread and runs the
+    pooled loops on as many workers as OpenBLAS had threads
+    (``_blas_held``): the blocks of each stage group and of its backward
+    pass, and the column parts of each conv GEMM.  The order-dependent
+    sums (the route parts, ``Feed.give``, the bias sums), the dense head
+    and Adam stay in the caller, so the parameters are the same bytes on
+    any thread count (``OPENBLAS_NUM_THREADS=1`` is a pool of one).
+    ``evaluate()`` runs serially, inside it too, as do ``run_gradcheck()``
+    and direct ``Model`` calls.
     """
     if len(train_ds) == 0:
         raise ValueError("train() needs images; the training set is empty")
@@ -678,7 +778,7 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     jsonl = open(metrics_jsonl, "w") if metrics_jsonl else None
     started = time.perf_counter()
     stale = step = 0
-    try:
+    with _blas_held(), jsonl or contextlib.nullcontext():
         for epoch in range(cfg.max_epochs):
             t0 = time.perf_counter()
             loss_sum = 0.0
@@ -735,9 +835,6 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 stale += 1
                 if stale >= cfg.patience:
                     break
-    finally:
-        if jsonl:
-            jsonl.close()
     metrics.final_top1_error = 1.0 - metrics.best_test_acc
     metrics.wall_seconds = time.perf_counter() - started
     if summary_csv:

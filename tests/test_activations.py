@@ -849,10 +849,10 @@ class TestDifferential:
             self._check_layer_form(monkeypatch, rng, variant, fwd)
 
     @pytest.mark.parametrize("variant,fwd", FORMS)
-    def test_layer_forms_nonfinite(self, monkeypatch, variant, fwd):
+    def test_layer_forms_nonfinite(self, monkeypatch, variant, fwd, workers):
         # NaN and +-inf in x, with zero slopes among the pieces (0 * inf is
         # NaN): NaN output cells, -inf pools and inf piece inputs, under
-        # the dead-cell rule
+        # the dead-cell rule; pooled, the errstate must reach the helpers
         rng = ad.make_rng(197 + variant)
         for _ in range(self.CASES):
             with np.errstate(invalid="ignore"):

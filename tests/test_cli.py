@@ -66,6 +66,9 @@ def test_train_runs_and_writes_everything(data_dir, tmp_path, capsys):
     assert doc["config"]["cpu"] and doc["config"]["cores"] >= 1
     assert doc["config"]["openblas_core"] == cli.blas_config()[
         "openblas_core"]
+    # and the workers of train()'s pool: its OpenBLAS thread count
+    assert doc["config"]["pool_workers"] == cli.blas_config()[
+        "pool_workers"] >= 1
     assert doc["result"]["epochs_run"] == 2
     assert 0.0 <= doc["result"]["best_test_acc"] <= 1.0
     with open(out / "metrics.jsonl") as fh:
@@ -85,6 +88,8 @@ def test_blas_config_names_the_openblas_kernel(monkeypatch, tmp_path):
     monkeypatch.setattr(np, "__file__",
                         str(tmp_path / "numpy" / "__init__.py"))
     assert cli.blas_config()["openblas_core"] is None
+    # nor can train() set its thread count: no pool
+    assert cli.blas_config()["pool_workers"] == 1
 
 
 def test_train_missing_file_exits_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Morphology ops against brute-force sup/inf-convolution oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -368,6 +371,146 @@ class TestSingleBlockDifferential:
         # blocks
         monkeypatch.setattr(mo, "_BLOCK_BYTES", 16)
         self.test_against_loop_oracles()
+
+
+def _in_thread(call, timeout=60.0):
+    """``call()`` in a thread of its own, so a deadlock fails the test
+    instead of hanging it; its result, or the exception it raised."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(_outcome(call)),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the pool deadlocked"
+    ok, value = got[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _outcome(call):
+    try:
+        return True, call()
+    except BaseException as e:
+        return False, e
+
+
+class TestPool:
+    """The maps of ``morphops._imap``: on a pool of two the caller and one
+    helper run the items, and the caller takes the results in order."""
+
+    def test_two_threads_run_the_items_and_results_come_in_order(self):
+        # items 0 and 1 meet at a barrier, so two threads must run them
+        meet = threading.Barrier(2, timeout=30)
+
+        def item(i):
+            if i < 2:
+                meet.wait()
+            return i, threading.get_ident()
+
+        def run():
+            with mo._pooled(2):
+                return list(mo._imap(item, list(range(8))))
+
+        got = _in_thread(run)
+        assert [i for i, _ in got] == list(range(8))
+        assert got[0][1] != got[1][1]
+        assert mo._active is None
+
+    def test_a_map_inside_an_item_runs_serially(self):
+        # from the caller's items and the helper's alike (items 0 and 1
+        # meet at a barrier), in the item's thread, without deadlock
+        meet = threading.Barrier(2, timeout=30)
+
+        def inner(j):
+            return j, threading.get_ident()
+
+        def outer(i):
+            if i < 2:
+                meet.wait()
+            return (threading.get_ident(), mo._workers(),
+                    list(mo._imap(inner, [0, 1, 2])))
+
+        def run():
+            with mo._pooled(2):
+                return list(mo._imap(outer, list(range(6))))
+
+        got = _in_thread(run)
+        assert got[0][0] != got[1][0]
+        for ident, workers, nested in got:
+            assert workers == 1
+            assert nested == [(j, ident) for j in range(3)]
+
+    def test_at_most_ahead_items_are_run_or_held(self):
+        lock, started = threading.Lock(), []
+
+        def item(i):
+            with lock:
+                started.append(i)
+            return i
+
+        def run():
+            with mo._pooled(2):
+                for k in mo._imap(item, list(range(40)), 2):
+                    with lock:  # the one taken and at most one past it
+                        assert max(started) <= k + 1
+            return sorted(started)
+
+        assert _in_thread(run) == list(range(40))
+
+    def test_an_items_exception_reaches_the_caller(self):
+        def item(i):
+            if i == 5:
+                raise KeyError(i)
+            return i
+
+        def run():
+            with mo._pooled(2):
+                return list(mo._imap(item, list(range(9))))
+
+        with pytest.raises(KeyError):
+            _in_thread(run)
+        assert mo._active is None
+
+    def test_more_workers_than_cores_on_a_short_switch_interval(self):
+        # every item runs once and every result comes back in order, for
+        # many short maps at each look-ahead; a lost or doubled claim
+        # breaks the counts
+        ran = []
+
+        def item(i):
+            ran.append(i)
+            return i * i
+
+        def run():
+            with mo._pooled(4):
+                return [list(mo._imap(item, list(range(40)), ahead))
+                        for ahead in (None, 1, 2, 3) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _in_thread(run, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[i * i for i in range(40)]] * 80
+        assert sorted(ran) == sorted(list(range(40)) * 80)
+
+    def test_helpers_run_in_the_callers_context(self):
+        # numpy's errstate is a context variable; items 0 and 1 meet at a
+        # barrier, so the helper runs one
+        meet = threading.Barrier(2, timeout=30)
+
+        def item(i):
+            if i < 2:
+                meet.wait()
+            return np.geterr()["invalid"]
+
+        def run():
+            with mo._pooled(2), np.errstate(invalid="ignore"):
+                return list(mo._imap(item, list(range(8))))
+
+        assert _in_thread(run) == ["ignore"] * 8
 
 
 def test_blocks_are_runs_of_whole_channels():

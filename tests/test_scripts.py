@@ -37,7 +37,8 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in steps.values())
     assert doc["config"]["step_filters"] == 128
     assert set(doc["config"]["blas"]) == {"name", "version", "config"}
-    assert {"cpu", "cores", "openblas_core"} <= set(doc["config"])
+    assert {"cpu", "cores", "openblas_core", "pool_workers"} <= set(
+        doc["config"])
     assert doc["config"]["openblas_num_threads"] == os.environ.get(
         "OPENBLAS_NUM_THREADS")
     # and the hash of the seed-0 gradcheck report, as run in process
@@ -62,7 +63,9 @@ def test_step_memory_reports_every_variant(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert report["config"]["blas"]["version"] == blas["version"]
     assert report["config"]["openblas_num_threads"] == "1"
-    assert {"cpu", "cores", "openblas_core"} <= set(report["config"])
+    assert report["config"]["pool_workers"] == 1  # one thread, no pool
+    assert {"cpu", "cores", "openblas_core", "pool_workers"} <= set(
+        report["config"])
     assert list(report["variants"]) == list(VARIANTS)
     for row in report["variants"].values():
         assert set(row) == {"train_step_mb", "forward_mb", "backward_mb",
@@ -88,7 +91,8 @@ def test_criterion9_timing_writes_its_bench_file(tmp_path):
     assert json.loads(lines[0]) == doc
     assert doc["config"]["variant"] == "morpho1"
     assert set(doc["config"]["blas"]) == {"name", "version", "config"}
-    assert {"cpu", "cores", "openblas_core"} <= set(doc["config"])
+    assert {"cpu", "cores", "openblas_core", "pool_workers"} <= set(
+        doc["config"])
     assert doc["config"]["openblas_num_threads"] == os.environ.get(
         "OPENBLAS_NUM_THREADS")
     assert (doc["config"]["n_train"], doc["config"]["n_test"]) == (20, 6)

@@ -310,7 +310,8 @@ class TestConvFeed:
         (3, 5, (8, 7)),
     ])
     def test_byte_equal_to_the_unfused_chain(self, bsz, filters, hw,
-                                             variant):
+                                             variant, workers):
+        # pooled, conv_feed's and conv2d's GEMMs run in column parts
         got = self._compare(bsz, filters, hw, variant)
         assert all(t is not None for t in got)
         if variant == "relu6":
@@ -318,7 +319,7 @@ class TestConvFeed:
 
     @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6", "selfdual",
                                          "posneg"])
-    def test_groups_at_a_small_budget(self, monkeypatch, variant):
+    def test_groups_at_a_small_budget(self, monkeypatch, variant, workers):
         # 8-filter groups of 20 filters: 8, 8 and 4, each a run of blocks
         monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
         monkeypatch.setattr(mo, "_BLOCK_BYTES", 600)
@@ -329,7 +330,7 @@ class TestConvFeed:
 
     @pytest.mark.parametrize("variant", [1, 2, "relu", "relu6", "selfdual"])
     def test_activations_only_runs_no_x_gradient(self, monkeypatch,
-                                                 variant):
+                                                 variant, workers):
         # conv1 frozen: no route makes an x gradient and no group's w
         # gradient GEMM runs; act_pool, with no parameter, builds no node,
         # nor do selfdual's two
@@ -930,7 +931,7 @@ class TestNoGradFeatures:
 # parameters moved off their clamp init; prints the SHA-256 of the features
 # under grad and under no_grad and of every gradient below the dense head
 _THREAD_PROBE = """
-import hashlib, json
+import contextlib, hashlib, json
 from morphnn import autodiff as ad, train as tr
 from morphnn.autodiff import Tensor, make_rng
 hashes = {}
@@ -941,14 +942,20 @@ for variant, filters in [("morpho1", 128), ("morpho1", 16), ("morpho2", 16)]:
     for p in model.stage_parameters():
         p.data = p.data + rng.normal(scale=0.3, size=p.data.shape)
     x = Tensor(rng.random((256, 1, 28, 28)))
-    h = model.features(x)
-    ad.mul(h, Tensor(rng.normal(size=h.data.shape))).sum().backward()
-    with ad.no_grad():
-        h0 = model.features(x).data
-    below = [p.grad for name, p in model.named_parameters().items()
-             if not name.startswith("dense")]
-    hashes[f"{variant}/{filters}"] = [
-        hashlib.sha256(a.tobytes()).hexdigest() for a in [h.data, h0] + below]
+    g = rng.normal(size=(256, model.feature_dim))
+    for held in (False, True):
+        for p in model.parameters():
+            p.grad = None
+        with tr._blas_held() if held else contextlib.nullcontext():
+            h = model.features(x)
+            ad.mul(h, Tensor(g)).sum().backward()
+            with ad.no_grad():
+                h0 = model.features(x).data
+        below = [p.grad for name, p in model.named_parameters().items()
+                 if not name.startswith("dense")]
+        hashes[f"{variant}/{filters}/{held}"] = [
+            hashlib.sha256(a.tobytes()).hexdigest()
+            for a in [h.data, h0] + below]
 print(json.dumps(hashes))
 """
 
@@ -963,7 +970,10 @@ def test_features_and_gradients_do_not_depend_on_blas_threads():
     # filters, is known to give other last bits on other thread counts.
     # The variable must be set before numpy loads, so each count runs in
     # its own process; a gradient that is None fails the probe.  OpenBLAS
-    # runs at most one thread per core, so 4 may run as fewer
+    # runs at most one thread per core, so 4 may run as fewer.  Each pass
+    # runs twice, the second as train() runs it (OpenBLAS held at one
+    # thread, the pooled loops on a pool of its thread count), with the
+    # same bytes
     src = str(os.path.dirname(os.path.dirname(tr.__file__)))
     runs = {}
     for threads in ("1", "2", "4"):
@@ -976,6 +986,113 @@ def test_features_and_gradients_do_not_depend_on_blas_threads():
         runs[threads] = json.loads(done.stdout)
     assert runs["2"] == runs["1"]
     assert runs["4"] == runs["1"]
+    for key, hashes in runs["1"].items():
+        if key.endswith("/True"):
+            assert hashes == runs["1"][key[:-len("True")] + "False"]
+
+
+# a short seeded train() of two variants at the parameter hashes' shape
+# (16 filters, batch 256, two steps); prints its pool's workers and the
+# SHA-256 of each trained model's parameters
+_TRAIN_PROBE = """
+import hashlib, json
+from morphnn import data, train as tr
+from morphnn.autodiff import make_rng
+rng = make_rng(2)
+ds = data.Dataset(rng.random((512, 28, 28)), rng.integers(0, 10, 512))
+test = data.Dataset(ds.images[:64], ds.labels[:64])
+hashes = {}
+for variant in ("relu-maxpool", "morpho1"):
+    model = tr.build_model(tr.ModelSpec(variant=variant, filters=16),
+                           make_rng(0))
+    tr.train(model, ds, test, tr.TrainConfig(batch_size=256, max_epochs=1))
+    hashes[variant] = hashlib.sha256(b"".join(
+        p.data.tobytes() for p in model.parameters())).hexdigest()
+print(json.dumps({"workers": tr._pool_workers(), "params": hashes}))
+"""
+
+
+def test_training_does_not_depend_on_blas_threads():
+    # train() holds OpenBLAS at one thread and splits work over a pool of
+    # as many workers as it had threads, so a run on 1 thread (a pool of
+    # 1) and on 2 (a pool of 2, on two cores) trains the same bytes, the
+    # dense head's included
+    src = str(os.path.dirname(os.path.dirname(tr.__file__)))
+    runs = {}
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _TRAIN_PROBE], capture_output=True,
+            text=True, timeout=300,
+            env=os.environ | {"OPENBLAS_NUM_THREADS": threads,
+                              "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout)
+    assert runs["1"]["workers"] == 1
+    assert runs["2"]["workers"] == min(2, len(os.sched_getaffinity(0)))
+    assert runs["2"]["params"] == runs["1"]["params"]
+
+
+class TestBlasHold:
+    """For the span of ``train()`` OpenBLAS runs one thread and the pooled
+    loops as many workers as it had threads; ``evaluate()`` runs serially
+    inside it; both are given back when train() returns or raises."""
+
+    @pytest.fixture
+    def threads(self):
+        """OpenBLAS's thread count getter, with 2 threads set (or as many
+        as OpenBLAS allows) for the test and the caller's count after."""
+        calls = tr._blas_threads()
+        if calls is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be set")
+        get, put = calls
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_train_holds_one_thread_and_gives_it_back(self, threads,
+                                                     monkeypatch):
+        entry, seen = threads(), set()
+        forward = Model.forward
+
+        def spy(self, x, train=False, rng=None):
+            seen.add(("step" if train else "eval", threads(), mo._workers()))
+            return forward(self, x, train, rng)
+
+        monkeypatch.setattr(Model, "forward", spy)
+        ds = synth_ds(seed=84, n=32)
+        tr.train(build_model(small_spec(), make_rng(0)), ds, ds,
+                 TrainConfig(batch_size=16, max_epochs=1))
+        assert seen == {("step", 1, entry), ("eval", 1, 1)}
+        assert threads() == entry and mo._active is None
+        assert tr._pool_workers() == entry
+
+    def test_without_the_thread_calls_there_is_no_pool(self, monkeypatch,
+                                                       tmp_path):
+        # numpy bundles no OpenBLAS whose threads can be set: no hold
+        monkeypatch.setattr(np, "__file__",
+                            str(tmp_path / "numpy" / "__init__.py"))
+        assert tr._pool_workers() == 1
+        seen, forward = set(), Model.forward
+
+        def spy(self, x, train=False, rng=None):
+            seen.add(mo._workers())
+            return forward(self, x, train, rng)
+
+        monkeypatch.setattr(Model, "forward", spy)
+        ds = synth_ds(seed=84, n=32)
+        tr.train(build_model(small_spec(), make_rng(0)), ds, ds,
+                 TrainConfig(batch_size=16, max_epochs=1))
+        assert seen == {1}
+
+    def test_train_gives_it_back_when_it_raises(self, threads):
+        entry = threads()
+        ds = synth_ds(seed=84, n=32)
+        ds.images[3, 4, 5] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(tr.DivergenceError):
+            tr.train(build_model(small_spec(), make_rng(0)), ds, ds,
+                     TrainConfig(batch_size=32, max_epochs=1))
+        assert threads() == entry and mo._active is None
 
 
 def _buffer(a):

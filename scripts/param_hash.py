@@ -2,7 +2,7 @@
 """Train every stage variant briefly and print a hash of its parameters,
 and of the gradcheck report.
 
-    python3 scripts/param_hash.py
+    python3 scripts/param_hash.py [--check]
 
 Each variant of ``train.STAGES`` is built and trained with seed 0 for two
 epochs on the benchmark's seeded synthetic MNIST-shaped data (no files needed).
@@ -20,8 +20,15 @@ bit for bit alike on it and check every gradient alike; run it on both sides of
 a change that must not move a bit.  It runs in seconds; at batch 256 a stage-1
 channel is bigger than a block and is a block of its own, while stage 2's
 blocks are runs of 4 channels, so both block shapes run.
+
+``--check`` then compares the hashes with those ``HASHES.json`` pins for
+this host's OpenBLAS kernel (``openblas_core``) and thread count
+(``pool_workers``): it exits 1, naming each hash that moved, and 2 when
+the file pins none for that kernel and thread count.  A change that moves
+a bit on purpose edits ``HASHES.json`` in the same diff.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -47,6 +54,7 @@ N_TEST = 64
 BATCH = 256
 STEP_FILTERS = 128
 STEP_VARIANTS = ("relu-maxpool", "morpho1")
+HASHES = ROOT / "HASHES.json"
 
 
 def param_hash(model: tr.Model, grads: bool = False) -> str:
@@ -58,7 +66,41 @@ def param_hash(model: tr.Model, grads: bool = False) -> str:
     return digest.hexdigest()
 
 
+def named(doc: dict) -> dict:
+    """Each hash of a report by name: ``params.<variant>``,
+    ``step128.<variant>`` and ``gradcheck``."""
+    hashes = {"gradcheck": doc["gradcheck"]}
+    for part in ("params", "step128"):
+        hashes.update({f"{part}.{v}": h for v, h in doc[part].items()})
+    return hashes
+
+
+def check(doc: dict) -> int:
+    """0 when ``doc``'s hashes are those ``HASHES.json`` pins for its
+    OpenBLAS kernel and thread count, 1 when any moved, 2 when it pins
+    none there; the reason goes to stderr."""
+    core, threads = (doc["config"]["openblas_core"],
+                     doc["config"]["pool_workers"])
+    pinned = json.loads(HASHES.read_text()).get(str(core), {}).get(
+        str(threads))
+    if pinned is None:
+        print(f"param_hash: HASHES.json has no entry for openblas_core "
+              f"{core} at {threads} BLAS threads", file=sys.stderr)
+        return 2
+    got, want = named(doc), named(pinned)
+    moved = sorted(k for k in got.keys() | want.keys()
+                   if got.get(k) != want.get(k))
+    for name in moved:
+        print(f"param_hash: {name} moved: {want.get(name)} -> "
+              f"{got.get(name)}", file=sys.stderr)
+    return 1 if moved else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the hashes with HASHES.json")
+    args = parser.parse_args()
     mods = types.SimpleNamespace(data=data)
     rng = make_rng(SEED)
     templates = (rng.random((10, 28, 28)) < 0.3).astype(np.float64)
@@ -88,10 +130,10 @@ def main() -> int:
               "step_filters": STEP_FILTERS, "numpy": np.__version__,
               **blas_config()}
     report = json.dumps(run_gradcheck(seed=SEED)).encode()
-    print(json.dumps({"config": config, "params": hashes,
-                      "step128": step_hashes,
-                      "gradcheck": hashlib.sha256(report).hexdigest()}))
-    return 0
+    doc = {"config": config, "params": hashes, "step128": step_hashes,
+           "gradcheck": hashlib.sha256(report).hexdigest()}
+    print(json.dumps(doc), flush=True)
+    return check(doc) if args.check else 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from morphnn.gradcheck import run_gradcheck
 from morphnn.train import VARIANTS
@@ -19,12 +20,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_param_hash_prints_one_hash_per_variant(tmp_path):
-    # the bit-exactness check run on both sides of a change
+    # the bit-exactness check, against the hashes HASHES.json pins
     done = subprocess.run([sys.executable,
-                           str(ROOT / "scripts" / "param_hash.py")],
+                           str(ROOT / "scripts" / "param_hash.py"),
+                           "--check"],
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=600)
-    assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     doc = json.loads(lines[0])
@@ -44,6 +45,14 @@ def test_param_hash_prints_one_hash_per_variant(tmp_path):
     # and the hash of the seed-0 gradcheck report, as run in process
     report = json.dumps(run_gradcheck(seed=0)).encode()
     assert doc["gradcheck"] == hashlib.sha256(report).hexdigest()
+    core, threads = (doc["config"]["openblas_core"],
+                     doc["config"]["pool_workers"])
+    pinned = json.loads((ROOT / "HASHES.json").read_text())
+    if str(threads) not in pinned.get(str(core), {}):
+        assert done.returncode == 2, done.stderr
+        pytest.skip(f"HASHES.json pins no hashes for openblas_core {core} "
+                    f"at {threads} BLAS threads")
+    assert done.returncode == 0, done.stderr
 
 
 def test_step_memory_reports_every_variant(tmp_path):

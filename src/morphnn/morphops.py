@@ -30,10 +30,11 @@ Conventions shared by every op here:
   ``Feed``'s groups), never the input or the output, so a stage holds
   neither alive;
 * within ``train()`` a group's blocks run on a pool of threads
-  (``_pooled``, ``_imap``), forward and backward: each block writes only
-  its own part of the output, the code and the x gradient, and the caller
-  adds the parameter parts in block order, so the bytes are the serial
-  pass's.
+  (``_pooled``, ``_imap``): the caller and the helpers of a
+  ``concurrent.futures`` executor, forward and backward.  Each block
+  writes only its own part of the output, the code and the x gradient,
+  and the caller adds the parameter parts in block order, so the bytes
+  are the serial pass's.
 
 The rectifier stages of the baseline nets are built from ``act_pool``, the
 chain ReLU (or ReLU6) then max-pooling as one node: it clamps and pools one
@@ -317,94 +318,56 @@ def _shift(block: slice, by: int) -> slice:
 # -- the worker pool ----------------------------------------------------------
 
 
-class _Job:
-    """One map on a pool: its items, the next to hand out, the first the
-    caller has not taken (``base``), the results by index and the items
-    running."""
-
-    __slots__ = ("fn", "items", "ahead", "context", "next", "base", "done",
-                 "running")
-
-    def __init__(self, fn, items, ahead: int, context):
-        self.fn, self.items, self.ahead = fn, items, ahead
-        self.context = context
-        self.next = self.base = self.running = 0
-        self.done = {}
-
-    def claim(self) -> int | None:
-        """The next item to run, or None: none is left, or it lies
-        ``ahead`` items or more past the one the caller waits for."""
-        i = self.next
-        if i >= min(len(self.items), self.base + self.ahead):
-            return None
-        self.next, self.running = i + 1, self.running + 1
-        return i
-
-
 class _Pool:
-    """The caller of a map plus ``size - 1`` helper threads, which take the
-    map's items in turn, one each at a time; the caller takes the results
-    in order.  Idle helpers wait on a condition and take no core.  A helper
-    runs its item in a copy of the caller's ``contextvars`` context (numpy's
+    """The caller of a map plus ``size - 1`` helper threads, an executor
+    (``concurrent.futures.ThreadPoolExecutor``) to which a map submits the
+    items of its look-ahead window.  While the caller waits for a result
+    it runs, in order, each item no helper has begun, claimed by cancelling
+    its future; it takes the results, and the exceptions, in order.  Idle
+    helpers wait on the executor's queue and take no core.  A helper runs
+    its item in a copy of the caller's ``contextvars`` context (numpy's
     ``errstate`` lives there).  While the caller runs a map, any map it or
     a helper starts runs serially."""
 
     def __init__(self, size: int):
+        import concurrent.futures
         import contextvars
         import threading
         self.size, self.copy_context = size, contextvars.copy_context
-        self.cv, self.local = threading.Condition(), threading.local()
-        self.job = None
-        for _ in range(size - 1):
-            threading.Thread(target=self._serve, daemon=True).start()
+        self.local, futures = threading.local(), concurrent.futures
+        self.Future, self.wait = futures.Future, futures.wait
+        self.helpers = futures.ThreadPoolExecutor(
+            size - 1, initializer=setattr, initargs=(self.local, "busy", True))
 
-    def _run(self, job: _Job, i: int, run) -> None:
+    def _run(self, fn, item):
+        """A done future holding ``fn(item)``, run by the caller."""
+        future = self.Future()
         try:
-            result = True, run(job.fn, job.items[i])
-        except BaseException as e:  # raised in the caller, in its turn
-            result = False, e
-        with self.cv:
-            job.done[i] = result
-            job.running -= 1
-            self.cv.notify_all()
-
-    def _serve(self) -> None:
-        self.local.busy = True
-        while True:
-            with self.cv:
-                while (job := self.job) is None or (i := job.claim()) is None:
-                    job = None  # an idle helper holds no map's arrays
-                    self.cv.wait()
-            self._run(job, i, job.context.copy().run)
+            future.set_result(fn(item))
+        except Exception as e:  # raised in its turn; an interrupt at once
+            future.set_exception(e)
+        return future
 
     def imap(self, fn, items: list, ahead: int):
-        job = _Job(fn, items, ahead, self.copy_context())
+        n, context = len(items), self.copy_context()
+        futures, claim = {}, 0  # by index: the items from the one taken next
         self.local.busy = True
-        with self.cv:
-            self.job = job
-            self.cv.notify_all()
         try:
-            for k in range(len(items)):
-                with self.cv:
-                    job.base = k
-                    self.cv.notify_all()
-                while True:
-                    with self.cv:
-                        while k not in job.done and (i := job.claim()) is None:
-                            self.cv.wait()
-                        if k in job.done:
-                            break
-                    self._run(job, i, lambda fn, item: fn(item))
-                ok, value = job.done.pop(k)
-                if not ok:
-                    raise value
-                yield value
+            for k in range(n):
+                for i in range(k + len(futures), min(n, k + ahead)):
+                    futures[i] = self.helpers.submit(context.copy().run, fn,
+                                                     items[i])
+                claim = max(claim, k)
+                while not futures[k].done() and claim < k + len(futures):
+                    if futures[claim].cancel():
+                        futures[claim] = self._run(fn, items[claim])
+                    claim += 1
+                yield futures.pop(k).result()
         finally:  # no item runs on once the caller has left
             self.local.busy = False
-            with self.cv:
-                job.next, self.job = len(items), None
-                while job.running:
-                    self.cv.wait()
+            for future in futures.values():
+                future.cancel()
+            self.wait(futures.values())
 
 
 _pools: dict[int, _Pool] = {}  # by size, each started at its first use

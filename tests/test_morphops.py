@@ -1,7 +1,10 @@
 """Morphology ops against brute-force sup/inf-convolution oracles."""
 
+import os
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -495,6 +498,56 @@ class TestPool:
             sys.setswitchinterval(interval)
         assert got == [[i * i for i in range(40)]] * 80
         assert sorted(ran) == sorted(list(range(40)) * 80)
+
+    @pytest.mark.parametrize("ahead", [None, 2])
+    @pytest.mark.parametrize("leave", ["raise", "break"])
+    def test_no_item_runs_once_the_caller_has_left(self, leave, ahead):
+        # the caller leaves the map at its fourth result, by an item's
+        # exception or by a break, while the helper still has items to take
+        lock, begun, ended = threading.Lock(), [], []
+
+        def item(i):
+            with lock:
+                begun.append(i)
+            try:
+                time.sleep(0.002)
+                if leave == "raise" and i == 3:
+                    raise KeyError(i)
+                return i
+            finally:
+                with lock:
+                    ended.append(i)
+
+        def run():
+            with mo._pooled(2):
+                try:
+                    for k in mo._imap(item, list(range(40)), ahead):
+                        if k == 3:
+                            break
+                except KeyError:
+                    pass
+            with lock:
+                left = sorted(begun), sorted(ended)
+            time.sleep(0.05)
+            with lock:
+                return left, sorted(begun)
+
+        (began, finished), later = _in_thread(run)
+        assert finished == began  # every item begun has ended
+        assert later == began  # and none begins after
+        assert len(began) < 40
+
+    def test_importing_the_package_leaves_the_executor_unloaded(self):
+        # the pool imports concurrent.futures when it starts, so a process
+        # that runs no pool does not pay for the import
+        probe = ("import sys, morphnn; "
+                 "print('concurrent.futures' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(mo.__file__))
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60,
+                              env=os.environ | {"PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_helpers_run_in_the_callers_context(self):
         # numpy's errstate is a context variable; items 0 and 1 meet at a

@@ -43,7 +43,8 @@ contiguous, at a time, and its code flags a closed rectifier.  Min-pooling
 is the negation dual of max-pooling, so ``selfdual_pool`` and
 ``posneg_pool_param`` are each a difference of two ``act_pool``s that read
 one ``Feed``, scaled (``Feed.scaled``).  Like the layer forms, every stage
-takes conv1 fused, as a ``Feed`` (``train.conv_feed``).  No stage calls
+takes conv1 fused, as a ``Feed`` (``train.conv_feed``), which gives the
+images their gradient too.  No stage calls
 ``relu``, ``max_pool`` or ``min_pool``; the chain references in
 ``tests/_oracles.py`` are built from them.
 """

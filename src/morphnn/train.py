@@ -108,24 +108,33 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
     return cols.reshape(math.prod(win.shape[:3]), -1)
 
 
+def _col2im(d6: Array, dx: Array) -> None:
+    """Add d6 [kh,kw,C,B,OH,OW], each tap's x gradient, into its windows of
+    dx [C,B,H,W], taps in (i, j) order, runs of channels on the pool."""
+    kh, kw, c, _, oh, ow = d6.shape
+
+    def run(cs):  # one run of channels, every tap in order
+        for i in range(kh):
+            for j in range(kw):
+                dx[cs, :, i:i + oh, j:j + ow] += d6[i, j, cs]
+
+    mo._each(run, _parts(c))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Valid-mode cross-correlation, [B,C,H,W] x [F,C,kh,kw] -> [B,F,.,.]:
-    conv2, plus conv1 when the images take a gradient (``Model._stack``).
+    conv2 (``Model`` runs conv1 fused, ``conv_feed``).
 
     The output is the transposed view of an [F, B*OH*OW] GEMM result, so
     its memory is channel-major, as is the x gradient; a channel-major
     output gradient, as every stage returns, reaches both backward GEMMs as
-    a view.  The rules never keep the output.  The forward GEMM and the x
-    gradient's GEMM run on ``_batch_slices`` of the batch.  With one
-    channel the rules keep x's im2col and the forward slices are column
-    views of it (tap GEMMs would be matrix-vector products); with more they
-    keep x, and the w gradient is one GEMM per kernel tap.  On the pool
+    a view.  The rules keep x, never the output nor x's im2col.  The
+    forward GEMM and the x gradient's GEMM run on ``_batch_slices`` of the
+    batch; the w gradient is one GEMM per kernel tap.  On the pool
     (``train()``) each GEMM runs in column parts (``_gemm``; a tap's in
     runs of channels, each worker copying its own), as do the im2col copy
-    and ``back_x``'s scatter.  Every result is the unsliced GEMM's bytes,
-    an OpenBLAS property that ``TestConv2d`` pins at the shapes the hashes
-    and the benchmark run; at (37, 24, 16) on 2 BLAS threads the taps
-    differ in the last bit.
+    and ``_col2im``.  Every result is the unsliced GEMM's bytes at the
+    shapes ``TestConv2d`` pins, an OpenBLAS property: not at every shape.
     """
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -136,20 +145,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     wmat = w.data.reshape(f, -1)
     w_shape, xd = w.data.shape, x.data
     slices = _batch_slices(bsz, wmat.nbytes // f * n)  # one image's im2col
-    cols = _im2col(xd, kh, kw) if c == 1 else None  # [C*kh*kw, B*OH*OW]
     out = np.empty((f, bsz * n))
     for s in slices:
-        cs = slice(s.start * n, s.stop * n)
-        _gemm(wmat, _im2col(xd[s], kh, kw) if cols is None else cols[:, cs],
-              out[:, cs])
+        _gemm(wmat, _im2col(xd[s], kh, kw), out[:, s.start * n:s.stop * n])
     out = out.reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data.reshape(1, f, 1, 1)
 
     def back_w(g: Array) -> Array:
         gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
-        if cols is not None:
-            return (gmat @ cols.T).reshape(w_shape)
         win = _windows(xd, kh, kw)
         dw, tap = np.empty(w_shape), np.empty((c, bsz, oh, ow))
 
@@ -167,23 +171,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         # weight rows in (kh, kw, C) order, so each tap's slice of the GEMM
         # result is contiguous; each entry is the same dot product
         wtap = wmat.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, f)
-
-        def scatter(cs):  # one run of channels, every tap in order
-            for i in range(kh):
-                for j in range(kw):
-                    dxs[cs, :, i:i + oh, j:j + ow] += d6[i, j, cs]
-
         for s in slices:
-            dxs = dx[:, s]
             gmat = g[s].transpose(1, 0, 2, 3).reshape(f, -1)
             d6 = _gemm(wtap, gmat, np.empty((len(wtap), gmat.shape[1])))
-            d6 = d6.reshape(kh, kw, *dxs.shape[:2], oh, ow)
-            mo._each(scatter, _parts(c))
+            _col2im(d6.reshape(kh, kw, c, s.stop - s.start, oh, ow), dx[:, s])
             del d6  # not held while the next slice's GEMM runs
         return dx.transpose(1, 0, 2, 3)
 
-    # back_w runs first: backward drops it, and cols or x with it, before
-    # back_x runs (back_x must not hold them)
+    # back_w runs first: backward drops it, and x with it, before back_x
+    # runs (back_x must not hold them)
     parents = [(w, back_w), (x, back_x)]
     if b is not None:
         parents.append((b, lambda g: np.ascontiguousarray(
@@ -199,23 +195,19 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     at batch 256).  The op keeps x's im2col and copies of w's rows and of
     b, taken when it runs, so a backward pass that rebuilds a group sees
     the forward pass's bytes even if w changes in place in between.  Each
-    backward pass makes its own w and b gradient arrays at its first group,
-    so a feed may have two readers (a split stage's two ``act_pool``s).  x
-    takes no gradient: an x that takes one is refused.
+    backward pass makes its own x, w and b gradient arrays at its first
+    group, so a feed may have two readers (a split stage's two
+    ``act_pool``s).
 
     A group's output is ``wmat[g] @ cols`` plus its rows of b (in column
     parts on the pool, ``_parts``), its share of the w gradient
     ``gx.reshape(G, -1) @ cols.T`` (one GEMM, in the caller) and of b's its
     images summed in batch order: the whole GEMM's rows to the bit at the
-    shapes ``TestConvFeed`` pins, an OpenBLAS property.  From 25 to 256
-    images at 128 filters, the forward rows of odd batches differed in the
-    last bit on 2 BLAS threads (most on 1 too), as did the w gradient at
-    most even batches that are no multiple of 8, so such a batch may train
-    differently from ``conv2d``.
+    shapes ``TestConvFeed`` pins, an OpenBLAS property (not at every batch
+    that is no multiple of 8).  Its share of the x gradient,
+    ``wmat[g].T @ gx`` (``_gemm``), is added into one [C, B, H, W] array
+    (``_col2im``), given channel-major as ``conv2d``'s.
     """
-    if x.requires_grad:
-        raise ValueError("conv_feed gives x no gradient; its x must take "
-                         "none")
     bsz, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
@@ -226,9 +218,10 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
     bias = None if b is None else b.data.copy()
     cols = _im2col(x.data, kh, kw)  # [C*kh*kw, B*OH*OW]
     groups = _batch_slices(f, 8 * bsz * oh * ow)
-    tensors = (w,) if b is None else (w, b)
-    takes_w, takes_b = w.requires_grad, b is not None and b.requires_grad
-    grads = []  # this backward pass's dw and db
+    tensors = (x, w) if b is None else (x, w, b)
+    takes_x, takes_w = x.requires_grad, w.requires_grad
+    takes_b = b is not None and b.requires_grad
+    grads = []  # this backward pass's dx, dw and db
 
     def take(sl: slice) -> Array:
         xg = np.empty((sl.stop - sl.start, cols.shape[1]))
@@ -243,12 +236,18 @@ def conv_feed(x: Tensor, w: Tensor, b: Tensor | None = None) -> mo.Feed:
 
     def give(sl: slice, gx: Array) -> tuple:
         if sl.start == 0:  # new arrays per pass: a Feed may have two readers
-            grads[:] = [np.empty(w_shape) if takes_w else None,
+            grads[:] = [np.zeros((c, bsz, h, wd)).transpose(1, 0, 2, 3)
+                        if takes_x else None,
+                        np.empty(w_shape) if takes_w else None,
                         np.empty(f) if takes_b else None]
-        dw, db = grads
+        dx, dw, db = grads
+        gmat = gx.reshape(len(gx), -1)
+        if dx is not None:
+            d6 = _gemm(wmat[sl].T, gmat, np.empty((len(cols), gmat.shape[1])))
+            _col2im(d6.reshape(c, kh, kw, bsz, oh, ow).transpose(
+                1, 2, 0, 3, 4, 5), dx.transpose(1, 0, 2, 3))
         if dw is not None:
-            np.matmul(gx.reshape(len(gx), -1), cols.T,
-                      out=dw.reshape(f, -1)[sl])
+            np.matmul(gmat, cols.T, out=dw.reshape(f, -1)[sl])
         if db is not None:
             db[sl] = np.ascontiguousarray(gx.sum(axis=(2, 3)).T).sum(axis=0)
         return tuple(grads[:len(tensors)])
@@ -450,11 +449,9 @@ class Model:
 
     def _stack(self, x: Tensor) -> Tensor:
         # nested, so each stage's input dies as soon as its consumer has
-        # run unless a backward rule keeps it; every stage takes conv1 fused
-        # (a Feed), unless x takes a gradient: a Feed gives x none
+        # run unless a backward rule keeps it; stage 1 takes conv1 as a Feed
         return self.stage2(self.conv2(self.stage1(
-            self.conv1(x) if x.requires_grad
-            else conv_feed(x, self.conv1.w, self.conv1.b))))
+            conv_feed(x, self.conv1.w, self.conv1.b))))
 
     def features(self, x: Tensor) -> Tensor:
         """conv1 -> stage 1 -> conv2 -> stage 2, flattened: [B, feature_dim].
@@ -661,12 +658,12 @@ class Metrics:
 
 
 def evaluate(model: Model, ds: Dataset, batch_size: int = 512) -> float:
-    """Top-1 accuracy under no_grad, serially (no pool, also inside
-    ``train()``); ValueError on an empty dataset."""
+    """Top-1 accuracy under no_grad, on ``train()``'s pool inside it and
+    serially outside, the same bytes; ValueError on an empty dataset."""
     if len(ds) == 0:
         raise ValueError("evaluate() needs images; the dataset is empty")
     correct = 0
-    with ad.no_grad(), mo._pooled(1):
+    with ad.no_grad():
         for images, labels in batches(ds, batch_size):
             x = Tensor(images[:, None, :, :])
             logits = model.forward(x, train=False)
@@ -761,13 +758,14 @@ def train(model: Model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 
     For its span it holds numpy's OpenBLAS at one thread and runs the
     pooled loops on as many workers as OpenBLAS had threads
-    (``_blas_held``): the blocks of each stage group and of its backward
-    pass, and the column parts of each conv GEMM.  The order-dependent
-    sums (the route parts, ``Feed.give``, the bias sums), the dense head
-    and Adam stay in the caller, so the parameters are the same bytes on
-    any thread count (``OPENBLAS_NUM_THREADS=1`` is a pool of one).
-    ``evaluate()`` runs serially, inside it too, as do ``run_gradcheck()``
-    and direct ``Model`` calls.
+    (``_blas_held``), ``evaluate()``'s included: the blocks of each stage
+    group and of its backward pass, and the column parts of each conv
+    GEMM.  The order-dependent sums (the route parts, ``Feed.give``, the
+    bias sums), the dense head and Adam stay in the caller
+    (``OPENBLAS_NUM_THREADS=1`` is a pool of one).  At the shapes
+    ``HASHES.json`` pins (16 and 128 filters) the parameters are the same
+    bytes on 1 and 2 threads, not at every shape: at 20 filters and batch
+    45 they differ.
     """
     if len(train_ds) == 0:
         raise ValueError("train() needs images; the training set is empty")

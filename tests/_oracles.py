@@ -52,6 +52,47 @@ def oracle_sup_conv_grads(f, offsets, w, stride, g):
     return df, dw
 
 
+def chain_conv1(x, w, b=None):
+    """``train.conv_feed`` as the unfused graph node ``conv2d`` once was for
+    one input channel: x's whole im2col kept between the passes, and one
+    GEMM each for the output ``wmat @ cols``, the w gradient
+    ``gmat @ cols.T`` and the x gradient ``wmat.T @ gmat``, whose taps are
+    added in (i, j) order.  The output and the x gradient are
+    channel-major."""
+    from morphnn import autodiff as ad
+
+    bsz, c, h, wd = x.data.shape
+    f, _, kh, kw = w.data.shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    cols = np.empty((c, kh, kw, bsz, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x.data[:, :, i:i + oh, j:j + ow].transpose(
+                1, 0, 2, 3)
+    cols = cols.reshape(c * kh * kw, -1)
+    wmat = w.data.reshape(f, -1)
+    out = (wmat @ cols).reshape(f, bsz, oh, ow).transpose(1, 0, 2, 3)
+    if b is not None:
+        out += b.data.reshape(1, f, 1, 1)
+
+    def back_x(g):
+        gmat = g.transpose(1, 0, 2, 3).reshape(f, -1)
+        d6 = (wmat.T @ gmat).reshape(c, kh, kw, bsz, oh, ow)
+        dx = np.zeros((c, bsz, h, wd))
+        for i in range(kh):
+            for j in range(kw):
+                dx[:, :, i:i + oh, j:j + ow] += d6[:, i, j]
+        return dx.transpose(1, 0, 2, 3)
+
+    parents = [(w, lambda g: (g.transpose(1, 0, 2, 3).reshape(f, -1)
+                              @ cols.T).reshape(w.data.shape)),
+               (x, back_x)]
+    if b is not None:
+        parents.append((b, lambda g: np.ascontiguousarray(
+            g.sum(axis=(2, 3))).sum(axis=0)))
+    return ad.make_node(out, parents)
+
+
 def chain_act_pool(f, pool, alpha=0.0, cap=None):
     """``act_pool`` as the chain of graph nodes it replaced: rectify (and
     clamp) every input at full resolution, then max-pool."""

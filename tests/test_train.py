@@ -13,8 +13,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import (channel_major, oracle_conv2d, oracle_conv2d_gemm,
-                      synth_classification)
+from _oracles import (chain_conv1, channel_major, oracle_conv2d,
+                      oracle_conv2d_gemm, synth_classification)
 
 from morphnn import activations as act
 from morphnn import autodiff as ad
@@ -237,7 +237,7 @@ SLOPES = {"posneg": ("beta_pos", "beta_neg")}
 
 class TestConvFeed:
     """conv1 fused with a layer form, ``act_pool`` or a split stage
-    (``conv_feed``) against the unfused chain ``conv2d`` ->
+    (``conv_feed``) against the unfused chain ``chain_conv1`` ->
     ``morpho_act{1,2}_forward``, ``act_pool``, ``selfdual_pool`` or
     ``posneg_pool_param``: values and every gradient byte for byte, but a
     split stage's gradients by value: each of its two ``act_pool``s gives
@@ -253,16 +253,19 @@ class TestConvFeed:
         leaves = [w] + ([] if b is None else [b]) + list(params.values())
         for t in leaves:
             t.grad = None
-        h = tr.conv_feed(x, w, b) if fused else tr.conv2d(x, w, b)
-        if variant in CAPS:
-            out = mo.act_pool(h, POOL, cap=CAPS[variant])
-        elif variant in SPLITS:
-            out = SPLITS[variant](h, layer)
-        else:
-            out = FORWARDS[variant](h, layer.activation, layer.structuring,
-                                    POOL, channel_axis=1)
+        h = tr.conv_feed(x, w, b) if fused else chain_conv1(x, w, b)
+        out = TestConvFeed._stage(h, layer, variant)
         ad.mul(out, Tensor(g)).sum().backward()
         return [out.data] + [t.grad for t in leaves]
+
+    @staticmethod
+    def _stage(h, layer, variant):
+        if variant in CAPS:
+            return mo.act_pool(h, POOL, cap=CAPS[variant])
+        if variant in SPLITS:
+            return SPLITS[variant](h, layer)
+        return FORWARDS[variant](h, layer.activation, layer.structuring,
+                                 POOL, channel_axis=1)
 
     def _compare(self, bsz, filters, hw, variant, seed=0, frozen=(),
                  images=None):
@@ -545,17 +548,42 @@ class TestConvFeed:
         with pytest.raises(ValueError, match="no alpha with a Feed"):
             mo.act_pool(feed, POOL, alpha=0.5)
 
-    def test_refuses_images_that_take_a_gradient(self):
-        x = Tensor(np.zeros((2, 1, 8, 8)), requires_grad=True)
-        with pytest.raises(ValueError, match="gives x no gradient"):
-            tr.conv_feed(x, Tensor(np.zeros((4, 1, 3, 3))))
+    @pytest.mark.parametrize("variant", [1, "relu", "posneg"])
+    def test_image_gradient_against_finite_differences(self, monkeypatch,
+                                                       variant, workers):
+        # 8-filter groups of 20 filters, each adding its share into the
+        # images' gradient; posneg's two readers each give one, which
+        # backward adds.  Two input channels, so the weight rows' (C, kh,
+        # kw) order meets _col2im's taps
+        monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
+        rng = make_rng(670)
+        images = rng.random((6, 2, 9, 7))
+        w = Tensor(rng.uniform(-1 / 3, 1 / 3, (20, 2, 3, 3)))
+        b = Tensor(rng.uniform(-1, 1, 20))
+        if variant == 1:
+            b, layer = None, _perturbed_layer(variant, 20, rng)
+        else:
+            layer = {name: Tensor(rng.uniform(0.5, 1.5))
+                     for name in SLOPES.get(variant, ())}
+        g = Tensor(rng.normal(size=(6, 20) + POOL.out_extent((7, 5))))
+
+        def loss(x):
+            h = tr.conv_feed(x, w, b)
+            assert len(h.groups) == 3
+            return ad.mul(self._stage(h, layer, variant), g).sum()
+
+        x = Tensor(images, requires_grad=True)
+        loss(x).backward()
+        assert x.grad.shape == images.shape
+        npt.assert_allclose(x.grad, ad.finite_difference_grad(
+            loss, Tensor(images)), atol=1e-6)
 
     def test_two_readers_of_one_feed(self, monkeypatch):
         # two act_pools read one feed, each with its own output gradient:
         # conv1's gradients are the sum of both readers' shares, as through
-        # conv2d, by value (two GEMMs sum where one did).  Each backward
-        # pass makes its own gradient arrays at its first group, so the
-        # second reader's pass does not overwrite what the first gave
+        # the unfused chain, by value (two GEMMs sum where one did).  Each
+        # backward pass makes its own gradient arrays at its first group, so
+        # the second reader's pass does not overwrite what the first gave
         monkeypatch.setattr(tr, "_SLICE_BYTES", 8 * 8 * 6 * 7 * 5)
         rng = make_rng(650)
         x = Tensor(rng.random((6, 1, 9, 7)))
@@ -574,7 +602,7 @@ class TestConvFeed:
 
         feed = tr.conv_feed(x, w, b)
         assert len(feed.groups) == 3
-        for have, ref in zip(grads(feed), grads(tr.conv2d(x, w, b))):
+        for have, ref in zip(grads(feed), grads(chain_conv1(x, w, b))):
             npt.assert_allclose(have, ref, rtol=1e-12,
                                 atol=1e-12 * np.abs(ref).max())
 
@@ -708,8 +736,10 @@ class TestModel:
 
     @pytest.mark.parametrize("variant", tr.VARIANTS)
     def test_images_that_take_a_gradient_get_one(self, variant):
-        # a fused conv1 hands back no gradient to the images, so images that
-        # take one run the unfused chain, conv1 -> stage 1 -> ...
+        # the fused conv1 gives the images the unfused chain's gradient,
+        # conv1 -> stage 1 -> ..., with one group (6 filters) to the byte;
+        # a split stage's two readers each give their own, which backward
+        # adds, so those agree by value
         model = build_model(small_spec(variant), make_rng(0))
         rng = make_rng(78)
         images = rng.normal(size=(4, 1, 10, 10))
@@ -720,7 +750,10 @@ class TestModel:
         logits = model.dense(ad.reshape(h, (4, model.feature_dim)))
         ad.mul(logits, g).sum().backward()
         assert x.grad is not None
-        npt.assert_array_equal(x.grad, x_ref.grad)
+        if variant in SPLITS:
+            npt.assert_allclose(x.grad, x_ref.grad, rtol=1e-12)
+        else:
+            npt.assert_array_equal(x.grad, x_ref.grad)
 
     def test_conv_bias_dropped_for_morpho(self):
         assert build_model(small_spec("relu-maxpool"), make_rng(0)).conv1.b is not None
@@ -1034,8 +1067,8 @@ def test_training_does_not_depend_on_blas_threads():
 
 class TestBlasHold:
     """For the span of ``train()`` OpenBLAS runs one thread and the pooled
-    loops as many workers as it had threads; ``evaluate()`` runs serially
-    inside it; both are given back when train() returns or raises."""
+    loops, ``evaluate()``'s included, as many workers as it had threads;
+    both are given back when train() returns or raises."""
 
     @pytest.fixture
     def threads(self):
@@ -1063,7 +1096,7 @@ class TestBlasHold:
         ds = synth_ds(seed=84, n=32)
         tr.train(build_model(small_spec(), make_rng(0)), ds, ds,
                  TrainConfig(batch_size=16, max_epochs=1))
-        assert seen == {("step", 1, entry), ("eval", 1, 1)}
+        assert seen == {("step", 1, entry), ("eval", 1, entry)}
         assert threads() == entry and mo._active is None
         assert tr._pool_workers() == entry
 
